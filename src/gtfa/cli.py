@@ -7,7 +7,8 @@ Group specs:   cyclic:N | dihedral:n | product:<spec>x<spec> | file:<path>
 Kernel specs:  kn | anti-kn | born-jordan | wigner-odd | margin-fix
                | spectrogram:<windowfile> | commutator:<f-file>:<g-file>
 
-GTFA_THREADS caps internal parallelism (0 or unset = automatic).
+GTFA_THREADS sizes the thread pool of `figures` (0 or unset = automatic);
+it does not limit BLAS or any other parallelism.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import signalio
-from .groups import FiniteGroup, GroupTableError, build_cyclic, build_dihedral, build_product, load_group_file
+from .groups import (FiniteGroup, GroupTableError, build_cyclic, build_dihedral, build_product,
+                     is_cyclic, load_group_file)
 from .harmonic import Signal
 from .limits import q_z_distribution
 from .properties import CHECKS, run_all_checks, report_csv, report_lines
 from .quantization import SingularKernel, dequantize, quantize
-from .reconstruct import MarginNegative, born_jordan_distribution, phase_retrieve, _island_count
+from .reconstruct import MarginNegative, born_jordan_distribution, island_count, phase_retrieve
 from .signalio import ImageSpec, render_pgm
 from .tfplane import TFFunction, tf_norm
 from .transforms import (
@@ -53,7 +55,8 @@ class ConfigError(ValueError):
 
 
 def worker_count() -> int:
-    """Parallelism cap from GTFA_THREADS (0 or unset picks automatically)."""
+    """Size of the `figures` thread pool from GTFA_THREADS (0 or unset picks
+    automatically)."""
     raw = os.environ.get("GTFA_THREADS", "0")
     try:
         n = int(raw)
@@ -100,11 +103,6 @@ def parse_group(spec: str) -> FiniteGroup:
     raise ConfigError(f"unknown group spec {spec!r}")
 
 
-def _is_cyclic_group(group: FiniteGroup) -> bool:
-    cyc, _ = build_cyclic(group.order)
-    return np.array_equal(group.cayley, cyc.cayley)
-
-
 def parse_kernel(spec: str, group: FiniteGroup) -> CohenKernel:
     if spec == "kn":
         return kn_kernel(group.dual)
@@ -113,11 +111,11 @@ def parse_kernel(spec: str, group: FiniteGroup) -> CohenKernel:
     if spec == "margin-fix":
         return margin_fix_kernel(group.dual)
     if spec == "born-jordan":
-        if not _is_cyclic_group(group):
+        if not is_cyclic(group):
             raise ConfigError("born-jordan kernel needs a cyclic group")
         return born_jordan_cyclic_kernel(group.order)
     if spec == "wigner-odd":
-        if not _is_cyclic_group(group) or group.order % 2 == 0:
+        if not is_cyclic(group) or group.order % 2 == 0:
             raise ConfigError("wigner-odd kernel needs an odd-order cyclic group")
         return wigner_kernel_odd_cyclic(group.order)
     if spec.startswith("spectrogram:"):
@@ -186,7 +184,7 @@ def cmd_verify(args) -> int:
     reports = run_all_checks(kernel, verify=not args.no_cross)
     print(report_lines(reports))
     if args.csv:
-        signalio._atomic_write(args.csv, report_csv(reports).encode())
+        signalio.atomic_write(args.csv, report_csv(reports).encode())
     if args.require:
         wanted = [r.strip() for r in args.require.split(",") if r.strip()]
         unknown = [w for w in wanted if w not in CHECKS]
@@ -230,7 +228,7 @@ def cmd_dequantize(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     group = parse_group(args.group)
-    if not _is_cyclic_group(group):
+    if not is_cyclic(group):
         raise ConfigError("reconstruct works on cyclic groups")
     try:
         Q = signalio.read_tf_csv(args.infile, group)
@@ -248,12 +246,12 @@ def cmd_reconstruct(args) -> int:
     report = (
         f"order {group.order}\n"
         f"distribution_residual {resid:.17g}\n"
-        f"islands {_island_count(mask)}\n"
+        f"islands {island_count(mask)}\n"
         f"pivot_magnitude {pivot:.17g}\n"
         f"all_zero {int(not mask.any())}\n"
     )
     if args.report:
-        signalio._atomic_write(args.report, report.encode())
+        signalio.atomic_write(args.report, report.encode())
     else:
         print(report, end="")
     return EXIT_OK

@@ -25,9 +25,13 @@ __all__ = [
     "build_cyclic",
     "build_dihedral",
     "build_product",
+    "is_cyclic",
     "load_group_file",
     "validate",
 ]
+# group_fourier and group_inverse_fourier are public but left out of __all__:
+# perfbench/tracer.py times each __all__ name by self time, so listing them
+# would move the transform work out of the harmonic/tfplane/transforms layers.
 
 # Algebraic identities of built-ins hold to ALG_TOL; orthogonality sums that
 # accumulate over |G| terms only to STAT_TOL.
@@ -43,7 +47,8 @@ class GroupTableError(ValueError):
 class Irrep:
     """One irreducible unitary representation, tabulated per element.
 
-    matrices has shape (|G|, dim, dim); matrices[x] is eta(x).
+    matrices has shape (|G|, dim, dim); matrices[x] is eta(x).  Once the irrep
+    belongs to a UnitaryDual, matrices is a view into the dual's table.
     """
 
     dim: int
@@ -52,37 +57,82 @@ class Irrep:
 
     def __post_init__(self):
         self.matrices = np.ascontiguousarray(self.matrices, dtype=complex)
-        # eta(x)^* tables are used in every Fourier-type sum; precompute once.
-        self.star = np.ascontiguousarray(self.matrices.conj().transpose(0, 2, 1))
-        self.characters = np.trace(self.matrices, axis1=1, axis2=2)
+
+    @property
+    def star(self) -> np.ndarray:
+        """eta(x)^* per element, computed from `matrices` on each access."""
+        return self.matrices.conj().transpose(0, 2, 1)
+
+    @property
+    def characters(self) -> np.ndarray:
+        return np.trace(self.matrices, axis1=1, axis2=2)
 
 
 @dataclass
 class UnitaryDual:
-    """Complete list of inequivalent irreps of a group; the frequency domain."""
+    """Complete list of inequivalent irreps of a group; the frequency domain.
+
+    The representations are stored once, in the stacked table
+    table[(k, a, b), x] = eta_k(x)[a, b]: rows run through the irreps in dual
+    order, each irrep's entries row-major.  A complete dual has a square
+    table (sum d_k^2 = |G|); an all-scalar dual's table is its character
+    table.  Each irrep's `matrices` is rebound to a view of its rows.
+    """
 
     irreps: list[Irrep]
     trivial_index: int = 0
 
     def __post_init__(self):
         self.dims = np.array([eta.dim for eta in self.irreps])
-        self.is_commutative = bool(np.all(self.dims == 1))
-        self._char_matrix = None
+        n = self.irreps[0].matrices.shape[0]
+        self.table = np.concatenate([eta.matrices.reshape(n, -1).T for eta in self.irreps])
+        # runs[i] = (first irrep, end irrep, dim, first table row) of the i-th
+        # maximal run of consecutive irreps of equal dimension
+        runs, row = [], 0
+        for k, eta in enumerate(self.irreps):
+            d = eta.dim
+            eta.matrices = self.table[row:row + d * d].reshape(d, d, n).transpose(2, 0, 1)
+            if runs and runs[-1][2] == d:
+                runs[-1][1] = k + 1
+            else:
+                runs.append([k, k + 1, d, row])
+            row += d * d
+        self.runs = [tuple(r) for r in runs]
         self.group: "FiniteGroup | None" = None  # backref, set by builders
 
     def __len__(self) -> int:
         return len(self.irreps)
 
-    @property
-    def char_matrix(self) -> np.ndarray:
-        """(n_irreps, |G|) table eta_k(x) for all-scalar duals (fast paths)."""
-        if self._char_matrix is None:
-            if not self.is_commutative:
-                raise ValueError("char_matrix is only defined for scalar duals")
-            self._char_matrix = np.ascontiguousarray(
-                np.stack([eta.matrices[:, 0, 0] for eta in self.irreps])
-            )
-        return self._char_matrix
+
+def group_fourier(dual: UnitaryDual, w: np.ndarray) -> list[np.ndarray]:
+    """blocks[k][..., :, :] = (1/|G|) sum_x w[x, ...] eta_k(x)^*.
+
+    w has shape (|G|,) or (|G|, m); each block has shape w.shape[1:] + (d_k, d_k).
+    One dense product with the stacked table, split into per-irrep views.
+    """
+    s = dual.table.conj() @ w / w.shape[0]   # s[(k, b, a), ...] = blocks[k][..., a, b]
+    rest = s.shape[1:]
+    blocks = []
+    for first, end, d, row in dual.runs:
+        run = s[row:row + (end - first) * d * d].reshape(end - first, d, d, *rest)
+        blocks.extend(run.transpose(0, *range(3, run.ndim), 2, 1))
+    return blocks
+
+
+def group_inverse_fourier(dual: UnitaryDual, blocks) -> np.ndarray:
+    """t[x, ...] = sum_k d_k tr(eta_k(x) blocks[k][..., :, :]).
+
+    Inverts `group_fourier`.  One dense product of the transposed stacked
+    table with the blocks stacked as rows (k, a, b) -> d_k blocks[k][..., b, a].
+    """
+    rest = np.shape(blocks[0])[:-2]
+    v = np.empty((len(dual.table), *rest), dtype=complex)
+    for first, end, d, row in dual.runs:
+        run = v[row:row + (end - first) * d * d].reshape(end - first, d, d, *rest)
+        run = run.transpose(0, *range(3, run.ndim), 2, 1)
+        np.stack(blocks[first:end], out=run)
+        run *= d
+    return dual.table.T @ v
 
 
 @dataclass
@@ -126,7 +176,13 @@ class FiniteGroup:
         )
 
     def __hash__(self):
-        return id(self)
+        return hash(self.order)  # equal groups share an order, as __eq__ requires
+
+
+def is_cyclic(group: FiniteGroup) -> bool:
+    """True when the group law is addition mod |G|, the labeling of cyclic:N."""
+    i = np.arange(group.order)
+    return np.array_equal(group.cayley, (i[:, None] + i[None, :]) % group.order)
 
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:

@@ -7,9 +7,10 @@ Conventions (fixed throughout the package):
   identity so that its Haar integral is 1.
 * The Plancherel side weights each irrep by its dimension: the
   "noncommutative integral" of a matrix-valued c is  sum_eta d_eta tr c(eta).
-* All transforms are the naive O(|G|^2) sums, evaluated with numpy; there is
-  deliberately no FFT path.  For all-scalar duals the same sums are batched
-  into dense matrix products.
+* All transforms are the naive O(|G|^2) sums.  For every dual, scalar or
+  not, each is one dense matrix product with the dual's stacked
+  representation table (`groups.group_fourier` and its inverse); there is
+  deliberately no FFT path.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, UnitaryDual, require_same_group
+from .groups import FiniteGroup, UnitaryDual, group_fourier, group_inverse_fourier, require_same_group
 
 __all__ = [
     "Signal",
@@ -82,27 +83,12 @@ def norm(u: Signal) -> float:
 def fourier(u: Signal) -> FourierCoefficients:
     """u_hat(eta) = (1/|G|) sum_x u(x) eta(x)^*."""
     dual = u.group.dual
-    n = u.group.order
-    if dual.is_commutative:
-        vals = dual.char_matrix.conj() @ u.values / n
-        return FourierCoefficients(dual, [v.reshape(1, 1) for v in vals])
-    blocks = [
-        np.einsum("x,xab->ab", u.values, eta.star) / n for eta in dual.irreps
-    ]
-    return FourierCoefficients(dual, blocks)
+    return FourierCoefficients(dual, group_fourier(dual, u.values))
 
 
 def inverse_fourier(c: FourierCoefficients) -> Signal:
     """u(x) = sum_eta d_eta tr(eta(x) c(eta)); inverts `fourier` exactly."""
-    dual = c.dual
-    group = dual.group
-    if dual.is_commutative:
-        coef = np.array([b[0, 0] for b in c.blocks])
-        return Signal(group, dual.char_matrix.T @ coef)
-    vals = np.zeros(group.order, dtype=complex)
-    for eta, b in zip(dual.irreps, c.blocks):
-        vals += eta.dim * np.einsum("xab,ba->x", eta.matrices, b)
-    return Signal(group, vals)
+    return Signal(c.dual.group, group_inverse_fourier(c.dual, c.blocks))
 
 
 def nc_integral(c: FourierCoefficients) -> complex:

@@ -237,7 +237,7 @@ def check_inner_invariant(k: CohenKernel, verify: bool = True) -> PropertyReport
         for z in range(g.order):
             conj_idx = cay[cay[z], inv[z]]  # z y z^{-1}
             lhs = b[conj_idx]
-            rhs = xi.matrices[z] @ b @ xi.star[z]
+            rhs = xi.matrices[z] @ b @ xi.matrices[z].conj().T
             diff = np.abs(lhs - rhs).max(axis=(1, 2))
             m = float(diff.max(initial=0.0))
             if m > worst:

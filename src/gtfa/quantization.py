@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, require_same_group
+from .groups import FiniteGroup, group_inverse_fourier, require_same_group
 from .harmonic import Signal
 from .tfplane import (
     AmbiguityFunction,
@@ -110,17 +110,11 @@ def kn_operator(a: TFFunction) -> GroupOperator:
 
     The kernel matrix is K(x, y) = sum_eta d_eta tr(eta(y^{-1} x) a(x, eta)).
     """
-    group, dual = a.group, a.dual
-    n = group.order
-    # idx[x, y] = y^{-1} x
-    idx = group.cayley[group.inverse, :].T
-    K = np.zeros((n, n), dtype=complex)
-    for eta, b in zip(dual.irreps, a.blocks):
-        if eta.dim == 1:
-            K += eta.matrices[idx, 0, 0] * b[:, 0, 0][:, None]
-        else:
-            K += eta.dim * np.einsum("xyab,xba->xy", eta.matrices[idx], b)
-    return GroupOperator(group, K)
+    group = a.group
+    # s[z, x] = sum_eta d_eta tr(eta(z) a(x, eta)), so K(x, y) = s(y^{-1} x, x)
+    s = group_inverse_fourier(a.dual, a.blocks)
+    idx = group.cayley[group.inverse, :].T  # idx[x, y] = y^{-1} x
+    return GroupOperator(group, s[idx, np.arange(group.order)[:, None]])
 
 
 def kn_symbol(B: GroupOperator) -> TFFunction:

@@ -34,6 +34,7 @@ __all__ = [
     "PartialAutocorrelation",
     "RoundtripReport",
     "born_jordan_distribution",
+    "island_count",
     "magnitudes_from_margins",
     "partial_autocorrelations",
     "phase_retrieve",
@@ -90,7 +91,7 @@ def partial_autocorrelations(Q: TFFunction) -> PartialAutocorrelation:
     y = np.arange(N)
     h = FQ * (N * (1.0 - np.exp(-2j * np.pi * y / N)) / (2j * np.pi))[None, :]
     h[0, :] = y * FQ[0, :]
-    E = Q.dual.char_matrix.T @ h  # E[x, y] = sum_xi e^{i 2 pi x xi / N} h_y(xi)
+    E = Q.dual.table.T @ h  # E[x, y] = sum_xi e^{i 2 pi x xi / N} h_y(xi)
     E[:, 0] = 0.0
     return PartialAutocorrelation(N, E)
 
@@ -139,7 +140,7 @@ def phase_retrieve(Q: TFFunction, tol_zero: float = 1e-9) -> Signal:
     return Signal(group, u)
 
 
-def _island_count(mask: np.ndarray) -> int:
+def island_count(mask: np.ndarray) -> int:
     """Number of maximal arcs of True values on the index circle."""
     if mask.all():
         return 1
@@ -181,7 +182,7 @@ def roundtrip_report(u: Signal, tol_zero: float = 1e-9) -> RoundtripReport:
         order=u.group.order,
         class_distance=class_distance(u, rec),
         distribution_residual=tf_norm(diff),
-        islands=_island_count(mask),
+        islands=island_count(mask),
         pivot_magnitude=float(np.abs(rec.values).max()),
         recovered=rec,
     )

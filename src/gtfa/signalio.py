@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +58,16 @@ class CsvFormatError(ValueError):
     """Malformed CSV row; message carries the line number."""
 
 
-def _atomic_write(path, data: bytes):
+def atomic_write(path, data: bytes):
+    """Write data to a temp file beside path, then rename it over path.
+
+    The file gets mode 0o666 less the umask, as open() would create it.  Not
+    in __all__, so perfbench/tracer.py counts its time in the writers.
+    """
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".gtfa-tmp-")
+    tmp = os.path.join(d, f".gtfa-tmp-{os.urandom(8).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -179,13 +185,13 @@ def write_csv_signal(path, u: Signal):
     lines = [
         f"{i},{_fmt(v.real)},{_fmt(v.imag)}" for i, v in enumerate(u.values)
     ]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_csv_matrix(path, table):
     """Generic numeric CSV: one row per table row, 17 significant digits."""
     lines = [",".join(_fmt(float(v)) for v in row) for row in np.atleast_2d(table)]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_tf_csv(path, a: TFFunction):
@@ -198,7 +204,7 @@ def write_tf_csv(path, a: TFFunction):
                 for c in range(d):
                     v = b[x, r, c]
                     lines.append(f"{x},{k},{r},{c},{_fmt(v.real)},{_fmt(v.imag)}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_tf_csv(path, group: FiniteGroup) -> TFFunction:
@@ -223,7 +229,7 @@ def write_operator_csv(path, B: GroupOperator):
         for y in range(B.group.order):
             v = B.kernel[x, y]
             lines.append(f"{x},{y},{_fmt(v.real)},{_fmt(v.imag)}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_operator_csv(path, group: FiniteGroup) -> GroupOperator:
@@ -249,7 +255,7 @@ def write_kernel_csv(path, k: CohenKernel):
                 for c in range(d):
                     v = b[y, r, c]
                     lines.append(f"{kk},{y},{r},{c},{_fmt(v.real)},{_fmt(v.imag)}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_kernel_csv(path, group: FiniteGroup, name=None) -> CohenKernel:
@@ -274,7 +280,7 @@ def write_grid_csv(path, grid: ZTFGrid):
         for kk in range(grid.freq_bins):
             v = grid.values[kk, i]
             lines.append(f"{t},{kk},{_fmt(v.real)},{_fmt(v.imag)}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +338,7 @@ def render_pgm(values, spec: ImageSpec, path):
     h, w = pix.shape
     body = "\n".join(" ".join(str(p) for p in row) for row in pix)
     data = f"P2\n{w} {h}\n255\n{body}\n".encode()
-    _atomic_write(path, data)
+    atomic_write(path, data)
 
 
 def periodize(u: ZSignal, N: int) -> Signal:

@@ -14,8 +14,10 @@ reproducibility.  The time-lag kernel is the scalar table obtained by
 inverse-transforming an ambiguity function in its first variable.
 
 Blocks are stored per irrep as arrays of shape (|G|, d, d): TFFunction block
-lists are indexed [eta][x], AmbiguityFunction block lists [xi][y].  For
-all-scalar duals every operation collapses to dense matrix products.
+lists are indexed [eta][x], AmbiguityFunction block lists [xi][y].  Each
+transform and conversion here is one or two dense products with the dual's
+stacked representation table (`groups.group_fourier` and its inverse), the
+same for scalar and matrix irreps; there is no FFT path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, UnitaryDual
+from .groups import FiniteGroup, UnitaryDual, group_fourier, group_inverse_fourier
 
 __all__ = [
     "TFFunction",
@@ -111,42 +113,16 @@ class TimeLagKernel:
 # ---------------------------------------------------------------------------
 
 
-def _nc_contract(blocks, dual):
-    """s(x, y) = sum_eta d_eta tr(eta(y) blocks[eta][x])  as an (n, n) array."""
-    n = blocks[0].shape[0]
-    s = np.zeros((n, n), dtype=complex)
-    for eta, b in zip(dual.irreps, blocks):
-        s += eta.dim * np.einsum("yab,xba->xy", eta.matrices, b)
-    return s
-
-
 def symplectic_fourier(a: TFFunction) -> AmbiguityFunction:
-    group, dual = a.group, a.dual
-    n = group.order
-    if dual.is_commutative:
-        ch = dual.char_matrix
-        s = a.scalar_table().T @ ch          # s[x, y] = sum_eta a(x,eta) eta(y)
-        out = ch.conj() @ s / n              # out[xi, y]
-        return AmbiguityFunction.from_scalar_table(group, dual, out)
-    s = _nc_contract(a.blocks, dual)
-    blocks = [np.einsum("xy,xab->yab", s, xi.star) / n for xi in dual.irreps]
-    return AmbiguityFunction(group, dual, blocks)
+    # s[x, y] = sum_eta d_eta tr(eta(y) a(x, eta)), then the transform in x
+    s = group_inverse_fourier(a.dual, a.blocks).T
+    return AmbiguityFunction(a.group, a.dual, group_fourier(a.dual, s))
 
 
 def inverse_symplectic_fourier(A: AmbiguityFunction) -> TFFunction:
-    group, dual = A.group, A.dual
-    n = group.order
-    if dual.is_commutative:
-        ch = dual.char_matrix
-        t = ch.T @ A.scalar_table()          # t[x, y] = sum_xi xi(x) A(xi,y)
-        out = (t @ ch.conj().T) / n          # out[x, eta]
-        return TFFunction.from_scalar_table(group, dual, out.T)
-    # t(x, y) = sum_xi d_xi tr(xi(x) A(xi, y))
-    t = np.zeros((n, n), dtype=complex)
-    for xi, b in zip(dual.irreps, A.blocks):
-        t += xi.dim * np.einsum("xab,yba->xy", xi.matrices, b)
-    blocks = [np.einsum("xy,yab->xab", t, eta.star) / n for eta in dual.irreps]
-    return TFFunction(group, dual, blocks)
+    # t[x, y] = sum_xi d_xi tr(xi(x) A(xi, y)), then the transform in y
+    t = group_inverse_fourier(A.dual, A.blocks)
+    return TFFunction(A.group, A.dual, group_fourier(A.dual, t.T))
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +165,11 @@ def tf_convolve(a: TFFunction, b: TFFunction) -> TFFunction:
 
 def ambiguity_to_timelag(phi: AmbiguityFunction) -> TimeLagKernel:
     """varphi(x, y) = sum_xi d_xi tr(xi(x) phi(xi, y))."""
-    group, dual = phi.group, phi.dual
-    if dual.is_commutative:
-        vals = dual.char_matrix.T @ phi.scalar_table()
-        return TimeLagKernel(group, vals)
-    n = group.order
-    vals = np.zeros((n, n), dtype=complex)
-    for xi, b in zip(dual.irreps, phi.blocks):
-        vals += xi.dim * np.einsum("xab,yba->xy", xi.matrices, b)
-    return TimeLagKernel(group, vals)
+    return TimeLagKernel(phi.group, group_inverse_fourier(phi.dual, phi.blocks))
 
 
 def timelag_to_ambiguity(k: TimeLagKernel, dual: UnitaryDual | None = None) -> AmbiguityFunction:
     """phi(xi, y) = (1/|G|) sum_x xi(x)^* varphi(x, y)."""
     group = k.group
     dual = group.dual if dual is None else dual
-    n = group.order
-    if dual.is_commutative:
-        out = dual.char_matrix.conj() @ k.values / n
-        return AmbiguityFunction.from_scalar_table(group, dual, out)
-    blocks = [np.einsum("xy,xab->yab", k.values, xi.star) / n for xi in dual.irreps]
-    return AmbiguityFunction(group, dual, blocks)
+    return AmbiguityFunction(group, dual, group_fourier(dual, k.values))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import FiniteGroup, UnitaryDual, build_cyclic, require_same_group
+from .groups import FiniteGroup, UnitaryDual, build_cyclic, group_fourier, is_cyclic, require_same_group
 from .harmonic import Signal, fourier, norm
 from .tfplane import (
     AmbiguityFunction,
@@ -116,13 +116,8 @@ def ambiguity_transform(u: Signal, v: Signal) -> AmbiguityFunction:
     """
     require_same_group(u.group, v.group, "signals")
     group, dual = u.group, u.group.dual
-    n = group.order
     w = u.values[:, None] * v.values[group.right_div].conj()  # w[x, y]
-    if dual.is_commutative:
-        out = dual.char_matrix.conj() @ w / n
-        return AmbiguityFunction.from_scalar_table(group, dual, out)
-    blocks = [np.einsum("xy,xab->yab", w, xi.star) / n for xi in dual.irreps]
-    return AmbiguityFunction(group, dual, blocks)
+    return AmbiguityFunction(group, dual, group_fourier(dual, w))
 
 
 def _apply_kernel(k: CohenKernel, A: AmbiguityFunction) -> AmbiguityFunction:
@@ -262,7 +257,7 @@ def commutator_kernel(f: Signal, g: Signal) -> CohenKernel:
     """
     group = f.group
     require_same_group(group, g.group, "labelings")
-    if not _is_cyclic(group):
+    if not is_cyclic(group):
         raise ValueError("commutator_kernel requires a cyclic group")
     if np.abs(f.values.imag).max() > 1e-12:
         raise ValueError("position labeling f must be real-valued")
@@ -347,14 +342,9 @@ def stft(w: Signal, u: Signal) -> TFFunction:
     """
     require_same_group(w.group, u.group, "window and signal")
     group, dual = u.group, u.group.dual
-    n = group.order
     # W2[y, x] = u(y) w(x^{-1} y)^*
     W2 = u.values[:, None] * w.values.conj()[group.cayley[group.inverse]].T
-    if dual.is_commutative:
-        out = dual.char_matrix.conj() @ W2 / n  # out[eta, x]
-        return TFFunction.from_scalar_table(group, dual, out)
-    blocks = [np.einsum("yx,yab->xab", W2, eta.star) / n for eta in dual.irreps]
-    return TFFunction(group, dual, blocks)
+    return TFFunction(group, dual, group_fourier(dual, W2))
 
 
 def spectrogram_kernel(w: Signal) -> CohenKernel:
@@ -367,11 +357,6 @@ def spectrogram_kernel(w: Signal) -> CohenKernel:
     A = ambiguity_transform(w, w)
     blocks = [b.conj().transpose(0, 2, 1) for b in A.blocks]
     return CohenKernel("spectrogram", AmbiguityFunction(w.group, w.group.dual, blocks))
-
-
-def _is_cyclic(group: FiniteGroup) -> bool:
-    cyc, _ = build_cyclic(group.order)
-    return np.array_equal(group.cayley, cyc.cayley)
 
 
 def _halving_map(N: int) -> np.ndarray:
@@ -396,7 +381,7 @@ def wigner_odd_cyclic(u: Signal, v: Signal) -> TFFunction:
     """
     require_same_group(u.group, v.group, "signals")
     group = u.group
-    if not _is_cyclic(group):
+    if not is_cyclic(group):
         raise ValueError("wigner_odd_cyclic requires a cyclic group")
     N = group.order
     h = _halving_map(N)
@@ -404,9 +389,7 @@ def wigner_odd_cyclic(u: Signal, v: Signal) -> TFFunction:
     # core[y, x] = u(x + h(y)) v(x - h(y))^*
     core = u.values[(x[None, :] + h[:, None]) % N] * \
         v.values.conj()[(x[None, :] - h[:, None]) % N]
-    ch = group.dual.char_matrix
-    table = (ch.conj() @ core) / N  # table[eta, x]
-    return TFFunction.from_scalar_table(group, group.dual, table)
+    return TFFunction(group, group.dual, group_fourier(group.dual, core))
 
 
 def gaussian_window(group: FiniteGroup, sigma: float) -> Signal:

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
+from conftest import builtin_corpus, group_file_text
 from gtfa.groups import (
+    FiniteGroup,
     GroupTableError,
+    Irrep,
+    UnitaryDual,
     build_cyclic,
     build_dihedral,
     build_product,
+    group_fourier,
+    group_inverse_fourier,
+    is_cyclic,
     load_group_file,
     validate,
 )
@@ -159,8 +166,6 @@ def test_load_group_file_parse_error_lineno(tmp_path):
 
 
 def test_load_group_file_dihedral_roundtrip(tmp_path):
-    from conftest import group_file_text
-
     g, d = build_dihedral(4)
     p = tmp_path / "d4.grp"
     p.write_text(group_file_text(g, d))
@@ -181,11 +186,92 @@ def test_load_group_file_bad_associativity(tmp_path):
 
 @pytest.mark.parametrize("N", [1, 2, 5, 8])
 def test_group_file_cyclic_roundtrips(tmp_path, N):
-    from conftest import group_file_text
-
     g, d = build_cyclic(N)
     p = tmp_path / f"z{N}.grp"
     p.write_text(group_file_text(g, d))
     g2, d2 = load_group_file(p)
     assert np.array_equal(g.cayley, g2.cayley)
     assert validate(g2, d2) == []
+
+
+def test_equal_groups_hash_equal(tmp_path):
+    p = tmp_path / "z3.grp"
+    p.write_text(_z3_file_text())
+    g1, _ = load_group_file(p)
+    g2, _ = load_group_file(p)
+    assert g1 is not g2
+    assert g1 == g2 and hash(g1) == hash(g2)
+    assert len({g1: 1, g2: 2}) == 1
+
+
+@pytest.mark.parametrize("gd", builtin_corpus(), ids=lambda gd: gd[0].name)
+def test_is_cyclic_means_the_cyclic_labeling(gd):
+    g, _ = gd
+    assert is_cyclic(g) == np.array_equal(g.cayley, build_cyclic(g.order)[0].cayley)
+    assert is_cyclic(g) == g.name.startswith("cyclic:")
+
+
+# ---------------------------------------------------------------------------
+# The group-Fourier primitives against the naive per-irrep sums
+# ---------------------------------------------------------------------------
+
+
+def _unsorted_relabelled_dihedral6(tmp_path):
+    """dihedral:6 through a group file, with its elements relabelled and its
+    irreps reordered so that dimensions run 2, 1, 1, 2, 1, 1."""
+    g, d = build_dihedral(6)
+    p = np.random.default_rng(6).permutation(g.order)  # old element x -> p[x]
+    cayley = np.empty_like(g.cayley)
+    cayley[np.ix_(p, p)] = p[g.cayley]
+    inverse = np.empty_like(g.inverse)
+    inverse[p] = p[g.inverse]
+    irreps = []
+    for k in (4, 0, 1, 5, 2, 3):
+        mats = np.empty_like(d.irreps[k].matrices)
+        mats[p] = d.irreps[k].matrices
+        irreps.append(Irrep(d.irreps[k].dim, mats))
+    relabelled = FiniteGroup(g.order, cayley, int(p[g.identity]), inverse)
+    path = tmp_path / "d6.grp"
+    path.write_text(group_file_text(relabelled, UnitaryDual(irreps)))
+    return load_group_file(path)
+
+
+def _check_primitives_against_naive_sums(g, d, rng):
+    n = g.order
+    for shape in [(n,), (n, 5)]:
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = group_fourier(d, w)
+        for eta, b in zip(d.irreps, got):
+            # (1/|G|) sum_x w[x, ...] eta(x)^*
+            expect = sum(np.asarray(w[x])[..., None, None] * eta.matrices[x].conj().T
+                         for x in range(n)) / n
+            assert b.shape == expect.shape
+            assert np.abs(b - expect).max() <= 1e-12
+
+        blocks = [rng.standard_normal(shape[1:] + (eta.dim, eta.dim))
+                  + 1j * rng.standard_normal(shape[1:] + (eta.dim, eta.dim))
+                  for eta in d.irreps]
+        got = group_inverse_fourier(d, blocks)
+        # sum_k d_k tr(eta_k(x) B_k[...])
+        expect = np.array([
+            sum(eta.dim * np.trace(eta.matrices[x] @ b, axis1=-2, axis2=-1)
+                for eta, b in zip(d.irreps, blocks))
+            for x in range(n)
+        ])
+        assert got.shape == expect.shape
+        assert np.abs(got - expect).max() <= 1e-12
+        assert max(np.abs(a - b).max()
+                   for a, b in zip(group_fourier(d, got), blocks)) <= 1e-12
+
+
+def test_primitives_match_naive_sums(group_and_dual, rng):
+    _check_primitives_against_naive_sums(*group_and_dual, rng)
+
+
+def test_primitives_match_naive_sums_on_unsorted_file_group(tmp_path, rng):
+    g, d = _unsorted_relabelled_dihedral6(tmp_path)
+    assert [e.dim for e in d.irreps] == [2, 1, 1, 2, 1, 1]
+    assert not np.array_equal(g.cayley, build_dihedral(6)[0].cayley)
+    assert [(first, end, dim) for first, end, dim, _ in d.runs] == \
+        [(0, 1, 2), (1, 3, 1), (3, 4, 2), (4, 6, 1)]
+    _check_primitives_against_naive_sums(g, d, rng)

@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 
 import numpy as np
@@ -262,6 +264,16 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, rng):
     write_csv_signal(tmp_path / "u.csv", Signal(g, np.ones(4)))
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".gtfa-tmp-")]
     assert leftovers == []
+
+
+def test_atomic_write_honours_umask(tmp_path):
+    g, _ = build_cyclic(4)
+    old = os.umask(0o027)
+    try:
+        write_csv_signal(tmp_path / "u.csv", Signal(g, np.ones(4)))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "u.csv").st_mode) == 0o640
 
 
 def test_wav_empty_data_chunk(tmp_path):

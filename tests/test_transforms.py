@@ -383,7 +383,7 @@ def test_stft_with_delta_window(rng):
     w = delta_signal(g)
     G = stft(w, u).scalar_table()  # [eta, x]
     # window = |G| at identity: G_w u(x, eta) = eta(x)^* u(x)
-    ch = g.dual.char_matrix
+    ch = g.dual.table
     assert np.abs(G - ch.conj() * u.values[None, :]).max() < 1e-10
 
 
