@@ -22,7 +22,7 @@ import numpy as np
 
 from . import signalio
 from .groups import (FiniteGroup, GroupTableError, build_cyclic, build_dihedral, build_product,
-                     is_cyclic, load_group_file)
+                     is_cyclic, load_group_file, plancherel_trace)
 from .harmonic import Signal
 from .limits import q_z_distribution
 from .properties import CHECKS, run_all_checks, report_csv, report_lines
@@ -147,10 +147,7 @@ def _tf_to_matrix(a: TFFunction) -> np.ndarray:
 
     Entry (k, x) is Re(d_eta tr a(x, eta_k)); for scalar duals just Re a.
     """
-    rows = [
-        eta.dim * np.einsum("xaa->x", b).real for eta, b in zip(a.dual.irreps, a.blocks)
-    ]
-    return np.stack(rows)
+    return plancherel_trace(a.dual, a.blocks).real
 
 
 # ---------------------------------------------------------------------------

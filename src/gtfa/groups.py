@@ -8,6 +8,14 @@ unitary matrix representations, stored densely (one d x d matrix per element).
 Dual ordering is canonical and load-bearing for file outputs: cyclic duals are
 ordered by character exponent, dihedral duals list the 1-dimensional irreps
 first, product duals are lexicographic in the factors.
+
+A quantity on the dual is a list of blocks, blocks[k] of shape (..., d_k, d_k).
+This module alone knows how they lie in the stacked table and how they are
+weighted: the Fourier pair (`group_fourier`, `group_inverse_fourier`), the
+pointwise product (`block_product`) and the Plancherel sums (`plancherel_trace`,
+`plancherel_pairing`) each handle one array (end - first, ..., d, d) per run of
+equal-dimension irreps (`UnitaryDual.runs`), built by `stack_runs` and cut back
+into per-irrep views by `split_runs`.
 """
 
 from __future__ import annotations
@@ -29,9 +37,10 @@ __all__ = [
     "load_group_file",
     "validate",
 ]
-# group_fourier and group_inverse_fourier are public but left out of __all__:
-# perfbench/tracer.py times each __all__ name by self time, so listing them
-# would move the transform work out of the harmonic/tfplane/transforms layers.
+# The Fourier pair and the per-run helpers (stack_runs to plancherel_pairing)
+# are public but left out of __all__: perfbench/tracer.py times each __all__
+# name by self time, so listing them would move the transform work out of the
+# harmonic/tfplane/transforms layers.
 
 # Algebraic identities of built-ins hold to ALG_TOL; orthogonality sums that
 # accumulate over |G| terms only to STAT_TOL.
@@ -89,19 +98,75 @@ class UnitaryDual:
         # runs[i] = (first irrep, end irrep, dim, first table row) of the i-th
         # maximal run of consecutive irreps of equal dimension
         runs, row = [], 0
-        for k, eta in enumerate(self.irreps):
-            d = eta.dim
-            eta.matrices = self.table[row:row + d * d].reshape(d, d, n).transpose(2, 0, 1)
+        for k, d in enumerate(self.dims.tolist()):
             if runs and runs[-1][2] == d:
                 runs[-1][1] = k + 1
             else:
                 runs.append([k, k + 1, d, row])
             row += d * d
         self.runs = [tuple(r) for r in runs]
+        for eta, m in zip(self.irreps, split_runs(representation_runs(self))):
+            eta.matrices = m
         self.group: "FiniteGroup | None" = None  # backref, set by builders
 
     def __len__(self) -> int:
         return len(self.irreps)
+
+
+# ---------------------------------------------------------------------------
+# Per-run arithmetic on the dual
+# ---------------------------------------------------------------------------
+
+
+def _table_runs(dual: UnitaryDual, s: np.ndarray) -> list[np.ndarray]:
+    """Per run, the view v[j, ..., a, b] = s[(first + j, b, a), ...] of an
+    array whose rows follow the stacked table's (k, a, b) rows."""
+    rest = s.shape[1:]
+    views = []
+    for first, end, d, row in dual.runs:
+        run = s[row:row + (end - first) * d * d].reshape(end - first, d, d, *rest)
+        views.append(run.transpose(0, *range(3, run.ndim), 2, 1))
+    return views
+
+
+def representation_runs(dual: UnitaryDual) -> list[np.ndarray]:
+    """eta_k(x) per run, as arrays (end - first, |G|, d, d) viewing the table."""
+    return [v.swapaxes(-1, -2) for v in _table_runs(dual, dual.table)]
+
+
+def stack_runs(dual: UnitaryDual, blocks) -> list[np.ndarray]:
+    """The blocks of each run stacked on a new first axis: (end - first, ..., d, d)."""
+    return [np.stack(blocks[first:end]) for first, end, _, _ in dual.runs]
+
+
+def split_runs(runs) -> list[np.ndarray]:
+    """The per-irrep blocks of per-run arrays, as views; inverts `stack_runs`."""
+    return [b for run in runs for b in run]
+
+
+def block_adjoint(blocks) -> list[np.ndarray]:
+    """The conjugate transpose of every block over its last two axes."""
+    return [np.conj(b).swapaxes(-1, -2) for b in blocks]
+
+
+def block_product(dual: UnitaryDual, left, right) -> list[np.ndarray]:
+    """The pointwise product left[k] @ right[k] on the dual, one product per run."""
+    return split_runs([l @ r for l, r in zip(stack_runs(dual, left), stack_runs(dual, right))])
+
+
+def plancherel_trace(dual: UnitaryDual, blocks) -> np.ndarray:
+    """t[k, ...] = d_k tr(blocks[k][..., :, :]), the irreps in dual order.
+
+    Summed over k, this is the noncommutative integral sum_k d_k tr(.).
+    """
+    return np.concatenate([d * np.einsum("k...aa->k...", run)
+                           for (_, _, d, _), run in zip(dual.runs, stack_runs(dual, blocks))])
+
+
+def plancherel_pairing(dual: UnitaryDual, b, a) -> complex:
+    """sum_k d_k <b[k], a[k]>, each pairing summing b conj(a) over every axis."""
+    return complex(sum(d * np.vdot(ra, rb) for (_, _, d, _), rb, ra
+                       in zip(dual.runs, stack_runs(dual, b), stack_runs(dual, a))))
 
 
 def group_fourier(dual: UnitaryDual, w: np.ndarray) -> list[np.ndarray]:
@@ -110,13 +175,7 @@ def group_fourier(dual: UnitaryDual, w: np.ndarray) -> list[np.ndarray]:
     w has shape (|G|,) or (|G|, m); each block has shape w.shape[1:] + (d_k, d_k).
     One dense product with the stacked table, split into per-irrep views.
     """
-    s = dual.table.conj() @ w / w.shape[0]   # s[(k, b, a), ...] = blocks[k][..., a, b]
-    rest = s.shape[1:]
-    blocks = []
-    for first, end, d, row in dual.runs:
-        run = s[row:row + (end - first) * d * d].reshape(end - first, d, d, *rest)
-        blocks.extend(run.transpose(0, *range(3, run.ndim), 2, 1))
-    return blocks
+    return split_runs(_table_runs(dual, dual.table.conj() @ w / w.shape[0]))
 
 
 def group_inverse_fourier(dual: UnitaryDual, blocks) -> np.ndarray:
@@ -127,9 +186,7 @@ def group_inverse_fourier(dual: UnitaryDual, blocks) -> np.ndarray:
     """
     rest = np.shape(blocks[0])[:-2]
     v = np.empty((len(dual.table), *rest), dtype=complex)
-    for first, end, d, row in dual.runs:
-        run = v[row:row + (end - first) * d * d].reshape(end - first, d, d, *rest)
-        run = run.transpose(0, *range(3, run.ndim), 2, 1)
+    for (first, end, d, _), run in zip(dual.runs, _table_runs(dual, v)):
         np.stack(blocks[first:end], out=run)
         run *= d
     return dual.table.T @ v

@@ -10,7 +10,9 @@ Conventions (fixed throughout the package):
 * All transforms are the naive O(|G|^2) sums.  For every dual, scalar or
   not, each is one dense matrix product with the dual's stacked
   representation table (`groups.group_fourier` and its inverse); there is
-  deliberately no FFT path.
+  deliberately no FFT path.  The Plancherel-weighted sums (`nc_integral`,
+  `plancherel_inner`) are `groups.plancherel_trace` and
+  `groups.plancherel_pairing`, which work per run of equal-dimension irreps.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, UnitaryDual, group_fourier, group_inverse_fourier, require_same_group
+from .groups import (FiniteGroup, UnitaryDual, group_fourier, group_inverse_fourier,
+                     plancherel_pairing, plancherel_trace, require_same_group)
 
 __all__ = [
     "Signal",
@@ -93,19 +96,12 @@ def inverse_fourier(c: FourierCoefficients) -> Signal:
 
 def nc_integral(c: FourierCoefficients) -> complex:
     """Noncommutative integral  sum_eta d_eta tr c(eta);  equals u(e) for c = u_hat."""
-    return complex(
-        sum(eta.dim * np.trace(b) for eta, b in zip(c.dual.irreps, c.blocks))
-    )
+    return complex(plancherel_trace(c.dual, c.blocks).sum())
 
 
 def plancherel_inner(c: FourierCoefficients, d: FourierCoefficients) -> complex:
     """<c,d> = sum_eta d_eta tr(c(eta) d(eta)^*);  equals <u,v> for c,d = u_hat,v_hat."""
-    return complex(
-        sum(
-            eta.dim * np.einsum("ab,ab->", cb, db.conj())
-            for eta, cb, db in zip(c.dual.irreps, c.blocks, d.blocks)
-        )
-    )
+    return plancherel_pairing(c.dual, c.blocks, d.blocks)
 
 
 def convolve(u: Signal, v: Signal) -> Signal:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .groups import plancherel_trace, representation_runs, stack_runs
 from .harmonic import Signal, fourier, haar_inner, norm, random_signal
 from .quantization import identity_operator, kn_operator, original_localization
 from .tfplane import TFFunction, tf_inner, tf_norm
@@ -64,26 +65,20 @@ class PropertyReport:
         )
 
 
-def _report(name, violations, witness_idx, cross, tol=EXHAUSTIVE_TOL) -> PropertyReport:
+def _report(name, violations, hits, cross, tol=EXHAUSTIVE_TOL, witness=lambda *i: i) -> PropertyReport:
+    """hits is a boolean table of the offending indices: all are counted, and
+    the first MAX_STORED_WITNESSES in C order are stored as witness(*index)."""
     mv = float(violations)
+    first = np.argwhere(hits)[:MAX_STORED_WITNESSES]
     return PropertyReport(
         name=name,
         holds=mv <= tol,
         max_violation=mv,
-        witnesses=witness_idx[:MAX_STORED_WITNESSES],
-        witness_count=len(witness_idx),
+        witnesses=[witness(*(int(i) for i in idx)) for idx in first],
+        witness_count=int(np.count_nonzero(hits)),
         cross_check=cross,
         tolerance=tol,
     )
-
-
-def _witnesses_from_table(table, tol):
-    """Offending (block, y) index pairs for a per-(xi, y) violation table."""
-    out = []
-    for k, row in enumerate(table):
-        for y in np.nonzero(row > tol)[0]:
-            out.append((k, int(y)))
-    return out
 
 
 def _sample_pairs(kernel, count, rng):
@@ -101,48 +96,37 @@ def check_normalized(k: CohenKernel, verify: bool = True) -> PropertyReport:
     g = k.group
     eps = k.dual.trivial_index
     v = abs(k.phi.blocks[eps][g.identity][0, 0] - 1.0)
-    wit = [(eps, g.identity)] if v > EXHAUSTIVE_TOL else []
     cross = None
     if verify:
         rng = np.random.default_rng(SEED)
         cross = 0.0
         for u, w in _sample_pairs(k, 20, rng):
             D = cohen_transform(k, u, w)
-            total = sum(
-                eta.dim * np.einsum("xaa->", b)
-                for eta, b in zip(k.dual.irreps, D.blocks)
-            ) / g.order
+            total = plancherel_trace(k.dual, D.blocks).sum() / g.order
             cross = max(cross, abs(total - haar_inner(u, w)))
-    return _report("normalized", v, wit, cross)
+    return _report("normalized", v, v > EXHAUSTIVE_TOL, cross, witness=lambda: (eps, g.identity))
 
 
 def check_time_margins(k: CohenKernel, verify: bool = True) -> PropertyReport:
     """Condition (d): phi(xi, e) = I for every xi."""
-    g = k.group
-    e = g.identity
-    per_block = np.array(
-        [np.abs(b[e] - np.eye(b.shape[1])).max() for b in k.phi.blocks]
-    )
-    wit = [(int(i), e) for i in np.nonzero(per_block > EXHAUSTIVE_TOL)[0]]
+    e = k.group.identity
+    per_block = np.concatenate([np.abs(run[:, e] - np.eye(run.shape[-1])).max(axis=(1, 2))
+                                for run in stack_runs(k.dual, k.phi.blocks)])
     cross = None
     if verify:
         rng = np.random.default_rng(SEED)
         cross = 0.0
         for u, w in _sample_pairs(k, 20, rng):
-            D = cohen_transform(k, u, w)
-            margin = sum(
-                eta.dim * np.einsum("xaa->x", b)
-                for eta, b in zip(k.dual.irreps, D.blocks)
-            )
+            margin = plancherel_trace(k.dual, cohen_transform(k, u, w).blocks).sum(axis=0)
             cross = max(cross, np.abs(margin - u.values * w.values.conj()).max())
-    return _report("time-margins", per_block.max(initial=0.0), wit, cross)
+    return _report("time-margins", per_block.max(initial=0.0), per_block > EXHAUSTIVE_TOL, cross,
+                   witness=lambda i: (i, e))
 
 
 def check_frequency_margins(k: CohenKernel, verify: bool = True) -> PropertyReport:
     """Condition (d): phi(eps, y) = 1 for every y."""
     eps = k.dual.trivial_index
     row = np.abs(k.phi.blocks[eps][:, 0, 0] - 1.0)
-    wit = [(eps, int(y)) for y in np.nonzero(row > EXHAUSTIVE_TOL)[0]]
     cross = None
     if verify:
         rng = np.random.default_rng(SEED)
@@ -153,7 +137,8 @@ def check_frequency_margins(k: CohenKernel, verify: bool = True) -> PropertyRepo
             for b, ub, wb in zip(D.blocks, uh.blocks, wh.blocks):
                 margin = b.mean(axis=0)
                 cross = max(cross, np.abs(margin - ub @ wb.conj().T).max())
-    return _report("freq-margins", row.max(initial=0.0), wit, cross)
+    return _report("freq-margins", row.max(initial=0.0), row > EXHAUSTIVE_TOL, cross,
+                   witness=lambda y: (eps, y))
 
 
 def check_symmetric(k: CohenKernel, verify: bool = True) -> PropertyReport:
@@ -163,7 +148,6 @@ def check_symmetric(k: CohenKernel, verify: bool = True) -> PropertyReport:
     lag = k.timelag().values
     other = lag[g.cayley.T, g.inverse[None, :]]
     diff = np.abs(lag.conj() - other)
-    wit = [(int(x), int(y)) for x, y in np.argwhere(diff > EXHAUSTIVE_TOL)]
     cross = None
     if verify:
         rng = np.random.default_rng(SEED)
@@ -173,7 +157,7 @@ def check_symmetric(k: CohenKernel, verify: bool = True) -> PropertyReport:
             u = random_signal(g, rng)
             val = haar_inner(u, loc.apply(u))
             cross = max(cross, abs(val.imag))
-    return _report("symmetric", diff.max(initial=0.0), wit, cross)
+    return _report("symmetric", diff.max(initial=0.0), diff > EXHAUSTIVE_TOL, cross)
 
 
 def check_positive(k: CohenKernel, verify: bool = True) -> PropertyReport:
@@ -186,11 +170,8 @@ def check_positive(k: CohenKernel, verify: bool = True) -> PropertyReport:
     # Gamma[x, y] = varphi(x^{-1}, y^{-1} x)
     gamma = lag[inv[:, None], cay[inv, :].T]
     herm_defect = float(np.abs(gamma - gamma.conj().T).max())
-    lam_min = float(np.linalg.eigvalsh((gamma + gamma.conj().T) / 2).min())
-    neg = max(0.0, -lam_min)
-    wit = []
-    if herm_defect > EXHAUSTIVE_TOL or neg > EXHAUSTIVE_TOL:
-        wit = [(int(np.argmin(np.linalg.eigvalsh((gamma + gamma.conj().T) / 2))),)]
+    lam = np.linalg.eigvalsh((gamma + gamma.conj().T) / 2)
+    neg = max(0.0, -float(lam.min()))
     cross = None
     if verify:
         rng = np.random.default_rng(SEED)
@@ -200,19 +181,18 @@ def check_positive(k: CohenKernel, verify: bool = True) -> PropertyReport:
             u = random_signal(g, rng)
             val = haar_inner(u, loc.apply(u))
             cross = max(cross, abs(val.imag) + max(0.0, -val.real))
-    return _report("positive", herm_defect + neg, wit, cross)
+    return _report("positive", herm_defect + neg, herm_defect > EXHAUSTIVE_TOL or neg > EXHAUSTIVE_TOL,
+                   cross, witness=lambda: (int(np.argmin(lam)),))
 
 
 def check_unitary(k: CohenKernel, verify: bool = True) -> PropertyReport:
     """Condition (d): every block phi(xi, y) is unitary.
     Cross-check: the Moyal identity on 20 random quadruples."""
-    table = np.stack(
-        [
-            np.abs(b @ b.conj().transpose(0, 2, 1) - np.eye(b.shape[1])).max(axis=(1, 2))
-            for b in k.phi.blocks
-        ]
-    )
-    wit = _witnesses_from_table(table, EXHAUSTIVE_TOL)
+    # table[k, y] = max |phi phi^* - I| over the entries of block (k, y)
+    table = np.concatenate([
+        np.abs(run @ run.conj().swapaxes(-1, -2) - np.eye(run.shape[-1])).max(axis=(-2, -1))
+        for run in stack_runs(k.dual, k.phi.blocks)
+    ])
     cross = None
     if verify:
         rng = np.random.default_rng(SEED)
@@ -223,27 +203,26 @@ def check_unitary(k: CohenKernel, verify: bool = True) -> PropertyReport:
             lhs = tf_inner(cohen_transform(k, u, v), cohen_transform(k, f, h))
             rhs = haar_inner(u, f) * np.conj(haar_inner(v, h))
             cross = max(cross, abs(lhs - rhs))
-    return _report("unitary", table.max(initial=0.0), wit, cross)
+    return _report("unitary", table.max(initial=0.0), table > EXHAUSTIVE_TOL, cross)
 
 
 def check_inner_invariant(k: CohenKernel, verify: bool = True) -> PropertyReport:
     """Condition (d): phi(xi, z y z^{-1}) = xi(z) phi(xi, y) xi(z)^* for all z.
     Cross-check: D[u](e, eps) is invariant under inner automorphisms of u."""
     g = k.group
-    cay, inv = g.cayley, g.inverse
-    worst = 0.0
-    wit = []
-    for kk, (xi, b) in enumerate(zip(k.dual.irreps, k.phi.blocks)):
-        for z in range(g.order):
-            conj_idx = cay[cay[z], inv[z]]  # z y z^{-1}
-            lhs = b[conj_idx]
-            rhs = xi.matrices[z] @ b @ xi.matrices[z].conj().T
-            diff = np.abs(lhs - rhs).max(axis=(1, 2))
-            m = float(diff.max(initial=0.0))
-            if m > worst:
-                worst = m
-            for y in np.nonzero(diff > EXHAUSTIVE_TOL)[0]:
-                wit.append((kk, int(y), z))
+    n = g.order
+    conj_idx = g.cayley[g.cayley, g.inverse[:, None]]  # conj_idx[z, y] = z y z^{-1}
+    # per run, diff[j, z, y] = max |phi(xi, z y z^{-1}) - xi(z) phi(xi, y) xi(z)^*|
+    # over the entries, with xi(z) phi xi(z)^* = (xi(z) (x) conj xi(z)) vec phi
+    diffs = []
+    for xi, phi in zip(representation_runs(k.dual), stack_runs(k.dual, k.phi.blocks)):
+        m, d = len(xi), xi.shape[-1]
+        kron = np.einsum("jzac,jzbe->jabzce", xi, xi.conj()).reshape(m, d * d, n, d * d)
+        vec = phi.reshape(m, n, d * d).swapaxes(1, 2)  # vec[j, (c, e), y]
+        delta = kron @ vec[:, None]                     # delta[j, (a, b), z, y]
+        delta -= vec[..., conj_idx]
+        diffs.append(np.abs(delta).max(axis=1))
+    diff = np.concatenate(diffs)
     cross = None
     if verify:
         rng = np.random.default_rng(SEED)
@@ -252,11 +231,11 @@ def check_inner_invariant(k: CohenKernel, verify: bool = True) -> PropertyReport
         for _ in range(20):
             u = random_signal(g, rng)
             base = haar_inner(u, loc.apply(u))
-            for z in range(g.order):
-                conj_idx = cay[cay[z], inv[z]]
-                uz = Signal(g, u.values[conj_idx])
-                cross = max(cross, abs(haar_inner(uz, loc.apply(uz)) - base))
-    return _report("inner", worst, wit, cross)
+            uz = u.values[conj_idx]  # uz[z] = u(z . z^{-1})
+            vals = np.sum(uz * (uz @ loc.kernel.T / n).conj(), axis=1) / n
+            cross = max(cross, np.abs(vals - base).max())
+    return _report("inner", diff.max(initial=0.0), diff > EXHAUSTIVE_TOL, cross,
+                   witness=lambda kk, z, y: (kk, y, z))
 
 
 def check_l2_bound(k: CohenKernel, samples: int = 100) -> PropertyReport:
@@ -267,26 +246,21 @@ def check_l2_bound(k: CohenKernel, samples: int = 100) -> PropertyReport:
     for u, v in _sample_pairs(k, samples, rng):
         excess = tf_norm(cohen_transform(k, u, v)) - bound_const * norm(u) * norm(v)
         worst = max(worst, excess)
-    return _report("l2-bound", max(worst, 0.0), [], None)
+    return _report("l2-bound", max(worst, 0.0), False, None)
 
 
 def check_onb_resolution(k: CohenKernel) -> PropertyReport:
     """For a normalized kernel, b = sum_alpha D[v_alpha] over an orthonormal
     basis of L^2(G) has Kohn-Nirenberg quantization b^R = identity."""
     g, dual = k.group, k.dual
-    n = g.order
-    acc = [np.zeros((n, eta.dim, eta.dim), dtype=complex) for eta in dual.irreps]
-    for eta in dual.irreps:
-        scale = np.sqrt(eta.dim)
-        for j in range(eta.dim):
-            for kk in range(eta.dim):
-                v = Signal(g, scale * eta.matrices[:, j, kk])
-                D = cohen_transform(k, v, v)
-                for a, b in zip(acc, D.blocks):
-                    a += b
+    acc = [0] * len(dual)
+    # the basis sqrt(d_k) eta_k(.)[a, b]: the table's rows, scaled
+    for row in np.sqrt(np.repeat(dual.dims, dual.dims ** 2))[:, None] * dual.table:
+        v = Signal(g, row)
+        acc = [a + b for a, b in zip(acc, cohen_transform(k, v, v).blocks)]
     B = kn_operator(TFFunction(g, dual, acc))
     diff = float(np.abs(B.kernel - identity_operator(g).kernel).max())
-    return _report("onb-resolution", diff, [], None, tol=ONB_TOL)
+    return _report("onb-resolution", diff, False, None, tol=ONB_TOL)
 
 
 CHECKS = {

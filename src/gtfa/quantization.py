@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, group_inverse_fourier, require_same_group
+from .groups import (FiniteGroup, block_adjoint, block_product, group_fourier, group_inverse_fourier,
+                     plancherel_trace, require_same_group, split_runs, stack_runs)
 from .harmonic import Signal
 from .tfplane import (
     AmbiguityFunction,
@@ -118,15 +119,14 @@ def kn_operator(a: TFFunction) -> GroupOperator:
 
 
 def kn_symbol(B: GroupOperator) -> TFFunction:
-    """a(x, eta) = eta(x)^* (B eta)(x), applying B to matrix-element signals."""
+    """a(x, eta) = eta(x)^* (B eta)(x), applying B to matrix-element signals.
+
+    Inverts `kn_operator`: a(x, eta) = (1/|G|) sum_w K(x, x w^{-1}) eta(w)^*.
+    """
     group = B.group
-    dual = group.dual
-    n = group.order
-    blocks = []
-    for eta in dual.irreps:
-        Beta = np.einsum("xy,yab->xab", B.kernel, eta.matrices) / n
-        blocks.append(eta.star @ Beta)
-    return TFFunction(group, dual, blocks)
+    # s[w, x] = K(x, x w^{-1}), then the transform in w
+    s = B.kernel[np.arange(group.order), group.right_div.T]
+    return TFFunction(group, group.dual, group_fourier(group.dual, s))
 
 
 # ---------------------------------------------------------------------------
@@ -134,38 +134,26 @@ def kn_symbol(B: GroupOperator) -> TFFunction:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_times(phi: AmbiguityFunction, A: AmbiguityFunction, star: bool):
-    out = []
-    for pb, ab in zip(phi.blocks, A.blocks):
-        p = pb.conj().transpose(0, 2, 1) if star else pb
-        out.append(p @ ab)
-    return AmbiguityFunction(A.group, A.dual, out)
-
-
 def quantize(k: CohenKernel, a: TFFunction) -> GroupOperator:
     """a^D = b^R with Fb = phi^* Fa; satisfies <u, a^D v> = <D(u,v), a>."""
     require_same_group(k.group, a.group, "kernel and symbol")
-    Fa = symplectic_fourier(a)
-    b = inverse_symplectic_fourier(_kernel_times(k.phi, Fa, star=True))
-    return kn_operator(b)
+    Fb = block_product(a.dual, block_adjoint(k.phi.blocks), symplectic_fourier(a).blocks)
+    return kn_operator(inverse_symplectic_fourier(AmbiguityFunction(a.group, a.dual, Fb)))
 
 
 def _singular_blocks(k: CohenKernel):
     """(xi_index, y, smallest_sv, null_vectors) for each singular phi block."""
     scale = max(k.linf_norm(), 1.0)
-    found = []
-    for kk, pb in enumerate(k.phi.blocks):
-        d = pb.shape[1]
-        if d == 1:
-            small = np.abs(pb[:, 0, 0])
-            for y in np.nonzero(small <= scale / COND_LIMIT)[0]:
-                found.append((kk, int(y), float(small[y]), np.ones((1, 1), dtype=complex)))
+    found, first = [], 0
+    for run in stack_runs(k.dual, k.phi.blocks):
+        if run.shape[-1] == 1:
+            s, vh = np.abs(run[..., 0]), np.broadcast_to(np.ones(1, dtype=complex), run.shape)
         else:
-            for y in range(pb.shape[0]):
-                u_, s, vh = np.linalg.svd(pb[y])
-                bad = s <= scale / COND_LIMIT
-                if bad.any():
-                    found.append((kk, y, float(s.min()), vh[bad].conj().T))
+            _, s, vh = np.linalg.svd(run)
+        bad = s <= scale / COND_LIMIT
+        for j, y in np.argwhere(bad.any(axis=-1)):
+            found.append((first + int(j), int(y), float(s[j, y].min()), vh[j, y][bad[j, y]].conj().T))
+        first += len(run)
     return found
 
 
@@ -180,14 +168,11 @@ def dequantize(k: CohenKernel, B: GroupOperator) -> TFFunction:
     bad = _singular_blocks(k)
     if bad:
         raise SingularKernel([(kk, y) for kk, y, _, _ in bad])
-    a = kn_symbol(B)
-    Fa = symplectic_fourier(a)
-    blocks = []
-    for pb, ab in zip(k.phi.blocks, Fa.blocks):
-        if pb.shape[1] == 1:
-            blocks.append(ab / pb.conj())
-        else:
-            blocks.append(np.linalg.solve(pb.conj().transpose(0, 2, 1), ab))
+    Fa = symplectic_fourier(kn_symbol(B))
+    # per run: Fb = (phi^*)^{-1} Fa, a division for scalar irreps
+    blocks = split_runs([fa / p.conj() if p.shape[-1] == 1
+                         else np.linalg.solve(p.conj().swapaxes(-1, -2), fa)
+                         for p, fa in zip(stack_runs(k.dual, k.phi.blocks), stack_runs(k.dual, Fa.blocks))])
     return inverse_symplectic_fourier(AmbiguityFunction(k.group, k.dual, blocks))
 
 
@@ -221,10 +206,7 @@ def operator_trace(B: GroupOperator) -> complex:
 
 def tf_integral(a: TFFunction) -> complex:
     """Double integral of a symbol over the time-frequency plane."""
-    acc = sum(
-        eta.dim * np.einsum("xaa->", b) for eta, b in zip(a.dual.irreps, a.blocks)
-    )
-    return complex(acc / a.group.order)
+    return complex(plancherel_trace(a.dual, a.blocks).sum() / a.group.order)
 
 
 def trace_identity_check(k: CohenKernel, a: TFFunction) -> float:

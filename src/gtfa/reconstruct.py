@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import build_cyclic
+from .groups import build_cyclic, plancherel_trace
 from .harmonic import Signal, haar_inner, norm
 from .tfplane import TFFunction, symplectic_fourier, tf_norm
 from .transforms import born_jordan_cyclic_kernel, cohen_transform
@@ -66,7 +66,7 @@ def born_jordan_distribution(u: Signal) -> TFFunction:
 
 
 def _margins(Q: TFFunction) -> np.ndarray:
-    return np.stack([b[:, 0, 0] for b in Q.blocks]).sum(axis=0)
+    return plancherel_trace(Q.dual, Q.blocks).sum(axis=0)
 
 
 def magnitudes_from_margins(Q: TFFunction) -> np.ndarray:

@@ -12,6 +12,8 @@ darker; "midgrey-zero" maps zero to grey 128 with symmetric range +-max|v|,
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -139,7 +141,14 @@ def read_wav_mono16(path) -> ZSignal:
 # ---------------------------------------------------------------------------
 
 
-def _rows(path, n_fields, header=None):
+def _read_table(path, n_fields, total, place, index_of, header=None) -> np.ndarray:
+    """The values of a CSV table with rows `*index,re,im`, as a flat array of
+    `total` entries.
+
+    Index fields must be integers and values finite.  place(*index) is a
+    row's entry, or None when the index is out of range (negative included);
+    index_of(entry) inverts it.  Every entry must come from exactly one row.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     start = 0
@@ -147,7 +156,9 @@ def _rows(path, n_fields, header=None):
         if not lines or lines[0].strip() != header:
             raise CsvFormatError(f"{path}: line 1: expected header {header!r}")
         start = 1
-    out = []
+    vals = [0j] * total
+    line_of = [0] * total
+    lineno = start
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
@@ -157,27 +168,59 @@ def _rows(path, n_fields, header=None):
                 f"{path}: line {lineno}: {len(parts)} fields, expected {n_fields}"
             )
         try:
-            out.append([float(p) for p in parts])
+            re, im = float(parts[-2]), float(parts[-1])
         except ValueError:
             raise CsvFormatError(f"{path}: line {lineno}: malformed number")
-    return out
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
+        try:
+            index = tuple(map(int, parts[:-2]))
+        except ValueError:
+            raise CsvFormatError(f"{path}: line {lineno}: index {','.join(parts[:-2])} is not an integer")
+        i = place(*index)
+        if i is None:
+            raise CsvFormatError(f"{path}: line {lineno}: index {index} out of range")
+        if line_of[i]:
+            raise CsvFormatError(f"{path}: line {lineno}: index {index} repeats line {line_of[i]}")
+        line_of[i] = lineno
+        vals[i] = complex(re, im)
+    missing = line_of.count(0)
+    if missing:
+        raise CsvFormatError(
+            f"{path}: line {lineno}: {missing} of {total} rows missing, "
+            f"the first for index {index_of(line_of.index(0))}"
+        )
+    return np.array(vals, dtype=complex)
+
+
+def _read_blocks(path, group: FiniteGroup, element_first: bool, header=None) -> list[np.ndarray]:
+    """Per-irrep blocks (|G|, d_k, d_k) from a table indexed `x,eta_index,row,col`
+    (element_first) or `xi_index,y_index,row,col`.  Entries are placed in the
+    order the table writers emit them: irrep, element, row, column."""
+    n, dims = group.order, group.dual.dims.tolist()
+    starts = np.concatenate([[0], np.cumsum(n * group.dual.dims ** 2)]).tolist()
+
+    def place(a, b, r, c):
+        k, t = (b, a) if element_first else (a, b)
+        if 0 <= k < len(dims) and 0 <= t < n:
+            d = dims[k]
+            if 0 <= r < d and 0 <= c < d:
+                return starts[k] + (t * d + r) * d + c
+        return None
+
+    def index_of(i):
+        k = bisect.bisect_right(starts, i) - 1
+        t, rc = divmod(i - starts[k], dims[k] ** 2)
+        return ((t, k) if element_first else (k, t)) + divmod(rc, dims[k])
+
+    flat = _read_table(path, 6, starts[-1], place, index_of, header)
+    return [flat[a:b].reshape(n, d, d) for a, b, d in zip(starts, starts[1:], dims)]
 
 
 def read_csv_signal(path, group: FiniteGroup) -> Signal:
-    """Signal CSV: rows `index,re,im`, exactly |G| rows."""
-    rows = _rows(path, 3)
-    if len(rows) != group.order:
-        raise CsvFormatError(
-            f"{path}: {len(rows)} rows for group of order {group.order}"
-        )
-    vals = np.zeros(group.order, dtype=complex)
-    seen = np.zeros(group.order, dtype=bool)
-    for idx, re, im in rows:
-        i = int(idx)
-        if not 0 <= i < group.order or seen[i]:
-            raise CsvFormatError(f"{path}: bad or repeated index {idx}")
-        seen[i] = True
-        vals[i] = re + 1j * im
+    """Signal CSV: rows `index,re,im`, one per group element."""
+    n = group.order
+    vals = _read_table(path, 3, n, lambda i: i if 0 <= i < n else None, lambda i: (i,))
     return Signal(group, vals)
 
 
@@ -208,18 +251,8 @@ def write_tf_csv(path, a: TFFunction):
 
 
 def read_tf_csv(path, group: FiniteGroup) -> TFFunction:
-    dual = group.dual
-    n = group.order
-    blocks = [np.zeros((n, eta.dim, eta.dim), dtype=complex) for eta in dual.irreps]
-    for x, k, r, c, re, im in _rows(path, 6):
-        k = int(k)
-        if not 0 <= k < len(dual.irreps):
-            raise CsvFormatError(f"{path}: irrep index {k} out of range")
-        try:
-            blocks[k][int(x), int(r), int(c)] = re + 1j * im
-        except IndexError:
-            raise CsvFormatError(f"{path}: index ({x},{k},{r},{c}) out of range")
-    return TFFunction(group, dual, blocks)
+    """Symbol / distribution CSV: one row `x,eta_index,row,col,re,im` per entry."""
+    return TFFunction(group, group.dual, _read_blocks(path, group, element_first=True))
 
 
 def write_operator_csv(path, B: GroupOperator):
@@ -233,14 +266,11 @@ def write_operator_csv(path, B: GroupOperator):
 
 
 def read_operator_csv(path, group: FiniteGroup) -> GroupOperator:
+    """Operator CSV: one row `x,y,re,im` per kernel entry."""
     n = group.order
-    K = np.zeros((n, n), dtype=complex)
-    for x, y, re, im in _rows(path, 4):
-        x, y = int(x), int(y)
-        if not (0 <= x < n and 0 <= y < n):
-            raise CsvFormatError(f"{path}: index ({x},{y}) out of range for order {n}")
-        K[x, y] = re + 1j * im
-    return GroupOperator(group, K)
+    K = _read_table(path, 4, n * n, lambda x, y: x * n + y if 0 <= x < n and 0 <= y < n else None,
+                    lambda i: divmod(i, n))
+    return GroupOperator(group, K.reshape(n, n))
 
 
 KERNEL_HEADER = "xi_index,y_index,row,col,re,im"
@@ -259,18 +289,9 @@ def write_kernel_csv(path, k: CohenKernel):
 
 
 def read_kernel_csv(path, group: FiniteGroup, name=None) -> CohenKernel:
-    dual = group.dual
-    n = group.order
-    blocks = [np.zeros((n, xi.dim, xi.dim), dtype=complex) for xi in dual.irreps]
-    for kk, y, r, c, re, im in _rows(path, 6, header=KERNEL_HEADER):
-        kk = int(kk)
-        if not 0 <= kk < len(dual.irreps):
-            raise CsvFormatError(f"{path}: irrep index {kk} out of range")
-        try:
-            blocks[kk][int(y), int(r), int(c)] = re + 1j * im
-        except IndexError:
-            raise CsvFormatError(f"{path}: index ({kk},{y},{r},{c}) out of range")
-    return CohenKernel(name or f"file:{path}", AmbiguityFunction(group, dual, blocks))
+    """Kernel CSV: the header, then one row `xi_index,y_index,row,col,re,im` per entry."""
+    blocks = _read_blocks(path, group, element_first=False, header=KERNEL_HEADER)
+    return CohenKernel(name or f"file:{path}", AmbiguityFunction(group, group.dual, blocks))
 
 
 def write_grid_csv(path, grid: ZTFGrid):

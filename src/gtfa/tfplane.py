@@ -17,7 +17,10 @@ Blocks are stored per irrep as arrays of shape (|G|, d, d): TFFunction block
 lists are indexed [eta][x], AmbiguityFunction block lists [xi][y].  Each
 transform and conversion here is one or two dense products with the dual's
 stacked representation table (`groups.group_fourier` and its inverse), the
-same for scalar and matrix irreps; there is no FFT path.
+same for scalar and matrix irreps; there is no FFT path.  The pointwise
+product of `tf_convolve` and the pairing of `tf_inner`/`amb_inner` are
+`groups.block_product` and `groups.plancherel_pairing`: one array operation
+per run of equal-dimension irreps, not one per irrep.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, UnitaryDual, group_fourier, group_inverse_fourier
+from .groups import (FiniteGroup, UnitaryDual, block_product, group_fourier, group_inverse_fourier,
+                     plancherel_pairing)
 
 __all__ = [
     "TFFunction",
@@ -130,20 +134,13 @@ def inverse_symplectic_fourier(A: AmbiguityFunction) -> TFFunction:
 # ---------------------------------------------------------------------------
 
 
-def _plane_inner(b_blocks, a_blocks, dual, n) -> complex:
-    acc = 0.0 + 0.0j
-    for eta, bb, ab in zip(dual.irreps, b_blocks, a_blocks):
-        acc += eta.dim * np.einsum("xab,xab->", bb, ab.conj())
-    return complex(acc / n)
-
-
 def tf_inner(b: TFFunction, a: TFFunction) -> complex:
     """<b,a> = (1/|G|) sum_x sum_eta d_eta tr(b(x,eta) a(x,eta)^*)."""
-    return _plane_inner(b.blocks, a.blocks, b.dual, b.group.order)
+    return plancherel_pairing(b.dual, b.blocks, a.blocks) / b.group.order
 
 
 def amb_inner(b: AmbiguityFunction, a: AmbiguityFunction) -> complex:
-    return _plane_inner(b.blocks, a.blocks, b.dual, b.group.order)
+    return plancherel_pairing(b.dual, b.blocks, a.blocks) / b.group.order
 
 
 def tf_norm(a: TFFunction) -> float:
@@ -154,7 +151,7 @@ def tf_convolve(a: TFFunction, b: TFFunction) -> TFFunction:
     """a * b = F^{-1}((Fb)(Fa)), with the pointwise matrix product in that order."""
     Fa = symplectic_fourier(a)
     Fb = symplectic_fourier(b)
-    prod = [fb @ fa for fa, fb in zip(Fa.blocks, Fb.blocks)]
+    prod = block_product(a.dual, Fb.blocks, Fa.blocks)
     return inverse_symplectic_fourier(AmbiguityFunction(a.group, a.dual, prod))
 
 

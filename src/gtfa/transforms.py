@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import FiniteGroup, UnitaryDual, build_cyclic, group_fourier, is_cyclic, require_same_group
+from .groups import (FiniteGroup, UnitaryDual, block_adjoint, block_product, build_cyclic, group_fourier,
+                     is_cyclic, representation_runs, require_same_group, split_runs, stack_runs)
 from .harmonic import Signal, fourier, norm
 from .tfplane import (
     AmbiguityFunction,
@@ -81,13 +82,9 @@ class CohenKernel:
 
     def linf_norm(self) -> float:
         """max over (xi, y) of the spectral norm of phi(xi, y)."""
-        worst = 0.0
-        for b in self.phi.blocks:
-            if b.shape[1] == 1:
-                worst = max(worst, float(np.abs(b).max()))
-            else:
-                worst = max(worst, float(np.linalg.svd(b, compute_uv=False).max()))
-        return worst
+        return max(float(np.abs(run).max() if run.shape[-1] == 1
+                         else np.linalg.svd(run, compute_uv=False).max())
+                   for run in stack_runs(self.dual, self.phi.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +96,10 @@ def rihaczek(u: Signal, v: Signal) -> TFFunction:
     """R(u,v)(x, eta) = u(x) eta(x)^* v_hat(eta)^*."""
     require_same_group(u.group, v.group, "signals")
     group, dual = u.group, u.group.dual
-    vhat = fourier(v)
-    blocks = []
-    for eta, vb in zip(dual.irreps, vhat.blocks):
-        blocks.append(u.values[:, None, None] * (eta.star @ vb.conj().T))
+    runs = zip(representation_runs(dual), stack_runs(dual, block_adjoint(fourier(v).blocks)))
+    # per run: u(x) eta(x)^* v_hat(eta)^*, the irreps of the run on the first axis
+    blocks = split_runs([u.values[:, None, None] * (eta.conj().swapaxes(-1, -2) @ vstar[:, None])
+                         for eta, vstar in runs])
     return TFFunction(group, dual, blocks)
 
 
@@ -118,11 +115,6 @@ def ambiguity_transform(u: Signal, v: Signal) -> AmbiguityFunction:
     group, dual = u.group, u.group.dual
     w = u.values[:, None] * v.values[group.right_div].conj()  # w[x, y]
     return AmbiguityFunction(group, dual, group_fourier(dual, w))
-
-
-def _apply_kernel(k: CohenKernel, A: AmbiguityFunction) -> AmbiguityFunction:
-    blocks = [pb @ ab for pb, ab in zip(k.phi.blocks, A.blocks)]
-    return AmbiguityFunction(A.group, A.dual, blocks)
 
 
 def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
@@ -142,7 +134,9 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
         ||phi||_Linf ||u|| ||v|| in the plane's L2 norm.
     """
     require_same_group(k.group, u.group, "kernel and signal")
-    return inverse_symplectic_fourier(_apply_kernel(k, ambiguity_transform(u, v)))
+    group, dual = u.group, u.group.dual
+    blocks = block_product(dual, k.phi.blocks, ambiguity_transform(u, v).blocks)
+    return inverse_symplectic_fourier(AmbiguityFunction(group, dual, blocks))
 
 
 def cohen_transform_direct(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
@@ -354,8 +348,7 @@ def spectrogram_kernel(w: Signal) -> CohenKernel:
     if abs(norm(w) - 1.0) > 1e-8:
         warnings.warn(f"spectrogram window is not unit-energy (||w|| = {norm(w):.6g}); "
                       "the transform will not be normalized")
-    A = ambiguity_transform(w, w)
-    blocks = [b.conj().transpose(0, 2, 1) for b in A.blocks]
+    blocks = block_adjoint(ambiguity_transform(w, w).blocks)
     return CohenKernel("spectrogram", AmbiguityFunction(w.group, w.group.dual, blocks))
 
 

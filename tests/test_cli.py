@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import CORRUPTIONS, corrupt_table
 from gtfa.cli import main, parse_group, worker_count, ConfigError
 from gtfa.groups import build_cyclic
 from gtfa.harmonic import Signal, random_signal
@@ -160,6 +161,29 @@ def test_dequantize_composite_exit3(tmp_path, capsys):
                "--operator", op, "--out", str(tmp_path / "o.csv")])
     assert rc == 3
     assert "singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+@pytest.mark.parametrize("command", ["transform", "quantize", "dequantize"])
+def test_corrupt_input_tables_exit2(tmp_path, rng, capsys, command, case):
+    g, d = build_cyclic(4)
+    u = random_signal(g, rng)
+    p = tmp_path / "in.csv"
+    if command == "transform":
+        flag = "--in"
+        write_csv_signal(p, u)
+    elif command == "quantize":
+        flag = "--symbol"
+        write_tf_csv(p, cohen_transform(born_jordan_cyclic_kernel(4), u, u))
+    else:
+        flag = "--operator"
+        write_operator_csv(p, identity_operator(g))
+    text, line = corrupt_table(p.read_text(), case)
+    p.write_text(text)
+    rc = main([command, "--group", "cyclic:4", "--kernel", "kn", flag, str(p),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert f"line {line}:" in capsys.readouterr().err
 
 
 def test_reconstruct_roundtrip(tmp_path, rng):

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import builtin_corpus, group_file_text
+from conftest import builtin_corpus, group_file_text, relabelled_dihedral6
 from gtfa.groups import (
-    FiniteGroup,
     GroupTableError,
-    Irrep,
-    UnitaryDual,
     build_cyclic,
     build_dihedral,
     build_product,
@@ -216,26 +213,6 @@ def test_is_cyclic_means_the_cyclic_labeling(gd):
 # ---------------------------------------------------------------------------
 
 
-def _unsorted_relabelled_dihedral6(tmp_path):
-    """dihedral:6 through a group file, with its elements relabelled and its
-    irreps reordered so that dimensions run 2, 1, 1, 2, 1, 1."""
-    g, d = build_dihedral(6)
-    p = np.random.default_rng(6).permutation(g.order)  # old element x -> p[x]
-    cayley = np.empty_like(g.cayley)
-    cayley[np.ix_(p, p)] = p[g.cayley]
-    inverse = np.empty_like(g.inverse)
-    inverse[p] = p[g.inverse]
-    irreps = []
-    for k in (4, 0, 1, 5, 2, 3):
-        mats = np.empty_like(d.irreps[k].matrices)
-        mats[p] = d.irreps[k].matrices
-        irreps.append(Irrep(d.irreps[k].dim, mats))
-    relabelled = FiniteGroup(g.order, cayley, int(p[g.identity]), inverse)
-    path = tmp_path / "d6.grp"
-    path.write_text(group_file_text(relabelled, UnitaryDual(irreps)))
-    return load_group_file(path)
-
-
 def _check_primitives_against_naive_sums(g, d, rng):
     n = g.order
     for shape in [(n,), (n, 5)]:
@@ -269,7 +246,7 @@ def test_primitives_match_naive_sums(group_and_dual, rng):
 
 
 def test_primitives_match_naive_sums_on_unsorted_file_group(tmp_path, rng):
-    g, d = _unsorted_relabelled_dihedral6(tmp_path)
+    g, d = relabelled_dihedral6(tmp_path)
     assert [e.dim for e in d.irreps] == [2, 1, 1, 2, 1, 1]
     assert not np.array_equal(g.cayley, build_dihedral(6)[0].cayley)
     assert [(first, end, dim) for first, end, dim, _ in d.runs] == \

@@ -91,6 +91,35 @@ def test_inner_examples():
     assert not check_inner_invariant(bad).holds
 
 
+def _inner_by_element_loop(k):
+    """(max violation, witnesses in (irrep, z, y) order) of inner invariance,
+    one conjugating element z at a time."""
+    g = k.group
+    worst, wit = 0.0, []
+    for kk, (xi, b) in enumerate(zip(k.dual.irreps, k.phi.blocks)):
+        for z in range(g.order):
+            lhs = b[g.cayley[g.cayley[z], g.inverse[z]]]  # phi(xi, z y z^{-1})
+            rhs = xi.matrices[z] @ b @ xi.matrices[z].conj().T
+            diff = np.abs(lhs - rhs).max(axis=(1, 2))
+            worst = max(worst, float(diff.max()))
+            wit += [(kk, int(y), z) for y in np.nonzero(diff > 1e-9)[0]]
+    return worst, wit
+
+
+def test_inner_invariant_matches_element_loop(corpus_and_file_group, rng):
+    g, d = corpus_and_file_group
+    kn = kn_kernel(d)
+    perturbed = [b + 1e-3 * rng.standard_normal(b.shape) for b in kn.phi.blocks]
+    for k in [kn, spectrogram_kernel(gaussian_window(g, 2.0)),
+              CohenKernel("perturbed", AmbiguityFunction(g, d, perturbed))]:
+        rep = check_inner_invariant(k, verify=False)
+        worst, wit = _inner_by_element_loop(k)
+        assert abs(rep.max_violation - worst) <= 1e-14
+        assert rep.witness_count == len(wit)
+        assert rep.witnesses == wit[:16]
+        assert rep.holds == (worst <= 1e-9)
+
+
 def test_l2_bound_examples():
     assert check_l2_bound(kn_kernel(build_cyclic(6)[1])).holds
     assert check_l2_bound(born_jordan_cyclic_kernel(6)).holds

@@ -109,10 +109,16 @@ def test_kn_symbol_of_translation_roundtrip(rng):
     assert np.abs(kn_operator(kn_symbol(B)).kernel - B.kernel).max() < 1e-9
 
 
-def test_kn_roundtrips(group_and_dual, rng):
-    g, d = group_and_dual
+def test_kn_roundtrips(corpus_and_file_group, rng):
+    g, d = corpus_and_file_group
     B = random_operator(g, rng)
-    assert np.abs(kn_operator(kn_symbol(B)).kernel - B.kernel).max() < 1e-9
+    a = kn_symbol(B)
+    for eta, block in zip(d.irreps, a.blocks):
+        for x in range(g.order):
+            # eta(x)^* (B eta)(x), with (B eta)(x) = (1/|G|) sum_y K(x, y) eta(y)
+            Beta = sum(B.kernel[x, y] * eta.matrices[y] for y in range(g.order)) / g.order
+            assert np.abs(block[x] - eta.matrices[x].conj().T @ Beta).max() <= 1e-12
+    assert np.abs(kn_operator(a).kernel - B.kernel).max() < 1e-9
     a = random_tf(g, d, rng)
     assert max_block_diff(kn_symbol(kn_operator(a)), a) < 1e-9
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtfa.groups import build_cyclic
+from conftest import CORRUPTIONS, corrupt_table
+from gtfa.groups import build_cyclic, build_dihedral
 from gtfa.harmonic import Signal, random_signal
 from gtfa.limits import ZSignal
 from gtfa.quantization import GroupOperator
@@ -29,7 +30,7 @@ from gtfa.signalio import (
     write_operator_csv,
     write_tf_csv,
 )
-from gtfa.transforms import born_jordan_cyclic_kernel, cohen_transform
+from gtfa.transforms import born_jordan_cyclic_kernel, cohen_transform, kn_kernel
 
 
 def make_wav(samples, rate=4000, channels=1, bits=16, audio_format=1, truncate=0):
@@ -158,6 +159,30 @@ def test_kernel_csv_missing_header(tmp_path):
     p.write_text("0,0,0,0,1,0\n")
     with pytest.raises(CsvFormatError, match="header"):
         read_kernel_csv(p, build_cyclic(2)[0])
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+@pytest.mark.parametrize("table", ["signal", "tf", "operator", "kernel"])
+@pytest.mark.parametrize("build", [lambda: build_cyclic(4), lambda: build_dihedral(3)],
+                         ids=["cyclic:4", "dihedral:3"])
+def test_readers_reject_corrupt_tables(tmp_path, rng, build, table, case):
+    g, d = build()
+    u = random_signal(g, rng)
+    kn = kn_kernel(d)
+    write, read, header = {
+        "signal": (lambda p: write_csv_signal(p, u), read_csv_signal, 0),
+        "tf": (lambda p: write_tf_csv(p, cohen_transform(kn, u, u)), read_tf_csv, 0),
+        "operator": (lambda p: write_operator_csv(p, GroupOperator(g, np.outer(u.values, u.values))),
+                     read_operator_csv, 0),
+        "kernel": (lambda p: write_kernel_csv(p, kn), read_kernel_csv, 1),
+    }[table]
+    p = tmp_path / "t.csv"
+    write(p)
+    read(p, g)
+    text, line = corrupt_table(p.read_text(), case, header)
+    p.write_text(text)
+    with pytest.raises(CsvFormatError, match=f"line {line}:"):
+        read(p, g)
 
 
 def test_write_csv_matrix_format(tmp_path):
