@@ -43,7 +43,6 @@ from .transforms import (
     anti_kn_kernel,
     born_jordan_cyclic_kernel,
     cohen_transform,
-    cohen_transform_direct,
     commutator_kernel,
     conjugate_kernel,
     kn_kernel,

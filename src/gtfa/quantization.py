@@ -25,9 +25,8 @@ from .tfplane import (
     TFFunction,
     inverse_symplectic_fourier,
     symplectic_fourier,
-    tf_inner,
 )
-from .transforms import CohenKernel, cohen_transform
+from .transforms import CohenKernel
 
 __all__ = [
     "GroupOperator",
@@ -41,7 +40,6 @@ __all__ = [
     "operator_trace",
     "trace_identity_check",
     "original_localization",
-    "distribution_from_localization",
 ]
 
 # Blocks whose condition number exceeds this are treated as singular rather
@@ -225,37 +223,3 @@ def original_localization(k: CohenKernel) -> GroupOperator:
     # K[z, y] = conj(lag[z^{-1}, y^{-1} z]);  cay[inv, :].T has [z, y] = y^{-1} z
     K = np.conj(lag[inv[:, None], cay[inv, :].T])
     return GroupOperator(group, K)
-
-
-def distribution_from_localization(K: GroupOperator, u: Signal, v: Signal) -> TFFunction:
-    """Rebuild D(u, v) from the localization kernel:
-
-    D(u,v)(x, eta) = (1/|G|^2) sum_{z,y} u(xz) eta(z)^* K(z,y)^* eta(y) v(xy)^*.
-    """
-    require_same_group(K.group, u.group, "operator and signal")
-    group, dual = u.group, u.group.dual
-    n = group.order
-    cay = group.cayley
-    Kc = K.kernel.conj()
-    # czy[z, y] = z^{-1} y
-    czy = cay[group.inverse, :]
-    blocks = []
-    for eta in dual.irreps:
-        mczy = eta.matrices[czy]  # (z, y, a, b) = eta(z^{-1} y)
-        out = np.zeros((n, eta.dim, eta.dim), dtype=complex)
-        for x in range(n):
-            Ux = u.values[cay[x]]
-            Vx = v.values.conj()[cay[x]]
-            M = (Ux[:, None] * Vx[None, :]) * Kc
-            out[x] = np.einsum("zy,zyab->ab", M, mczy)
-        blocks.append(out / n**2)
-    return TFFunction(group, dual, blocks)
-
-
-def duality_residual(k: CohenKernel, u: Signal, v: Signal, a: TFFunction) -> float:
-    """|<u, a^D v> - <D(u,v), a>|, the defining identity of quantization."""
-    from .harmonic import haar_inner
-
-    lhs = haar_inner(u, quantize(k, a).apply(v))
-    rhs = tf_inner(cohen_transform(k, u, v), a)
-    return abs(lhs - rhs)

@@ -12,7 +12,6 @@ darker; "midgrey-zero" maps zero to grey 128 with symmetric range +-max|v|,
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import struct
@@ -80,10 +79,6 @@ def atomic_write(path, data: bytes):
         raise
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 # ---------------------------------------------------------------------------
 # WAV
 # ---------------------------------------------------------------------------
@@ -141,13 +136,45 @@ def read_wav_mono16(path) -> ZSignal:
 # ---------------------------------------------------------------------------
 
 
-def _read_table(path, n_fields, total, place, index_of, header=None) -> np.ndarray:
-    """The values of a CSV table with rows `*index,re,im`, as a flat array of
-    `total` entries.
+def _box_index(*shape: int) -> np.ndarray:
+    """Index rows of every point of a box, in C order: the layout of signal
+    `(n,)`, operator `(n, n)` and grid `(times, freq_bins)` tables."""
+    return np.indices(shape).reshape(len(shape), -1).T
 
-    Index fields must be integers and values finite.  place(*index) is a
-    row's entry, or None when the index is out of range (negative included);
-    index_of(entry) inverts it.  Every entry must come from exactly one row.
+
+def _block_index(order: int, dims: np.ndarray, element_first: bool) -> np.ndarray:
+    """Index rows `x,eta_index,row,col` (element_first) or `xi_index,y_index,row,col`
+    of a per-irrep table, in the order irrep, element, row, column."""
+    sizes = order * dims ** 2
+    k = np.repeat(np.arange(len(dims)), sizes)
+    within = np.arange(len(k)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # offset in irrep k's rows
+    t, rc = np.divmod(within, dims[k] ** 2)
+    r, c = np.divmod(rc, dims[k])
+    return np.stack((t, k, r, c) if element_first else (k, t, r, c), axis=1)
+
+
+def _split_blocks(flat: np.ndarray, order: int, dims: np.ndarray) -> list[np.ndarray]:
+    """Per-irrep blocks (order, d_k, d_k) from entries in `_block_index` order."""
+    parts = np.split(flat, np.cumsum(order * dims ** 2)[:-1])
+    return [b.reshape(order, d, d) for b, d in zip(parts, dims.tolist())]
+
+
+def _write_table(path, index: np.ndarray, values, header=None):
+    """Write one row `*index,re,im` per index row, values to 17 significant digits."""
+    values = np.asarray(values, dtype=complex).ravel()
+    row = ",".join(["%d"] * index.shape[1] + ["%.17g", "%.17g"])
+    lines = [] if header is None else [header]
+    lines += map(row.__mod__, zip(*index.T.tolist(), values.real.tolist(), values.imag.tolist()))
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
+
+
+def _read_table(path, index: np.ndarray, header=None) -> np.ndarray:
+    """The values of a CSV table with rows `*index,re,im`, in the order of
+    `index`'s rows.
+
+    Index fields must be integers and values finite.  Rows may come in any
+    order and blank lines are skipped, but every index row must come from
+    exactly one line.  An error names the first offending line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -156,152 +183,124 @@ def _read_table(path, n_fields, total, place, index_of, header=None) -> np.ndarr
         if not lines or lines[0].strip() != header:
             raise CsvFormatError(f"{path}: line 1: expected header {header!r}")
         start = 1
-    vals = [0j] * total
-    line_of = [0] * total
-    lineno = start
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise CsvFormatError(
-                f"{path}: line {lineno}: {len(parts)} fields, expected {n_fields}"
-            )
-        try:
-            re, im = float(parts[-2]), float(parts[-1])
-        except ValueError:
-            raise CsvFormatError(f"{path}: line {lineno}: malformed number")
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
-        try:
-            index = tuple(map(int, parts[:-2]))
-        except ValueError:
-            raise CsvFormatError(f"{path}: line {lineno}: index {','.join(parts[:-2])} is not an integer")
-        i = place(*index)
-        if i is None:
-            raise CsvFormatError(f"{path}: line {lineno}: index {index} out of range")
-        if line_of[i]:
-            raise CsvFormatError(f"{path}: line {lineno}: index {index} repeats line {line_of[i]}")
-        line_of[i] = lineno
-        vals[i] = complex(re, im)
-    missing = line_of.count(0)
+    width = index.shape[1]
+    keys, vals, line_of = [], [], []
+    lineno, error = start, None
+    try:
+        for lineno, line in enumerate(lines[start:], start=start + 1):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != width + 2:
+                raise CsvFormatError(f"{path}: line {lineno}: {len(parts)} fields, expected {width + 2}")
+            try:
+                re, im = float(parts[-2]), float(parts[-1])
+            except ValueError:
+                raise CsvFormatError(f"{path}: line {lineno}: malformed number")
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
+            try:
+                keys.append(tuple(map(int, parts[:-2])))
+            except ValueError:
+                raise CsvFormatError(f"{path}: line {lineno}: index {','.join(parts[:-2])} is not an integer")
+            vals += (re, im)
+            line_of.append(lineno)
+    except CsvFormatError as e:
+        # Rows before a malformed line are still placed, so that an index
+        # error on an earlier line is the one reported.
+        error = e
+
+    # slot[i] is the position in `index` of index row i, -1 for none.
+    box = index.max(axis=0) + 1
+    slot = np.full(box, -1)
+    slot[tuple(index.T)] = np.arange(len(index))
+    key = np.array(keys).reshape(len(keys), width)
+    inside = ((key >= 0) & (key < box)).all(axis=1)
+    pos = np.full(len(keys), -1)
+    pos[inside] = slot[tuple(key[inside].astype(np.intp).T)]
+    _, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
+    first = first[inverse]
+    bad = np.flatnonzero((pos < 0) | (first != np.arange(len(pos))))
+    if bad.size:
+        j = bad[0]
+        where = f"{path}: line {line_of[j]}: index {keys[j]}"
+        if pos[j] < 0:
+            raise CsvFormatError(f"{where} out of range")
+        raise CsvFormatError(f"{where} repeats line {line_of[first[j]]}")
+    if error is not None:
+        raise error
+    missing = len(index) - len(keys)
     if missing:
+        filled = np.zeros(len(index), dtype=bool)
+        filled[pos] = True
         raise CsvFormatError(
-            f"{path}: line {lineno}: {missing} of {total} rows missing, "
-            f"the first for index {index_of(line_of.index(0))}"
+            f"{path}: line {lineno}: {missing} of {len(index)} rows missing, "
+            f"the first for index {tuple(index[np.argmin(filled)].tolist())}"
         )
-    return np.array(vals, dtype=complex)
-
-
-def _read_blocks(path, group: FiniteGroup, element_first: bool, header=None) -> list[np.ndarray]:
-    """Per-irrep blocks (|G|, d_k, d_k) from a table indexed `x,eta_index,row,col`
-    (element_first) or `xi_index,y_index,row,col`.  Entries are placed in the
-    order the table writers emit them: irrep, element, row, column."""
-    n, dims = group.order, group.dual.dims.tolist()
-    starts = np.concatenate([[0], np.cumsum(n * group.dual.dims ** 2)]).tolist()
-
-    def place(a, b, r, c):
-        k, t = (b, a) if element_first else (a, b)
-        if 0 <= k < len(dims) and 0 <= t < n:
-            d = dims[k]
-            if 0 <= r < d and 0 <= c < d:
-                return starts[k] + (t * d + r) * d + c
-        return None
-
-    def index_of(i):
-        k = bisect.bisect_right(starts, i) - 1
-        t, rc = divmod(i - starts[k], dims[k] ** 2)
-        return ((t, k) if element_first else (k, t)) + divmod(rc, dims[k])
-
-    flat = _read_table(path, 6, starts[-1], place, index_of, header)
-    return [flat[a:b].reshape(n, d, d) for a, b, d in zip(starts, starts[1:], dims)]
+    out = np.empty(len(index), dtype=complex)
+    out[pos] = np.array(vals).view(complex)
+    return out
 
 
 def read_csv_signal(path, group: FiniteGroup) -> Signal:
     """Signal CSV: rows `index,re,im`, one per group element."""
-    n = group.order
-    vals = _read_table(path, 3, n, lambda i: i if 0 <= i < n else None, lambda i: (i,))
-    return Signal(group, vals)
+    return Signal(group, _read_table(path, _box_index(group.order)))
 
 
 def write_csv_signal(path, u: Signal):
-    lines = [
-        f"{i},{_fmt(v.real)},{_fmt(v.imag)}" for i, v in enumerate(u.values)
-    ]
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    _write_table(path, _box_index(u.group.order), u.values)
 
 
 def write_csv_matrix(path, table):
     """Generic numeric CSV: one row per table row, 17 significant digits."""
-    lines = [",".join(_fmt(float(v)) for v in row) for row in np.atleast_2d(table)]
+    lines = [",".join(f"{float(v):.17g}" for v in row) for row in np.atleast_2d(table)]
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_tf_csv(path, a: TFFunction):
     """Symbol / distribution CSV: rows `x,eta_index,row,col,re,im`."""
-    lines = []
-    for k, b in enumerate(a.blocks):
-        d = b.shape[1]
-        for x in range(b.shape[0]):
-            for r in range(d):
-                for c in range(d):
-                    v = b[x, r, c]
-                    lines.append(f"{x},{k},{r},{c},{_fmt(v.real)},{_fmt(v.imag)}")
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    index = _block_index(a.group.order, a.dual.dims, element_first=True)
+    _write_table(path, index, np.concatenate([b.ravel() for b in a.blocks]))
 
 
 def read_tf_csv(path, group: FiniteGroup) -> TFFunction:
     """Symbol / distribution CSV: one row `x,eta_index,row,col,re,im` per entry."""
-    return TFFunction(group, group.dual, _read_blocks(path, group, element_first=True))
+    n, dims = group.order, group.dual.dims
+    flat = _read_table(path, _block_index(n, dims, element_first=True))
+    return TFFunction(group, group.dual, _split_blocks(flat, n, dims))
 
 
 def write_operator_csv(path, B: GroupOperator):
     """Operator CSV: rows `x,y,re,im` of the dense kernel matrix."""
-    lines = []
-    for x in range(B.group.order):
-        for y in range(B.group.order):
-            v = B.kernel[x, y]
-            lines.append(f"{x},{y},{_fmt(v.real)},{_fmt(v.imag)}")
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    _write_table(path, _box_index(B.group.order, B.group.order), B.kernel)
 
 
 def read_operator_csv(path, group: FiniteGroup) -> GroupOperator:
     """Operator CSV: one row `x,y,re,im` per kernel entry."""
     n = group.order
-    K = _read_table(path, 4, n * n, lambda x, y: x * n + y if 0 <= x < n and 0 <= y < n else None,
-                    lambda i: divmod(i, n))
-    return GroupOperator(group, K.reshape(n, n))
+    return GroupOperator(group, _read_table(path, _box_index(n, n)).reshape(n, n))
 
 
 KERNEL_HEADER = "xi_index,y_index,row,col,re,im"
 
 
 def write_kernel_csv(path, k: CohenKernel):
-    lines = [KERNEL_HEADER]
-    for kk, b in enumerate(k.phi.blocks):
-        d = b.shape[1]
-        for y in range(b.shape[0]):
-            for r in range(d):
-                for c in range(d):
-                    v = b[y, r, c]
-                    lines.append(f"{kk},{y},{r},{c},{_fmt(v.real)},{_fmt(v.imag)}")
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    index = _block_index(k.group.order, k.dual.dims, element_first=False)
+    _write_table(path, index, np.concatenate([b.ravel() for b in k.phi.blocks]), KERNEL_HEADER)
 
 
 def read_kernel_csv(path, group: FiniteGroup, name=None) -> CohenKernel:
     """Kernel CSV: the header, then one row `xi_index,y_index,row,col,re,im` per entry."""
-    blocks = _read_blocks(path, group, element_first=False, header=KERNEL_HEADER)
-    return CohenKernel(name or f"file:{path}", AmbiguityFunction(group, group.dual, blocks))
+    n, dims = group.order, group.dual.dims
+    flat = _read_table(path, _block_index(n, dims, element_first=False), KERNEL_HEADER)
+    phi = AmbiguityFunction(group, group.dual, _split_blocks(flat, n, dims))
+    return CohenKernel(name or f"file:{path}", phi)
 
 
 def write_grid_csv(path, grid: ZTFGrid):
     """Z-side grid CSV: rows `x,theta_index,re,im`."""
-    lines = []
-    for i, t in enumerate(grid.times):
-        for kk in range(grid.freq_bins):
-            v = grid.values[kk, i]
-            lines.append(f"{t},{kk},{_fmt(v.real)},{_fmt(v.imag)}")
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    index = _box_index(len(grid.times), grid.freq_bins) + [grid.t_start, 0]
+    _write_table(path, index, grid.values.T)
 
 
 # ---------------------------------------------------------------------------

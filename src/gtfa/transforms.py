@@ -40,14 +40,12 @@ __all__ = [
     "rihaczek",
     "ambiguity_transform",
     "cohen_transform",
-    "cohen_transform_direct",
     "conjugate_kernel",
     "kn_kernel",
     "anti_kn_kernel",
     "born_jordan_phi",
     "born_jordan_cyclic_kernel",
     "commutator_kernel",
-    "commutator_kernel_closed_form",
     "margin_fix_kernel",
     "add_kernels",
     "stft",
@@ -137,31 +135,6 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
     group, dual = u.group, u.group.dual
     blocks = block_product(dual, k.phi.blocks, ambiguity_transform(u, v).blocks)
     return inverse_symplectic_fourier(AmbiguityFunction(group, dual, blocks))
-
-
-def cohen_transform_direct(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
-    """Brute-force oracle for `cohen_transform` via the time-lag kernel:
-
-    D(u,v)(x, eta) = (1/|G|^2) sum_y eta(y)^*
-                       sum_z varphi(z^{-1} x, y) u(z) v(z y^{-1})^*.
-    """
-    require_same_group(k.group, u.group, "kernel and signal")
-    group, dual = u.group, u.group.dual
-    n = group.order
-    lag = k.timelag().values
-    inv = group.inverse
-    cay = group.cayley
-    # P[y, x] = sum_z varphi(z^{-1} x, y) u(z) v(z y^{-1})^*
-    P = np.zeros((n, n), dtype=complex)
-    vconj = v.values.conj()
-    for y in range(n):
-        wy = u.values * vconj[cay[:, inv[y]]]         # w_y[z]
-        Vy = lag[cay[inv, :], y]                      # Vy[z, x] = varphi(z^{-1}x, y)
-        P[y] = wy @ Vy
-    blocks = [
-        np.einsum("yx,yab->xab", P, eta.star) / (n * n) for eta in dual.irreps
-    ]
-    return TFFunction(group, dual, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +240,6 @@ def commutator_kernel(f: Signal, g: Signal) -> CohenKernel:
         * g.values.conj()[None, :]
     phi = timelag_to_ambiguity(TimeLagKernel(group, lag))
     return CohenKernel("commutator", phi)
-
-
-def commutator_kernel_closed_form(f: Signal, g: Signal) -> AmbiguityFunction:
-    """Cross-check form phi(xi, y) = i 2 pi f_hat(-xi) (1 - e^{i 2 pi xi y/N}) g(y)^*."""
-    group = f.group
-    N = group.order
-    fhat = np.array([b[0, 0] for b in fourier(f).blocks])
-    idx = np.arange(N)
-    table = (2j * np.pi) * fhat[(-idx) % N][:, None] \
-        * (1.0 - np.exp(2j * np.pi * ((idx[:, None] * idx[None, :]) % N) / N)) \
-        * g.values.conj()[None, :]
-    return AmbiguityFunction.from_scalar_table(group, group.dual, table)
 
 
 def add_kernels(k1: CohenKernel, k2: CohenKernel, on_overlap: str = "sum") -> CohenKernel:

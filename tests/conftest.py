@@ -78,9 +78,11 @@ def relabelled_dihedral6(tmp_path):
 def corrupt_table(text, case, header_lines=0):
     """A CSV table with one defect, and the line number its reader must report.
 
-    The cases are the corruptions a row-by-row reader could silently accept:
-    a negative or fractional index, a non-finite value, a missing row and a
-    repeated row."""
+    The cases are the corruptions a reader could silently accept or misplace:
+    a negative, fractional or far out-of-range index, a non-finite value, an
+    extra field, a missing row, a repeated row, a defect after a blank line
+    (which still counts as a line) and, in tables with a `col` field, an index
+    in a hole of the index box (`col = 1` where the irrep has dimension 1)."""
     lines = text.splitlines()
     first = lines[header_lines].split(",")
     line = header_lines + 1
@@ -88,15 +90,32 @@ def corrupt_table(text, case, header_lines=0):
         lines[header_lines] = ",".join(["-1"] + first[1:])
     elif case == "fractional-index":
         lines[header_lines] = ",".join(["1.7"] + first[1:])
+    elif case == "large-index":
+        lines[header_lines] = ",".join(["1000000"] + first[1:])
     elif case == "non-finite":
         lines[header_lines] = ",".join(first[:-1] + ["nan"])
+    elif case == "extra-field":
+        lines[header_lines] = ",".join(first + ["0"])
     elif case == "missing-row":
         lines.pop()
         line = len(lines)
     elif case == "duplicate-row":
         lines[header_lines + 1] = lines[header_lines]
         line += 1
+    elif case == "after-blank-line":
+        lines[header_lines] = ",".join(["-1"] + first[1:])
+        lines.insert(header_lines, "")
+        line += 1
+    elif case == "index-hole":
+        lines[header_lines] = ",".join(first[:3] + ["1"] + first[4:])
     return "\n".join(lines) + "\n", line
 
 
-CORRUPTIONS = ["negative-index", "fractional-index", "non-finite", "missing-row", "duplicate-row"]
+CORRUPTIONS = ["negative-index", "fractional-index", "non-finite", "missing-row", "duplicate-row",
+               "large-index", "extra-field", "after-blank-line", "index-hole"]
+
+
+def corruptions(table):
+    """The CORRUPTIONS that apply to a table kind: only tf and kernel tables
+    have the `col` field that "index-hole" sets."""
+    return [c for c in CORRUPTIONS if c != "index-hole" or table in ("tf", "kernel")]

@@ -41,7 +41,6 @@ from gtfa.transforms import (
     born_jordan_cyclic_kernel,
     born_jordan_phi,
     cohen_transform,
-    cohen_transform_direct,
     commutator_kernel,
     gaussian_window,
     kn_kernel,
@@ -50,6 +49,7 @@ from gtfa.transforms import (
     spectrogram_kernel,
     wigner_kernel_odd_cyclic,
 )
+from oracles import cohen_transform_direct
 from test_transforms import bj_position_pair
 
 SEED = 0xACCE97

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CORRUPTIONS, corrupt_table
+from conftest import corrupt_table, corruptions
 from gtfa.cli import main, parse_group, worker_count, ConfigError
 from gtfa.groups import build_cyclic
 from gtfa.harmonic import Signal, random_signal
@@ -163,8 +163,11 @@ def test_dequantize_composite_exit3(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", CORRUPTIONS)
-@pytest.mark.parametrize("command", ["transform", "quantize", "dequantize"])
+COMMAND_TABLES = {"transform": "signal", "quantize": "tf", "dequantize": "operator"}
+
+
+@pytest.mark.parametrize("command,case", [pytest.param(c, k, id=f"{c}-{k}")
+                                          for c, t in COMMAND_TABLES.items() for k in corruptions(t)])
 def test_corrupt_input_tables_exit2(tmp_path, rng, capsys, command, case):
     g, d = build_cyclic(4)
     u = random_signal(g, rng)

@@ -34,6 +34,19 @@ def test_cyclic_character_value():
     _, d = build_cyclic(4)
     # eta_2(3) = e^{i 3 pi} = -1
     assert d.irreps[2].matrices[3, 0, 0] == pytest.approx(-1)
+    # Phases are taken mod N, so large orders keep full accuracy.  The
+    # builders are called past their caches, so the large tables are freed.
+    _, d = build_cyclic.__wrapped__(2048)
+    k = np.arange(2048)
+    assert np.all(d.table[np.outer(k, k) % 2048 == 0] == 1)
+    _, d = build_dihedral.__wrapped__(512)
+    i = np.arange(512)
+    for eta in d.irreps:
+        if eta.dim == 2:
+            h = int(eta.label.removeprefix("two"))
+            w = np.exp(2j * np.pi * ((h * i) % 512) / 512)
+            assert np.abs(eta.matrices[:512, 0, 0] - w).max() <= 1e-15
+            assert np.abs(eta.matrices[:512, 1, 1] - w.conj()).max() <= 1e-15
 
 
 def test_cyclic_rejects_zero():

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import max_block_diff
+from oracles import distribution_from_localization, duality_residual
 from gtfa.groups import build_cyclic, build_dihedral
 from gtfa.harmonic import convolve, fourier, haar_inner, random_signal
 from gtfa.quantization import (
     GroupOperator,
     SingularKernel,
     dequantize,
-    duality_residual,
     identity_operator,
     kn_operator,
     kn_symbol,
@@ -16,7 +16,6 @@ from gtfa.quantization import (
     operator_trace,
     original_localization,
     quantize,
-    distribution_from_localization,
     tf_integral,
     trace_identity_check,
 )

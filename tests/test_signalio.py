@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORRUPTIONS, corrupt_table
+from conftest import corrupt_table, corruptions
 from gtfa.groups import build_cyclic, build_dihedral
 from gtfa.harmonic import Signal, random_signal
-from gtfa.limits import ZSignal
+from gtfa.limits import ZSignal, ZTFGrid
 from gtfa.quantization import GroupOperator
 from gtfa.signalio import (
     CsvFormatError,
@@ -26,11 +26,13 @@ from gtfa.signalio import (
     render_pgm,
     write_csv_signal,
     write_csv_matrix,
+    write_grid_csv,
     write_kernel_csv,
     write_operator_csv,
     write_tf_csv,
 )
-from gtfa.transforms import born_jordan_cyclic_kernel, cohen_transform, kn_kernel
+from gtfa.tfplane import AmbiguityFunction, TFFunction
+from gtfa.transforms import CohenKernel, born_jordan_cyclic_kernel, cohen_transform
 
 
 def make_wav(samples, rate=4000, channels=1, bits=16, audio_format=1, truncate=0):
@@ -161,28 +163,105 @@ def test_kernel_csv_missing_header(tmp_path):
         read_kernel_csv(p, build_cyclic(2)[0])
 
 
-@pytest.mark.parametrize("case", CORRUPTIONS)
-@pytest.mark.parametrize("table", ["signal", "tf", "operator", "kernel"])
+TABLES = ["signal", "tf", "operator", "kernel"]
+
+
+def random_table(table, g, d, rng):
+    """A random object of one table kind, its writer and reader, and the
+    number of header lines its table has."""
+    n = g.order
+
+    def blocks():
+        return [rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k)) for k in d.dims]
+
+    if table == "signal":
+        return random_signal(g, rng), write_csv_signal, read_csv_signal, 0
+    if table == "tf":
+        return TFFunction(g, d, blocks()), write_tf_csv, read_tf_csv, 0
+    if table == "operator":
+        K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return GroupOperator(g, K), write_operator_csv, read_operator_csv, 0
+    return CohenKernel("random", AmbiguityFunction(g, d, blocks())), write_kernel_csv, read_kernel_csv, 1
+
+
+@pytest.mark.parametrize("table,case", [pytest.param(t, c, id=f"{t}-{c}") for t in TABLES for c in corruptions(t)])
 @pytest.mark.parametrize("build", [lambda: build_cyclic(4), lambda: build_dihedral(3)],
                          ids=["cyclic:4", "dihedral:3"])
 def test_readers_reject_corrupt_tables(tmp_path, rng, build, table, case):
     g, d = build()
-    u = random_signal(g, rng)
-    kn = kn_kernel(d)
-    write, read, header = {
-        "signal": (lambda p: write_csv_signal(p, u), read_csv_signal, 0),
-        "tf": (lambda p: write_tf_csv(p, cohen_transform(kn, u, u)), read_tf_csv, 0),
-        "operator": (lambda p: write_operator_csv(p, GroupOperator(g, np.outer(u.values, u.values))),
-                     read_operator_csv, 0),
-        "kernel": (lambda p: write_kernel_csv(p, kn), read_kernel_csv, 1),
-    }[table]
+    obj, write, read, header = random_table(table, g, d, rng)
     p = tmp_path / "t.csv"
-    write(p)
+    write(p, obj)
     read(p, g)
     text, line = corrupt_table(p.read_text(), case, header)
     p.write_text(text)
     with pytest.raises(CsvFormatError, match=f"line {line}:"):
         read(p, g)
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_tables_roundtrip_in_any_row_order(tmp_path, rng, corpus_and_file_group, table):
+    """Write, read, write again: the bytes are the same, also when the table
+    read has its rows in reverse order."""
+    g, d = corpus_and_file_group
+    obj, write, read, header = random_table(table, g, d, rng)
+    a, b, r = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "r.csv"
+    write(a, obj)
+    write(b, read(a, g))
+    assert b.read_bytes() == a.read_bytes()
+    lines = a.read_text().splitlines()
+    r.write_text("\n".join(lines[:header] + lines[header:][::-1]) + "\n")
+    write(b, read(r, g))
+    assert b.read_bytes() == a.read_bytes()
+
+
+def _fmt(v):
+    return f"{v:.17g}"
+
+
+def _join(lines):
+    return "\n".join(lines) + "\n"
+
+
+def _block_rows(blocks, element_first):
+    lines = []
+    for k, b in enumerate(blocks):
+        d = b.shape[1]
+        for t in range(b.shape[0]):
+            for r in range(d):
+                for c in range(d):
+                    v = b[t, r, c]
+                    a, bb = (t, k) if element_first else (k, t)
+                    lines.append(f"{a},{bb},{r},{c},{_fmt(v.real)},{_fmt(v.imag)}")
+    return lines
+
+
+# The table writers as nested loops, one row per f-string: the reference for
+# the rows, their order and their digits.
+LOOP_WRITERS = {
+    "signal": lambda u: _join([f"{i},{_fmt(v.real)},{_fmt(v.imag)}" for i, v in enumerate(u.values)]),
+    "tf": lambda a: _join(_block_rows(a.blocks, element_first=True)),
+    "operator": lambda B: _join([f"{x},{y},{_fmt(B.kernel[x, y].real)},{_fmt(B.kernel[x, y].imag)}"
+                                 for x in range(B.group.order) for y in range(B.group.order)]),
+    "kernel": lambda k: _join(["xi_index,y_index,row,col,re,im"] + _block_rows(k.phi.blocks, element_first=False)),
+}
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_table_writers_match_loops(tmp_path, rng, table):
+    obj, write, _, _ = random_table(table, *build_dihedral(3), rng)
+    write(tmp_path / "t.csv", obj)
+    assert (tmp_path / "t.csv").read_bytes() == LOOP_WRITERS[table](obj).encode()
+
+
+def test_grid_writer_matches_loops(tmp_path, rng):
+    values = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    values[0, :5] = [-0.0, 5e-324, 1e300, 1 / 3, 2.0]
+    grid = ZTFGrid(-3, 4, values)
+    write_grid_csv(tmp_path / "g.csv", grid)
+    lines = [f"{t},{k},{_fmt(grid.values[k, i].real)},{_fmt(grid.values[k, i].imag)}"
+             for i, t in enumerate(grid.times) for k in range(grid.freq_bins)]
+    assert (tmp_path / "g.csv").read_bytes() == _join(lines).encode()
 
 
 def test_write_csv_matrix_format(tmp_path):

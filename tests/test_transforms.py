@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import max_block_diff
+from oracles import cohen_transform_direct, commutator_kernel_closed_form
 from gtfa.groups import build_cyclic, build_dihedral
 from gtfa.harmonic import (
     Signal,
@@ -20,9 +21,7 @@ from gtfa.transforms import (
     born_jordan_cyclic_kernel,
     born_jordan_phi,
     cohen_transform,
-    cohen_transform_direct,
     commutator_kernel,
-    commutator_kernel_closed_form,
     conjugate_kernel,
     gaussian_window,
     kn_kernel,
