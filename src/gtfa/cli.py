@@ -27,9 +27,9 @@ from .harmonic import Signal
 from .limits import q_z_distribution
 from .properties import CHECKS, run_all_checks, report_csv, report_lines
 from .quantization import SingularKernel, dequantize, quantize
-from .reconstruct import MarginNegative, born_jordan_distribution, island_count, phase_retrieve
+from .reconstruct import MarginNegative, retrieval_report
 from .signalio import ImageSpec, render_pgm
-from .tfplane import TFFunction, tf_norm
+from .tfplane import TFFunction
 from .transforms import (
     CohenKernel,
     anti_kn_kernel,
@@ -147,7 +147,7 @@ def _tf_to_matrix(a: TFFunction) -> np.ndarray:
 
     Entry (k, x) is Re(d_eta tr a(x, eta_k)); for scalar duals just Re a.
     """
-    return plancherel_trace(a.dual, a.blocks).real
+    return plancherel_trace(a.dual, a.runs).real
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +233,14 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError(f"distribution file not found: {args.infile}")
     except signalio.CsvFormatError as e:
         raise ConfigError(str(e))
-    rec = phase_retrieve(Q, tol_zero=args.tol_zero)
-    signalio.write_csv_signal(args.out, rec)
-    Qrec = born_jordan_distribution(rec)
-    resid = tf_norm(TFFunction(Q.group, Q.dual,
-                               [a - b for a, b in zip(Qrec.blocks, Q.blocks)]))
-    mask = np.abs(rec.values) > 0
-    pivot = float(np.abs(rec.values).max(initial=0.0))
+    rep = retrieval_report(Q, tol_zero=args.tol_zero)
+    signalio.write_csv_signal(args.out, rep.recovered)
     report = (
-        f"order {group.order}\n"
-        f"distribution_residual {resid:.17g}\n"
-        f"islands {island_count(mask)}\n"
-        f"pivot_magnitude {pivot:.17g}\n"
-        f"all_zero {int(not mask.any())}\n"
+        f"order {rep.order}\n"
+        f"distribution_residual {rep.distribution_residual:.17g}\n"
+        f"islands {rep.islands}\n"
+        f"pivot_magnitude {rep.pivot_magnitude:.17g}\n"
+        f"all_zero {int(rep.islands == 0)}\n"
     )
     if args.report:
         signalio.atomic_write(args.report, report.encode())
@@ -294,8 +289,7 @@ def cmd_figures(args) -> int:
         return _tf_to_matrix(D)
 
     def make_spec():
-        G = stft(w, per)
-        return np.abs(np.stack([b[:, 0, 0] for b in G.blocks])) ** 2
+        return np.abs(stft(w, per).scalar_table()) ** 2
 
     with ThreadPoolExecutor(max_workers=min(3, worker_count())) as pool:
         fq, fc, fs = pool.submit(make_qz), pool.submit(make_qcyclic), pool.submit(make_spec)

@@ -9,13 +9,16 @@ Dual ordering is canonical and load-bearing for file outputs: cyclic duals are
 ordered by character exponent, dihedral duals list the 1-dimensional irreps
 first, product duals are lexicographic in the factors.
 
-A quantity on the dual is a list of blocks, blocks[k] of shape (..., d_k, d_k).
-This module alone knows how they lie in the stacked table and how they are
+A function on the dual, possibly over further leading axes (the elements of
+a plane, the lags), is stored as one array per run of consecutive irreps of
+equal dimension (`UnitaryDual.runs`): run i has shape (end - first, ..., d, d),
+and its j-th entry is the block of irrep first + j.  An all-scalar dual has
+one run, so a function on G x G^ is a single (|G|, |G|, 1, 1) array.  This
+module alone knows how the runs lie in the stacked table and how they are
 weighted: the Fourier pair (`group_fourier`, `group_inverse_fourier`), the
-pointwise product (`block_product`) and the Plancherel sums (`plancherel_trace`,
-`plancherel_pairing`) each handle one array (end - first, ..., d, d) per run of
-equal-dimension irreps (`UnitaryDual.runs`), built by `stack_runs` and cut back
-into per-irrep views by `split_runs`.
+pointwise product (`block_product`) and the Plancherel sums
+(`plancherel_trace`, `plancherel_pairing`) take and return runs, and
+`stack_blocks` checks per-irrep blocks given from outside and stacks them.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ __all__ = [
     "load_group_file",
     "validate",
 ]
-# The Fourier pair and the per-run helpers (stack_runs to plancherel_pairing)
+# The Fourier pair and the per-run helpers (stack_blocks to plancherel_pairing)
 # are public but left out of __all__: perfbench/tracer.py times each __all__
 # name by self time, so listing them would move the transform work out of the
 # harmonic/tfplane/transforms layers.
@@ -105,7 +108,7 @@ class UnitaryDual:
                 runs.append([k, k + 1, d, row])
             row += d * d
         self.runs = [tuple(r) for r in runs]
-        for eta, m in zip(self.irreps, split_runs(representation_runs(self))):
+        for eta, m in zip(self.irreps, (m for run in representation_runs(self) for m in run)):
             eta.matrices = m
         self.group: "FiniteGroup | None" = None  # backref, set by builders
 
@@ -134,61 +137,60 @@ def representation_runs(dual: UnitaryDual) -> list[np.ndarray]:
     return [v.swapaxes(-1, -2) for v in _table_runs(dual, dual.table)]
 
 
-def stack_runs(dual: UnitaryDual, blocks) -> list[np.ndarray]:
-    """The blocks of each run stacked on a new first axis: (end - first, ..., d, d)."""
-    return [np.stack(blocks[first:end]) for first, end, _, _ in dual.runs]
+def stack_blocks(dual: UnitaryDual, blocks, lead: tuple) -> list[np.ndarray]:
+    """Per-irrep blocks of shape lead + (d_k, d_k), checked and stacked into
+    one array per run.  Producers inside the package build runs directly."""
+    blocks = list(blocks)
+    if len(blocks) != len(dual.irreps):
+        raise ValueError(f"{len(blocks)} blocks for {len(dual.irreps)} irreps")
+    runs = []
+    for first, end, d, _ in dual.runs:
+        want = (*lead, d, d)
+        bad = [np.shape(b) for b in blocks[first:end] if np.shape(b) != want]
+        if bad:
+            raise ValueError(f"block shape {bad[0]} != ({','.join(map(str, want))})")
+        runs.append(np.array(blocks[first:end], dtype=complex))
+    return runs
 
 
-def split_runs(runs) -> list[np.ndarray]:
-    """The per-irrep blocks of per-run arrays, as views; inverts `stack_runs`."""
-    return [b for run in runs for b in run]
-
-
-def block_adjoint(blocks) -> list[np.ndarray]:
-    """The conjugate transpose of every block over its last two axes."""
-    return [np.conj(b).swapaxes(-1, -2) for b in blocks]
-
-
-def block_product(dual: UnitaryDual, left, right) -> list[np.ndarray]:
+def block_product(left, right) -> list[np.ndarray]:
     """The pointwise product left[k] @ right[k] on the dual, one product per run."""
-    return split_runs([l @ r for l, r in zip(stack_runs(dual, left), stack_runs(dual, right))])
+    return [l @ r for l, r in zip(left, right)]
 
 
-def plancherel_trace(dual: UnitaryDual, blocks) -> np.ndarray:
-    """t[k, ...] = d_k tr(blocks[k][..., :, :]), the irreps in dual order.
+def plancherel_trace(dual: UnitaryDual, runs) -> np.ndarray:
+    """t[k, ...] = d_k tr(block_k[..., :, :]), the irreps in dual order.
 
     Summed over k, this is the noncommutative integral sum_k d_k tr(.).
     """
     return np.concatenate([d * np.einsum("k...aa->k...", run)
-                           for (_, _, d, _), run in zip(dual.runs, stack_runs(dual, blocks))])
+                           for (_, _, d, _), run in zip(dual.runs, runs)])
 
 
 def plancherel_pairing(dual: UnitaryDual, b, a) -> complex:
-    """sum_k d_k <b[k], a[k]>, each pairing summing b conj(a) over every axis."""
-    return complex(sum(d * np.vdot(ra, rb) for (_, _, d, _), rb, ra
-                       in zip(dual.runs, stack_runs(dual, b), stack_runs(dual, a))))
+    """sum_k d_k <b_k, a_k>, each pairing summing b conj(a) over every axis."""
+    return complex(sum(d * np.vdot(ra, rb) for (_, _, d, _), rb, ra in zip(dual.runs, b, a)))
 
 
 def group_fourier(dual: UnitaryDual, w: np.ndarray) -> list[np.ndarray]:
-    """blocks[k][..., :, :] = (1/|G|) sum_x w[x, ...] eta_k(x)^*.
+    """block_k[..., :, :] = (1/|G|) sum_x w[x, ...] eta_k(x)^*, as runs.
 
-    w has shape (|G|,) or (|G|, m); each block has shape w.shape[1:] + (d_k, d_k).
-    One dense product with the stacked table, split into per-irrep views.
+    w has shape (|G|,) or (|G|, m); run i has shape
+    (end - first, *w.shape[1:], d, d).  One dense product with the stacked
+    table, whose rows the runs view.
     """
-    return split_runs(_table_runs(dual, dual.table.conj() @ w / w.shape[0]))
+    return _table_runs(dual, dual.table.conj() @ w / w.shape[0])
 
 
-def group_inverse_fourier(dual: UnitaryDual, blocks) -> np.ndarray:
-    """t[x, ...] = sum_k d_k tr(eta_k(x) blocks[k][..., :, :]).
+def group_inverse_fourier(dual: UnitaryDual, runs) -> np.ndarray:
+    """t[x, ...] = sum_k d_k tr(eta_k(x) block_k[..., :, :]).
 
     Inverts `group_fourier`.  One dense product of the transposed stacked
-    table with the blocks stacked as rows (k, a, b) -> d_k blocks[k][..., b, a].
+    table with the runs laid out as rows (k, a, b) -> d_k block_k[..., b, a].
     """
-    rest = np.shape(blocks[0])[:-2]
-    v = np.empty((len(dual.table), *rest), dtype=complex)
-    for (first, end, d, _), run in zip(dual.runs, _table_runs(dual, v)):
-        np.stack(blocks[first:end], out=run)
-        run *= d
+    v = np.empty((len(dual.table), *runs[0].shape[1:-2]), dtype=complex)
+    for (_, _, d, _), run, rows in zip(dual.runs, runs, _table_runs(dual, v)):
+        np.multiply(run, d, out=rows)
     return dual.table.T @ v
 
 
@@ -242,13 +244,16 @@ def is_cyclic(group: FiniteGroup) -> bool:
     return np.array_equal(group.cayley, (i[:, None] + i[None, :]) % group.order)
 
 
-def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    return a == b
-
-
 def require_same_group(a: FiniteGroup, b: FiniteGroup, what: str = "operands"):
-    if not same_group(a, b):
+    if a != b:
         raise ValueError(f"group mismatch: {what} live on different groups")
+
+
+def require_same_dual(a: UnitaryDual, b: UnitaryDual, what: str = "operands"):
+    """Runs of two functions line up only when their duals list the same irreps
+    in the same order; an equal group may carry another dual (a group file)."""
+    if a is not b and not (a.table.shape == b.table.shape and np.array_equal(a.table, b.table)):
+        raise ValueError(f"dual mismatch: {what} live on different duals")
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +347,16 @@ def build_product(
     inverse = ga.inverse[ia] * nb + gb.inverse[ib]
     identity = ga.identity * nb + gb.identity
 
-    irreps = []
-    for ka, xi in enumerate(da.irreps):
-        for kb, eta in enumerate(db.irreps):
-            d = xi.dim * eta.dim
-            mats = np.einsum(
-                "xab,xcd->xacbd", xi.matrices[ia], eta.matrices[ib]
-            ).reshape(order, d, d)
-            irreps.append(Irrep(d, mats, label=f"{xi.label}x{eta.label}"))
+    # kron[ka, kb] = xi_ka (x) eta_kb, one einsum per pair of runs
+    kron = {}
+    for (fa, _, _, _), A in zip(da.runs, representation_runs(da)):
+        for (fb, _, _, _), B in zip(db.runs, representation_runs(db)):
+            d = A.shape[-1] * B.shape[-1]
+            prod = np.einsum("jxab,kxcd->jkxacbd", A[:, ia], B[:, ib], order="C")
+            prod = prod.reshape(len(A), len(B), order, d, d)  # a view: each product is contiguous
+            kron.update(((fa + j, fb + k), m) for j, row in enumerate(prod) for k, m in enumerate(row))
+    irreps = [Irrep(xi.dim * eta.dim, kron[ka, kb], label=f"{xi.label}x{eta.label}")
+              for ka, xi in enumerate(da.irreps) for kb, eta in enumerate(db.irreps)]
     trivial = da.trivial_index * len(db.irreps) + db.trivial_index
     dual = UnitaryDual(irreps, trivial_index=trivial)
     group = FiniteGroup(order, cayley, int(identity), inverse, dual,

@@ -12,7 +12,10 @@ Conventions (fixed throughout the package):
   representation table (`groups.group_fourier` and its inverse); there is
   deliberately no FFT path.  The Plancherel-weighted sums (`nc_integral`,
   `plancherel_inner`) are `groups.plancherel_trace` and
-  `groups.plancherel_pairing`, which work per run of equal-dimension irreps.
+  `groups.plancherel_pairing`.
+* Fourier coefficients are stored as one array (end - first, d, d) per run
+  of equal-dimension irreps (`UnitaryDual.runs`); `blocks` views them per
+  irrep.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (FiniteGroup, UnitaryDual, group_fourier, group_inverse_fourier,
-                     plancherel_pairing, plancherel_trace, require_same_group)
+                     plancherel_pairing, plancherel_trace, require_same_group, stack_blocks)
 
 __all__ = [
     "Signal",
@@ -59,18 +62,27 @@ class Signal:
         return self.group.dual
 
 
-@dataclass
 class FourierCoefficients:
-    """Matrix-valued Fourier coefficients: one d_eta x d_eta block per irrep."""
+    """Matrix-valued Fourier coefficients: one d_eta x d_eta block per irrep.
 
-    dual: UnitaryDual
-    blocks: list[np.ndarray]
+    Stored as `runs`, one array (end - first, d, d) per run of the dual.
+    """
 
-    def __post_init__(self):
-        self.blocks = [np.asarray(b, dtype=complex) for b in self.blocks]
-        for b, eta in zip(self.blocks, self.dual.irreps):
-            if b.shape != (eta.dim, eta.dim):
-                raise ValueError(f"block shape {b.shape} != ({eta.dim},{eta.dim})")
+    def __init__(self, dual: UnitaryDual, blocks):
+        self.dual = dual
+        self.runs = stack_blocks(dual, blocks, ())
+
+    @classmethod
+    def from_runs(cls, dual: UnitaryDual, runs) -> "FourierCoefficients":
+        """Wrap per-run arrays as they are, unchecked."""
+        c = cls.__new__(cls)
+        c.dual, c.runs = dual, runs
+        return c
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """The block of each irrep in dual order, as a view into the runs."""
+        return [b for run in self.runs for b in run]
 
 
 def haar_inner(u: Signal, v: Signal) -> complex:
@@ -86,22 +98,22 @@ def norm(u: Signal) -> float:
 def fourier(u: Signal) -> FourierCoefficients:
     """u_hat(eta) = (1/|G|) sum_x u(x) eta(x)^*."""
     dual = u.group.dual
-    return FourierCoefficients(dual, group_fourier(dual, u.values))
+    return FourierCoefficients.from_runs(dual, group_fourier(dual, u.values))
 
 
 def inverse_fourier(c: FourierCoefficients) -> Signal:
     """u(x) = sum_eta d_eta tr(eta(x) c(eta)); inverts `fourier` exactly."""
-    return Signal(c.dual.group, group_inverse_fourier(c.dual, c.blocks))
+    return Signal(c.dual.group, group_inverse_fourier(c.dual, c.runs))
 
 
 def nc_integral(c: FourierCoefficients) -> complex:
     """Noncommutative integral  sum_eta d_eta tr c(eta);  equals u(e) for c = u_hat."""
-    return complex(plancherel_trace(c.dual, c.blocks).sum())
+    return complex(plancherel_trace(c.dual, c.runs).sum())
 
 
 def plancherel_inner(c: FourierCoefficients, d: FourierCoefficients) -> complex:
     """<c,d> = sum_eta d_eta tr(c(eta) d(eta)^*);  equals <u,v> for c,d = u_hat,v_hat."""
-    return plancherel_pairing(c.dual, c.blocks, d.blocks)
+    return plancherel_pairing(c.dual, c.runs, d.runs)
 
 
 def convolve(u: Signal, v: Signal) -> Signal:

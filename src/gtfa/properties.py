@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import plancherel_trace, representation_runs, stack_runs
+from .groups import plancherel_trace, representation_runs
 from .harmonic import Signal, fourier, haar_inner, norm, random_signal
 from .quantization import identity_operator, kn_operator, original_localization
 from .tfplane import TFFunction, tf_inner, tf_norm
@@ -102,7 +102,7 @@ def check_normalized(k: CohenKernel, verify: bool = True) -> PropertyReport:
         cross = 0.0
         for u, w in _sample_pairs(k, 20, rng):
             D = cohen_transform(k, u, w)
-            total = plancherel_trace(k.dual, D.blocks).sum() / g.order
+            total = plancherel_trace(k.dual, D.runs).sum() / g.order
             cross = max(cross, abs(total - haar_inner(u, w)))
     return _report("normalized", v, v > EXHAUSTIVE_TOL, cross, witness=lambda: (eps, g.identity))
 
@@ -111,13 +111,13 @@ def check_time_margins(k: CohenKernel, verify: bool = True) -> PropertyReport:
     """Condition (d): phi(xi, e) = I for every xi."""
     e = k.group.identity
     per_block = np.concatenate([np.abs(run[:, e] - np.eye(run.shape[-1])).max(axis=(1, 2))
-                                for run in stack_runs(k.dual, k.phi.blocks)])
+                                for run in k.phi.runs])
     cross = None
     if verify:
         rng = np.random.default_rng(SEED)
         cross = 0.0
         for u, w in _sample_pairs(k, 20, rng):
-            margin = plancherel_trace(k.dual, cohen_transform(k, u, w).blocks).sum(axis=0)
+            margin = plancherel_trace(k.dual, cohen_transform(k, u, w).runs).sum(axis=0)
             cross = max(cross, np.abs(margin - u.values * w.values.conj()).max())
     return _report("time-margins", per_block.max(initial=0.0), per_block > EXHAUSTIVE_TOL, cross,
                    witness=lambda i: (i, e))
@@ -134,9 +134,9 @@ def check_frequency_margins(k: CohenKernel, verify: bool = True) -> PropertyRepo
         for u, w in _sample_pairs(k, 20, rng):
             D = cohen_transform(k, u, w)
             uh, wh = fourier(u), fourier(w)
-            for b, ub, wb in zip(D.blocks, uh.blocks, wh.blocks):
-                margin = b.mean(axis=0)
-                cross = max(cross, np.abs(margin - ub @ wb.conj().T).max())
+            for run, urun, wrun in zip(D.runs, uh.runs, wh.runs):
+                margin = run.mean(axis=1)
+                cross = max(cross, np.abs(margin - urun @ wrun.conj().swapaxes(-1, -2)).max())
     return _report("freq-margins", row.max(initial=0.0), row > EXHAUSTIVE_TOL, cross,
                    witness=lambda y: (eps, y))
 
@@ -191,7 +191,7 @@ def check_unitary(k: CohenKernel, verify: bool = True) -> PropertyReport:
     # table[k, y] = max |phi phi^* - I| over the entries of block (k, y)
     table = np.concatenate([
         np.abs(run @ run.conj().swapaxes(-1, -2) - np.eye(run.shape[-1])).max(axis=(-2, -1))
-        for run in stack_runs(k.dual, k.phi.blocks)
+        for run in k.phi.runs
     ])
     cross = None
     if verify:
@@ -215,7 +215,7 @@ def check_inner_invariant(k: CohenKernel, verify: bool = True) -> PropertyReport
     # per run, diff[j, z, y] = max |phi(xi, z y z^{-1}) - xi(z) phi(xi, y) xi(z)^*|
     # over the entries, with xi(z) phi xi(z)^* = (xi(z) (x) conj xi(z)) vec phi
     diffs = []
-    for xi, phi in zip(representation_runs(k.dual), stack_runs(k.dual, k.phi.blocks)):
+    for xi, phi in zip(representation_runs(k.dual), k.phi.runs):
         m, d = len(xi), xi.shape[-1]
         kron = np.einsum("jzac,jzbe->jabzce", xi, xi.conj()).reshape(m, d * d, n, d * d)
         vec = phi.reshape(m, n, d * d).swapaxes(1, 2)  # vec[j, (c, e), y]
@@ -253,12 +253,12 @@ def check_onb_resolution(k: CohenKernel) -> PropertyReport:
     """For a normalized kernel, b = sum_alpha D[v_alpha] over an orthonormal
     basis of L^2(G) has Kohn-Nirenberg quantization b^R = identity."""
     g, dual = k.group, k.dual
-    acc = [0] * len(dual)
+    acc = [0] * len(dual.runs)
     # the basis sqrt(d_k) eta_k(.)[a, b]: the table's rows, scaled
     for row in np.sqrt(np.repeat(dual.dims, dual.dims ** 2))[:, None] * dual.table:
         v = Signal(g, row)
-        acc = [a + b for a, b in zip(acc, cohen_transform(k, v, v).blocks)]
-    B = kn_operator(TFFunction(g, dual, acc))
+        acc = [a + b for a, b in zip(acc, cohen_transform(k, v, v).runs)]
+    B = kn_operator(TFFunction.from_runs(g, dual, acc))
     diff = float(np.abs(B.kernel - identity_operator(g).kernel).max())
     return _report("onb-resolution", diff, False, None, tol=ONB_TOL)
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, block_adjoint, block_product, group_fourier, group_inverse_fourier,
-                     plancherel_trace, require_same_group, split_runs, stack_runs)
+from .groups import (FiniteGroup, block_product, group_fourier, group_inverse_fourier, plancherel_trace,
+                     require_same_group)
 from .harmonic import Signal
 from .tfplane import (
     AmbiguityFunction,
@@ -111,7 +111,7 @@ def kn_operator(a: TFFunction) -> GroupOperator:
     """
     group = a.group
     # s[z, x] = sum_eta d_eta tr(eta(z) a(x, eta)), so K(x, y) = s(y^{-1} x, x)
-    s = group_inverse_fourier(a.dual, a.blocks)
+    s = group_inverse_fourier(a.dual, a.runs)
     idx = group.cayley[group.inverse, :].T  # idx[x, y] = y^{-1} x
     return GroupOperator(group, s[idx, np.arange(group.order)[:, None]])
 
@@ -124,7 +124,7 @@ def kn_symbol(B: GroupOperator) -> TFFunction:
     group = B.group
     # s[w, x] = K(x, x w^{-1}), then the transform in w
     s = B.kernel[np.arange(group.order), group.right_div.T]
-    return TFFunction(group, group.dual, group_fourier(group.dual, s))
+    return TFFunction.from_runs(group, group.dual, group_fourier(group.dual, s))
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +135,15 @@ def kn_symbol(B: GroupOperator) -> TFFunction:
 def quantize(k: CohenKernel, a: TFFunction) -> GroupOperator:
     """a^D = b^R with Fb = phi^* Fa; satisfies <u, a^D v> = <D(u,v), a>."""
     require_same_group(k.group, a.group, "kernel and symbol")
-    Fb = block_product(a.dual, block_adjoint(k.phi.blocks), symplectic_fourier(a).blocks)
-    return kn_operator(inverse_symplectic_fourier(AmbiguityFunction(a.group, a.dual, Fb)))
+    Fb = block_product([p.conj().swapaxes(-1, -2) for p in k.phi.runs], symplectic_fourier(a).runs)
+    return kn_operator(inverse_symplectic_fourier(AmbiguityFunction.from_runs(a.group, a.dual, Fb)))
 
 
 def _singular_blocks(k: CohenKernel):
     """(xi_index, y, smallest_sv, null_vectors) for each singular phi block."""
     scale = max(k.linf_norm(), 1.0)
     found, first = [], 0
-    for run in stack_runs(k.dual, k.phi.blocks):
+    for run in k.phi.runs:
         if run.shape[-1] == 1:
             s, vh = np.abs(run[..., 0]), np.broadcast_to(np.ones(1, dtype=complex), run.shape)
         else:
@@ -168,10 +168,9 @@ def dequantize(k: CohenKernel, B: GroupOperator) -> TFFunction:
         raise SingularKernel([(kk, y) for kk, y, _, _ in bad])
     Fa = symplectic_fourier(kn_symbol(B))
     # per run: Fb = (phi^*)^{-1} Fa, a division for scalar irreps
-    blocks = split_runs([fa / p.conj() if p.shape[-1] == 1
-                         else np.linalg.solve(p.conj().swapaxes(-1, -2), fa)
-                         for p, fa in zip(stack_runs(k.dual, k.phi.blocks), stack_runs(k.dual, Fa.blocks))])
-    return inverse_symplectic_fourier(AmbiguityFunction(k.group, k.dual, blocks))
+    runs = [fa / p.conj() if p.shape[-1] == 1 else np.linalg.solve(p.conj().swapaxes(-1, -2), fa)
+            for p, fa in zip(k.phi.runs, Fa.runs)]
+    return inverse_symplectic_fourier(AmbiguityFunction.from_runs(k.group, k.dual, runs))
 
 
 def null_symbol_witness(k: CohenKernel) -> TFFunction | None:
@@ -183,13 +182,12 @@ def null_symbol_witness(k: CohenKernel) -> TFFunction | None:
     bad = _singular_blocks(k)
     if not bad:
         return None
-    group, dual = k.group, k.dual
-    n = group.order
-    blocks = [np.zeros((n, xi.dim, xi.dim), dtype=complex) for xi in dual.irreps]
+    Fb = AmbiguityFunction.from_runs(k.group, k.dual, [np.zeros(p.shape, dtype=complex) for p in k.phi.runs])
+    blocks = Fb.blocks
     for kk, y, _, nullvecs in bad:
         d = blocks[kk].shape[1]
         blocks[kk][y] = nullvecs[:, :1] @ np.ones((1, d), dtype=complex)
-    return inverse_symplectic_fourier(AmbiguityFunction(group, dual, blocks))
+    return inverse_symplectic_fourier(Fb)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +202,7 @@ def operator_trace(B: GroupOperator) -> complex:
 
 def tf_integral(a: TFFunction) -> complex:
     """Double integral of a symbol over the time-frequency plane."""
-    return complex(plancherel_trace(a.dual, a.blocks).sum() / a.group.order)
+    return complex(plancherel_trace(a.dual, a.runs).sum() / a.group.order)
 
 
 def trace_identity_check(k: CohenKernel, a: TFFunction) -> float:

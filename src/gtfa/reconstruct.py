@@ -20,7 +20,7 @@ consistent choice is returned (flagged via islands > 1 in the report).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "magnitudes_from_margins",
     "partial_autocorrelations",
     "phase_retrieve",
+    "retrieval_report",
     "roundtrip_report",
 ]
 
@@ -66,7 +67,7 @@ def born_jordan_distribution(u: Signal) -> TFFunction:
 
 
 def _margins(Q: TFFunction) -> np.ndarray:
-    return plancherel_trace(Q.dual, Q.blocks).sum(axis=0)
+    return plancherel_trace(Q.dual, Q.runs).sum(axis=0)
 
 
 def magnitudes_from_margins(Q: TFFunction) -> np.ndarray:
@@ -153,7 +154,7 @@ def island_count(mask: np.ndarray) -> int:
 @dataclass
 class RoundtripReport:
     order: int
-    class_distance: float
+    class_distance: float | None  # None when the signal behind Q is unknown
     distribution_residual: float
     islands: int
     pivot_magnitude: float
@@ -167,22 +168,25 @@ def class_distance(u: Signal, v: Signal) -> float:
     return norm(Signal(u.group, u.values - lam * v.values))
 
 
+def retrieval_report(Q: TFFunction, tol_zero: float = 1e-9) -> RoundtripReport:
+    """Retrieve [u] from a distribution table Q and measure the result
+    against Q itself: the residual ||Q[rec] - Q||, the islands and the pivot."""
+    rec = phase_retrieve(Q, tol_zero=tol_zero)
+    Qrec = born_jordan_distribution(rec)
+    diff = TFFunction.from_runs(Q.group, Q.dual, [a - b for a, b in zip(Qrec.runs, Q.runs)])
+    return RoundtripReport(
+        order=Q.group.order,
+        class_distance=None,
+        distribution_residual=tf_norm(diff),
+        islands=island_count(np.abs(rec.values) > 0),
+        pivot_magnitude=float(np.abs(rec.values).max()),
+        recovered=rec,
+    )
+
+
 def roundtrip_report(u: Signal, tol_zero: float = 1e-9) -> RoundtripReport:
     """Forward transform, retrieve, and measure how well [u] was recovered."""
     cyc, _ = build_cyclic(u.group.order)
     u = Signal(cyc, u.values)
-    Q = born_jordan_distribution(u)
-    rec = phase_retrieve(Q, tol_zero=tol_zero)
-    Qrec = born_jordan_distribution(rec)
-    diff = TFFunction(
-        Q.group, Q.dual, [a - b for a, b in zip(Qrec.blocks, Q.blocks)]
-    )
-    mask = np.abs(rec.values) > 0
-    return RoundtripReport(
-        order=u.group.order,
-        class_distance=class_distance(u, rec),
-        distribution_residual=tf_norm(diff),
-        islands=island_count(mask),
-        pivot_magnitude=float(np.abs(rec.values).max()),
-        recovered=rec,
-    )
+    rep = retrieval_report(born_jordan_distribution(u), tol_zero=tol_zero)
+    return replace(rep, class_distance=class_distance(u, rep.recovered))

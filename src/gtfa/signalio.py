@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, build_cyclic
+from .groups import FiniteGroup, UnitaryDual, build_cyclic
 from .harmonic import Signal
 from .limits import ZSignal, ZTFGrid
 from .tfplane import TFFunction, AmbiguityFunction
@@ -142,21 +143,13 @@ def _box_index(*shape: int) -> np.ndarray:
     return np.indices(shape).reshape(len(shape), -1).T
 
 
-def _block_index(order: int, dims: np.ndarray, element_first: bool) -> np.ndarray:
+def _block_index(order: int, dual: UnitaryDual, element_first: bool) -> np.ndarray:
     """Index rows `x,eta_index,row,col` (element_first) or `xi_index,y_index,row,col`
-    of a per-irrep table, in the order irrep, element, row, column."""
-    sizes = order * dims ** 2
-    k = np.repeat(np.arange(len(dims)), sizes)
-    within = np.arange(len(k)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # offset in irrep k's rows
-    t, rc = np.divmod(within, dims[k] ** 2)
-    r, c = np.divmod(rc, dims[k])
+    of a per-irrep table, in the order irrep, element, row, column: the entries
+    of each run (end - first, order, d, d) of the dual in C order."""
+    k, t, r, c = np.concatenate([_box_index(end - first, order, d, d) + [first, 0, 0, 0]
+                                 for first, end, d, _ in dual.runs]).T
     return np.stack((t, k, r, c) if element_first else (k, t, r, c), axis=1)
-
-
-def _split_blocks(flat: np.ndarray, order: int, dims: np.ndarray) -> list[np.ndarray]:
-    """Per-irrep blocks (order, d_k, d_k) from entries in `_block_index` order."""
-    parts = np.split(flat, np.cumsum(order * dims ** 2)[:-1])
-    return [b.reshape(order, d, d) for b, d in zip(parts, dims.tolist())]
 
 
 def _write_table(path, index: np.ndarray, values, header=None):
@@ -168,22 +161,33 @@ def _write_table(path, index: np.ndarray, values, header=None):
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
+# Integers as `%d` writes them, and decimal numbers in plain or scientific
+# notation (which `%.17g` writes): Python's int() and float() would also take
+# "+1", " 2" and "1_0", which no writer emits.
+_INDEX_FIELD = re.compile(r"-?[0-9]+")
+_VALUE_FIELD = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|-?inf|nan")
+
+
 def _read_table(path, index: np.ndarray, header=None) -> np.ndarray:
     """The values of a CSV table with rows `*index,re,im`, in the order of
     `index`'s rows.
 
-    Index fields must be integers and values finite.  Rows may come in any
-    order and blank lines are skipped, but every index row must come from
-    exactly one line.  An error names the first offending line.
+    Index fields must be integers and values finite decimal numbers, in the
+    forms `_INDEX_FIELD` and `_VALUE_FIELD`.  Rows may come in any order and blank
+    lines are skipped, but every index row must come from exactly one line.
+    An error names the first offending line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+    if not any(line.strip() for line in lines):
+        raise CsvFormatError(f"{path}: empty file, expected {len(index)} rows")
     start = 0
     if header is not None:
         if not lines or lines[0].strip() != header:
             raise CsvFormatError(f"{path}: line 1: expected header {header!r}")
         start = 1
     width = index.shape[1]
+    row = re.compile(",".join([f"(?:{_INDEX_FIELD.pattern})"] * width + [f"(?:{_VALUE_FIELD.pattern})"] * 2))
     keys, vals, line_of = [], [], []
     lineno, error = start, None
     try:
@@ -191,19 +195,18 @@ def _read_table(path, index: np.ndarray, header=None) -> np.ndarray:
             if not line.strip():
                 continue
             parts = line.split(",")
-            if len(parts) != width + 2:
+            strict = row.fullmatch(line)
+            if not strict and len(parts) != width + 2:
                 raise CsvFormatError(f"{path}: line {lineno}: {len(parts)} fields, expected {width + 2}")
-            try:
-                re, im = float(parts[-2]), float(parts[-1])
-            except ValueError:
+            if not strict and not all(map(_VALUE_FIELD.fullmatch, parts[-2:])):
                 raise CsvFormatError(f"{path}: line {lineno}: malformed number")
-            if not (math.isfinite(re) and math.isfinite(im)):
+            real, imag = float(parts[-2]), float(parts[-1])
+            if not (math.isfinite(real) and math.isfinite(imag)):
                 raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
-            try:
-                keys.append(tuple(map(int, parts[:-2])))
-            except ValueError:
+            if not strict:  # the fields and values are sound, so an index is not
                 raise CsvFormatError(f"{path}: line {lineno}: index {','.join(parts[:-2])} is not an integer")
-            vals += (re, im)
+            keys.append(tuple(map(int, parts[:-2])))
+            vals += (real, imag)
             line_of.append(lineno)
     except CsvFormatError as e:
         # Rows before a malformed line are still placed, so that an index
@@ -242,6 +245,15 @@ def _read_table(path, index: np.ndarray, header=None) -> np.ndarray:
     return out
 
 
+def _read_runs(path, group: FiniteGroup, element_first: bool, header=None) -> list[np.ndarray]:
+    """A tf or kernel table as one array (end - first, |G|, d, d) per run of
+    the dual: `_block_index` rows come in run order, so each run is a reshape."""
+    n, dual = group.order, group.dual
+    flat = _read_table(path, _block_index(n, dual, element_first), header)
+    return [flat[n * row:n * (row + (end - first) * d * d)].reshape(end - first, n, d, d)
+            for first, end, d, row in dual.runs]
+
+
 def read_csv_signal(path, group: FiniteGroup) -> Signal:
     """Signal CSV: rows `index,re,im`, one per group element."""
     return Signal(group, _read_table(path, _box_index(group.order)))
@@ -259,15 +271,13 @@ def write_csv_matrix(path, table):
 
 def write_tf_csv(path, a: TFFunction):
     """Symbol / distribution CSV: rows `x,eta_index,row,col,re,im`."""
-    index = _block_index(a.group.order, a.dual.dims, element_first=True)
-    _write_table(path, index, np.concatenate([b.ravel() for b in a.blocks]))
+    index = _block_index(a.group.order, a.dual, element_first=True)
+    _write_table(path, index, np.concatenate([run.ravel() for run in a.runs]))
 
 
 def read_tf_csv(path, group: FiniteGroup) -> TFFunction:
     """Symbol / distribution CSV: one row `x,eta_index,row,col,re,im` per entry."""
-    n, dims = group.order, group.dual.dims
-    flat = _read_table(path, _block_index(n, dims, element_first=True))
-    return TFFunction(group, group.dual, _split_blocks(flat, n, dims))
+    return TFFunction.from_runs(group, group.dual, _read_runs(path, group, element_first=True))
 
 
 def write_operator_csv(path, B: GroupOperator):
@@ -285,15 +295,14 @@ KERNEL_HEADER = "xi_index,y_index,row,col,re,im"
 
 
 def write_kernel_csv(path, k: CohenKernel):
-    index = _block_index(k.group.order, k.dual.dims, element_first=False)
-    _write_table(path, index, np.concatenate([b.ravel() for b in k.phi.blocks]), KERNEL_HEADER)
+    index = _block_index(k.group.order, k.dual, element_first=False)
+    _write_table(path, index, np.concatenate([run.ravel() for run in k.phi.runs]), KERNEL_HEADER)
 
 
 def read_kernel_csv(path, group: FiniteGroup, name=None) -> CohenKernel:
     """Kernel CSV: the header, then one row `xi_index,y_index,row,col,re,im` per entry."""
-    n, dims = group.order, group.dual.dims
-    flat = _read_table(path, _block_index(n, dims, element_first=False), KERNEL_HEADER)
-    phi = AmbiguityFunction(group, group.dual, _split_blocks(flat, n, dims))
+    runs = _read_runs(path, group, element_first=False, header=KERNEL_HEADER)
+    phi = AmbiguityFunction.from_runs(group, group.dual, runs)
     return CohenKernel(name or f"file:{path}", phi)
 
 

@@ -13,14 +13,16 @@ transform in x; the two nesting orders agree, but one is pinned here for
 reproducibility.  The time-lag kernel is the scalar table obtained by
 inverse-transforming an ambiguity function in its first variable.
 
-Blocks are stored per irrep as arrays of shape (|G|, d, d): TFFunction block
-lists are indexed [eta][x], AmbiguityFunction block lists [xi][y].  Each
-transform and conversion here is one or two dense products with the dual's
-stacked representation table (`groups.group_fourier` and its inverse), the
-same for scalar and matrix irreps; there is no FFT path.  The pointwise
-product of `tf_convolve` and the pairing of `tf_inner`/`amb_inner` are
-`groups.block_product` and `groups.plancherel_pairing`: one array operation
-per run of equal-dimension irreps, not one per irrep.
+Both are stored as one array (end - first, |G|, d, d) per run of consecutive
+equal-dimension irreps (`UnitaryDual.runs`): TFFunction runs are indexed
+[eta][x], AmbiguityFunction runs [xi][y], and `blocks` views them per irrep.
+On an all-scalar dual the whole plane is one (|G|, |G|, 1, 1) array, and
+`scalar_table` is its reshape.  Each transform and conversion here is one or
+two dense products with the dual's stacked representation table
+(`groups.group_fourier` and its inverse), the same for scalar and matrix
+irreps; there is no FFT path.  The pointwise product of `tf_convolve` and the
+pairing of `tf_inner`/`amb_inner` are `groups.block_product` and
+`groups.plancherel_pairing`: one array operation per run, not one per irrep.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (FiniteGroup, UnitaryDual, block_product, group_fourier, group_inverse_fourier,
-                     plancherel_pairing)
+                     plancherel_pairing, stack_blocks)
 
 __all__ = [
     "TFFunction",
@@ -47,55 +49,51 @@ __all__ = [
 ]
 
 
-def _check_blocks(blocks, dual, n):
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    if len(blocks) != len(dual.irreps):
-        raise ValueError(f"{len(blocks)} blocks for {len(dual.irreps)} irreps")
-    for b, eta in zip(blocks, dual.irreps):
-        if b.shape != (n, eta.dim, eta.dim):
-            raise ValueError(
-                f"block shape {b.shape} != ({n},{eta.dim},{eta.dim})"
-            )
-    return blocks
+class _PlaneFunction:
+    """One matrix per point of a plane, stored as `runs`: one array
+    (end - first, |G|, d, d) per run of the dual."""
 
-
-@dataclass
-class TFFunction:
-    """Matrix-valued function on the time-frequency plane G x G^."""
-
-    group: FiniteGroup
-    dual: UnitaryDual
-    blocks: list[np.ndarray]  # blocks[k][x] = a(x, eta_k)
-
-    def __post_init__(self):
-        self.blocks = _check_blocks(self.blocks, self.dual, self.group.order)
-
-    def scalar_table(self) -> np.ndarray:
-        """(n_irreps, |G|) table for all-scalar duals: table[k, x] = a(x, eta_k)."""
-        return np.stack([b[:, 0, 0] for b in self.blocks])
+    def __init__(self, group: FiniteGroup, dual: UnitaryDual, blocks):
+        self.group, self.dual = group, dual
+        self.runs = stack_blocks(dual, blocks, (group.order,))
 
     @classmethod
-    def from_scalar_table(cls, group, dual, table) -> "TFFunction":
-        return cls(group, dual, [row[:, None, None] for row in np.asarray(table, dtype=complex)])
+    def from_runs(cls, group: FiniteGroup, dual: UnitaryDual, runs):
+        """Wrap per-run arrays as they are, unchecked."""
+        f = cls.__new__(cls)
+        f.group, f.dual, f.runs = group, dual, runs
+        return f
 
-
-@dataclass
-class AmbiguityFunction:
-    """Matrix-valued function on the ambiguity plane G^ x G."""
-
-    group: FiniteGroup
-    dual: UnitaryDual
-    blocks: list[np.ndarray]  # blocks[k][y] = A(xi_k, y)
-
-    def __post_init__(self):
-        self.blocks = _check_blocks(self.blocks, self.dual, self.group.order)
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """The (|G|, d, d) block of each irrep in dual order, as a view into the runs."""
+        return [b for run in self.runs for b in run]
 
     def scalar_table(self) -> np.ndarray:
-        return np.stack([b[:, 0, 0] for b in self.blocks])
+        """(n_irreps, |G|) view for all-scalar duals: table[k, x] = blocks[k][x, 0, 0]."""
+        _require_scalar(self.dual)
+        return self.runs[0][..., 0, 0]
 
     @classmethod
-    def from_scalar_table(cls, group, dual, table) -> "AmbiguityFunction":
-        return cls(group, dual, [row[:, None, None] for row in np.asarray(table, dtype=complex)])
+    def from_scalar_table(cls, group: FiniteGroup, dual: UnitaryDual, table):
+        _require_scalar(dual)
+        table = np.asarray(table, dtype=complex).reshape(len(dual), group.order, 1, 1)
+        return cls.from_runs(group, dual, [table])
+
+
+def _require_scalar(dual: UnitaryDual):
+    if dual.dims.max() != 1:
+        raise ValueError("a scalar table needs an all-scalar dual")
+
+
+class TFFunction(_PlaneFunction):
+    """Matrix-valued function on the time-frequency plane G x G^:
+    blocks[k][x] = a(x, eta_k)."""
+
+
+class AmbiguityFunction(_PlaneFunction):
+    """Matrix-valued function on the ambiguity plane G^ x G:
+    blocks[k][y] = A(xi_k, y)."""
 
 
 @dataclass
@@ -119,14 +117,14 @@ class TimeLagKernel:
 
 def symplectic_fourier(a: TFFunction) -> AmbiguityFunction:
     # s[x, y] = sum_eta d_eta tr(eta(y) a(x, eta)), then the transform in x
-    s = group_inverse_fourier(a.dual, a.blocks).T
-    return AmbiguityFunction(a.group, a.dual, group_fourier(a.dual, s))
+    s = group_inverse_fourier(a.dual, a.runs).T
+    return AmbiguityFunction.from_runs(a.group, a.dual, group_fourier(a.dual, s))
 
 
 def inverse_symplectic_fourier(A: AmbiguityFunction) -> TFFunction:
     # t[x, y] = sum_xi d_xi tr(xi(x) A(xi, y)), then the transform in y
-    t = group_inverse_fourier(A.dual, A.blocks)
-    return TFFunction(A.group, A.dual, group_fourier(A.dual, t.T))
+    t = group_inverse_fourier(A.dual, A.runs)
+    return TFFunction.from_runs(A.group, A.dual, group_fourier(A.dual, t.T))
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +134,11 @@ def inverse_symplectic_fourier(A: AmbiguityFunction) -> TFFunction:
 
 def tf_inner(b: TFFunction, a: TFFunction) -> complex:
     """<b,a> = (1/|G|) sum_x sum_eta d_eta tr(b(x,eta) a(x,eta)^*)."""
-    return plancherel_pairing(b.dual, b.blocks, a.blocks) / b.group.order
+    return plancherel_pairing(b.dual, b.runs, a.runs) / b.group.order
 
 
 def amb_inner(b: AmbiguityFunction, a: AmbiguityFunction) -> complex:
-    return plancherel_pairing(b.dual, b.blocks, a.blocks) / b.group.order
+    return plancherel_pairing(b.dual, b.runs, a.runs) / b.group.order
 
 
 def tf_norm(a: TFFunction) -> float:
@@ -151,8 +149,8 @@ def tf_convolve(a: TFFunction, b: TFFunction) -> TFFunction:
     """a * b = F^{-1}((Fb)(Fa)), with the pointwise matrix product in that order."""
     Fa = symplectic_fourier(a)
     Fb = symplectic_fourier(b)
-    prod = block_product(a.dual, Fb.blocks, Fa.blocks)
-    return inverse_symplectic_fourier(AmbiguityFunction(a.group, a.dual, prod))
+    prod = block_product(Fb.runs, Fa.runs)
+    return inverse_symplectic_fourier(AmbiguityFunction.from_runs(a.group, a.dual, prod))
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +160,11 @@ def tf_convolve(a: TFFunction, b: TFFunction) -> TFFunction:
 
 def ambiguity_to_timelag(phi: AmbiguityFunction) -> TimeLagKernel:
     """varphi(x, y) = sum_xi d_xi tr(xi(x) phi(xi, y))."""
-    return TimeLagKernel(phi.group, group_inverse_fourier(phi.dual, phi.blocks))
+    return TimeLagKernel(phi.group, group_inverse_fourier(phi.dual, phi.runs))
 
 
 def timelag_to_ambiguity(k: TimeLagKernel, dual: UnitaryDual | None = None) -> AmbiguityFunction:
     """phi(xi, y) = (1/|G|) sum_x xi(x)^* varphi(x, y)."""
     group = k.group
     dual = group.dual if dual is None else dual
-    return AmbiguityFunction(group, dual, group_fourier(dual, k.values))
+    return AmbiguityFunction.from_runs(group, dual, group_fourier(dual, k.values))

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import (FiniteGroup, UnitaryDual, block_adjoint, block_product, build_cyclic, group_fourier,
-                     is_cyclic, representation_runs, require_same_group, split_runs, stack_runs)
+from .groups import (FiniteGroup, UnitaryDual, block_product, build_cyclic, group_fourier, is_cyclic,
+                     representation_runs, require_same_dual, require_same_group)
 from .harmonic import Signal, fourier, norm
 from .tfplane import (
     AmbiguityFunction,
@@ -43,7 +43,6 @@ __all__ = [
     "conjugate_kernel",
     "kn_kernel",
     "anti_kn_kernel",
-    "born_jordan_phi",
     "born_jordan_cyclic_kernel",
     "commutator_kernel",
     "margin_fix_kernel",
@@ -82,7 +81,7 @@ class CohenKernel:
         """max over (xi, y) of the spectral norm of phi(xi, y)."""
         return max(float(np.abs(run).max() if run.shape[-1] == 1
                          else np.linalg.svd(run, compute_uv=False).max())
-                   for run in stack_runs(self.dual, self.phi.blocks))
+                   for run in self.phi.runs)
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +93,10 @@ def rihaczek(u: Signal, v: Signal) -> TFFunction:
     """R(u,v)(x, eta) = u(x) eta(x)^* v_hat(eta)^*."""
     require_same_group(u.group, v.group, "signals")
     group, dual = u.group, u.group.dual
-    runs = zip(representation_runs(dual), stack_runs(dual, block_adjoint(fourier(v).blocks)))
     # per run: u(x) eta(x)^* v_hat(eta)^*, the irreps of the run on the first axis
-    blocks = split_runs([u.values[:, None, None] * (eta.conj().swapaxes(-1, -2) @ vstar[:, None])
-                         for eta, vstar in runs])
-    return TFFunction(group, dual, blocks)
+    runs = [u.values[:, None, None] * (eta.conj().swapaxes(-1, -2) @ vhat.conj().swapaxes(-1, -2)[:, None])
+            for eta, vhat in zip(representation_runs(dual), fourier(v).runs)]
+    return TFFunction.from_runs(group, dual, runs)
 
 
 def ambiguity_transform(u: Signal, v: Signal) -> AmbiguityFunction:
@@ -112,7 +110,7 @@ def ambiguity_transform(u: Signal, v: Signal) -> AmbiguityFunction:
     require_same_group(u.group, v.group, "signals")
     group, dual = u.group, u.group.dual
     w = u.values[:, None] * v.values[group.right_div].conj()  # w[x, y]
-    return AmbiguityFunction(group, dual, group_fourier(dual, w))
+    return AmbiguityFunction.from_runs(group, dual, group_fourier(dual, w))
 
 
 def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
@@ -133,8 +131,8 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
     """
     require_same_group(k.group, u.group, "kernel and signal")
     group, dual = u.group, u.group.dual
-    blocks = block_product(dual, k.phi.blocks, ambiguity_transform(u, v).blocks)
-    return inverse_symplectic_fourier(AmbiguityFunction(group, dual, blocks))
+    runs = block_product(k.phi.runs, ambiguity_transform(u, v).runs)
+    return inverse_symplectic_fourier(AmbiguityFunction.from_runs(group, dual, runs))
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +147,15 @@ def _scalar_kernel(group, dual, table, name) -> CohenKernel:
 def kn_kernel(dual: UnitaryDual) -> CohenKernel:
     """Kohn-Nirenberg / Rihaczek kernel: phi(xi, y) = I everywhere."""
     group = dual.group
-    n = group.order
-    blocks = [np.broadcast_to(np.eye(xi.dim, dtype=complex), (n, xi.dim, xi.dim)).copy()
-              for xi in dual.irreps]
-    return CohenKernel("kn", AmbiguityFunction(group, dual, blocks))
+    runs = [np.broadcast_to(np.eye(d, dtype=complex), (end - first, group.order, d, d)).copy()
+            for first, end, d, _ in dual.runs]
+    return CohenKernel("kn", AmbiguityFunction.from_runs(group, dual, runs))
 
 
 def anti_kn_kernel(dual: UnitaryDual) -> CohenKernel:
     """Anti-Kohn-Nirenberg kernel: phi(xi, y) = xi(y)."""
-    group = dual.group
-    blocks = [xi.matrices.copy() for xi in dual.irreps]
-    return CohenKernel("anti-kn", AmbiguityFunction(group, dual, blocks))
+    runs = [xi.copy() for xi in representation_runs(dual)]
+    return CohenKernel("anti-kn", AmbiguityFunction.from_runs(dual.group, dual, runs))
 
 
 def margin_fix_kernel(dual: UnitaryDual) -> CohenKernel:
@@ -169,33 +165,12 @@ def margin_fix_kernel(dual: UnitaryDual) -> CohenKernel:
     D(u,v)(x,eta) = u_hat(eta) v_hat(eta)^* + (u(x) v(x)^* - <u,v>) I / |G|.
     """
     group = dual.group
-    n = group.order
-    e = group.identity
-    blocks = []
-    for k, xi in enumerate(dual.irreps):
-        b = np.zeros((n, xi.dim, xi.dim), dtype=complex)
-        b[e] = np.eye(xi.dim)
-        if k == dual.trivial_index:
-            b[:] = np.eye(xi.dim)
-        blocks.append(b)
-    return CohenKernel("margin-fix", AmbiguityFunction(group, dual, blocks))
-
-
-def born_jordan_phi(N: int, xi: int, y: int) -> complex:
-    """Closed-form Born-Jordan ambiguity kernel value on Z/NZ.
-
-    1 on the axes; off the axes
-    (i 2 pi / N) (1 - e^{i 2 pi xi y / N})
-        / ((1 - e^{i 2 pi xi / N}) (1 - e^{-i 2 pi y / N})).
-    Zero exactly when xi and y are zero divisors mod N with xi*y = 0 mod N.
-    """
-    xi %= N
-    y %= N
-    if xi == 0 or y == 0:
-        return 1.0 + 0.0j
-    num = 1.0 - np.exp(2j * np.pi * ((xi * y) % N) / N)
-    den = (1.0 - np.exp(2j * np.pi * xi / N)) * (1.0 - np.exp(-2j * np.pi * y / N))
-    return complex(2j * np.pi / N * num / den)
+    runs = [np.zeros((end - first, group.order, d, d), dtype=complex) for first, end, d, _ in dual.runs]
+    for run in runs:
+        run[:, group.identity] = np.eye(run.shape[-1])
+    phi = AmbiguityFunction.from_runs(group, dual, runs)
+    phi.blocks[dual.trivial_index][:] = 1.0
+    return CohenKernel("margin-fix", phi)
 
 
 def born_jordan_cyclic_kernel(N: int) -> CohenKernel:
@@ -228,7 +203,7 @@ def commutator_kernel(f: Signal, g: Signal) -> CohenKernel:
         raise ValueError("commutator_kernel requires a cyclic group")
     if np.abs(f.values.imag).max() > 1e-12:
         raise ValueError("position labeling f must be real-valued")
-    ghat = np.array([b[0, 0] for b in fourier(g).blocks])
+    ghat = fourier(g).runs[0][:, 0, 0]
     if np.abs(ghat.imag).max() > 1e-9:
         warnings.warn("momentum labeling has a non-real Fourier transform; "
                       "the commutator observable is not self-adjoint")
@@ -252,19 +227,18 @@ def add_kernels(k1: CohenKernel, k2: CohenKernel, on_overlap: str = "sum") -> Co
     if on_overlap not in ("sum", "replace"):
         raise ValueError(f"on_overlap must be 'sum' or 'replace', got {on_overlap!r}")
     require_same_group(k1.group, k2.group, "kernels")
+    require_same_dual(k1.dual, k2.dual, "kernels")
     group, dual = k1.group, k1.dual
-    e = group.identity
-    blocks = []
-    for k, (b1, b2) in enumerate(zip(k1.phi.blocks, k2.phi.blocks)):
-        b = b1 + b2
-        if on_overlap == "replace":
-            b = b1.copy()
-            b[e] = b2[e]
-            if k == dual.trivial_index:
-                b = b2.copy()
-        blocks.append(b)
-    name = f"{k1.name}+{k2.name}"
-    return CohenKernel(name, AmbiguityFunction(group, dual, blocks))
+    if on_overlap == "sum":
+        runs = [r1 + r2 for r1, r2 in zip(k1.phi.runs, k2.phi.runs)]
+    else:
+        runs = [r1.copy() for r1 in k1.phi.runs]
+        for r, r2 in zip(runs, k2.phi.runs):
+            r[:, group.identity] = r2[:, group.identity]
+    phi = AmbiguityFunction.from_runs(group, dual, runs)
+    if on_overlap == "replace":
+        phi.blocks[dual.trivial_index][:] = k2.phi.blocks[dual.trivial_index]
+    return CohenKernel(f"{k1.name}+{k2.name}", phi)
 
 
 def conjugate_kernel(k: CohenKernel) -> CohenKernel:
@@ -299,7 +273,7 @@ def stft(w: Signal, u: Signal) -> TFFunction:
     group, dual = u.group, u.group.dual
     # W2[y, x] = u(y) w(x^{-1} y)^*
     W2 = u.values[:, None] * w.values.conj()[group.cayley[group.inverse]].T
-    return TFFunction(group, dual, group_fourier(dual, W2))
+    return TFFunction.from_runs(group, dual, group_fourier(dual, W2))
 
 
 def spectrogram_kernel(w: Signal) -> CohenKernel:
@@ -309,8 +283,8 @@ def spectrogram_kernel(w: Signal) -> CohenKernel:
     if abs(norm(w) - 1.0) > 1e-8:
         warnings.warn(f"spectrogram window is not unit-energy (||w|| = {norm(w):.6g}); "
                       "the transform will not be normalized")
-    blocks = block_adjoint(ambiguity_transform(w, w).blocks)
-    return CohenKernel("spectrogram", AmbiguityFunction(w.group, w.group.dual, blocks))
+    runs = [r.conj().swapaxes(-1, -2) for r in ambiguity_transform(w, w).runs]
+    return CohenKernel("spectrogram", AmbiguityFunction.from_runs(w.group, w.group.dual, runs))
 
 
 def _halving_map(N: int) -> np.ndarray:
@@ -343,7 +317,7 @@ def wigner_odd_cyclic(u: Signal, v: Signal) -> TFFunction:
     # core[y, x] = u(x + h(y)) v(x - h(y))^*
     core = u.values[(x[None, :] + h[:, None]) % N] * \
         v.values.conj()[(x[None, :] - h[:, None]) % N]
-    return TFFunction(group, group.dual, group_fourier(group.dual, core))
+    return TFFunction.from_runs(group, group.dual, group_fourier(group.dual, core))
 
 
 def gaussian_window(group: FiniteGroup, sigma: float) -> Signal:

@@ -81,8 +81,10 @@ def corrupt_table(text, case, header_lines=0):
     The cases are the corruptions a reader could silently accept or misplace:
     a negative, fractional or far out-of-range index, a non-finite value, an
     extra field, a missing row, a repeated row, a defect after a blank line
-    (which still counts as a line) and, in tables with a `col` field, an index
-    in a hole of the index box (`col = 1` where the irrep has dimension 1)."""
+    (which still counts as a line), in tables with a `col` field, an index
+    in a hole of the index box (`col = 1` where the irrep has dimension 1),
+    and fields that Python's int() and float() read but no writer emits: an
+    index `0_0`, `+0` or ` 0` for 0, and a value `1_0.5` for 10.5."""
     lines = text.splitlines()
     first = lines[header_lines].split(",")
     line = header_lines + 1
@@ -108,11 +110,20 @@ def corrupt_table(text, case, header_lines=0):
         line += 1
     elif case == "index-hole":
         lines[header_lines] = ",".join(first[:3] + ["1"] + first[4:])
+    elif case == "underscore-index":
+        lines[header_lines] = ",".join([f"{first[0]}_0"] + first[1:])
+    elif case == "plus-index":
+        lines[header_lines] = ",".join([f"+{first[0]}"] + first[1:])
+    elif case == "space-index":
+        lines[header_lines] = ",".join([f" {first[0]}"] + first[1:])
+    elif case == "underscore-value":
+        lines[header_lines] = ",".join(first[:-2] + ["1_0.5"] + first[-1:])
     return "\n".join(lines) + "\n", line
 
 
 CORRUPTIONS = ["negative-index", "fractional-index", "non-finite", "missing-row", "duplicate-row",
-               "large-index", "extra-field", "after-blank-line", "index-hole"]
+               "large-index", "extra-field", "after-blank-line", "index-hole",
+               "underscore-index", "plus-index", "space-index", "underscore-value"]
 
 
 def corruptions(table):

@@ -80,3 +80,20 @@ def duality_residual(k: CohenKernel, u: Signal, v: Signal, a: TFFunction) -> flo
     lhs = haar_inner(u, quantize(k, a).apply(v))
     rhs = tf_inner(cohen_transform(k, u, v), a)
     return abs(lhs - rhs)
+
+
+def born_jordan_phi(N: int, xi: int, y: int) -> complex:
+    """Closed-form Born-Jordan ambiguity kernel value on Z/NZ.
+
+    1 on the axes; off the axes
+    (i 2 pi / N) (1 - e^{i 2 pi xi y / N})
+        / ((1 - e^{i 2 pi xi / N}) (1 - e^{-i 2 pi y / N})).
+    Zero exactly when xi and y are zero divisors mod N with xi*y = 0 mod N.
+    """
+    xi %= N
+    y %= N
+    if xi == 0 or y == 0:
+        return 1.0 + 0.0j
+    num = 1.0 - np.exp(2j * np.pi * ((xi * y) % N) / N)
+    den = (1.0 - np.exp(2j * np.pi * xi / N)) * (1.0 - np.exp(-2j * np.pi * y / N))
+    return complex(2j * np.pi / N * num / den)

@@ -39,7 +39,6 @@ from gtfa.tfplane import tf_inner, tf_norm
 from gtfa.transforms import (
     anti_kn_kernel,
     born_jordan_cyclic_kernel,
-    born_jordan_phi,
     cohen_transform,
     commutator_kernel,
     gaussian_window,
@@ -49,7 +48,7 @@ from gtfa.transforms import (
     spectrogram_kernel,
     wigner_kernel_odd_cyclic,
 )
-from oracles import cohen_transform_direct
+from oracles import born_jordan_phi, cohen_transform_direct
 from test_transforms import bj_position_pair
 
 SEED = 0xACCE97

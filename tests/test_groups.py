@@ -11,6 +11,7 @@ from gtfa.groups import (
     group_inverse_fourier,
     is_cyclic,
     load_group_file,
+    stack_blocks,
     validate,
 )
 
@@ -230,7 +231,7 @@ def _check_primitives_against_naive_sums(g, d, rng):
     n = g.order
     for shape in [(n,), (n, 5)]:
         w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        got = group_fourier(d, w)
+        got = [b for run in group_fourier(d, w) for b in run]
         for eta, b in zip(d.irreps, got):
             # (1/|G|) sum_x w[x, ...] eta(x)^*
             expect = sum(np.asarray(w[x])[..., None, None] * eta.matrices[x].conj().T
@@ -241,7 +242,8 @@ def _check_primitives_against_naive_sums(g, d, rng):
         blocks = [rng.standard_normal(shape[1:] + (eta.dim, eta.dim))
                   + 1j * rng.standard_normal(shape[1:] + (eta.dim, eta.dim))
                   for eta in d.irreps]
-        got = group_inverse_fourier(d, blocks)
+        runs = stack_blocks(d, blocks, shape[1:])
+        got = group_inverse_fourier(d, runs)
         # sum_k d_k tr(eta_k(x) B_k[...])
         expect = np.array([
             sum(eta.dim * np.trace(eta.matrices[x] @ b, axis1=-2, axis2=-1)
@@ -251,7 +253,7 @@ def _check_primitives_against_naive_sums(g, d, rng):
         assert got.shape == expect.shape
         assert np.abs(got - expect).max() <= 1e-12
         assert max(np.abs(a - b).max()
-                   for a, b in zip(group_fourier(d, got), blocks)) <= 1e-12
+                   for a, b in zip(group_fourier(d, got), runs)) <= 1e-12
 
 
 def test_primitives_match_naive_sums(group_and_dual, rng):

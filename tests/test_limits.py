@@ -14,7 +14,7 @@ from gtfa.limits import (
     sampled_z_kernel,
     varphi_DZ,
 )
-from gtfa.transforms import born_jordan_phi
+from oracles import born_jordan_phi
 
 
 def test_phi_DT_frozen_value():

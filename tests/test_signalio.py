@@ -200,6 +200,18 @@ def test_readers_reject_corrupt_tables(tmp_path, rng, build, table, case):
 
 
 @pytest.mark.parametrize("table", TABLES)
+def test_readers_reject_empty_file(tmp_path, rng, table):
+    """An empty file is an error of its own, not rows missing after a line 0."""
+    g, d = build_dihedral(3)
+    _, _, read, _ = random_table(table, g, d, rng)
+    p = tmp_path / "t.csv"
+    p.write_text("")
+    with pytest.raises(CsvFormatError) as err:
+        read(p, g)
+    assert str(err.value).startswith(f"{p}: empty file")
+
+
+@pytest.mark.parametrize("table", TABLES)
 def test_tables_roundtrip_in_any_row_order(tmp_path, rng, corpus_and_file_group, table):
     """Write, read, write again: the bytes are the same, also when the table
     read has its rows in reverse order."""

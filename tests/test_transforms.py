@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import max_block_diff
-from oracles import cohen_transform_direct, commutator_kernel_closed_form
-from gtfa.groups import build_cyclic, build_dihedral
+from conftest import group_file_text, max_block_diff
+from oracles import born_jordan_phi, cohen_transform_direct, commutator_kernel_closed_form
+from gtfa.groups import FiniteGroup, Irrep, UnitaryDual, build_cyclic, build_dihedral, load_group_file
 from gtfa.harmonic import (
     Signal,
     constant_signal,
@@ -19,7 +19,6 @@ from gtfa.transforms import (
     ambiguity_transform,
     anti_kn_kernel,
     born_jordan_cyclic_kernel,
-    born_jordan_phi,
     cohen_transform,
     commutator_kernel,
     conjugate_kernel,
@@ -343,6 +342,20 @@ def test_add_kernels_zero_and_commutative():
     assert max_block_diff(add_kernels(k, kn_kernel(d), "sum").phi,
                           add_kernels(kn_kernel(d), k, "sum").phi) < 1e-15
     assert np.abs(zero.phi.scalar_table() - 2 * k.phi.scalar_table()).max() < 1e-15
+
+
+@pytest.mark.parametrize("policy", ["sum", "replace"])
+def test_add_kernels_refuses_another_dual_of_an_equal_group(tmp_path, policy):
+    """dihedral:3 from a group file with the same Cayley table, its irreps
+    listed with dimensions 2, 1, 1: the two kernels' runs do not line up."""
+    g, d = build_dihedral(3)
+    path = tmp_path / "d3.grp"
+    irreps = [Irrep(d.irreps[k].dim, d.irreps[k].matrices) for k in (2, 0, 1)]
+    path.write_text(group_file_text(FiniteGroup(g.order, g.cayley, g.identity, g.inverse), UnitaryDual(irreps)))
+    g2, d2 = load_group_file(path)
+    assert g2 == g
+    with pytest.raises(ValueError, match="different duals"):
+        add_kernels(kn_kernel(d), anti_kn_kernel(d2), policy)
 
 
 def test_add_kernels_bad_policy():
