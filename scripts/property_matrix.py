@@ -2,7 +2,8 @@
 """Print the theorem-condition matrix for the built-in kernel library.
 
 Each cell is the verdict of the exhaustive kernel-side condition; rows marked
-with * also ran the statistical cross-check with no disagreement.
+with * also ran the statistical cross-check with no disagreement.  The exit
+status is 1 when any cell is marked ! (a cross-check disagrees), else 0.
 
 Usage:  python scripts/property_matrix.py [N_cyclic] [sigma]
 """
@@ -63,7 +64,8 @@ def main():
     for label, verdicts in rows:
         print(label.ljust(width) + "".join(v.ljust(c) for v, c in zip(verdicts, cols)))
     print("\n(* = statistical cross-check agrees; ! would flag a disagreement)")
+    return 1 if any(v.endswith("!") for _, verdicts in rows for v in verdicts) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

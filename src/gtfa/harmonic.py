@@ -7,12 +7,14 @@ Conventions (fixed throughout the package):
   identity so that its Haar integral is 1.
 * The Plancherel side weights each irrep by its dimension: the
   "noncommutative integral" of a matrix-valued c is  sum_eta d_eta tr c(eta).
-* All transforms are the naive O(|G|^2) sums.  For every dual, scalar or
-  not, each is one dense matrix product with the dual's stacked
-  representation table (`groups.group_fourier` and its inverse); there is
-  deliberately no FFT path.  The Plancherel-weighted sums (`nc_integral`,
-  `plancherel_inner`) are `groups.plancherel_trace` and
-  `groups.plancherel_pairing`.
+* All transforms are defined as the naive O(|G|^2) sums.  For every dual,
+  scalar or not, each is one dense matrix product with the dual's stacked
+  representation table (`groups.group_fourier` and its inverse).  A
+  built-in cyclic dual or product of cyclic duals takes an FFT route for the
+  same sums once |G| >= groups.FFT_MIN_ORDER (128); dihedral and
+  file-loaded duals stay on the naive sum, which is the FFT route's oracle.
+  The Plancherel-weighted sums (`nc_integral`, `plancherel_inner`) are
+  `groups.plancherel_trace` and `groups.plancherel_pairing`.
 * Fourier coefficients are stored as one array (end - first, d, d) per run
   of equal-dimension irreps (`UnitaryDual.runs`); `blocks` views them per
   irrep.

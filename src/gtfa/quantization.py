@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (FiniteGroup, block_product, group_fourier, group_inverse_fourier, plancherel_trace,
-                     require_same_group)
+                     require_same_dual, require_same_group)
 from .harmonic import Signal
 from .tfplane import (
     AmbiguityFunction,
@@ -135,6 +135,7 @@ def kn_symbol(B: GroupOperator) -> TFFunction:
 def quantize(k: CohenKernel, a: TFFunction) -> GroupOperator:
     """a^D = b^R with Fb = phi^* Fa; satisfies <u, a^D v> = <D(u,v), a>."""
     require_same_group(k.group, a.group, "kernel and symbol")
+    require_same_dual(k.dual, a.dual, "kernel and symbol")
     Fb = block_product([p.conj().swapaxes(-1, -2) for p in k.phi.runs], symplectic_fourier(a).runs)
     return kn_operator(inverse_symplectic_fourier(AmbiguityFunction.from_runs(a.group, a.dual, Fb)))
 
@@ -163,6 +164,7 @@ def dequantize(k: CohenKernel, B: GroupOperator) -> TFFunction:
     pairs of a composite modulus).
     """
     require_same_group(k.group, B.group, "kernel and operator")
+    require_same_dual(k.dual, B.group.dual, "kernel and operator")
     bad = _singular_blocks(k)
     if bad:
         raise SingularKernel([(kk, y) for kk, y, _, _ in bad])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import build_cyclic, plancherel_trace
+from .groups import build_cyclic, group_inverse_fourier, plancherel_trace
 from .harmonic import Signal, haar_inner, norm
 from .tfplane import TFFunction, symplectic_fourier, tf_norm
 from .transforms import born_jordan_cyclic_kernel, cohen_transform
@@ -92,7 +92,8 @@ def partial_autocorrelations(Q: TFFunction) -> PartialAutocorrelation:
     y = np.arange(N)
     h = FQ * (N * (1.0 - np.exp(-2j * np.pi * y / N)) / (2j * np.pi))[None, :]
     h[0, :] = y * FQ[0, :]
-    E = Q.dual.table.T @ h  # E[x, y] = sum_xi e^{i 2 pi x xi / N} h_y(xi)
+    # E[x, y] = sum_xi e^{i 2 pi x xi / N} h_y(xi)
+    E = group_inverse_fourier(Q.dual, [h[:, :, None, None]])
     E[:, 0] = 0.0
     return PartialAutocorrelation(N, E)
 

@@ -20,9 +20,12 @@ On an all-scalar dual the whole plane is one (|G|, |G|, 1, 1) array, and
 `scalar_table` is its reshape.  Each transform and conversion here is one or
 two dense products with the dual's stacked representation table
 (`groups.group_fourier` and its inverse), the same for scalar and matrix
-irreps; there is no FFT path.  The pointwise product of `tf_convolve` and the
-pairing of `tf_inner`/`amb_inner` are `groups.block_product` and
-`groups.plancherel_pairing`: one array operation per run, not one per irrep.
+irreps, or on a built-in cyclic dual or product of cyclic duals of order
+>= groups.FFT_MIN_ORDER (128) the FFT route of that pair; dihedral and
+file-loaded duals stay on the naive sum.  The pointwise product of
+`tf_convolve` and the pairing of `tf_inner`/`amb_inner` are
+`groups.block_product` and `groups.plancherel_pairing`: one array operation
+per run, not one per irrep.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (FiniteGroup, UnitaryDual, block_product, group_fourier, group_inverse_fourier,
-                     plancherel_pairing, stack_blocks)
+                     plancherel_pairing, require_same_dual, require_same_group, stack_blocks)
 
 __all__ = [
     "TFFunction",
@@ -147,6 +150,8 @@ def tf_norm(a: TFFunction) -> float:
 
 def tf_convolve(a: TFFunction, b: TFFunction) -> TFFunction:
     """a * b = F^{-1}((Fb)(Fa)), with the pointwise matrix product in that order."""
+    require_same_group(a.group, b.group, "TF functions")
+    require_same_dual(a.dual, b.dual, "TF functions")
     Fa = symplectic_fourier(a)
     Fb = symplectic_fourier(b)
     prod = block_product(Fb.runs, Fa.runs)

@@ -130,6 +130,7 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
         ||phi||_Linf ||u|| ||v|| in the plane's L2 norm.
     """
     require_same_group(k.group, u.group, "kernel and signal")
+    require_same_dual(k.dual, u.group.dual, "kernel and signal")
     group, dual = u.group, u.group.dual
     runs = block_product(k.phi.runs, ambiguity_transform(u, v).runs)
     return inverse_symplectic_fourier(AmbiguityFunction.from_runs(group, dual, runs))
@@ -177,11 +178,10 @@ def born_jordan_cyclic_kernel(N: int) -> CohenKernel:
     """Born-Jordan kernel on Z/NZ: commutator kernel plus margin fix."""
     group, dual = build_cyclic(N)
     idx = np.arange(N)
-    xiy = (idx[:, None] * idx[None, :]) % N
+    roots = np.exp(2j * np.pi * idx / N)
     with np.errstate(divide="ignore", invalid="ignore"):
-        num = 1.0 - np.exp(2j * np.pi * xiy / N)
-        den = np.outer(1.0 - np.exp(2j * np.pi * idx / N),
-                       1.0 - np.exp(-2j * np.pi * idx / N))
+        num = 1.0 - roots[(idx[:, None] * idx[None, :]) % N]
+        den = np.outer(1.0 - roots, 1.0 - np.exp(-2j * np.pi * idx / N))
         table = np.where(den != 0, 2j * np.pi / N * num / np.where(den == 0, 1, den), 0)
     table[0, :] = 1.0
     table[:, 0] = 1.0

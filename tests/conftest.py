@@ -75,6 +75,15 @@ def relabelled_dihedral6(tmp_path):
     return load_group_file(path)
 
 
+def reordered_cyclic4(tmp_path):
+    """cyclic:4 through a group file that lists its characters in the order
+    0, 3, 2, 1: a group equal to the built one, with another dual."""
+    g, d = build_cyclic(4)
+    path = tmp_path / "z4.grp"
+    path.write_text(group_file_text(g, UnitaryDual([Irrep(1, d.irreps[k].matrices) for k in (0, 3, 2, 1)])))
+    return load_group_file(path)
+
+
 def corrupt_table(text, case, header_lines=0):
     """A CSV table with one defect, and the line number its reader must report.
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import builtin_corpus, group_file_text, relabelled_dihedral6
+from conftest import builtin_corpus, group_file_text, relabelled_dihedral6, reordered_cyclic4
+from gtfa import groups
 from gtfa.groups import (
     GroupTableError,
     build_cyclic,
@@ -267,3 +268,47 @@ def test_primitives_match_naive_sums_on_unsorted_file_group(tmp_path, rng):
     assert [(first, end, dim) for first, end, dim, _ in d.runs] == \
         [(0, 1, 2), (1, 3, 1), (3, 4, 2), (4, 6, 1)]
     _check_primitives_against_naive_sums(g, d, rng)
+
+
+# ---------------------------------------------------------------------------
+# The FFT route of the Fourier pair against the table product
+# ---------------------------------------------------------------------------
+
+FFT_GROUPS = [gd for gd in builtin_corpus() if gd[0].name.startswith("cyclic:")]
+FFT_GROUPS += [build_product(build_cyclic(4), build_cyclic(8)),
+               build_product(build_cyclic(2), build_product(build_cyclic(3), build_cyclic(4))),
+               build_cyclic(127), build_cyclic(128), build_cyclic(257),
+               build_product(build_cyclic(16), build_cyclic(32))]
+
+
+@pytest.mark.parametrize("route", ["naive", "fft"])
+@pytest.mark.parametrize("gd", FFT_GROUPS, ids=lambda gd: gd[0].name)
+def test_fourier_routes_match_table_product(gd, route, monkeypatch, rng):
+    """Both routes of both primitives, the threshold moved to force each."""
+    g, d = gd
+    n = g.order
+    assert int(np.prod(d.cyclic_factors)) == n
+    monkeypatch.setattr(groups, "FFT_MIN_ORDER", 1 if route == "fft" else n + 1)
+    assert (groups._fft_shape(d) is not None) == (route == "fft")
+    for shape in [(n,), (n, 5)]:
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expect = d.table.conj() @ w / n
+        (run,) = group_fourier(d, w)
+        assert run.shape == (*shape, 1, 1)
+        assert np.abs(run[..., 0, 0] - expect).max() <= 1e-12 * np.abs(expect).max()
+        expect = d.table.T @ w
+        got = group_inverse_fourier(d, [w[..., None, None]])
+        assert got.shape == shape
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_fft_route_from_order_128():
+    assert groups._fft_shape(build_cyclic(127)[1]) is None
+    assert groups._fft_shape(build_cyclic(128)[1]) == (128,)
+    assert groups._fft_shape(build_product(build_cyclic(16), build_cyclic(32))[1]) == (16, 32)
+
+
+def test_duals_without_cyclic_factors_stay_naive(tmp_path):
+    duals = [build_dihedral(3)[1], build_dihedral(64)[1],
+             build_product(build_cyclic(2), build_dihedral(3))[1], reordered_cyclic4(tmp_path)[1]]
+    assert all(d.cyclic_factors is None for d in duals)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import max_block_diff
+from conftest import max_block_diff, reordered_cyclic4
 from oracles import distribution_from_localization, duality_residual
 from gtfa.groups import build_cyclic, build_dihedral
 from gtfa.harmonic import convolve, fourier, haar_inner, random_signal
@@ -335,6 +335,20 @@ def test_null_witness_composite():
 def test_null_witness_none_for_invertible():
     assert null_symbol_witness(born_jordan_cyclic_kernel(5)) is None
     assert null_symbol_witness(kn_kernel(build_cyclic(6)[1])) is None
+
+
+def test_quantize_refuses_another_dual_of_an_equal_group(tmp_path, rng):
+    g, d = build_cyclic(4)
+    _, d2 = reordered_cyclic4(tmp_path)
+    with pytest.raises(ValueError, match="different duals"):
+        quantize(anti_kn_kernel(d2), random_tf(g, d, rng))
+
+
+def test_dequantize_refuses_another_dual_of_an_equal_group(tmp_path, rng):
+    g, _ = build_cyclic(4)
+    _, d2 = reordered_cyclic4(tmp_path)
+    with pytest.raises(ValueError, match="different duals"):
+        dequantize(anti_kn_kernel(d2), random_operator(g, rng))
 
 
 def test_operator_shape_validation():

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
-from conftest import max_block_diff
-from gtfa.groups import build_cyclic, build_dihedral
+from conftest import max_block_diff, reordered_cyclic4
+from gtfa.groups import build_cyclic, build_dihedral, build_product
 from gtfa.harmonic import haar_inner, random_signal
 from gtfa.tfplane import (
     AmbiguityFunction,
@@ -130,6 +131,17 @@ def test_tf_convolve_associative(rng):
     lhs = tf_convolve(tf_convolve(a, b), c)
     rhs = tf_convolve(a, tf_convolve(b, c))
     assert max_block_diff(lhs, rhs) < 1e-9
+
+
+def test_tf_convolve_refuses_another_group_or_dual(tmp_path, rng):
+    """cyclic:2 x cyclic:2 has the same run shapes as cyclic:4, and the
+    file-loaded cyclic:4 an equal group with its characters reordered."""
+    g, d = build_cyclic(4)
+    a = random_tf(g, d, rng)
+    with pytest.raises(ValueError, match="different groups"):
+        tf_convolve(a, random_tf(*build_product(build_cyclic(2), build_cyclic(2)), rng))
+    with pytest.raises(ValueError, match="different duals"):
+        tf_convolve(a, random_tf(*reordered_cyclic4(tmp_path), rng))
 
 
 def test_timelag_of_kn_kernel():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import group_file_text, max_block_diff
+from conftest import group_file_text, max_block_diff, reordered_cyclic4
 from oracles import born_jordan_phi, cohen_transform_direct, commutator_kernel_closed_form
+from gtfa import groups
 from gtfa.groups import FiniteGroup, Irrep, UnitaryDual, build_cyclic, build_dihedral, load_group_file
 from gtfa.harmonic import (
     Signal,
@@ -144,6 +145,24 @@ def test_two_route_oracle_all_kernels(group_and_dual, rng):
         direct = cohen_transform_direct(k, u, v)
         fast = cohen_transform(k, u, v)
         assert max_block_diff(fast, direct) < 1e-9, k.name
+
+
+def test_cohen_transform_refuses_another_dual_of_an_equal_group(tmp_path, rng):
+    g, _ = build_cyclic(4)
+    g2, d2 = reordered_cyclic4(tmp_path)
+    assert g2 == g
+    u = random_signal(g, rng)
+    with pytest.raises(ValueError, match="different duals"):
+        cohen_transform(anti_kn_kernel(d2), u, u)
+
+
+def test_born_jordan_fft_route_matches_naive(monkeypatch, rng):
+    k = born_jordan_cyclic_kernel(512)
+    u = random_signal(k.group, rng)
+    (fast,) = cohen_transform(k, u, u).runs
+    monkeypatch.setattr(groups, "FFT_MIN_ORDER", 513)
+    (slow,) = cohen_transform(k, u, u).runs
+    assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
 
 
 def test_margin_correct_kernel_on_dirac():
