@@ -331,7 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_gk(v)
     v.add_argument("--require", help="comma-separated properties that must hold")
     v.add_argument("--csv", help="also write the report as CSV")
-    v.add_argument("--no-cross", action="store_true", help="skip statistical cross-checks")
+    v.add_argument("--no-cross", action="store_true",
+                   help="skip the statistical cross-checks of the kernel-side conditions; "
+                        "l2-bound and onb-resolution have no kernel-side form, so their "
+                        "sampled transforms still run")
     v.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("quantize", help="symbol -> operator")

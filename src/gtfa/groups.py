@@ -13,7 +13,11 @@ A function on the dual, possibly over further leading axes (the elements of
 a plane, the lags), is stored as one array per run of consecutive irreps of
 equal dimension (`UnitaryDual.runs`): run i has shape (end - first, ..., d, d),
 and its j-th entry is the block of irrep first + j.  An all-scalar dual has
-one run, so a function on G x G^ is a single (|G|, |G|, 1, 1) array.  This
+one run, so a function on G x G^ is a single (|G|, |G|, 1, 1) array.  A batch
+of B such functions puts its axis right after the run axis: a batch of plane
+functions has runs (end - first, B, |G|, d, d).  The helpers below take any
+middle axes, so the batch passes through them, except that
+`plancherel_pairing` sums over all of them.  This
 module alone knows how the runs lie in the stacked table and how they are
 weighted: the Fourier pair (`group_fourier`, `group_inverse_fourier`), the
 pointwise product (`block_product`) and the Plancherel sums
@@ -175,8 +179,20 @@ def stack_blocks(dual: UnitaryDual, blocks, lead: tuple) -> list[np.ndarray]:
 
 
 def block_product(left, right) -> list[np.ndarray]:
-    """The pointwise product left[k] @ right[k] on the dual, one product per run."""
-    return [l @ r for l, r in zip(left, right)]
+    """The pointwise product left[k] @ right[k] on the dual, one product per run.
+
+    Each run's product is the sum of d broadcast rank-1 products
+    left[..., :, j] right[..., j, :], an elementwise product for d = 1: on
+    1x1 and 2x2 blocks numpy's batched `@` costs about three times as much,
+    and at d = 4 the two are equal.  Leading axes broadcast as usual.
+    """
+    out = []
+    for l, r in zip(left, right):
+        p = l[..., :, :1] * r[..., :1, :]
+        for j in range(1, l.shape[-1]):
+            p += l[..., :, j:j + 1] * r[..., j:j + 1, :]
+        out.append(p)
+    return out
 
 
 def plancherel_trace(dual: UnitaryDual, runs) -> np.ndarray:
@@ -203,14 +219,16 @@ def _fft_shape(dual: UnitaryDual) -> tuple[int, ...] | None:
 def group_fourier(dual: UnitaryDual, w: np.ndarray) -> list[np.ndarray]:
     """block_k[..., :, :] = (1/|G|) sum_x w[x, ...] eta_k(x)^*, as runs.
 
-    w has shape (|G|,) or (|G|, m); run i has shape
-    (end - first, *w.shape[1:], d, d).  One dense product with the stacked
-    table, whose rows the runs view, or on the FFT route one forward DFT
-    over the cyclic factor axes, as chi_k(x)^* = prod_j exp(-2 pi i k_j x_j / n_j).
+    w has shape (|G|, *rest); run i has shape (end - first, *rest, d, d).
+    One dense product with the stacked table, whose rows the runs view, or on
+    the FFT route one forward DFT over the cyclic factor axes, as
+    chi_k(x)^* = prod_j exp(-2 pi i k_j x_j / n_j).
     """
     shape = _fft_shape(dual)
     if shape is None:
-        s = dual.table.conj() @ w / w.shape[0]
+        s = dual.table.conj() @ w.reshape(len(w), -1)
+        s *= 1 / len(w)  # what `s / len(w)` computes, without numpy's complex division
+        s = s.reshape(w.shape)
     else:
         s = np.fft.fftn(w.reshape(*shape, *w.shape[1:]), axes=range(len(shape)), norm="forward")
         s = s.reshape(w.shape)
@@ -229,7 +247,7 @@ def group_inverse_fourier(dual: UnitaryDual, runs) -> np.ndarray:
         np.multiply(run, d, out=rows)
     shape = _fft_shape(dual)
     if shape is None:
-        return dual.table.T @ v
+        return (dual.table.T @ v.reshape(len(v), -1)).reshape(v.shape)
     t = np.fft.ifftn(v.reshape(*shape, *v.shape[1:]), axes=range(len(shape)), norm="forward")
     return t.reshape(v.shape)
 

@@ -18,6 +18,13 @@ Conventions (fixed throughout the package):
 * Fourier coefficients are stored as one array (end - first, d, d) per run
   of equal-dimension irreps (`UnitaryDual.runs`); `blocks` views them per
   irrep.
+* A Signal holds one signal, values (|G|,), or a batch of B signals on the
+  same group, values (B, |G|).  `fourier` carries the batch through as runs
+  (end - first, B, d, d) and `inverse_fourier` back; so do
+  `transforms.ambiguity_transform` and `transforms.cohen_transform`, as plane
+  runs (end - first, B, |G|, d, d).  Every other function taking a Signal
+  refuses a batch (`require_single`), and the Plancherel sums of this module
+  pair whole arrays, a batch included.
 """
 
 from __future__ import annotations
@@ -47,16 +54,19 @@ __all__ = [
 
 @dataclass
 class Signal:
-    """A complex-valued function on a finite group."""
+    """A complex-valued function on a finite group, values (|G|,), or a batch
+    of B of them, values (B, |G|)."""
 
     group: FiniteGroup
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex).reshape(-1)
-        if len(self.values) != self.group.order:
+        self.values = np.asarray(self.values, dtype=complex)
+        if self.values.ndim not in (1, 2):
+            raise ValueError(f"signal shape {self.values.shape} is neither (|G|,) nor (B, |G|)")
+        if self.values.shape[-1] != self.group.order:
             raise ValueError(
-                f"signal length {len(self.values)} != group order {self.group.order}"
+                f"signal length {self.values.shape[-1]} != group order {self.group.order}"
             )
 
     @property
@@ -64,10 +74,18 @@ class Signal:
         return self.group.dual
 
 
+def require_single(*signals: Signal):
+    """Refuse a batch where a function computes on one signal at a time."""
+    for u in signals:
+        if u.values.ndim != 1:
+            raise ValueError(f"expected one signal, got a batch of shape {u.values.shape}")
+
+
 class FourierCoefficients:
     """Matrix-valued Fourier coefficients: one d_eta x d_eta block per irrep.
 
-    Stored as `runs`, one array (end - first, d, d) per run of the dual.
+    Stored as `runs`, one array (end - first, d, d) per run of the dual, or
+    (end - first, B, d, d) for a batch of signals.
     """
 
     def __init__(self, dual: UnitaryDual, blocks):
@@ -90,6 +108,7 @@ class FourierCoefficients:
 def haar_inner(u: Signal, v: Signal) -> complex:
     """<u,v> = (1/|G|) sum_x u(x) v(x)^*."""
     require_same_group(u.group, v.group, "signals")
+    require_single(u, v)
     return complex(np.vdot(v.values, u.values) / u.group.order)
 
 
@@ -98,14 +117,14 @@ def norm(u: Signal) -> float:
 
 
 def fourier(u: Signal) -> FourierCoefficients:
-    """u_hat(eta) = (1/|G|) sum_x u(x) eta(x)^*."""
+    """u_hat(eta) = (1/|G|) sum_x u(x) eta(x)^*, per signal of a batch."""
     dual = u.group.dual
-    return FourierCoefficients.from_runs(dual, group_fourier(dual, u.values))
+    return FourierCoefficients.from_runs(dual, group_fourier(dual, u.values.T))
 
 
 def inverse_fourier(c: FourierCoefficients) -> Signal:
     """u(x) = sum_eta d_eta tr(eta(x) c(eta)); inverts `fourier` exactly."""
-    return Signal(c.dual.group, group_inverse_fourier(c.dual, c.runs))
+    return Signal(c.dual.group, group_inverse_fourier(c.dual, c.runs).T)
 
 
 def nc_integral(c: FourierCoefficients) -> complex:
@@ -125,6 +144,7 @@ def convolve(u: Signal, v: Signal) -> Signal:
     reversed order, which matters on noncommutative groups.
     """
     require_same_group(u.group, v.group, "signals")
+    require_single(u, v)
     g = u.group
     return Signal(g, u.values[g.right_div] @ v.values / g.order)
 

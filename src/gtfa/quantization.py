@@ -19,7 +19,7 @@ import numpy as np
 
 from .groups import (FiniteGroup, block_product, group_fourier, group_inverse_fourier, plancherel_trace,
                      require_same_dual, require_same_group)
-from .harmonic import Signal
+from .harmonic import Signal, require_single
 from .tfplane import (
     AmbiguityFunction,
     TFFunction,
@@ -74,6 +74,7 @@ class GroupOperator:
 
     def apply(self, v: Signal) -> Signal:
         require_same_group(self.group, v.group, "operator and signal")
+        require_single(v)
         return Signal(self.group, self.kernel @ v.values / self.group.order)
 
     def adjoint(self) -> "GroupOperator":

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .groups import build_cyclic, group_inverse_fourier, plancherel_trace
-from .harmonic import Signal, haar_inner, norm
+from .harmonic import Signal, haar_inner, norm, require_single
 from .tfplane import TFFunction, symplectic_fourier, tf_norm
 from .transforms import born_jordan_cyclic_kernel, cohen_transform
 
@@ -62,6 +62,7 @@ class PartialAutocorrelation:
 
 def born_jordan_distribution(u: Signal) -> TFFunction:
     """Q[u] on the signal's cyclic group."""
+    require_single(u)
     k = born_jordan_cyclic_kernel(u.group.order)
     return cohen_transform(k, Signal(k.group, u.values), Signal(k.group, u.values))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, UnitaryDual, build_cyclic
-from .harmonic import Signal
+from .harmonic import Signal, require_single
 from .limits import ZSignal, ZTFGrid
 from .tfplane import TFFunction, AmbiguityFunction
 from .transforms import CohenKernel
@@ -260,6 +260,7 @@ def read_csv_signal(path, group: FiniteGroup) -> Signal:
 
 
 def write_csv_signal(path, u: Signal):
+    require_single(u)
     _write_table(path, _box_index(u.group.order), u.values)
 
 

@@ -26,6 +26,12 @@ file-loaded duals stay on the naive sum.  The pointwise product of
 `tf_convolve` and the pairing of `tf_inner`/`amb_inner` are
 `groups.block_product` and `groups.plancherel_pairing`: one array operation
 per run, not one per irrep.
+
+A batch of B plane functions, as `transforms.cohen_transform` returns for a
+batch of signals, has runs (end - first, B, |G|, d, d): the batch axis sits
+between the run axis and the plane axis.  The symplectic pair carries it
+through; `tf_inner`, `amb_inner` and `tf_norm` pair whole arrays, so they take
+one entry of a batch at a time (`[r[:, b] for r in runs]`).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import numpy as np
 
 from .groups import (FiniteGroup, UnitaryDual, block_product, build_cyclic, group_fourier, is_cyclic,
                      representation_runs, require_same_dual, require_same_group)
-from .harmonic import Signal, fourier, norm
+from .harmonic import Signal, fourier, norm, require_single
 from .tfplane import (
     AmbiguityFunction,
     TFFunction,
@@ -92,6 +92,7 @@ class CohenKernel:
 def rihaczek(u: Signal, v: Signal) -> TFFunction:
     """R(u,v)(x, eta) = u(x) eta(x)^* v_hat(eta)^*."""
     require_same_group(u.group, v.group, "signals")
+    require_single(u, v)
     group, dual = u.group, u.group.dual
     # per run: u(x) eta(x)^* v_hat(eta)^*, the irreps of the run on the first axis
     runs = [u.values[:, None, None] * (eta.conj().swapaxes(-1, -2) @ vhat.conj().swapaxes(-1, -2)[:, None])
@@ -105,12 +106,17 @@ def ambiguity_transform(u: Signal, v: Signal) -> AmbiguityFunction:
     FR(u,v)(xi, y) = (1/|G|) sum_x xi(x)^* u(x) v(x y^{-1})^*, i.e. the
     matrix-valued Fourier transform in x of the lag product u(x) v(x y^{-1})^*.
     Equals the symplectic Fourier transform of rihaczek(u, v); its value at
-    the origin (trivial irrep, identity lag) is <u, v>.
+    the origin (trivial irrep, identity lag) is <u, v>.  For batches u, v of
+    B signals each, the runs are (end - first, B, |G|, d, d), entry b being
+    FR(u[b], v[b]).
     """
     require_same_group(u.group, v.group, "signals")
+    if u.values.shape != v.values.shape:
+        raise ValueError(f"signal batches of shapes {u.values.shape} and {v.values.shape}")
     group, dual = u.group, u.group.dual
-    w = u.values[:, None] * v.values[group.right_div].conj()  # w[x, y]
-    return AmbiguityFunction.from_runs(group, dual, group_fourier(dual, w))
+    w = u.values[..., :, None] * v.values.conj()[..., group.right_div]  # w[..., x, y]
+    # transformed in x, which goes first: the batch axis lands between x and y
+    return AmbiguityFunction.from_runs(group, dual, group_fourier(dual, w.swapaxes(0, -2)))
 
 
 def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
@@ -121,18 +127,22 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
     k : CohenKernel
         Ambiguity kernel; multiplies FR(u, v) blockwise on the left.
     u, v : Signal
-        Signals on the kernel's group (use v = u for the distribution of u).
+        Signals on the kernel's group (use v = u for the distribution of u),
+        or two batches of B signals each.
 
     Returns
     -------
     TFFunction
         Matrix-valued distribution over the time-frequency plane.  Bounded by
-        ||phi||_Linf ||u|| ||v|| in the plane's L2 norm.
+        ||phi||_Linf ||u|| ||v|| in the plane's L2 norm.  For batches its
+        runs are (end - first, B, |G|, d, d), entry b being D(u[b], v[b]).
     """
     require_same_group(k.group, u.group, "kernel and signal")
     require_same_dual(k.dual, u.group.dual, "kernel and signal")
     group, dual = u.group, u.group.dual
-    runs = block_product(k.phi.runs, ambiguity_transform(u, v).runs)
+    # a batch axis after the kernel's run axis, to broadcast over
+    phi = k.phi.runs if u.values.ndim == 1 else [p[:, None] for p in k.phi.runs]
+    runs = block_product(phi, ambiguity_transform(u, v).runs)
     return inverse_symplectic_fourier(AmbiguityFunction.from_runs(group, dual, runs))
 
 
@@ -199,6 +209,7 @@ def commutator_kernel(f: Signal, g: Signal) -> CohenKernel:
     """
     group = f.group
     require_same_group(group, g.group, "labelings")
+    require_single(f, g)
     if not is_cyclic(group):
         raise ValueError("commutator_kernel requires a cyclic group")
     if np.abs(f.values.imag).max() > 1e-12:
@@ -270,6 +281,7 @@ def stft(w: Signal, u: Signal) -> TFFunction:
     G_w u(x, eta) = (1/|G|) sum_y eta(y)^* u(y) w(x^{-1} y)^*.
     """
     require_same_group(w.group, u.group, "window and signal")
+    require_single(w, u)
     group, dual = u.group, u.group.dual
     # W2[y, x] = u(y) w(x^{-1} y)^*
     W2 = u.values[:, None] * w.values.conj()[group.cayley[group.inverse]].T
@@ -308,6 +320,7 @@ def wigner_odd_cyclic(u: Signal, v: Signal) -> TFFunction:
     W(u,v)(x, eta) = (1/N) sum_y e^{-i 2 pi y eta / N} u(x + h(y)) v(x - h(y))^*.
     """
     require_same_group(u.group, v.group, "signals")
+    require_single(u, v)
     group = u.group
     if not is_cyclic(group):
         raise ValueError("wigner_odd_cyclic requires a cyclic group")

@@ -7,9 +7,10 @@ shortcut.  No library code uses them, so they live beside the tests.
 import numpy as np
 
 from gtfa.groups import require_same_group
-from gtfa.harmonic import Signal, fourier, haar_inner
+from gtfa.harmonic import Signal, fourier, haar_inner, norm, random_signal
+from gtfa.properties import EXHAUSTIVE_TOL, SEED, PropertyReport
 from gtfa.quantization import GroupOperator, quantize
-from gtfa.tfplane import AmbiguityFunction, TFFunction, tf_inner
+from gtfa.tfplane import AmbiguityFunction, TFFunction, tf_inner, tf_norm
 from gtfa.transforms import CohenKernel, cohen_transform
 
 
@@ -97,3 +98,16 @@ def born_jordan_phi(N: int, xi: int, y: int) -> complex:
     num = 1.0 - np.exp(2j * np.pi * ((xi * y) % N) / N)
     den = (1.0 - np.exp(2j * np.pi * xi / N)) * (1.0 - np.exp(-2j * np.pi * y / N))
     return complex(2j * np.pi / N * num / den)
+
+
+def check_l2_bound_serial(k: CohenKernel, samples: int = 100) -> PropertyReport:
+    """`properties.check_l2_bound` one pair at a time: ||D(u,v)|| against
+    ||phi||_Linf ||u|| ||v|| on `samples` pairs of serial `random_signal` draws."""
+    bound_const = k.linf_norm()
+    rng = np.random.default_rng(SEED)
+    worst = 0.0
+    for _ in range(samples):
+        u, v = random_signal(k.group, rng), random_signal(k.group, rng)
+        worst = max(worst, tf_norm(cohen_transform(k, u, v)) - bound_const * norm(u) * norm(v))
+    mv = max(worst, 0.0)
+    return PropertyReport("l2-bound", mv <= EXHAUSTIVE_TOL, mv)

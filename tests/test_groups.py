@@ -7,6 +7,7 @@ from gtfa.groups import (
     GroupTableError,
     build_cyclic,
     build_dihedral,
+    block_product,
     build_product,
     group_fourier,
     group_inverse_fourier,
@@ -230,7 +231,7 @@ def test_is_cyclic_means_the_cyclic_labeling(gd):
 
 def _check_primitives_against_naive_sums(g, d, rng):
     n = g.order
-    for shape in [(n,), (n, 5)]:
+    for shape in [(n,), (n, 5), (n, 3, 5)]:
         w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         got = [b for run in group_fourier(d, w) for b in run]
         for eta, b in zip(d.irreps, got):
@@ -290,13 +291,13 @@ def test_fourier_routes_match_table_product(gd, route, monkeypatch, rng):
     assert int(np.prod(d.cyclic_factors)) == n
     monkeypatch.setattr(groups, "FFT_MIN_ORDER", 1 if route == "fft" else n + 1)
     assert (groups._fft_shape(d) is not None) == (route == "fft")
-    for shape in [(n,), (n, 5)]:
+    for shape in [(n,), (n, 5), (n, 3, 5)]:
         w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        expect = d.table.conj() @ w / n
+        expect = np.tensordot(d.table.conj(), w, 1) / n
         (run,) = group_fourier(d, w)
         assert run.shape == (*shape, 1, 1)
         assert np.abs(run[..., 0, 0] - expect).max() <= 1e-12 * np.abs(expect).max()
-        expect = d.table.T @ w
+        expect = np.tensordot(d.table.T, w, 1)
         got = group_inverse_fourier(d, [w[..., None, None]])
         assert got.shape == shape
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
@@ -312,3 +313,20 @@ def test_duals_without_cyclic_factors_stay_naive(tmp_path):
     duals = [build_dihedral(3)[1], build_dihedral(64)[1],
              build_product(build_cyclic(2), build_dihedral(3))[1], reordered_cyclic4(tmp_path)[1]]
     assert all(d.cyclic_factors is None for d in duals)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_block_product_matches_per_block_matmul(dim, rng):
+    """The rank-1 sum against `@` block by block, on runs (m, B, |G|, d, d)
+    and on a kernel run (m, 1, |G|, d, d) broadcast over the batch."""
+    def randn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    right = randn(3, 4, 6, dim, dim)
+    for left in (randn(3, 4, 6, dim, dim), randn(3, 1, 6, dim, dim)):
+        (got,) = block_product([left], [right])
+        expect = np.empty_like(right)
+        for j, b, x in np.ndindex(*right.shape[:3]):
+            expect[j, b, x] = left[j, min(b, left.shape[1] - 1), x] @ right[j, b, x]
+        assert got.shape == right.shape
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()

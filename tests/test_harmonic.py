@@ -158,3 +158,61 @@ def test_signal_length_validation():
     g, _ = build_cyclic(4)
     with pytest.raises(ValueError, match="length"):
         Signal(g, np.ones(5))
+
+
+def test_signal_is_one_or_a_batch():
+    g, _ = build_cyclic(4)
+    assert Signal(g, np.ones(4)).values.shape == (4,)
+    assert Signal(g, np.ones((3, 4))).values.shape == (3, 4)
+    for shape in [(4, 1), (3, 5), (2, 3, 4), ()]:
+        with pytest.raises(ValueError):
+            Signal(g, np.ones(shape))
+
+
+def test_fourier_pair_carries_a_batch(group_and_dual, rng):
+    g, _ = group_and_dual
+    batch = Signal(g, rng.standard_normal((3, g.order)) + 1j * rng.standard_normal((3, g.order)))
+    c = fourier(batch)
+    assert c.runs[0].shape[:2] == (c.dual.runs[0][1] - c.dual.runs[0][0], 3)
+    assert np.abs(inverse_fourier(c).values - batch.values).max() <= 1e-12
+
+
+def _batch_refusers():
+    """(name, call(batch, single, tmp_path)) for every public function that
+    takes a Signal but computes on one signal at a time."""
+    from gtfa.quantization import identity_operator
+    from gtfa.reconstruct import born_jordan_distribution, class_distance, roundtrip_report
+    from gtfa.signalio import write_csv_signal
+    from gtfa.transforms import (ambiguity_transform, cohen_transform, commutator_kernel, kn_kernel,
+                                 rihaczek, spectrogram_kernel, stft, wigner_odd_cyclic)
+    from gtfa.harmonic import norm
+
+    return [
+        ("haar_inner", lambda b, s, p: haar_inner(b, b)),
+        ("norm", lambda b, s, p: norm(b)),
+        ("convolve", lambda b, s, p: convolve(b, s)),
+        ("convolve-second", lambda b, s, p: convolve(s, b)),
+        ("rihaczek", lambda b, s, p: rihaczek(b, b)),
+        ("stft", lambda b, s, p: stft(s, b)),
+        ("stft-window", lambda b, s, p: stft(b, s)),
+        ("spectrogram_kernel", lambda b, s, p: spectrogram_kernel(b)),
+        ("commutator_kernel", lambda b, s, p: commutator_kernel(Signal(b.group, b.values.real), s)),
+        ("wigner_odd_cyclic", lambda b, s, p: wigner_odd_cyclic(b, b)),
+        ("GroupOperator.apply", lambda b, s, p: identity_operator(b.group).apply(b)),
+        ("born_jordan_distribution", lambda b, s, p: born_jordan_distribution(b)),
+        ("class_distance", lambda b, s, p: class_distance(b, b)),
+        ("roundtrip_report", lambda b, s, p: roundtrip_report(b)),
+        ("write_csv_signal", lambda b, s, p: write_csv_signal(p / "u.csv", b)),
+        ("ambiguity_transform-unequal-batches", lambda b, s, p: ambiguity_transform(b, s)),
+        ("cohen_transform-unequal-batches", lambda b, s, p: cohen_transform(kn_kernel(s.dual), s, b)),
+    ]
+
+
+@pytest.mark.parametrize("name,call", _batch_refusers(), ids=[n for n, _ in _batch_refusers()])
+def test_batched_signal_is_refused(name, call, rng, tmp_path):
+    # a batch of |G| signals: (|G|, |G|) values that 1-D indexing would accept
+    g, _ = build_cyclic(5)
+    batch = Signal(g, rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    with pytest.raises(ValueError):
+        call(batch, random_signal(g, rng), tmp_path)
+    assert not (tmp_path / "u.csv").exists()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from gtfa.groups import build_cyclic, build_dihedral
+from oracles import check_l2_bound_serial
+from gtfa import properties
+from gtfa.groups import build_cyclic, build_dihedral, build_product
+from gtfa.harmonic import random_signal
 from gtfa.properties import (
     check_frequency_margins,
     check_inner_invariant,
@@ -138,6 +141,41 @@ def test_l2_bound_is_equality_for_kn(rng):
     for _ in range(20):
         u, v = random_signal(g, rng), random_signal(g, rng)
         assert abs(tf_norm(rihaczek(u, v)) - norm(u) * norm(v)) <= 1e-10
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 16 * 32 ** 2])
+@pytest.mark.parametrize("k", [2, 4])
+def test_sample_batches_are_the_serial_draws(k, budget, monkeypatch):
+    """The batched samples equal serial random_signal draws bit for bit, in
+    batches cut to the byte budget (16 at order 32, or 3 with a smaller one)."""
+    if budget is not None:
+        monkeypatch.setattr(properties, "BATCH_BYTES", budget)
+    g, _ = build_dihedral(16)
+    batched, serial = np.random.default_rng(7), np.random.default_rng(7)
+    sizes = []
+    for batch in properties._sample_batches(g, 20, k, batched):
+        sizes.append(len(batch[0].values))
+        for draws in zip(*(u.values for u in batch)):
+            for values in draws:
+                assert np.array_equal(values, random_signal(g, serial).values)
+    assert sizes == ([16, 4] if budget is None else [3] * 6 + [2])
+    assert batched.standard_normal() == serial.standard_normal()
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("make", [
+    lambda: kn_kernel(build_dihedral(16)[1]),
+    lambda: spectrogram_kernel(gaussian_window(build_dihedral(4)[0], 2.0)),
+    lambda: margin_fix_kernel(build_product(build_cyclic(2), build_dihedral(3))[1]),
+    lambda: born_jordan_cyclic_kernel(9),
+])
+def test_l2_bound_matches_serial_oracle(make, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(properties, "BATCH_BYTES", budget)
+    k = make()
+    got, expect = check_l2_bound(k), check_l2_bound_serial(k)
+    assert got.holds == expect.holds
+    assert abs(got.max_violation - expect.max_violation) <= 1e-13
 
 
 def test_onb_resolution_examples():

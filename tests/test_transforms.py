@@ -4,7 +4,8 @@ import pytest
 from conftest import group_file_text, max_block_diff, reordered_cyclic4
 from oracles import born_jordan_phi, cohen_transform_direct, commutator_kernel_closed_form
 from gtfa import groups
-from gtfa.groups import FiniteGroup, Irrep, UnitaryDual, build_cyclic, build_dihedral, load_group_file
+from gtfa.groups import (FiniteGroup, Irrep, UnitaryDual, build_cyclic, build_dihedral, build_product,
+                         load_group_file)
 from gtfa.harmonic import (
     Signal,
     constant_signal,
@@ -14,8 +15,9 @@ from gtfa.harmonic import (
     norm,
     random_signal,
 )
-from gtfa.tfplane import symplectic_fourier, tf_norm
+from gtfa.tfplane import AmbiguityFunction, symplectic_fourier, tf_norm
 from gtfa.transforms import (
+    CohenKernel,
     add_kernels,
     ambiguity_transform,
     anti_kn_kernel,
@@ -154,6 +156,42 @@ def test_cohen_transform_refuses_another_dual_of_an_equal_group(tmp_path, rng):
     u = random_signal(g, rng)
     with pytest.raises(ValueError, match="different duals"):
         cohen_transform(anti_kn_kernel(d2), u, u)
+
+
+def _check_batch_entries_match_single_calls(g, d, rng):
+    """Each entry of a batched fourier, ambiguity_transform and cohen_transform
+    (a random kernel) against the unbatched call, within 1e-13 relative."""
+    def batch(b):
+        return Signal(g, rng.standard_normal((b, g.order)) + 1j * rng.standard_normal((b, g.order)))
+
+    def close(got, expect):
+        return np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    k = CohenKernel("random", AmbiguityFunction.from_runs(g, d, [
+        rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
+        for r in kn_kernel(d).phi.runs]))
+    U, V = batch(3), batch(3)
+    uh = fourier(U).runs
+    amb, dist = ambiguity_transform(U, V).runs, cohen_transform(k, U, V).runs
+    for (first, end, _, _), a, t in zip(d.runs, amb, dist):
+        assert a.shape[:3] == t.shape[:3] == (end - first, 3, g.order)
+    for b in range(3):
+        u, v = Signal(g, U.values[b]), Signal(g, V.values[b])
+        assert all(close(r[:, b], e) for r, e in zip(uh, fourier(u).runs))
+        assert all(close(r[:, b], e) for r, e in zip(amb, ambiguity_transform(u, v).runs))
+        assert all(close(r[:, b], e) for r, e in zip(dist, cohen_transform(k, u, v).runs))
+
+
+def test_batch_entries_match_single_calls(corpus_and_file_group, rng):
+    _check_batch_entries_match_single_calls(*corpus_and_file_group, rng)
+
+
+@pytest.mark.parametrize("gd", [build_cyclic(128), build_product(build_dihedral(3), build_dihedral(4))],
+                         ids=["cyclic:128-fft", "dihedral:3xdihedral:4"])
+def test_batch_entries_match_single_calls_fft_and_4d_irreps(gd, rng):
+    g, d = gd
+    assert groups._fft_shape(d) is not None or d.dims.max() == 4
+    _check_batch_entries_match_single_calls(g, d, rng)
 
 
 def test_born_jordan_fft_route_matches_naive(monkeypatch, rng):
