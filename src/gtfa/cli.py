@@ -333,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--csv", help="also write the report as CSV")
     v.add_argument("--no-cross", action="store_true",
                    help="skip the statistical cross-checks of the kernel-side conditions; "
-                        "l2-bound and onb-resolution have no kernel-side form, so their "
-                        "sampled transforms still run")
+                        "l2-bound has no kernel-side form, so its sampled transforms "
+                        "still run")
     v.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("quantize", help="symbol -> operator")

@@ -16,13 +16,13 @@ and its j-th entry is the block of irrep first + j.  An all-scalar dual has
 one run, so a function on G x G^ is a single (|G|, |G|, 1, 1) array.  A batch
 of B such functions puts its axis right after the run axis: a batch of plane
 functions has runs (end - first, B, |G|, d, d).  The helpers below take any
-middle axes, so the batch passes through them, except that
-`plancherel_pairing` sums over all of them.  This
-module alone knows how the runs lie in the stacked table and how they are
-weighted: the Fourier pair (`group_fourier`, `group_inverse_fourier`), the
-pointwise product (`block_product`) and the Plancherel sums
-(`plancherel_trace`, `plancherel_pairing`) take and return runs, and
-`stack_blocks` checks per-irrep blocks given from outside and stacks them.
+middle axes, so the batch passes through them; `plancherel_pairing` is told
+how many of them are batch axes, which it keeps.  This module alone knows
+how the runs lie in the stacked table and how they are weighted: the Fourier
+pair (`group_fourier`, `group_inverse_fourier`), the pointwise product
+(`block_product`) and the Plancherel sums (`plancherel_trace`,
+`plancherel_pairing`) take and return runs, and `stack_blocks` checks
+per-irrep blocks given from outside and stacks them.
 
 The Fourier pair is defined by the naive O(|G|^2) sum, one dense product with
 the stacked table.  A dual whose builder made it the standard character table
@@ -68,6 +68,11 @@ STAT_TOL = 1e-8
 # cyclic:127 and 2.23x at cyclic:4 x cyclic:8, against 0.57x at cyclic:128
 # and 0.30x at cyclic:512 (one BLAS thread).
 FFT_MIN_ORDER = 128
+
+# Groups each cached builder keeps, least recently used first out.  A group
+# and its dual refer to each other, so an evicted pair is freed by the cyclic
+# garbage collector; a rebuilt dual is equal to the evicted one by value.
+GROUP_CACHE_SIZE = 64
 
 
 class GroupTableError(ValueError):
@@ -204,9 +209,22 @@ def plancherel_trace(dual: UnitaryDual, runs) -> np.ndarray:
                            for (_, _, d, _), run in zip(dual.runs, runs)])
 
 
-def plancherel_pairing(dual: UnitaryDual, b, a) -> complex:
-    """sum_k d_k <b_k, a_k>, each pairing summing b conj(a) over every axis."""
-    return complex(sum(d * np.vdot(ra, rb) for (_, _, d, _), rb, ra in zip(dual.runs, b, a)))
+def plancherel_pairing(dual: UnitaryDual, b, a, batch: int = 0):
+    """sum_k d_k <b_k, a_k>, each pairing summing b conj(a) over every axis
+    but the `batch` axes right after the run axis, which are kept: a complex
+    for batch = 0, else an array with one value per batch entry."""
+    total = 0
+    for (_, _, d, _), rb, ra in zip(dual.runs, b, a):
+        if rb.shape != ra.shape:
+            raise ValueError(f"cannot pair runs of shapes {rb.shape} and {ra.shape}")
+        shape = (*rb.shape[:1 + batch], -1)
+        total = total + d * np.vecdot(ra.reshape(shape), rb.reshape(shape)).sum(axis=0)
+    return as_value(total)
+
+
+def as_value(x):
+    """A 0-d result as a Python number; a batch's array as it is."""
+    return x.item() if np.ndim(x) == 0 else x
 
 
 def _fft_shape(dual: UnitaryDual) -> tuple[int, ...] | None:
@@ -319,12 +337,13 @@ def require_same_dual(a: UnitaryDual, b: UnitaryDual, what: str = "operands"):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def build_cyclic(N: int) -> tuple[FiniteGroup, UnitaryDual]:
     """Cyclic group Z/NZ with the N characters x -> exp(i 2 pi k x / N).
 
-    Cached: repeated calls return the same (group, dual) pair, so kernels and
-    signals built independently for the same N are interoperable.
+    Cached (the last GROUP_CACHE_SIZE orders): repeated calls return the same
+    (group, dual) pair.  Kernels and signals built for the same N are
+    interoperable either way, as groups and duals compare by value.
     """
     if N < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {N}")
@@ -344,7 +363,7 @@ def build_cyclic(N: int) -> tuple[FiniteGroup, UnitaryDual]:
     return group, dual
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def build_dihedral(n: int) -> tuple[FiniteGroup, UnitaryDual]:
     """Dihedral group of order 2n, n >= 3.
 

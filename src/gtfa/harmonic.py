@@ -22,9 +22,11 @@ Conventions (fixed throughout the package):
   same group, values (B, |G|).  `fourier` carries the batch through as runs
   (end - first, B, d, d) and `inverse_fourier` back; so do
   `transforms.ambiguity_transform` and `transforms.cohen_transform`, as plane
-  runs (end - first, B, |G|, d, d).  Every other function taking a Signal
-  refuses a batch (`require_single`), and the Plancherel sums of this module
-  pair whole arrays, a batch included.
+  runs (end - first, B, |G|, d, d).  The inner products and integrals
+  (`haar_inner`, `norm`, `nc_integral`, `plancherel_inner`, and those of
+  `tfplane` and `quantization`) pair a batch entry by entry, giving one value
+  per entry where a single input gives one number.  Every other function
+  taking a Signal refuses a batch (`require_single`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, UnitaryDual, group_fourier, group_inverse_fourier,
+from .groups import (FiniteGroup, UnitaryDual, as_value, group_fourier, group_inverse_fourier,
                      plancherel_pairing, plancherel_trace, require_same_group, stack_blocks)
 
 __all__ = [
@@ -81,6 +83,13 @@ def require_single(*signals: Signal):
             raise ValueError(f"expected one signal, got a batch of shape {u.values.shape}")
 
 
+def require_pairable(u: Signal, v: Signal):
+    """Two signals, or two batches of one shape, on one group."""
+    require_same_group(u.group, v.group, "signals")
+    if u.values.shape != v.values.shape:
+        raise ValueError(f"signal batches of shapes {u.values.shape} and {v.values.shape}")
+
+
 class FourierCoefficients:
     """Matrix-valued Fourier coefficients: one d_eta x d_eta block per irrep.
 
@@ -105,15 +114,14 @@ class FourierCoefficients:
         return [b for run in self.runs for b in run]
 
 
-def haar_inner(u: Signal, v: Signal) -> complex:
-    """<u,v> = (1/|G|) sum_x u(x) v(x)^*."""
-    require_same_group(u.group, v.group, "signals")
-    require_single(u, v)
-    return complex(np.vdot(v.values, u.values) / u.group.order)
+def haar_inner(u: Signal, v: Signal) -> complex | np.ndarray:
+    """<u,v> = (1/|G|) sum_x u(x) v(x)^*, per entry of two batches."""
+    require_pairable(u, v)
+    return as_value(np.vecdot(v.values, u.values) / u.group.order)
 
 
-def norm(u: Signal) -> float:
-    return float(np.sqrt(max(haar_inner(u, u).real, 0.0)))
+def norm(u: Signal) -> float | np.ndarray:
+    return as_value(np.sqrt(np.maximum(np.real(haar_inner(u, u)), 0.0)))
 
 
 def fourier(u: Signal) -> FourierCoefficients:
@@ -127,14 +135,14 @@ def inverse_fourier(c: FourierCoefficients) -> Signal:
     return Signal(c.dual.group, group_inverse_fourier(c.dual, c.runs).T)
 
 
-def nc_integral(c: FourierCoefficients) -> complex:
+def nc_integral(c: FourierCoefficients) -> complex | np.ndarray:
     """Noncommutative integral  sum_eta d_eta tr c(eta);  equals u(e) for c = u_hat."""
-    return complex(plancherel_trace(c.dual, c.runs).sum())
+    return as_value(plancherel_trace(c.dual, c.runs).sum(axis=0))
 
 
-def plancherel_inner(c: FourierCoefficients, d: FourierCoefficients) -> complex:
+def plancherel_inner(c: FourierCoefficients, d: FourierCoefficients) -> complex | np.ndarray:
     """<c,d> = sum_eta d_eta tr(c(eta) d(eta)^*);  equals <u,v> for c,d = u_hat,v_hat."""
-    return plancherel_pairing(c.dual, c.runs, d.runs)
+    return plancherel_pairing(c.dual, c.runs, d.runs, c.runs[0].ndim - 3)
 
 
 def convolve(u: Signal, v: Signal) -> Signal:

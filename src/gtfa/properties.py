@@ -8,23 +8,29 @@ also cross-validates one transform-side condition statistically on seeded
 random signals and reports the residual.
 
 All sampled cross-checks draw from a fresh generator seeded with 0xC0FFEE, so
-reports are byte-identical across runs.  The checks that transform their
-samples (normalized, the margins, unitary, l2-bound, onb-resolution) do so in
-batches of signals, one `cohen_transform` per batch, cut so that a batched
-plane array stays within BATCH_BYTES; the draws are those of serial
-`random_signal` calls.
+reports are byte-identical across runs; the draws are those of serial
+`random_signal` calls.  Each cross-check takes its signals as batches and
+pairs them with the batch-aware sums (`haar_inner`, `norm`, `tf_inner`,
+`tf_norm`): a few array operations per batch, cut so that one batched plane
+array stays within BATCH_BYTES.  normalized and the two margins cross-check
+the same 20 pairs; within one `run_all_checks` call that sample is
+transformed once and its three residuals are shared, and symmetric and
+positive share their 50 values D[u](e, eps) the same way.  onb-resolution
+needs no sample: by linearity, the basis sum of its distributions is the
+constant phi(eps, e), so the check reduces to a kernel-side figure.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .groups import plancherel_trace, representation_runs
-from .harmonic import Signal, fourier, haar_inner, norm, random_signal
-from .quantization import identity_operator, kn_operator, original_localization
-from .tfplane import TFFunction, tf_inner, tf_norm
+from .harmonic import Signal, fourier, haar_inner, norm
+from .quantization import original_localization
+from .tfplane import tf_inner, tf_norm
 from .transforms import CohenKernel, cohen_transform
 
 __all__ = [
@@ -83,7 +89,7 @@ def _report(name, violations, hits, cross, tol=EXHAUSTIVE_TOL, witness=lambda *i
         max_violation=mv,
         witnesses=[witness(*(int(i) for i in idx)) for idx in first],
         witness_count=int(np.count_nonzero(hits)),
-        cross_check=cross,
+        cross_check=None if cross is None else float(cross),
         tolerance=tol,
     )
 
@@ -94,22 +100,66 @@ def _batches(g, count) -> list[slice]:
     return [slice(i, min(i + size, count)) for i in range(0, count, size)]
 
 
+def _draw(g, count, k, rng) -> np.ndarray:
+    """`count` draws of k random signals, values (count, k, |G|).
+
+    Entry [i, j] is what the (i k + j)-th serial `random_signal(g, rng)` call
+    would return: per signal, its real part then its imaginary part."""
+    x = rng.standard_normal((count, k, 2, g.order))
+    return x[:, :, 0] + 1j * x[:, :, 1]
+
+
 def _sample_batches(g, count, k, rng):
-    """`count` draws of k random signals, yielded as k batched Signals per batch.
-
-    Entry i of signal j is what the (i k + j)-th serial `random_signal(g, rng)`
-    call would return: per signal, its real part then its imaginary part."""
+    """`count` draws of k random signals, yielded as k batched Signals per batch."""
     for b in _batches(g, count):
-        x = rng.standard_normal((b.stop - b.start, k, 2, g.order))
-        yield [Signal(g, x[:, j, 0] + 1j * x[:, j, 1]) for j in range(k)]
+        x = _draw(g, b.stop - b.start, k, rng)
+        yield [Signal(g, x[:, j]) for j in range(k)]
 
 
-def _entries(u: Signal) -> list[Signal]:
-    return [Signal(u.group, x) for x in u.values]
+# While run_all_checks runs: (its kernel, {computation: result}).  A context
+# variable, so that the share ends with the call and concurrent calls in
+# other threads each see their own.
+_SHARED: ContextVar = ContextVar("gtfa_properties_shared", default=None)
 
 
-def _entry(D: TFFunction, b: int) -> TFFunction:
-    return TFFunction.from_runs(D.group, D.dual, [r[:, b] for r in D.runs])
+def _shared(k: CohenKernel, compute):
+    """compute(k), computed once per run_all_checks call on k."""
+    share = _SHARED.get()
+    if share is None or share[0] is not k:
+        return compute(k)
+    if compute not in share[1]:
+        share[1][compute] = compute(k)
+    return share[1][compute]
+
+
+def _margin_residuals(k: CohenKernel) -> dict[str, float]:
+    """The cross-checks of normalized, time-margins and freq-margins, on the
+    same 20 pairs (u, w): the largest |integral D(u,w) - <u,w>|, |time margin
+    - u w^*| and |frequency margin - u_hat w_hat^*|."""
+    res = np.zeros(3)
+    for U, W in _sample_batches(k.group, 20, 2, np.random.default_rng(SEED)):
+        D = cohen_transform(k, U, W)
+        margin = plancherel_trace(k.dual, D.runs).sum(axis=0)  # margin[b, x]
+        freq = max(np.abs(run.mean(axis=2) - urun @ wrun.conj().swapaxes(-1, -2)).max()
+                   for run, urun, wrun in zip(D.runs, fourier(U).runs, fourier(W).runs))
+        res = np.maximum(res, [np.abs(margin.mean(axis=-1) - haar_inner(U, W)).max(),
+                               np.abs(margin - U.values * W.values.conj()).max(), freq])
+    return dict(zip(("normalized", "time-margins", "freq-margins"), res.tolist()))
+
+
+def _seeded_signals(g, count: int) -> Signal:
+    """The first `count` random signals drawn from SEED, as a batch."""
+    return Signal(g, _draw(g, count, 1, np.random.default_rng(SEED))[:, 0])
+
+
+def _origin_values(k: CohenKernel) -> np.ndarray:
+    """D[u](e, eps) = <u, delta^D u> for 50 seeded random signals u."""
+    return _origin(original_localization(k).kernel, _seeded_signals(k.group, 50))
+
+
+def _origin(K: np.ndarray, U: Signal) -> np.ndarray:
+    """<u, A u> per signal of the batch U, A the operator of kernel matrix K."""
+    return haar_inner(U, Signal(U.group, U.values @ K.T / U.group.order))
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +171,7 @@ def check_normalized(k: CohenKernel, verify: bool = True) -> PropertyReport:
     g = k.group
     eps = k.dual.trivial_index
     v = abs(k.phi.blocks[eps][g.identity][0, 0] - 1.0)
-    cross = None
-    if verify:
-        rng = np.random.default_rng(SEED)
-        cross = 0.0
-        for U, W in _sample_batches(g, 20, 2, rng):
-            total = plancherel_trace(k.dual, cohen_transform(k, U, W).runs).sum(axis=(0, 2)) / g.order
-            inner = [haar_inner(u, w) for u, w in zip(_entries(U), _entries(W))]
-            cross = max(cross, np.abs(total - inner).max())
+    cross = _shared(k, _margin_residuals)["normalized"] if verify else None
     return _report("normalized", v, v > EXHAUSTIVE_TOL, cross, witness=lambda: (eps, g.identity))
 
 
@@ -137,13 +180,7 @@ def check_time_margins(k: CohenKernel, verify: bool = True) -> PropertyReport:
     e = k.group.identity
     per_block = np.concatenate([np.abs(run[:, e] - np.eye(run.shape[-1])).max(axis=(1, 2))
                                 for run in k.phi.runs])
-    cross = None
-    if verify:
-        rng = np.random.default_rng(SEED)
-        cross = 0.0
-        for U, W in _sample_batches(k.group, 20, 2, rng):
-            margin = plancherel_trace(k.dual, cohen_transform(k, U, W).runs).sum(axis=0)
-            cross = max(cross, np.abs(margin - U.values * W.values.conj()).max())
+    cross = _shared(k, _margin_residuals)["time-margins"] if verify else None
     return _report("time-margins", per_block.max(initial=0.0), per_block > EXHAUSTIVE_TOL, cross,
                    witness=lambda i: (i, e))
 
@@ -152,16 +189,7 @@ def check_frequency_margins(k: CohenKernel, verify: bool = True) -> PropertyRepo
     """Condition (d): phi(eps, y) = 1 for every y."""
     eps = k.dual.trivial_index
     row = np.abs(k.phi.blocks[eps][:, 0, 0] - 1.0)
-    cross = None
-    if verify:
-        rng = np.random.default_rng(SEED)
-        cross = 0.0
-        for U, W in _sample_batches(k.group, 20, 2, rng):
-            D = cohen_transform(k, U, W)
-            uh, wh = fourier(U), fourier(W)
-            for run, urun, wrun in zip(D.runs, uh.runs, wh.runs):
-                margin = run.mean(axis=2)
-                cross = max(cross, np.abs(margin - urun @ wrun.conj().swapaxes(-1, -2)).max())
+    cross = _shared(k, _margin_residuals)["freq-margins"] if verify else None
     return _report("freq-margins", row.max(initial=0.0), row > EXHAUSTIVE_TOL, cross,
                    witness=lambda y: (eps, y))
 
@@ -175,13 +203,8 @@ def check_symmetric(k: CohenKernel, verify: bool = True) -> PropertyReport:
     diff = np.abs(lag.conj() - other)
     cross = None
     if verify:
-        rng = np.random.default_rng(SEED)
-        loc = original_localization(k)
-        cross = 0.0
-        for _ in range(50):
-            u = random_signal(g, rng)
-            val = haar_inner(u, loc.apply(u))
-            cross = max(cross, abs(val.imag))
+        vals = _shared(k, _origin_values)
+        cross = np.abs(vals.imag).max()
     return _report("symmetric", diff.max(initial=0.0), diff > EXHAUSTIVE_TOL, cross)
 
 
@@ -199,13 +222,8 @@ def check_positive(k: CohenKernel, verify: bool = True) -> PropertyReport:
     neg = max(0.0, -float(lam.min()))
     cross = None
     if verify:
-        rng = np.random.default_rng(SEED)
-        loc = original_localization(k)
-        cross = 0.0
-        for _ in range(50):
-            u = random_signal(g, rng)
-            val = haar_inner(u, loc.apply(u))
-            cross = max(cross, abs(val.imag) + max(0.0, -val.real))
+        vals = _shared(k, _origin_values)
+        cross = (np.abs(vals.imag) + np.maximum(0.0, -vals.real)).max()
     return _report("positive", herm_defect + neg, herm_defect > EXHAUSTIVE_TOL or neg > EXHAUSTIVE_TOL,
                    cross, witness=lambda: (int(np.argmin(lam)),))
 
@@ -220,14 +238,11 @@ def check_unitary(k: CohenKernel, verify: bool = True) -> PropertyReport:
     ])
     cross = None
     if verify:
-        rng = np.random.default_rng(SEED)
         cross = 0.0
-        for U, V, F, H in _sample_batches(k.group, 20, 4, rng):
-            D1, D2 = cohen_transform(k, U, V), cohen_transform(k, F, H)
-            for b, (u, v, f, h) in enumerate(zip(*map(_entries, (U, V, F, H)))):
-                lhs = tf_inner(_entry(D1, b), _entry(D2, b))
-                rhs = haar_inner(u, f) * np.conj(haar_inner(v, h))
-                cross = max(cross, abs(lhs - rhs))
+        for U, V, F, H in _sample_batches(k.group, 20, 4, np.random.default_rng(SEED)):
+            lhs = tf_inner(cohen_transform(k, U, V), cohen_transform(k, F, H))
+            rhs = haar_inner(U, F) * np.conj(haar_inner(V, H))
+            cross = max(cross, np.abs(lhs - rhs).max())
     return _report("unitary", table.max(initial=0.0), table > EXHAUSTIVE_TOL, cross)
 
 
@@ -250,15 +265,15 @@ def check_inner_invariant(k: CohenKernel, verify: bool = True) -> PropertyReport
     diff = np.concatenate(diffs)
     cross = None
     if verify:
-        rng = np.random.default_rng(SEED)
-        loc = original_localization(k)
+        K = original_localization(k).kernel
+        U = _seeded_signals(g, 20)
+        base = _origin(K, U)
         cross = 0.0
-        for _ in range(20):
-            u = random_signal(g, rng)
-            base = haar_inner(u, loc.apply(u))
-            uz = u.values[conj_idx]  # uz[z] = u(z . z^{-1})
-            vals = np.sum(uz * (uz @ loc.kernel.T / n).conj(), axis=1) / n
-            cross = max(cross, np.abs(vals - base).max())
+        for b in _batches(g, 20):
+            # the signals u(z . z^{-1}), one batch entry per (u, z)
+            uz = Signal(g, U.values[b, conj_idx].reshape(-1, n))
+            vals = _origin(K, uz).reshape(b.stop - b.start, n)
+            cross = max(cross, np.abs(vals - base[b, None]).max())
     return _report("inner", diff.max(initial=0.0), diff > EXHAUSTIVE_TOL, cross,
                    witness=lambda kk, z, y: (kk, y, z))
 
@@ -266,27 +281,25 @@ def check_inner_invariant(k: CohenKernel, verify: bool = True) -> PropertyReport
 def check_l2_bound(k: CohenKernel, samples: int = 100) -> PropertyReport:
     """||D(u,v)|| <= ||phi||_Linf ||u|| ||v|| on `samples` random pairs."""
     bound_const = k.linf_norm()
-    rng = np.random.default_rng(SEED)
     worst = 0.0
-    for U, V in _sample_batches(k.group, samples, 2, rng):
-        D = cohen_transform(k, U, V)
-        for b, (u, v) in enumerate(zip(_entries(U), _entries(V))):
-            worst = max(worst, tf_norm(_entry(D, b)) - bound_const * norm(u) * norm(v))
+    for U, V in _sample_batches(k.group, samples, 2, np.random.default_rng(SEED)):
+        excess = tf_norm(cohen_transform(k, U, V)) - bound_const * norm(U) * norm(V)
+        worst = max(worst, excess.max())
     return _report("l2-bound", max(worst, 0.0), False, None)
 
 
 def check_onb_resolution(k: CohenKernel) -> PropertyReport:
     """For a normalized kernel, b = sum_alpha D[v_alpha] over an orthonormal
-    basis of L^2(G) has Kohn-Nirenberg quantization b^R = identity."""
-    g, dual = k.group, k.dual
-    acc = [0] * len(dual.runs)
-    # the basis sqrt(d_k) eta_k(.)[a, b]: the table's rows, scaled
-    basis = np.sqrt(np.repeat(dual.dims, dual.dims ** 2))[:, None] * dual.table
-    for b in _batches(g, g.order):
-        V = Signal(g, basis[b])
-        acc = [a + r.sum(axis=1) for a, r in zip(acc, cohen_transform(k, V, V).runs)]
-    B = kn_operator(TFFunction.from_runs(g, dual, acc))
-    diff = float(np.abs(B.kernel - identity_operator(g).kernel).max())
+    basis of L^2(G) has Kohn-Nirenberg quantization b^R = identity.
+
+    By linearity b = F^{-1}(phi . sum_alpha FR(v_alpha, v_alpha)), and every
+    orthonormal basis has sum_alpha v_alpha(x) v_alpha(x y^{-1})^* =
+    |G| [y = e], so the ambiguity sum is |G| at (eps, e) and 0 elsewhere.
+    Then b is the constant phi(eps, e), b^R = phi(eps, e) identity, and the
+    largest entry of b^R - identity (kernel |G| I) is |G| |phi(eps, e) - 1|:
+    the condition of check_normalized, scaled by |G|."""
+    g = k.group
+    diff = g.order * abs(k.phi.blocks[k.dual.trivial_index][g.identity][0, 0] - 1.0)
     return _report("onb-resolution", diff, False, None, tol=ONB_TOL)
 
 
@@ -304,7 +317,12 @@ CHECKS = {
 
 
 def run_all_checks(k: CohenKernel, verify: bool = True) -> list[PropertyReport]:
-    return [fn(k, verify=verify) for fn in CHECKS.values()]
+    """Every check of CHECKS on k, sharing the samples that checks have in common."""
+    token = _SHARED.set((k, {}))
+    try:
+        return [fn(k, verify=verify) for fn in CHECKS.values()]
+    finally:
+        _SHARED.reset(token)
 
 
 def report_lines(reports) -> str:

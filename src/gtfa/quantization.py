@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, block_product, group_fourier, group_inverse_fourier, plancherel_trace,
-                     require_same_dual, require_same_group)
+from .groups import (FiniteGroup, as_value, block_product, group_fourier, group_inverse_fourier,
+                     plancherel_trace, require_same_dual, require_same_group)
 from .harmonic import Signal, require_single
 from .tfplane import (
     AmbiguityFunction,
@@ -203,9 +203,9 @@ def operator_trace(B: GroupOperator) -> complex:
     return complex(np.trace(B.kernel) / B.group.order)
 
 
-def tf_integral(a: TFFunction) -> complex:
-    """Double integral of a symbol over the time-frequency plane."""
-    return complex(plancherel_trace(a.dual, a.runs).sum() / a.group.order)
+def tf_integral(a: TFFunction) -> complex | np.ndarray:
+    """Double integral of a symbol over the time-frequency plane, per batch entry."""
+    return as_value(plancherel_trace(a.dual, a.runs).sum(axis=(0, -1)) / a.group.order)
 
 
 def trace_identity_check(k: CohenKernel, a: TFFunction) -> float:

@@ -165,6 +165,7 @@ class RoundtripReport:
 
 def class_distance(u: Signal, v: Signal) -> float:
     """min over |lambda| = 1 of ||u - lambda v|| in the Haar L2 norm."""
+    require_single(u, v)
     ip = haar_inner(u, v)
     lam = ip / abs(ip) if abs(ip) > 0 else 1.0
     return norm(Signal(u.group, u.values - lam * v.values))

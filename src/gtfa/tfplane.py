@@ -30,8 +30,8 @@ per run, not one per irrep.
 A batch of B plane functions, as `transforms.cohen_transform` returns for a
 batch of signals, has runs (end - first, B, |G|, d, d): the batch axis sits
 between the run axis and the plane axis.  The symplectic pair carries it
-through; `tf_inner`, `amb_inner` and `tf_norm` pair whole arrays, so they take
-one entry of a batch at a time (`[r[:, b] for r in runs]`).
+through, and `tf_inner`, `amb_inner` and `tf_norm` pair two batches entry by
+entry: one value per entry, where two single functions give one number.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, UnitaryDual, block_product, group_fourier, group_inverse_fourier,
-                     plancherel_pairing, require_same_dual, require_same_group, stack_blocks)
+from .groups import (FiniteGroup, UnitaryDual, as_value, block_product, group_fourier,
+                     group_inverse_fourier, plancherel_pairing, require_same_dual, require_same_group,
+                     stack_blocks)
 
 __all__ = [
     "TFFunction",
@@ -141,17 +142,17 @@ def inverse_symplectic_fourier(A: AmbiguityFunction) -> TFFunction:
 # ---------------------------------------------------------------------------
 
 
-def tf_inner(b: TFFunction, a: TFFunction) -> complex:
-    """<b,a> = (1/|G|) sum_x sum_eta d_eta tr(b(x,eta) a(x,eta)^*)."""
-    return plancherel_pairing(b.dual, b.runs, a.runs) / b.group.order
+def tf_inner(b: TFFunction, a: TFFunction) -> complex | np.ndarray:
+    """<b,a> = (1/|G|) sum_x sum_eta d_eta tr(b(x,eta) a(x,eta)^*), per batch entry."""
+    return plancherel_pairing(b.dual, b.runs, a.runs, b.runs[0].ndim - 4) / b.group.order
 
 
-def amb_inner(b: AmbiguityFunction, a: AmbiguityFunction) -> complex:
-    return plancherel_pairing(b.dual, b.runs, a.runs) / b.group.order
+def amb_inner(b: AmbiguityFunction, a: AmbiguityFunction) -> complex | np.ndarray:
+    return plancherel_pairing(b.dual, b.runs, a.runs, b.runs[0].ndim - 4) / b.group.order
 
 
-def tf_norm(a: TFFunction) -> float:
-    return float(np.sqrt(max(tf_inner(a, a).real, 0.0)))
+def tf_norm(a: TFFunction) -> float | np.ndarray:
+    return as_value(np.sqrt(np.maximum(np.real(tf_inner(a, a)), 0.0)))
 
 
 def tf_convolve(a: TFFunction, b: TFFunction) -> TFFunction:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .groups import (FiniteGroup, UnitaryDual, block_product, build_cyclic, group_fourier, is_cyclic,
                      representation_runs, require_same_dual, require_same_group)
-from .harmonic import Signal, fourier, norm, require_single
+from .harmonic import Signal, fourier, norm, require_pairable, require_single
 from .tfplane import (
     AmbiguityFunction,
     TFFunction,
@@ -110,9 +110,7 @@ def ambiguity_transform(u: Signal, v: Signal) -> AmbiguityFunction:
     B signals each, the runs are (end - first, B, |G|, d, d), entry b being
     FR(u[b], v[b]).
     """
-    require_same_group(u.group, v.group, "signals")
-    if u.values.shape != v.values.shape:
-        raise ValueError(f"signal batches of shapes {u.values.shape} and {v.values.shape}")
+    require_pairable(u, v)
     group, dual = u.group, u.group.dual
     w = u.values[..., :, None] * v.values.conj()[..., group.right_div]  # w[..., x, y]
     # transformed in x, which goes first: the batch axis lands between x and y
@@ -292,6 +290,7 @@ def spectrogram_kernel(w: Signal) -> CohenKernel:
     """Kernel with phi(xi, y) = FR(w, w)(xi, y)^*; its distribution factors as
     D(u,v)(x,eta) = G_w u(x,eta) G_w v(x,eta)^* and is positive for v = u.
     """
+    require_single(w)
     if abs(norm(w) - 1.0) > 1e-8:
         warnings.warn(f"spectrogram window is not unit-energy (||w|| = {norm(w):.6g}); "
                       "the transform will not be normalized")

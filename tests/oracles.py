@@ -4,12 +4,16 @@ Direct sums of the defining formulas and closed forms, with no Fourier
 shortcut.  No library code uses them, so they live beside the tests.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
+from gtfa import properties
 from gtfa.groups import require_same_group
 from gtfa.harmonic import Signal, fourier, haar_inner, norm, random_signal
-from gtfa.properties import EXHAUSTIVE_TOL, SEED, PropertyReport
-from gtfa.quantization import GroupOperator, quantize
+from gtfa.properties import EXHAUSTIVE_TOL, ONB_TOL, SEED, PropertyReport
+from gtfa.quantization import (GroupOperator, identity_operator, kn_operator, original_localization,
+                               quantize, tf_integral)
 from gtfa.tfplane import AmbiguityFunction, TFFunction, tf_inner, tf_norm
 from gtfa.transforms import CohenKernel, cohen_transform
 
@@ -111,3 +115,111 @@ def check_l2_bound_serial(k: CohenKernel, samples: int = 100) -> PropertyReport:
         worst = max(worst, tf_norm(cohen_transform(k, u, v)) - bound_const * norm(u) * norm(v))
     mv = max(worst, 0.0)
     return PropertyReport("l2-bound", mv <= EXHAUSTIVE_TOL, mv)
+
+
+# ---------------------------------------------------------------------------
+# Serial forms of the sampled cross-checks of `properties`: one signal (pair,
+# quadruple) at a time, from serial `random_signal` draws.  The kernel-side
+# figures are the library's, with the cross-check replaced.
+
+
+def _pairs(k, count, rng):
+    for _ in range(count):
+        yield random_signal(k.group, rng), random_signal(k.group, rng)
+
+
+def check_normalized_serial(k: CohenKernel) -> PropertyReport:
+    """|integral D(u,w) - <u,w>| on 20 pairs."""
+    cross = max(abs(tf_integral(cohen_transform(k, u, w)) - haar_inner(u, w))
+                for u, w in _pairs(k, 20, np.random.default_rng(SEED)))
+    return replace(properties.check_normalized(k, verify=False), cross_check=cross)
+
+
+def check_time_margins_serial(k: CohenKernel) -> PropertyReport:
+    """|sum_eta d_eta tr D(u,w)(x, eta) - u(x) w(x)^*| on 20 pairs."""
+    cross = 0.0
+    for u, w in _pairs(k, 20, np.random.default_rng(SEED)):
+        D = cohen_transform(k, u, w)
+        margin = sum(d * np.trace(b, axis1=1, axis2=2) for d, b in zip(k.dual.dims, D.blocks))
+        cross = max(cross, np.abs(margin - u.values * w.values.conj()).max())
+    return replace(properties.check_time_margins(k, verify=False), cross_check=cross)
+
+
+def check_frequency_margins_serial(k: CohenKernel) -> PropertyReport:
+    """|(1/|G|) sum_x D(u,w)(x, eta) - u_hat(eta) w_hat(eta)^*| on 20 pairs."""
+    cross = 0.0
+    for u, w in _pairs(k, 20, np.random.default_rng(SEED)):
+        D = cohen_transform(k, u, w)
+        for b, ub, wb in zip(D.blocks, fourier(u).blocks, fourier(w).blocks):
+            cross = max(cross, np.abs(b.mean(axis=0) - ub @ wb.conj().T).max())
+    return replace(properties.check_frequency_margins(k, verify=False), cross_check=cross)
+
+
+def check_unitary_serial(k: CohenKernel) -> PropertyReport:
+    """The Moyal identity <D(u,v), D(f,h)> = <u,f> <v,h>^* on 20 quadruples."""
+    rng = np.random.default_rng(SEED)
+    cross = 0.0
+    for _ in range(20):
+        (u, v), (f, h) = _pairs(k, 2, rng)
+        lhs = tf_inner(cohen_transform(k, u, v), cohen_transform(k, f, h))
+        cross = max(cross, abs(lhs - haar_inner(u, f) * np.conj(haar_inner(v, h))))
+    return replace(properties.check_unitary(k, verify=False), cross_check=cross)
+
+
+def _origin_values_serial(k, count):
+    """D[u](e, eps) = <u, delta^D u> on `count` serial draws u."""
+    rng = np.random.default_rng(SEED)
+    loc = original_localization(k)
+    return [haar_inner(u, loc.apply(u)) for u in (random_signal(k.group, rng) for _ in range(count))]
+
+
+def check_symmetric_serial(k: CohenKernel) -> PropertyReport:
+    cross = max(abs(val.imag) for val in _origin_values_serial(k, 50))
+    return replace(properties.check_symmetric(k, verify=False), cross_check=cross)
+
+
+def check_positive_serial(k: CohenKernel) -> PropertyReport:
+    cross = max(abs(val.imag) + max(0.0, -val.real) for val in _origin_values_serial(k, 50))
+    return replace(properties.check_positive(k, verify=False), cross_check=cross)
+
+
+def check_inner_invariant_serial(k: CohenKernel) -> PropertyReport:
+    """|D[u o c_z](e, eps) - D[u](e, eps)| for every inner automorphism c_z,
+    on 20 signals, one conjugate signal at a time."""
+    g = k.group
+    rng = np.random.default_rng(SEED)
+    loc = original_localization(k)
+    cross = 0.0
+    for _ in range(20):
+        u = random_signal(g, rng)
+        base = haar_inner(u, loc.apply(u))
+        for z in range(g.order):
+            uz = Signal(g, u.values[g.cayley[g.cayley[z], g.inverse[z]]])  # u(z y z^{-1})
+            cross = max(cross, abs(haar_inner(uz, loc.apply(uz)) - base))
+    return replace(properties.check_inner_invariant(k, verify=False), cross_check=cross)
+
+
+def check_onb_resolution_basis_sum(k: CohenKernel) -> PropertyReport:
+    """The Kohn-Nirenberg quantization of sum_alpha D[v_alpha] against the
+    identity, summed over the basis sqrt(d_k) eta_k(.)[a, b]."""
+    g, dual = k.group, k.dual
+    acc = [0] * len(dual.runs)
+    for row in np.sqrt(np.repeat(dual.dims, dual.dims ** 2))[:, None] * dual.table:
+        v = Signal(g, row)
+        acc = [a + b for a, b in zip(acc, cohen_transform(k, v, v).runs)]
+    B = kn_operator(TFFunction.from_runs(g, dual, acc))
+    mv = float(np.abs(B.kernel - identity_operator(g).kernel).max())
+    return PropertyReport("onb-resolution", mv <= ONB_TOL, mv, tolerance=ONB_TOL)
+
+
+SERIAL_CHECKS = {
+    "normalized": check_normalized_serial,
+    "time-margins": check_time_margins_serial,
+    "freq-margins": check_frequency_margins_serial,
+    "symmetric": check_symmetric_serial,
+    "positive": check_positive_serial,
+    "unitary": check_unitary_serial,
+    "inner": check_inner_invariant_serial,
+    "l2-bound": check_l2_bound_serial,
+    "onb-resolution": check_onb_resolution_basis_sum,
+}

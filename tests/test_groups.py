@@ -52,6 +52,28 @@ def test_cyclic_character_value():
             assert np.abs(eta.matrices[:512, 1, 1] - w.conj()).max() <= 1e-15
 
 
+@pytest.mark.parametrize("build,first", [(build_cyclic, 1), (build_dihedral, 3)])
+def test_group_cache_evicts_the_oldest(build, first):
+    """Past GROUP_CACHE_SIZE other groups, the oldest is rebuilt: a new pair,
+    equal by value, so the old dual still matches the new one."""
+    from gtfa.groups import require_same_dual, require_same_group
+
+    assert groups.GROUP_CACHE_SIZE >= 64  # retrieval-sweep's 47 orders stay cached
+    assert build.cache_info().maxsize == groups.GROUP_CACHE_SIZE
+    watched = build(7)
+    others = [n for n in range(first, first + groups.GROUP_CACHE_SIZE + 1) if n != 7]
+    for n in others[:-1]:
+        build(n)
+    assert build(7) is watched  # still cached: the other orders just fill the cache
+    for n in others:
+        build(n)
+    assert build.cache_info().currsize == groups.GROUP_CACHE_SIZE
+    rebuilt = build(7)
+    assert rebuilt is not watched
+    require_same_group(watched[0], rebuilt[0])
+    require_same_dual(watched[1], rebuilt[1])
+
+
 def test_cyclic_rejects_zero():
     with pytest.raises(ValueError):
         build_cyclic(0)

@@ -185,11 +185,7 @@ def _batch_refusers():
     from gtfa.signalio import write_csv_signal
     from gtfa.transforms import (ambiguity_transform, cohen_transform, commutator_kernel, kn_kernel,
                                  rihaczek, spectrogram_kernel, stft, wigner_odd_cyclic)
-    from gtfa.harmonic import norm
-
     return [
-        ("haar_inner", lambda b, s, p: haar_inner(b, b)),
-        ("norm", lambda b, s, p: norm(b)),
         ("convolve", lambda b, s, p: convolve(b, s)),
         ("convolve-second", lambda b, s, p: convolve(s, b)),
         ("rihaczek", lambda b, s, p: rihaczek(b, b)),
@@ -203,6 +199,7 @@ def _batch_refusers():
         ("class_distance", lambda b, s, p: class_distance(b, b)),
         ("roundtrip_report", lambda b, s, p: roundtrip_report(b)),
         ("write_csv_signal", lambda b, s, p: write_csv_signal(p / "u.csv", b)),
+        ("haar_inner-unequal-batches", lambda b, s, p: haar_inner(b, s)),
         ("ambiguity_transform-unequal-batches", lambda b, s, p: ambiguity_transform(b, s)),
         ("cohen_transform-unequal-batches", lambda b, s, p: cohen_transform(kn_kernel(s.dual), s, b)),
     ]
@@ -216,3 +213,60 @@ def test_batched_signal_is_refused(name, call, rng, tmp_path):
     with pytest.raises(ValueError):
         call(batch, random_signal(g, rng), tmp_path)
     assert not (tmp_path / "u.csv").exists()
+
+
+def _plancherel_sums():
+    """(name, sum(u, v)) for every inner product and integral, on two signals
+    or two batches of signals, through transforms that carry a batch."""
+    from gtfa.harmonic import norm
+    from gtfa.quantization import tf_integral
+    from gtfa.tfplane import amb_inner, tf_inner, tf_norm
+    from gtfa.transforms import ambiguity_transform, anti_kn_kernel, cohen_transform
+
+    def D(u, v):
+        return cohen_transform(anti_kn_kernel(u.dual), u, v)
+
+    return [
+        ("haar_inner", lambda u, v: haar_inner(u, v)),
+        ("norm", lambda u, v: norm(u)),
+        ("nc_integral", lambda u, v: nc_integral(fourier(u))),
+        ("plancherel_inner", lambda u, v: plancherel_inner(fourier(u), fourier(v))),
+        ("tf_inner", lambda u, v: tf_inner(D(u, v), D(v, u))),
+        ("amb_inner", lambda u, v: amb_inner(ambiguity_transform(u, v), ambiguity_transform(v, u))),
+        ("tf_norm", lambda u, v: tf_norm(D(u, v))),
+        ("tf_integral", lambda u, v: tf_integral(D(u, v))),
+    ]
+
+
+@pytest.mark.parametrize("order", ["dihedral:4", "cyclic:128"])
+@pytest.mark.parametrize("name,pairing", _plancherel_sums(), ids=[n for n, _ in _plancherel_sums()])
+def test_plancherel_sums_carry_a_batch(name, pairing, order, rng):
+    """A batch of 3 gives the 3 values of the single calls; a single call
+    still gives one Python number."""
+    g, _ = build_dihedral(4) if order == "dihedral:4" else build_cyclic(128)
+    U, V = (Signal(g, rng.standard_normal((3, g.order)) + 1j * rng.standard_normal((3, g.order)))
+            for _ in range(2))
+    got = pairing(U, V)
+    expect = [pairing(Signal(g, u), Signal(g, v)) for u, v in zip(U.values, V.values)]
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    assert all(type(e) is type(expect[0]) and type(e) in (float, complex) for e in expect)
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("order", ["dihedral:4", "cyclic:128"])
+def test_batch_refusers_and_mismatched_batches(order, rng):
+    """class_distance and spectrogram_kernel take one signal; the sums refuse
+    two batches of different shapes instead of broadcasting them."""
+    from gtfa.reconstruct import class_distance
+    from gtfa.tfplane import tf_inner
+    from gtfa.transforms import cohen_transform, kn_kernel, spectrogram_kernel
+
+    g, d = build_dihedral(4) if order == "dihedral:4" else build_cyclic(128)
+    U = Signal(g, rng.standard_normal((3, g.order)) + 1j * rng.standard_normal((3, g.order)))
+    u = random_signal(g, rng)
+    k = kn_kernel(d)
+    for call in [lambda: class_distance(U, U), lambda: spectrogram_kernel(U),
+                 lambda: haar_inner(U, u), lambda: plancherel_inner(fourier(U), fourier(u)),
+                 lambda: tf_inner(cohen_transform(k, U, U), cohen_transform(k, u, u))]:
+        with pytest.raises(ValueError):
+            call()

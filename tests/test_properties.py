@@ -1,7 +1,11 @@
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from oracles import check_l2_bound_serial
+from oracles import SERIAL_CHECKS, check_l2_bound_serial, check_onb_resolution_basis_sum
 from gtfa import properties
 from gtfa.groups import build_cyclic, build_dihedral, build_product
 from gtfa.harmonic import random_signal
@@ -176,6 +180,96 @@ def test_l2_bound_matches_serial_oracle(make, budget, monkeypatch):
     got, expect = check_l2_bound(k), check_l2_bound_serial(k)
     assert got.holds == expect.holds
     assert abs(got.max_violation - expect.max_violation) <= 1e-13
+
+
+@pytest.mark.parametrize("count", [50, 20])
+def test_seeded_signals_are_the_serial_draws(count):
+    """The one-draw batches of symmetric, positive (50) and inner (20) are
+    the serial random_signal draws from SEED, bit for bit."""
+    g, _ = build_dihedral(16)
+    serial = np.random.default_rng(properties.SEED)
+    batch = properties._seeded_signals(g, count)
+    assert batch.values.shape == (count, g.order)
+    for values in batch.values:
+        assert np.array_equal(values, random_signal(g, serial).values)
+
+
+KINDS = {
+    "kn": lambda g, d: kn_kernel(d),
+    "anti-kn": lambda g, d: anti_kn_kernel(d),
+    "margin-fix": lambda g, d: margin_fix_kernel(d),
+    "spectrogram": lambda g, d: spectrogram_kernel(gaussian_window(g, 2.0)),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_checks_match_serial_oracles(corpus_and_file_group, kind):
+    """run_all_checks against one-signal-at-a-time oracles: the same verdicts,
+    witnesses and kernel-side figures; the sampled and transform-side figures
+    within 1e-13 relative."""
+    k = KINDS[kind](*corpus_and_file_group)
+    reports = run_all_checks(k)
+    assert [r.name for r in reports] == list(SERIAL_CHECKS)
+    for got, expect in zip(reports, (oracle(k) for oracle in SERIAL_CHECKS.values())):
+        assert (got.holds, got.witnesses, got.witness_count, got.tolerance) == \
+            (expect.holds, expect.witnesses, expect.witness_count, expect.tolerance), got.name
+        if got.name in ("l2-bound", "onb-resolution"):
+            assert abs(got.max_violation - expect.max_violation) <= 1e-13 * max(1.0, expect.max_violation)
+        else:
+            assert got.max_violation == expect.max_violation, got.name
+        assert (got.cross_check is None) == (expect.cross_check is None), got.name
+        if got.cross_check is not None:
+            assert abs(got.cross_check - expect.cross_check) <= 1e-13 * max(1.0, expect.cross_check), got.name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: kn_kernel(build_dihedral(16)[1]),
+    lambda: spectrogram_kernel(gaussian_window(build_dihedral(4)[0], 2.0)),
+    lambda: born_jordan_cyclic_kernel(8),
+])
+def test_shared_sample_is_scoped_to_one_call(make):
+    """Each check alone gives its report from run_all_checks; a second call
+    gives the same reports; nothing keeps the kernel alive after the call."""
+    from gtfa.properties import CHECKS
+
+    k = make()
+    reports = run_all_checks(k)
+    assert reports == [fn(k) for fn in CHECKS.values()]
+    assert run_all_checks(k) == reports
+    ref = weakref.ref(k)
+    del k
+    assert ref() is None
+
+
+def test_concurrent_calls_keep_their_own_sample():
+    """Calls on different kernels in more threads than cores, switching
+    often, each give the reports of a call alone."""
+    g, d = build_dihedral(4)
+    kernels = [kn_kernel(d), spectrogram_kernel(gaussian_window(g, 2.0)),
+               born_jordan_cyclic_kernel(8), anti_kn_kernel(d)]
+    alone = [run_all_checks(k) for k in kernels]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(run_all_checks, k) for k in kernels * 3]
+            assert [f.result(timeout=60) for f in futures] == alone * 3
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("build", [lambda: build_cyclic(5), lambda: build_dihedral(4),
+                                   lambda: build_product(build_dihedral(3), build_dihedral(4))],
+                         ids=["cyclic:5", "dihedral:4", "dihedral:3xdihedral:4"])
+def test_onb_resolution_closed_form_matches_basis_sum(rng, build):
+    """|G| |phi(eps, e) - 1| against the quantized basis sum, on a random
+    kernel, which is not normalized."""
+    g, d = build()
+    k = CohenKernel("random", AmbiguityFunction(g, d, [
+        rng.standard_normal((g.order, n, n)) + 1j * rng.standard_normal((g.order, n, n)) for n in d.dims]))
+    got, expect = check_onb_resolution(k), check_onb_resolution_basis_sum(k)
+    assert expect.max_violation > 1.0 and got.holds == expect.holds
+    assert abs(got.max_violation - expect.max_violation) <= 1e-13 * expect.max_violation
 
 
 def test_onb_resolution_examples():
