@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,10 +23,7 @@ from . import signalio
 from .groups import (FiniteGroup, GroupTableError, build_cyclic, build_dihedral, build_product,
                      is_cyclic, load_group_file, plancherel_trace)
 from .harmonic import Signal
-from .limits import q_z_distribution
-from .properties import CHECKS, run_all_checks, report_csv, report_lines
 from .quantization import SingularKernel, dequantize, quantize
-from .reconstruct import MarginNegative, retrieval_report
 from .signalio import ImageSpec, render_pgm
 from .tfplane import TFFunction
 from .transforms import (
@@ -43,6 +39,9 @@ from .transforms import (
     stft,
     wigner_kernel_odd_cyclic,
 )
+
+# properties, reconstruct, limits and the thread pool are imported inside the
+# one command that uses each, so that a process pays only for its own command.
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -155,18 +154,32 @@ def _tf_to_matrix(a: TFFunction) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _image_spec(mode, width, height, gamma) -> ImageSpec:
+    try:
+        return ImageSpec(mode, width, height, gamma)
+    except ValueError as e:
+        raise ConfigError(str(e))
+
+
+def _render(values, spec: ImageSpec, path):
+    try:
+        render_pgm(values, spec, path)
+    except ValueError as e:
+        raise ConfigError(str(e))
+
+
 def cmd_transform(args) -> int:
     group = parse_group(args.group)
     kernel = parse_kernel(args.kernel, group)
+    if args.pgm:  # the picture has a row per irrep and a column per element
+        mode = {"midgrey": "midgrey-zero", "white": "white-zero"}[args.pgm]
+        spec = _image_spec(mode, group.order, len(group.dual.irreps), args.gamma)
     u = _read_signal(args.infile, group)
     v = _read_signal(args.second, group) if args.second else u
     D = cohen_transform(kernel, u, v)
     signalio.write_tf_csv(args.out, D)
     if args.pgm:
-        mode = {"midgrey": "midgrey-zero", "white": "white-zero"}[args.pgm]
-        mat = _tf_to_matrix(D)
-        spec = ImageSpec(mode, mat.shape[1], mat.shape[0], gamma=args.gamma)
-        render_pgm(mat, spec, args.pgm_out or _with_suffix(args.out, ".pgm"))
+        _render(_tf_to_matrix(D), spec, args.pgm_out or _with_suffix(args.out, ".pgm"))
     return EXIT_OK
 
 
@@ -176,6 +189,8 @@ def _with_suffix(path, suffix):
 
 
 def cmd_verify(args) -> int:
+    from .properties import CHECKS, report_csv, report_lines, run_all_checks
+
     group = parse_group(args.group)
     kernel = parse_kernel(args.kernel, group)
     reports = run_all_checks(kernel, verify=not args.no_cross)
@@ -224,6 +239,8 @@ def cmd_dequantize(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from .reconstruct import MarginNegative, retrieval_report
+
     group = parse_group(args.group)
     if not is_cyclic(group):
         raise ConfigError("reconstruct works on cyclic groups")
@@ -233,7 +250,11 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError(f"distribution file not found: {args.infile}")
     except signalio.CsvFormatError as e:
         raise ConfigError(str(e))
-    rep = retrieval_report(Q, tol_zero=args.tol_zero)
+    try:
+        rep = retrieval_report(Q, tol_zero=args.tol_zero)
+    except MarginNegative as e:
+        print(f"numeric error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     signalio.write_csv_signal(args.out, rep.recovered)
     report = (
         f"order {rep.order}\n"
@@ -257,6 +278,10 @@ def cmd_figures(args) -> int:
     Born-Jordan distribution (midgrey PGM), and a Gaussian-window
     spectrogram (white PGM).
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .limits import q_z_distribution
+
     try:
         u = signalio.read_wav_mono16(args.wav)
     except FileNotFoundError:
@@ -264,6 +289,11 @@ def cmd_figures(args) -> int:
     except (signalio.UnsupportedFormat, signalio.TruncatedFile) as e:
         raise ConfigError(str(e))
     N = len(u)
+    sigma = args.sigma if args.sigma is not None else N / 16.0
+    if not sigma > 0:
+        raise ConfigError("--sigma must be positive")
+    midgrey = _image_spec("midgrey-zero", N, N, args.gamma)
+    white = _image_spec("white-zero", N, N, args.gamma)
     os.makedirs(args.outdir, exist_ok=True)
     out = lambda name: os.path.join(args.outdir, name)
 
@@ -273,9 +303,6 @@ def cmd_figures(args) -> int:
     )
 
     per = signalio.periodize(u, N)
-    sigma = args.sigma if args.sigma else N / 16.0
-    if sigma <= 0:
-        raise ConfigError("--sigma must be positive")
     w = gaussian_window(per.group, sigma)
 
     def make_qz():
@@ -295,10 +322,9 @@ def cmd_figures(args) -> int:
         fq, fc, fs = pool.submit(make_qz), pool.submit(make_qcyclic), pool.submit(make_spec)
         qz, qc, sp = fq.result(), fc.result(), fs.result()
 
-    gamma = args.gamma
-    render_pgm(qz, ImageSpec("midgrey-zero", N, N, gamma), out("born_jordan_z.pgm"))
-    render_pgm(qc, ImageSpec("midgrey-zero", N, N, gamma), out("born_jordan_cyclic.pgm"))
-    render_pgm(sp, ImageSpec("white-zero", N, N, gamma), out("spectrogram.pgm"))
+    _render(qz, midgrey, out("born_jordan_z.pgm"))
+    _render(qc, midgrey, out("born_jordan_cyclic.pgm"))
+    _render(sp, white, out("spectrogram.pgm"))
     return EXIT_OK
 
 
@@ -382,7 +408,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularKernel, MarginNegative) as e:
+    except SingularKernel as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -4,6 +4,12 @@ All CSV output is locale-independent: ',' separator, '.' decimal point, 17
 significant digits, '\\n' line endings, no header unless a format explicitly
 carries one.  Files are written atomically (temp file + rename).
 
+CSV tables are read in two stages.  The bulk stage matches every non-blank
+line against the row grammar, converts all fields with one numpy call and
+checks values and indices as arrays; it is the only stage that returns
+values.  When one of its checks fails, a row loop reads the lines one by one
+to name the first offending line and its fault, and raises.
+
 PGM output is plain P2 (ASCII) with maxval 255 so golden files diff cleanly.
 Shading follows the distribution-picture conventions: higher values are
 darker; "midgrey-zero" maps zero to grey 128 with symmetric range +-max|v|,
@@ -17,15 +23,18 @@ import os
 import re
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .groups import FiniteGroup, UnitaryDual, build_cyclic
 from .harmonic import Signal, require_single
-from .limits import ZSignal, ZTFGrid
 from .tfplane import TFFunction, AmbiguityFunction
 from .transforms import CohenKernel
 from .quantization import GroupOperator
+
+if TYPE_CHECKING:  # imported where a ZSignal is built, so that table I/O does not load limits
+    from .limits import ZSignal, ZTFGrid
 
 __all__ = [
     "UnsupportedFormat",
@@ -129,6 +138,7 @@ def read_wav_mono16(path) -> ZSignal:
     if not data:
         raise TruncatedFile(f"{path}: empty data chunk")
     samples = np.frombuffer(data, dtype="<i2").astype(float) / 32768.0
+    from .limits import ZSignal
     return ZSignal(0, samples, sample_rate=int(rate))
 
 
@@ -166,6 +176,24 @@ def _write_table(path, index: np.ndarray, values, header=None):
 # "+1", " 2" and "1_0", which no writer emits.
 _INDEX_FIELD = re.compile(r"-?[0-9]+")
 _VALUE_FIELD = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|-?inf|nan")
+# The index fields that the bulk stage reads as floats: at most 15 significant
+# digits, which every float holds exactly.  A longer index is out of range of
+# any table, and the row loop names its line.
+_SHORT_INDEX = r"-?0*[0-9]{1,15}"
+
+
+def _row_pattern(width: int, index_field: str) -> re.Pattern:
+    """One row `*index,re,im` with `width` index fields."""
+    return re.compile(",".join([f"(?:{index_field})"] * width + [f"(?:{_VALUE_FIELD.pattern})"] * 2))
+
+
+def _slots(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The box that holds every index row, and an array over it whose entry at
+    each index row is that row's position in `index`, -1 elsewhere."""
+    box = index.max(axis=0) + 1
+    slot = np.full(box, -1)
+    slot[tuple(index.T)] = np.arange(len(index))
+    return box, slot
 
 
 def _read_table(path, index: np.ndarray, header=None) -> np.ndarray:
@@ -175,20 +203,49 @@ def _read_table(path, index: np.ndarray, header=None) -> np.ndarray:
     Index fields must be integers and values finite decimal numbers, in the
     forms `_INDEX_FIELD` and `_VALUE_FIELD`.  Rows may come in any order and blank
     lines are skipped, but every index row must come from exactly one line.
-    An error names the first offending line.
+    This is the bulk stage (see the module docstring); when one of its checks
+    fails, `_table_error` names the first offending line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not any(line.strip() for line in lines):
+    rows = list(filter(str.strip, lines))
+    if not rows:
         raise CsvFormatError(f"{path}: empty file, expected {len(index)} rows")
     start = 0
     if header is not None:
-        if not lines or lines[0].strip() != header:
+        if lines[0].strip() != header:
             raise CsvFormatError(f"{path}: line 1: expected header {header!r}")
-        start = 1
+        start, rows = 1, rows[1:]
     width = index.shape[1]
-    row = re.compile(",".join([f"(?:{_INDEX_FIELD.pattern})"] * width + [f"(?:{_VALUE_FIELD.pattern})"] * 2))
-    keys, vals, line_of = [], [], []
+    if len(rows) == len(index) and all(map(_row_pattern(width, _SHORT_INDEX).fullmatch, rows)):
+        table = np.loadtxt(rows, delimiter=",", ndmin=2)
+        key, values = table[:, :width], table[:, width:]
+        box, slot = _slots(index)
+        if np.isfinite(values).all() and ((key >= 0) & (key < box)).all():
+            pos = slot[tuple(key.astype(np.intp).T)]
+            filled = np.zeros(len(index), dtype=bool)
+            filled[pos] = True
+            if (pos >= 0).all() and filled.all():
+                # A view of the (re, im) pairs: re + 1j*im would turn a -0.0
+                # real part into +0.0.
+                out = np.empty(len(index), dtype=complex)
+                out[pos] = values.view(complex)[:, 0]
+                return out
+    raise _table_error(path, lines, start, index)
+
+
+def _table_error(path, lines: list[str], start: int, index: np.ndarray) -> CsvFormatError:
+    """The error for the first fault of a table that the bulk stage of
+    `_read_table` refused, found by reading its lines one by one.
+
+    A line-level fault (field count, number form, a non-finite value, a
+    non-integer index) ends the loop, but the rows before it are still
+    placed, so that an index error on an earlier line is the one reported.
+    With neither fault, the only one left is a missing row.
+    """
+    width = index.shape[1]
+    row = _row_pattern(width, _INDEX_FIELD.pattern)
+    keys, line_of = [], []
     lineno, error = start, None
     try:
         for lineno, line in enumerate(lines[start:], start=start + 1):
@@ -200,23 +257,16 @@ def _read_table(path, index: np.ndarray, header=None) -> np.ndarray:
                 raise CsvFormatError(f"{path}: line {lineno}: {len(parts)} fields, expected {width + 2}")
             if not strict and not all(map(_VALUE_FIELD.fullmatch, parts[-2:])):
                 raise CsvFormatError(f"{path}: line {lineno}: malformed number")
-            real, imag = float(parts[-2]), float(parts[-1])
-            if not (math.isfinite(real) and math.isfinite(imag)):
+            if not (math.isfinite(float(parts[-2])) and math.isfinite(float(parts[-1]))):
                 raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
             if not strict:  # the fields and values are sound, so an index is not
                 raise CsvFormatError(f"{path}: line {lineno}: index {','.join(parts[:-2])} is not an integer")
             keys.append(tuple(map(int, parts[:-2])))
-            vals += (real, imag)
             line_of.append(lineno)
     except CsvFormatError as e:
-        # Rows before a malformed line are still placed, so that an index
-        # error on an earlier line is the one reported.
         error = e
 
-    # slot[i] is the position in `index` of index row i, -1 for none.
-    box = index.max(axis=0) + 1
-    slot = np.full(box, -1)
-    slot[tuple(index.T)] = np.arange(len(index))
+    box, slot = _slots(index)
     key = np.array(keys).reshape(len(keys), width)
     inside = ((key >= 0) & (key < box)).all(axis=1)
     pos = np.full(len(keys), -1)
@@ -228,21 +278,16 @@ def _read_table(path, index: np.ndarray, header=None) -> np.ndarray:
         j = bad[0]
         where = f"{path}: line {line_of[j]}: index {keys[j]}"
         if pos[j] < 0:
-            raise CsvFormatError(f"{where} out of range")
-        raise CsvFormatError(f"{where} repeats line {line_of[first[j]]}")
+            return CsvFormatError(f"{where} out of range")
+        return CsvFormatError(f"{where} repeats line {line_of[first[j]]}")
     if error is not None:
-        raise error
-    missing = len(index) - len(keys)
-    if missing:
-        filled = np.zeros(len(index), dtype=bool)
-        filled[pos] = True
-        raise CsvFormatError(
-            f"{path}: line {lineno}: {missing} of {len(index)} rows missing, "
-            f"the first for index {tuple(index[np.argmin(filled)].tolist())}"
-        )
-    out = np.empty(len(index), dtype=complex)
-    out[pos] = np.array(vals).view(complex)
-    return out
+        return error
+    filled = np.zeros(len(index), dtype=bool)
+    filled[pos] = True
+    return CsvFormatError(
+        f"{path}: line {lineno}: {len(index) - len(keys)} of {len(index)} rows missing, "
+        f"the first for index {tuple(index[np.argmin(filled)].tolist())}"
+    )
 
 
 def _read_runs(path, group: FiniteGroup, element_first: bool, header=None) -> list[np.ndarray]:
@@ -325,7 +370,8 @@ class ImageSpec:
     mode "midgrey-zero": pixel = rint(127.5 (1 - clamp(v/s, -1, 1))) with
     s = max|v| (all 128 when s = 0).  mode "white-zero": pixel =
     rint(255 (1 - clamp(v/m, 0, 1))) with m = max v (all 255 when m <= 0).
-    Ties round half-to-even.  gamma != 1 applies v <- sign(v) |v|^gamma first.
+    Ties round half-to-even.  gamma != 1 applies v <- sign(v) |v|^gamma first;
+    gamma must be finite and positive.
     """
 
     mode: str = "midgrey-zero"
@@ -338,19 +384,29 @@ class ImageSpec:
             raise ValueError(f"unknown image mode {self.mode!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be >= 1")
+        if not (0.0 < self.gamma < math.inf):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+
+
+# The text of each pixel value, indexed by the value.
+_PIXEL_TEXT = np.array([str(p) for p in range(256)], dtype=object)
 
 
 def render_pgm(values, spec: ImageSpec, path):
     """Write a real matrix as a plain (P2) PGM, row 0 at the top.
 
     Callers put low frequencies in row 0 and time along the columns; output
-    is byte-deterministic for identical inputs.
+    is byte-deterministic for identical inputs.  Values that are not finite
+    after the gamma map are refused.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 2:
         raise ValueError("render_pgm needs a 2-d real matrix")
     if spec.gamma != 1.0:
-        v = np.sign(v) * np.abs(v) ** spec.gamma
+        with np.errstate(over="ignore"):
+            v = np.sign(v) * np.abs(v) ** spec.gamma
+    if not np.isfinite(v).all():
+        raise ValueError("image values must be finite after the gamma map")
     if spec.mode == "midgrey-zero":
         s = np.abs(v).max(initial=0.0)
         if s == 0.0:
@@ -366,7 +422,7 @@ def render_pgm(values, spec: ImageSpec, path):
             with np.errstate(over="ignore"):
                 pix = np.rint(255.0 * (1.0 - np.clip(v / m, 0.0, 1.0))).astype(int)
     h, w = pix.shape
-    body = "\n".join(" ".join(str(p) for p in row) for row in pix)
+    body = "\n".join([" ".join(_PIXEL_TEXT[row].tolist()) for row in pix])
     data = f"P2\n{w} {h}\n255\n{body}\n".encode()
     atomic_write(path, data)
 

@@ -1,9 +1,12 @@
 """Reference computations that tests compare the library against.
 
 Direct sums of the defining formulas and closed forms, with no Fourier
-shortcut.  No library code uses them, so they live beside the tests.
+shortcut, and a row-by-row CSV table reader.  No library code uses them, so
+they live beside the tests.
 """
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +15,7 @@ from gtfa import properties
 from gtfa.groups import require_same_group
 from gtfa.harmonic import Signal, fourier, haar_inner, norm, random_signal
 from gtfa.properties import EXHAUSTIVE_TOL, ONB_TOL, SEED, PropertyReport
+from gtfa.signalio import _INDEX_FIELD, _VALUE_FIELD, CsvFormatError
 from gtfa.quantization import (GroupOperator, identity_operator, kn_operator, original_localization,
                                quantize, tf_integral)
 from gtfa.tfplane import AmbiguityFunction, TFFunction, tf_inner, tf_norm
@@ -223,3 +227,75 @@ SERIAL_CHECKS = {
     "l2-bound": check_l2_bound_serial,
     "onb-resolution": check_onb_resolution_basis_sum,
 }
+
+
+def read_table_row_loop(path, index: np.ndarray, header=None) -> np.ndarray:
+    """Reference for `signalio._read_table`: the table read one line at a
+    time, each line matched, split and converted with float() on its own.
+
+    Same grammar, same values and the same error for the first offending
+    line as the library reader.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not any(line.strip() for line in lines):
+        raise CsvFormatError(f"{path}: empty file, expected {len(index)} rows")
+    start = 0
+    if header is not None:
+        if not lines or lines[0].strip() != header:
+            raise CsvFormatError(f"{path}: line 1: expected header {header!r}")
+        start = 1
+    width = index.shape[1]
+    row = re.compile(",".join([f"(?:{_INDEX_FIELD.pattern})"] * width + [f"(?:{_VALUE_FIELD.pattern})"] * 2))
+    keys, vals, line_of = [], [], []
+    lineno, error = start, None
+    try:
+        for lineno, line in enumerate(lines[start:], start=start + 1):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            strict = row.fullmatch(line)
+            if not strict and len(parts) != width + 2:
+                raise CsvFormatError(f"{path}: line {lineno}: {len(parts)} fields, expected {width + 2}")
+            if not strict and not all(map(_VALUE_FIELD.fullmatch, parts[-2:])):
+                raise CsvFormatError(f"{path}: line {lineno}: malformed number")
+            real, imag = float(parts[-2]), float(parts[-1])
+            if not (math.isfinite(real) and math.isfinite(imag)):
+                raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
+            if not strict:
+                raise CsvFormatError(f"{path}: line {lineno}: index {','.join(parts[:-2])} is not an integer")
+            keys.append(tuple(map(int, parts[:-2])))
+            vals += (real, imag)
+            line_of.append(lineno)
+    except CsvFormatError as e:
+        error = e
+
+    box = index.max(axis=0) + 1
+    slot = np.full(box, -1)
+    slot[tuple(index.T)] = np.arange(len(index))
+    key = np.array(keys).reshape(len(keys), width)
+    inside = ((key >= 0) & (key < box)).all(axis=1)
+    pos = np.full(len(keys), -1)
+    pos[inside] = slot[tuple(key[inside].astype(np.intp).T)]
+    _, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
+    first = first[inverse]
+    bad = np.flatnonzero((pos < 0) | (first != np.arange(len(pos))))
+    if bad.size:
+        j = bad[0]
+        where = f"{path}: line {line_of[j]}: index {keys[j]}"
+        if pos[j] < 0:
+            raise CsvFormatError(f"{where} out of range")
+        raise CsvFormatError(f"{where} repeats line {line_of[first[j]]}")
+    if error is not None:
+        raise error
+    missing = len(index) - len(keys)
+    if missing:
+        filled = np.zeros(len(index), dtype=bool)
+        filled[pos] = True
+        raise CsvFormatError(
+            f"{path}: line {lineno}: {missing} of {len(index)} rows missing, "
+            f"the first for index {tuple(index[np.argmin(filled)].tolist())}"
+        )
+    out = np.empty(len(index), dtype=complex)
+    out[pos] = np.array(vals).view(complex)
+    return out

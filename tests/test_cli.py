@@ -1,9 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gtfa
 from conftest import corrupt_table, corruptions
 from gtfa.cli import main, parse_group, worker_count, ConfigError
 from gtfa.groups import build_cyclic
@@ -93,6 +97,19 @@ def test_transform_bad_kernel_name(tmp_path, rng):
     rc = main(["transform", "--group", "cyclic:4", "--kernel", "wavelet",
                "--in", up, "--out", str(tmp_path / "o.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
+def test_transform_bad_gamma_exit2(tmp_path, capsys, gamma):
+    """A gamma that would turn pixels into NaN is refused before any file is written."""
+    g, _ = build_cyclic(4)
+    up = write_signal(tmp_path, "u.csv", g, np.ones(4))
+    out = tmp_path / "q.csv"
+    rc = main(["transform", "--group", "cyclic:4", "--kernel", "kn", "--in", up, "--out", str(out),
+               "--pgm", "midgrey", "--gamma", gamma])
+    assert rc == 2
+    assert "gamma must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "q.pgm").exists()
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -286,6 +303,24 @@ def test_figures_missing_wav(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag,value,reason", [
+    ("--sigma", "0", "--sigma must be positive"),
+    ("--sigma", "-1", "--sigma must be positive"),
+    ("--sigma", "nan", "--sigma must be positive"),
+    ("--gamma", "nan", "gamma must be finite and > 0"),
+    ("--gamma", "-2", "gamma must be finite and > 0"),
+])
+def test_figures_bad_options_exit2(tmp_path, capsys, flag, value, reason):
+    """`--sigma 0` is refused, not read as "unset"; so are a NaN sigma and a
+    gamma that is not finite and positive, before any file is written."""
+    wav = chirp_wav(tmp_path, N=32, f0=2, f1=9)
+    out = tmp_path / "o"
+    rc = main(["figures", "--wav", wav, "--outdir", str(out), flag, value])
+    assert rc == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figures_respects_thread_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("GTFA_THREADS", "1")
     wav = chirp_wav(tmp_path, N=64, f0=4, f1=20)
@@ -332,3 +367,33 @@ def test_verify_csv_deterministic(tmp_path):
     assert main(["verify", "--group", "cyclic:6", "--kernel", "born-jordan", "--csv", a]) == 0
     assert main(["verify", "--group", "cyclic:6", "--kernel", "born-jordan", "--csv", b]) == 0
     assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+def test_cli_import_loads_no_command_only_modules():
+    """The modules that one command alone uses are imported by that command,
+    not by `import gtfa.cli`."""
+    code = ("import sys, gtfa.cli; print(*[m for m in ('gtfa.properties', 'gtfa.reconstruct', "
+            "'gtfa.limits', 'concurrent.futures') if m in sys.modules])")
+    path = [str(Path(gtfa.__file__).parents[1])] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""
+
+
+def test_numeric_errors_print_one_line(tmp_path, rng, capsys):
+    """dequantize and reconstruct report a numeric error in the same form."""
+    g, _ = build_cyclic(6)
+    op = str(tmp_path / "id.csv")
+    write_operator_csv(op, identity_operator(g))
+    assert main(["dequantize", "--group", "cyclic:6", "--kernel", "born-jordan",
+                 "--operator", op, "--out", str(tmp_path / "o.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+    u = random_signal(g, rng)
+    Q = cohen_transform(born_jordan_cyclic_kernel(6), u, u)
+    qp = str(tmp_path / "q.csv")
+    write_tf_csv(qp, TFFunction(Q.group, Q.dual, [b - 2.0 for b in Q.blocks]))
+    assert main(["reconstruct", "--group", "cyclic:6", "--in", qp, "--out", str(tmp_path / "r.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corrupt_table, corruptions
+from oracles import read_table_row_loop
+from gtfa import signalio
 from gtfa.groups import build_cyclic, build_dihedral
 from gtfa.harmonic import Signal, random_signal
 from gtfa.limits import ZSignal, ZTFGrid
 from gtfa.quantization import GroupOperator
 from gtfa.signalio import (
+    KERNEL_HEADER,
     CsvFormatError,
     ImageSpec,
     TruncatedFile,
@@ -284,6 +287,133 @@ def test_write_csv_matrix_format(tmp_path):
     assert "0.33333333333333331" in text
 
 
+def table_index(table, g, d):
+    """The index rows and the header of one table kind, as its reader passes
+    them to `_read_table`."""
+    n = g.order
+    return {"signal": (signalio._box_index(n), None),
+            "operator": (signalio._box_index(n, n), None),
+            "tf": (signalio._block_index(n, d, element_first=True), None),
+            "kernel": (signalio._block_index(n, d, element_first=False), KERNEL_HEADER)}[table]
+
+
+def read_outcome(read, path, index, header):
+    """The values read, as their bit patterns, or the error message."""
+    try:
+        return read(path, index, header).view(np.int64).tolist()
+    except CsvFormatError as e:
+        return str(e)
+
+
+# Decimal forms whose conversion is easy to get wrong: signed zero, subnormals,
+# the extremes, underflow to zero, halfway cases and long mantissas.
+SPECIAL_VALUES = ["-0", "0", "-0.0", "5e-324", "4.9406564584124654e-324", "2.2250738585072009e-308",
+                  "1.7976931348623157e308", "1e-400", "-1e-400", "1E5", "7e+2", "0.1000000000000000055511151231257827",
+                  "9007199254740993", "123456789012345678901234567890", "2.5e-16", "00012.50"]
+
+
+def edge_text(case, lines, header, rng):
+    """A table's text with one edge case applied to the lines its writer made.
+
+    Cases that keep the table sound: row order, line endings, blank and
+    whitespace-only lines, no final newline, index `-0` or zero-padded to more
+    than 20 digits, a header with spaces and unusual number forms.  Cases that
+    break it: indices of 15, 16 and 20 digits, non-finite values, a missing row
+    with blank lines after it, and two faults in either order."""
+    head, rows = lines[:header], lines[header:]
+    if case == "shuffled":
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    elif case == "blank-lines":
+        for _ in range(4):
+            rows.insert(int(rng.integers(0, len(rows) + 1)), str(rng.choice(["", "  ", "\t", " \t "])))
+    elif case == "minus-zero-index":
+        rows = [",".join(["-0" if f == "0" else f for f in r.split(",")[:-2]] + r.split(",")[-2:]) for r in rows]
+    elif case == "padded-index":
+        rows = [",".join(["0" * 20 + f for f in r.split(",")[:-2]] + r.split(",")[-2:]) for r in rows]
+    elif case == "header-spaces":
+        head = [f"  {h}\t" for h in head]
+    elif case == "special-values":
+        rows = [",".join(r.split(",")[:-2] + list(rng.choice(SPECIAL_VALUES, 2))) for r in rows]
+    elif case in ("fifteen-digit-index", "sixteen-digit-index", "twenty-digit-index"):
+        digits = {"fifteen-digit-index": 15, "sixteen-digit-index": 16, "twenty-digit-index": 20}[case]
+        j = int(rng.integers(len(rows)))
+        rows[j] = ",".join(["1" + "0" * (digits - 1)] + rows[j].split(",")[1:])
+    elif case in ("inf", "-inf", "nan"):
+        j = int(rng.integers(len(rows)))
+        rows[j] = ",".join(rows[j].split(",")[:-2] + ([case, "0"] if rng.integers(2) else ["0", case]))
+    elif case == "missing-row-then-blanks":
+        rows = rows[:-1] + ["", " "]
+    elif case == "duplicate-then-nan":
+        rows[1] = rows[0]
+        rows[2] = ",".join(rows[2].split(",")[:-1] + ["nan"])
+    elif case == "nan-then-duplicate":
+        rows[0] = ",".join(rows[0].split(",")[:-1] + ["nan"])
+        rows[2] = rows[1]
+    body = head + rows
+    if case == "blank-first-line":  # in a kernel table, where the header should be
+        body = [" "] + body
+    if case == "crlf":
+        return "\r\n".join(body) + "\r\n"
+    if case == "no-final-newline":
+        return "\n".join(body)
+    return "\n".join(body) + "\n"
+
+
+# The edge cases after which a table still reads: the bulk stage alone reads it.
+SOUND_CASES = ["as-written", "shuffled", "crlf", "blank-lines", "no-final-newline", "minus-zero-index",
+               "padded-index", "header-spaces", "special-values"]
+EDGE_CASES = SOUND_CASES + ["fifteen-digit-index", "sixteen-digit-index", "twenty-digit-index", "inf", "-inf",
+                            "nan", "missing-row-then-blanks", "duplicate-then-nan", "nan-then-duplicate",
+                            "blank-first-line"]
+
+
+@pytest.mark.parametrize("table,case", [pytest.param(t, c, id=f"{t}-{c}") for t in TABLES
+                                        for c in EDGE_CASES + [f"corrupt:{k}" for k in corruptions(t)]])
+def test_reader_matches_row_loop_oracle(tmp_path, rng, table, case):
+    """On random tables of every kind, with an edge case or a corruption
+    applied, the reader returns the oracle's values bit for bit, or raises
+    the oracle's message."""
+    for g, d in (build_cyclic(4), build_dihedral(3)):
+        obj, write, _, header = random_table(table, g, d, rng)
+        p = tmp_path / "t.csv"
+        write(p, obj)
+        if case.startswith("corrupt:"):
+            text, _ = corrupt_table(p.read_text(), case[len("corrupt:"):], header)
+        else:
+            text = edge_text(case, p.read_text().splitlines(), header, rng)
+        p.write_bytes(text.encode())
+        index, head = table_index(table, g, d)
+        expect = read_outcome(read_table_row_loop, p, index, head)
+        assert read_outcome(signalio._read_table, p, index, head) == expect
+        if case in SOUND_CASES:
+            assert not isinstance(expect, str), expect
+
+
+@pytest.mark.parametrize("case", SOUND_CASES)
+@pytest.mark.parametrize("table", TABLES)
+def test_sound_tables_take_the_bulk_stage(tmp_path, rng, monkeypatch, table, case):
+    """A table that reads needs no row loop, whatever its row order, line
+    endings, blank lines or number forms."""
+    def row_loop(*args):
+        raise AssertionError("the row loop ran on a sound table")
+
+    monkeypatch.setattr(signalio, "_table_error", row_loop)
+    g, d = build_dihedral(3)
+    obj, write, read, header = random_table(table, g, d, rng)
+    p = tmp_path / "t.csv"
+    write(p, obj)
+    p.write_bytes(edge_text(case, p.read_text().splitlines(), header, rng).encode())
+    read(p, g)
+
+
+def test_reader_keeps_the_sign_of_zero(tmp_path):
+    p = tmp_path / "z.csv"
+    p.write_text("0,-0,0\n1,0,-0\n2,-0,-0\n")
+    values = read_csv_signal(p, build_cyclic(3)[0]).values
+    assert np.signbit(values.real).tolist() == [True, False, True]
+    assert np.signbit(values.imag).tolist() == [False, True, True]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -345,6 +475,38 @@ def test_pgm_pixels_in_range(vals, mode):
         body = open(path).read().split("\n", 3)[3]
         pix = [int(t) for t in body.split()]
         assert all(0 <= p <= 255 for p in pix)
+
+
+@pytest.mark.parametrize("mode", ["midgrey-zero", "white-zero"])
+@pytest.mark.parametrize("gamma", [1.0, 0.5, 2.0])
+def test_pgm_text_matches_per_pixel_format(tmp_path, rng, mode, gamma):
+    """The lookup-table text is the text of formatting each pixel with str()."""
+    v = rng.standard_normal((17, 23))
+    v[0, :4] = [0.0, -0.0, 1e-300, -1e-300]
+    p = tmp_path / "a.pgm"
+    render_pgm(v, ImageSpec(mode, 23, 17, gamma), p)
+    w = np.sign(v) * np.abs(v) ** gamma
+    if mode == "midgrey-zero":
+        pix = np.rint(127.5 * (1.0 - np.clip(w / np.abs(w).max(), -1.0, 1.0))).astype(int)
+    else:
+        pix = np.rint(255.0 * (1.0 - np.clip(w / w.max(), 0.0, 1.0))).astype(int)
+    body = "\n".join(" ".join(str(x) for x in row) for row in pix)
+    assert p.read_bytes() == f"P2\n23 17\n255\n{body}\n".encode()
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, -0.5])
+def test_image_spec_refuses_bad_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        ImageSpec("midgrey-zero", 1, 1, gamma)
+
+
+@pytest.mark.parametrize("values", [[[1.0, np.nan]], [[np.inf, 0.0]], [[1e300, 1.0]]],
+                         ids=["nan", "inf", "overflow-after-gamma"])
+def test_pgm_refuses_values_not_finite(tmp_path, values):
+    p = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match="finite"):
+        render_pgm(np.array(values), ImageSpec("midgrey-zero", 2, 1, gamma=2.0), p)
+    assert not p.exists()
 
 
 def test_image_spec_validation():
