@@ -67,16 +67,12 @@ def worker_count() -> int:
 
 
 def parse_group(spec: str) -> FiniteGroup:
-    if spec.startswith("cyclic:"):
-        try:
-            return build_cyclic(int(spec[7:]))[0]
-        except ValueError as e:
-            raise ConfigError(f"bad group spec {spec!r}: {e}")
-    if spec.startswith("dihedral:"):
-        try:
-            return build_dihedral(int(spec[9:]))[0]
-        except ValueError as e:
-            raise ConfigError(f"bad group spec {spec!r}: {e}")
+    for prefix, build in (("cyclic:", build_cyclic), ("dihedral:", build_dihedral)):
+        if spec.startswith(prefix):
+            try:
+                return build(int(spec[len(prefix):]))[0]
+            except ValueError as e:
+                raise ConfigError(f"bad group spec {spec!r}: {e}")
     if spec.startswith("product:"):
         body = spec[8:]
         # split at an 'x' where both halves parse as group specs
@@ -154,9 +150,9 @@ def _tf_to_matrix(a: TFFunction) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _image_spec(mode, width, height, gamma) -> ImageSpec:
+def _image_spec(mode, gamma) -> ImageSpec:
     try:
-        return ImageSpec(mode, width, height, gamma)
+        return ImageSpec(mode, gamma)
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -173,7 +169,7 @@ def cmd_transform(args) -> int:
     kernel = parse_kernel(args.kernel, group)
     if args.pgm:  # the picture has a row per irrep and a column per element
         mode = {"midgrey": "midgrey-zero", "white": "white-zero"}[args.pgm]
-        spec = _image_spec(mode, group.order, len(group.dual.irreps), args.gamma)
+        spec = _image_spec(mode, args.gamma)
     u = _read_signal(args.infile, group)
     v = _read_signal(args.second, group) if args.second else u
     D = cohen_transform(kernel, u, v)
@@ -292,8 +288,8 @@ def cmd_figures(args) -> int:
     sigma = args.sigma if args.sigma is not None else N / 16.0
     if not sigma > 0:
         raise ConfigError("--sigma must be positive")
-    midgrey = _image_spec("midgrey-zero", N, N, args.gamma)
-    white = _image_spec("white-zero", N, N, args.gamma)
+    midgrey = _image_spec("midgrey-zero", args.gamma)
+    white = _image_spec("white-zero", args.gamma)
     os.makedirs(args.outdir, exist_ok=True)
     out = lambda name: os.path.join(args.outdir, name)
 

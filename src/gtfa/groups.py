@@ -3,7 +3,9 @@
 A group is stored as a dense Cayley table on element indices 0..|G|-1; the
 table is the single source of truth for the group law.  Each group built here
 carries its complete unitary dual: an ordered list of inequivalent irreducible
-unitary matrix representations, stored densely (one d x d matrix per element).
+unitary matrix representations, stored as one table (`UnitaryDual.table`)
+that the builders and the file loader write directly; per-irrep `Irrep`
+objects are views of it, made only when `UnitaryDual.irreps` is first read.
 
 Dual ordering is canonical and load-bearing for file outputs: cyclic duals are
 ordered by character exponent, dihedral duals list the 1-dimensional irreps
@@ -36,7 +38,9 @@ duals always take the naive sum, which stays the oracle of the FFT route.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 import numpy as np
 
@@ -83,8 +87,8 @@ class GroupTableError(ValueError):
 class Irrep:
     """One irreducible unitary representation, tabulated per element.
 
-    matrices has shape (|G|, dim, dim); matrices[x] is eta(x).  Once the irrep
-    belongs to a UnitaryDual, matrices is a view into the dual's table.
+    matrices has shape (|G|, dim, dim); matrices[x] is eta(x).  The irreps of
+    a UnitaryDual are views of its table, and their matrices view its rows.
     """
 
     dim: int
@@ -92,7 +96,7 @@ class Irrep:
     label: str = ""
 
     def __post_init__(self):
-        self.matrices = np.ascontiguousarray(self.matrices, dtype=complex)
+        self.matrices = np.asarray(self.matrices, dtype=complex)
 
     @property
     def star(self) -> np.ndarray:
@@ -104,15 +108,18 @@ class Irrep:
         return np.trace(self.matrices, axis1=1, axis2=2)
 
 
-@dataclass
 class UnitaryDual:
     """Complete list of inequivalent irreps of a group; the frequency domain.
 
-    The representations are stored once, in the stacked table
-    table[(k, a, b), x] = eta_k(x)[a, b]: rows run through the irreps in dual
-    order, each irrep's entries row-major.  A complete dual has a square
-    table (sum d_k^2 = |G|); an all-scalar dual's table is its character
-    table.  Each irrep's `matrices` is rebound to a view of its rows.
+    A dual is one table, table[(k, a, b), x] = eta_k(x)[a, b]: rows run
+    through the irreps in dual order, each irrep's entries row-major.  A
+    complete dual has a square table (sum d_k^2 = |G|); an all-scalar dual's
+    table is its character table.  Beside it the dual stores `dims`, `runs`,
+    `trivial_index`, `cyclic_factors` and `label(k)`, the name of irrep k
+    ("irrep<k>" unless the builder names it).
+    `irreps`, a list of Irrep views of the table, is made when first read.
+    UnitaryDual(irreps, trivial_index) stacks given Irreps into the table;
+    the builders pass `table`, `dims` and `label` instead.
 
     `cyclic_factors` is set only by the builders that know the table is the
     standard character table of Z/n_1 x ... x Z/n_r, elements and irreps
@@ -120,30 +127,40 @@ class UnitaryDual:
     Fourier pair.  None (the default) keeps the naive sum.
     """
 
-    irreps: list[Irrep]
-    trivial_index: int = 0
-
-    def __post_init__(self):
-        self.dims = np.array([eta.dim for eta in self.irreps])
-        n = self.irreps[0].matrices.shape[0]
-        self.table = np.concatenate([eta.matrices.reshape(n, -1).T for eta in self.irreps])
-        # runs[i] = (first irrep, end irrep, dim, first table row) of the i-th
-        # maximal run of consecutive irreps of equal dimension
-        runs, row = [], 0
-        for k, d in enumerate(self.dims.tolist()):
-            if runs and runs[-1][2] == d:
-                runs[-1][1] = k + 1
-            else:
-                runs.append([k, k + 1, d, row])
-            row += d * d
-        self.runs = [tuple(r) for r in runs]
-        for eta, m in zip(self.irreps, (m for run in representation_runs(self) for m in run)):
-            eta.matrices = m
+    def __init__(self, irreps=None, trivial_index: int = 0, *, table=None, dims=None, label=None):
+        if table is None:
+            irreps = list(irreps)
+            n = irreps[0].matrices.shape[0]
+            table = np.concatenate([eta.matrices.reshape(n, -1).T for eta in irreps])
+            dims = [eta.dim for eta in irreps]
+            label = tuple(eta.label for eta in irreps).__getitem__
+        self.table = table
+        self.dims = np.asarray(dims, dtype=int)
+        self.runs = _runs(self.dims)
+        self.trivial_index = trivial_index
+        self.label = label or "irrep{}".format
+        self._irreps: list[Irrep] | None = None
         self.group: "FiniteGroup | None" = None  # backref, set by builders
         self.cyclic_factors: tuple[int, ...] | None = None  # set by builders
 
+    @property
+    def irreps(self) -> list[Irrep]:
+        if self._irreps is None:
+            views = (m for run in representation_runs(self) for m in run)
+            self._irreps = [Irrep(d, m, self.label(k))
+                            for k, (d, m) in enumerate(zip(self.dims.tolist(), views))]
+        return self._irreps
+
     def __len__(self) -> int:
-        return len(self.irreps)
+        return len(self.dims)
+
+
+def _runs(dims: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(first irrep, end irrep, dim, first table row) of each maximal run of
+    consecutive irreps of equal dimension, in dual order."""
+    first = [0, *((dims[1:] != dims[:-1]).nonzero()[0] + 1).tolist()]
+    row = [0, *(dims * dims).cumsum().tolist()]
+    return [(f, e, int(dims[f]), row[f]) for f, e in zip(first, first[1:] + [len(dims)])]
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +188,8 @@ def stack_blocks(dual: UnitaryDual, blocks, lead: tuple) -> list[np.ndarray]:
     """Per-irrep blocks of shape lead + (d_k, d_k), checked and stacked into
     one array per run.  Producers inside the package build runs directly."""
     blocks = list(blocks)
-    if len(blocks) != len(dual.irreps):
-        raise ValueError(f"{len(blocks)} blocks for {len(dual.irreps)} irreps")
+    if len(blocks) != len(dual):
+        raise ValueError(f"{len(blocks)} blocks for {len(dual)} irreps")
     runs = []
     for first, end, d, _ in dual.runs:
         want = (*lead, d, d)
@@ -290,12 +307,6 @@ class FiniteGroup:
         self.cayley = np.ascontiguousarray(self.cayley, dtype=np.intp)
         self.inverse = np.ascontiguousarray(self.inverse, dtype=np.intp)
 
-    def mul(self, x: int, y: int) -> int:
-        return int(self.cayley[x, y])
-
-    def inv(self, x: int) -> int:
-        return int(self.inverse[x])
-
     @property
     def right_div(self) -> np.ndarray:
         """Index table rd[x, y] = x * y^{-1}."""
@@ -348,15 +359,14 @@ def build_cyclic(N: int) -> tuple[FiniteGroup, UnitaryDual]:
     if N < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {N}")
     idx = np.arange(N)
-    cayley = (idx[:, None] + idx[None, :]) % N
+    # row x of the Cayley table, (x + y) mod N, is a window of 0..N-1 twice over
+    cayley = np.ndarray((N, N), idx.dtype, np.concatenate((idx, idx[:-1])), strides=(idx.itemsize,) * 2)
     inverse = (-idx) % N
     # chi_k(x) is the (k x mod N)-th root of unity: an unreduced phase
     # 2 pi k x / N loses up to 1e-12 of accuracy at N = 2048.
-    phases = np.exp(2j * np.pi * idx / N)[np.outer(idx, idx) % N]
-    irreps = [
-        Irrep(1, phases[k].reshape(N, 1, 1), label=f"chi{k}") for k in range(N)
-    ]
-    dual = UnitaryDual(irreps, trivial_index=0)
+    kx = idx.astype(np.int32) if N < 46341 else idx  # k x < 2^31
+    phases = np.exp(2j * np.pi * idx / N)[np.outer(kx, kx) % N]
+    dual = UnitaryDual(table=phases, dims=np.ones(N, dtype=int), label="chi{}".format)
     dual.cyclic_factors = (N,)
     group = FiniteGroup(N, cayley, 0, inverse, dual, name=f"cyclic:{N}")
     dual.group = group
@@ -373,38 +383,27 @@ def build_dihedral(n: int) -> tuple[FiniteGroup, UnitaryDual]:
     if n < 3:
         raise ValueError(f"dihedral parameter must be >= 3, got {n}")
     order = 2 * n
-    cayley = np.zeros((order, order), dtype=np.intp)
     i = np.arange(n)
-    cayley[:n, :n] = (i[:, None] + i[None, :]) % n
-    cayley[:n, n:] = n + (i[None, :] - i[:, None]) % n        # r^i . s r^j = s r^{j-i}
-    cayley[n:, :n] = n + (i[:, None] + i[None, :]) % n        # s r^i . r^j = s r^{i+j}
-    cayley[n:, n:] = (i[None, :] - i[:, None]) % n            # s r^i . s r^j = r^{j-i}
+    add, sub = (i[:, None] + i) % n, (i - i[:, None]) % n
+    # r^i . r^j = r^{i+j}, r^i . s r^j = s r^{j-i}, s r^i . r^j = s r^{i+j}, s r^i . s r^j = r^{j-i}
+    cayley = np.block([[add, n + sub], [n + add, sub]])
     inverse = np.concatenate([(-i) % n, n + i])
 
-    irreps: list[Irrep] = []
-    ones = np.ones(n)
-    alt = (-1.0) ** i
-    one_dim_tables = [np.concatenate([ones, ones]),            # trivial
-                      np.concatenate([ones, -ones])]           # sign of reflection
-    if n % 2 == 0:
-        one_dim_tables += [np.concatenate([alt, alt]),
-                           np.concatenate([alt, -alt])]
-    for k, tab in enumerate(one_dim_tables):
-        irreps.append(Irrep(1, tab.astype(complex).reshape(order, 1, 1),
-                            label=f"one{k}"))
+    n_one = 2 if n % 2 else 4
+    n_two = (n - 1) // 2 if n % 2 else n // 2 - 1
+    table = np.zeros((n_one + 4 * n_two, order), dtype=complex)
+    table[0] = 1                                              # trivial
+    table[1, :n], table[1, n:] = 1, -1                        # sign of reflection
+    if n_one == 4:
+        alt = (-1.0) ** i
+        table[2:4, :n], table[2:4, n:] = alt, [alt, -alt]
+    w = np.exp(2j * np.pi * i / n)[np.outer(np.arange(1, n_two + 1), i) % n]
+    two = table[n_one:].reshape(n_two, 2, 2, order)           # rows (h, a, b)
+    two[:, 0, 0, :n], two[:, 1, 1, :n] = w, w.conj()
+    two[:, 0, 1, n:], two[:, 1, 0, n:] = w.conj(), w
 
-    roots = np.exp(2j * np.pi * i / n)
-    n_two = (n - 1) // 2 if n % 2 == 1 else n // 2 - 1
-    for h in range(1, n_two + 1):
-        mats = np.zeros((order, 2, 2), dtype=complex)
-        w = roots[(h * i) % n]
-        mats[:n, 0, 0] = w
-        mats[:n, 1, 1] = w.conj()
-        mats[n:, 0, 1] = w.conj()
-        mats[n:, 1, 0] = w
-        irreps.append(Irrep(2, mats, label=f"two{h}"))
-
-    dual = UnitaryDual(irreps, trivial_index=0)
+    dual = UnitaryDual(table=table, dims=np.repeat([1, 2], [n_one, n_two]),
+                       label=lambda k: f"one{k}" if k < n_one else f"two{k - n_one + 1}")
     group = FiniteGroup(order, cayley, 0, inverse, dual, name=f"dihedral:{n}")
     dual.group = group
     return group, dual
@@ -419,24 +418,26 @@ def build_product(
     na, nb = ga.order, gb.order
     order = na * nb
     # element (x_a, x_b) gets index x_a * nb + x_b
-    ia = np.arange(order) // nb
-    ib = np.arange(order) % nb
-    cayley = ga.cayley[np.ix_(ia, ia)] * nb + gb.cayley[np.ix_(ib, ib)]
-    inverse = ga.inverse[ia] * nb + gb.inverse[ib]
+    cayley = (ga.cayley[:, None, :, None] * nb + gb.cayley[None, :, None, :]).reshape(order, order)
+    inverse = (ga.inverse[:, None] * nb + gb.inverse).ravel()
     identity = ga.identity * nb + gb.identity
 
-    # kron[ka, kb] = xi_ka (x) eta_kb, one einsum per pair of runs
-    kron = {}
-    for (fa, _, _, _), A in zip(da.runs, representation_runs(da)):
-        for (fb, _, _, _), B in zip(db.runs, representation_runs(db)):
-            d = A.shape[-1] * B.shape[-1]
-            prod = np.einsum("jxab,kxcd->jkxacbd", A[:, ia], B[:, ib], order="C")
-            prod = prod.reshape(len(A), len(B), order, d, d)  # a view: each product is contiguous
-            kron.update(((fa + j, fb + k), m) for j, row in enumerate(prod) for k, m in enumerate(row))
-    irreps = [Irrep(xi.dim * eta.dim, kron[ka, kb], label=f"{xi.label}x{eta.label}")
-              for ka, xi in enumerate(da.irreps) for kb, eta in enumerate(db.irreps)]
-    trivial = da.trivial_index * len(db.irreps) + db.trivial_index
-    dual = UnitaryDual(irreps, trivial_index=trivial)
+    # irrep (ka, kb) is ka * len(db) + kb: xi_ka fills d_ka^2 rows per row of
+    # db.table.  One einsum per pair of runs; np.kron differs in the last bit.
+    dims = np.outer(da.dims, db.dims).ravel()
+    rows_b = len(db.table)
+    table = np.empty((len(da.table) * rows_b, order), dtype=complex)
+    runs_b = list(zip(db.runs, representation_runs(db)))
+    for (fa, ea, dA, ra), A in zip(da.runs, representation_runs(da)):
+        rows = table[ra * rows_b:(ra + (ea - fa) * dA * dA) * rows_b].reshape(ea - fa, -1, order)
+        A = np.repeat(A, nb, axis=1)  # A[:, x_a] at element (x_a, x_b)
+        for (fb, eb, dB, rb), B in runs_b:
+            prod = np.einsum("jxab,kxcd->jkxacbd", A, np.tile(B, (1, na, 1, 1)), order="C")
+            out = rows[:, dA * dA * rb:dA * dA * (rb + (eb - fb) * dB * dB)]
+            out.reshape(ea - fa, eb - fb, dA, dB, dA, dB, order)[...] = np.moveaxis(prod, 2, -1)
+    la, lb, kb = da.label, db.label, len(db)
+    dual = UnitaryDual(table=table, dims=dims, trivial_index=da.trivial_index * kb + db.trivial_index,
+                       label=lambda k: f"{la(k // kb)}x{lb(k % kb)}")
     if da.cyclic_factors is not None and db.cyclic_factors is not None:
         # element and irrep indices are both x_a * nb + x_b: C order over the factors
         dual.cyclic_factors = da.cyclic_factors + db.cyclic_factors
@@ -450,12 +451,25 @@ def build_product(
 # Validation
 # ---------------------------------------------------------------------------
 
+# Bytes of temporaries one step of `validate` may hold: its associativity and
+# homomorphism checks run over chunks of x, at least one x (80 |G|^2 bytes at
+# most) each, instead of |G|^3 entries at once (2 GiB at order 512).  Small
+# chunks stay in cache: on dihedral:64 it took 55 ms at 4 MiB, 110 at 64 MiB.
+VALIDATE_BYTES = 1 << 22
+
+
+def _chunks(n: int, per_x: int) -> list[slice]:
+    """Consecutive slices of 0..n-1, each of VALIDATE_BYTES // per_x elements, at least one."""
+    step = max(1, VALIDATE_BYTES // per_x)
+    return [slice(x, x + step) for x in range(0, n, step)]
+
 
 def validate(group: FiniteGroup, dual: UnitaryDual) -> list[str]:
     """Check every structural invariant; return a list of violation messages.
 
     An empty list means the pair is a valid finite group with a complete
     unitary dual.  All violated invariants are reported, not just the first.
+    Each representation check runs once per run of equal-dimension irreps.
     """
     errs: list[str] = []
     n = group.order
@@ -464,8 +478,7 @@ def validate(group: FiniteGroup, dual: UnitaryDual) -> list[str]:
     if c.shape != (n, n):
         return [f"cayley table shape {c.shape} does not match order {n}"]
     if c.min() < 0 or c.max() >= n:
-        errs.append("cayley table contains out-of-range element indices")
-        return errs
+        return ["cayley table contains out-of-range element indices"]
 
     e = group.identity
     if not (np.array_equal(c[e], np.arange(n)) and np.array_equal(c[:, e], np.arange(n))):
@@ -473,40 +486,45 @@ def validate(group: FiniteGroup, dual: UnitaryDual) -> list[str]:
     bad_inv = np.nonzero(c[np.arange(n), group.inverse] != e)[0]
     if bad_inv.size:
         errs.append(f"inverse axiom fails at elements {bad_inv.tolist()}")
-    # associativity: c[c[x,y],z] == c[x,c[y,z]] for all triples
-    lhs = c[c, :]     # lhs[x,y,z] = (xy)z
-    rhs = c[:, c]     # rhs[x,y,z] = x(yz)
-    bad = np.argwhere(lhs != rhs)
-    if bad.size:
-        x, y, z = bad[0]
-        errs.append(
-            f"associativity fails at ({x},{y},{z}) and {len(bad) - 1} more triples"
-        )
+    # associativity: c[c[x,y],z] == c[x,c[y,z]] for all triples, on narrowed entries
+    narrow = c.astype(np.int16 if n <= 1 << 15 else np.int32)
+    bad, where = 0, None
+    for s in _chunks(n, (2 * narrow.itemsize + 1) * n * n):
+        fails = np.take(narrow, c[s], axis=0) != np.take(narrow[s], c, axis=1)  # (xy)z != x(yz), x in s
+        count = np.count_nonzero(fails)
+        if count and where is None:
+            x, y, z = np.unravel_index(fails.argmax(), fails.shape)
+            where = f"({x + s.start},{y},{z})"
+        bad += count
+    if bad:
+        errs.append(f"associativity fails at {where} and {bad - 1} more triples")
 
-    for k, eta in enumerate(dual.irreps):
-        m = eta.matrices
-        if m.shape != (n, eta.dim, eta.dim):
-            errs.append(f"irrep {k}: matrix table shape {m.shape} invalid")
-            continue
-        uerr = np.abs(m @ eta.star - np.eye(eta.dim)).max()
-        if uerr > ALG_TOL:
-            worst = int(np.abs(m @ eta.star - np.eye(eta.dim)).reshape(n, -1).max(1).argmax())
-            errs.append(f"irrep {k}: non-unitary at element {worst} (err {uerr:.3g})")
-        herr = np.abs(m[c.reshape(-1)].reshape(n, n, eta.dim, eta.dim)
-                      - np.einsum("xab,ybc->xyac", m, m)).max()
-        if herr > ALG_TOL:
-            errs.append(f"irrep {k}: homomorphism violated (err {herr:.3g})")
-        if np.abs(m[e] - np.eye(eta.dim)).max() > ALG_TOL:
-            errs.append(f"irrep {k}: eta(e) != I")
-        irr = abs(np.mean(np.abs(eta.characters) ** 2) - 1.0)
-        if irr > STAT_TOL:
-            errs.append(f"irrep {k}: not irreducible (character norm err {irr:.3g})")
+    chars = np.concatenate([np.trace(M, axis1=2, axis2=3) for M in representation_runs(dual)])
+    if dual.table.shape[1] != n:
+        errs += [f"irrep {k}: matrix table shape ({dual.table.shape[1]}, {d}, {d}) invalid"
+                 for k, d in enumerate(dual.dims.tolist())]
+    else:  # each check once per run; the messages irrep by irrep
+        uerr, worst, herr, eerr = np.zeros((4, len(dual)))
+        for (first, end, d, _), M in zip(dual.runs, representation_runs(dual)):
+            m = end - first
+            dev = np.abs(M @ M.conj().swapaxes(-1, -2) - np.eye(d)).reshape(m, n, -1).max(axis=2)
+            uerr[first:end], worst[first:end] = dev.max(axis=1), dev.argmax(axis=1)
+            for s in _chunks(n, 80 * m * d * d * n):
+                (prod,) = block_product([M[:, s, None]], [M[:, None]])  # eta(x) eta(y)
+                dev = np.abs(np.take(M, c[s], axis=1) - prod).reshape(m, -1).max(axis=1)
+                herr[first:end] = np.maximum(herr[first:end], dev)
+            eerr[first:end] = np.abs(M[:, e] - np.eye(d)).reshape(m, -1).max(axis=1)
+        irr = np.abs(np.mean(np.abs(chars) ** 2, axis=1) - 1.0)
+        checks = [(uerr > ALG_TOL, "non-unitary at element {w:.0f} (err {u:.3g})"),
+                  (herr > ALG_TOL, "homomorphism violated (err {h:.3g})"),
+                  (eerr > ALG_TOL, "eta(e) != I"),
+                  (irr > STAT_TOL, "not irreducible (character norm err {i:.3g})")]
+        errs += [f"irrep {k}: " + msg.format(w=worst[k], u=uerr[k], h=herr[k], i=irr[k])
+                 for k in np.flatnonzero(np.any([hit for hit, _ in checks], axis=0))
+                 for hit, msg in checks if hit[k]]
 
     if int(np.sum(dual.dims**2)) != n:
-        errs.append(
-            f"Peter-Weyl completeness fails: sum d^2 = {int(np.sum(dual.dims ** 2))} != {n}"
-        )
-    chars = np.stack([eta.characters for eta in dual.irreps])
+        errs.append(f"Peter-Weyl completeness fails: sum d^2 = {int(np.sum(dual.dims ** 2))} != {n}")
     gram = chars @ chars.conj().T / n
     off = gram - np.diag(np.diag(gram))
     pairs = np.argwhere(np.abs(off) > STAT_TOL)
@@ -514,7 +532,9 @@ def validate(group: FiniteGroup, dual: UnitaryDual) -> list[str]:
         errs.append(f"irreps {j} and {k} are equivalent (character overlap)")
 
     t = dual.trivial_index
-    if not (dual.irreps[t].dim == 1 and np.abs(dual.irreps[t].matrices - 1).max() <= ALG_TOL):
+    k = range(len(dual))[t]
+    row = int(np.sum(dual.dims[:k] ** 2))
+    if not (dual.dims[k] == 1 and np.abs(dual.table[row] - 1).max() <= ALG_TOL):
         errs.append(f"trivial_index {t} does not point at the all-ones irrep")
     return errs
 
@@ -529,40 +549,90 @@ def validate(group: FiniteGroup, dual: UnitaryDual) -> list[str]:
 #   irreps <count>
 #   then per irrep: "dim <d>" followed by <order> blocks of d lines,
 #   each line holding d "re im" pairs.  '#' starts a comment.
-
-
-def _content_lines(path) -> list[tuple[int, str]]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append((lineno, line))
-    return out
+#
+# `load_group_file` converts the Cayley rows and all "re im" pairs in bulk
+# and checks them as arrays; when a check fails, `_first_fault` reads the
+# lines one by one to raise the first faulty line's error.  A group order or
+# dim the rest of the file cannot hold, or d^2 > order, is refused up front.
 
 
 class _Cursor:
-    def __init__(self, lines):
-        self.lines = lines
-        self.pos = 0
+    """A group file's content lines, stripped, their line numbers, a position."""
+
+    def __init__(self, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(map(str.strip, re.sub("#.*", "", fh.read()).split("\n")))
+        self.linenos = (np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))) + 1).tolist()
+        self.lines, self.pos = list(filter(None, lines)), 0
+
+    def left(self) -> int:
+        return len(self.lines) - self.pos
 
     def next(self, what: str) -> tuple[int, str]:
         if self.pos >= len(self.lines):
-            last = self.lines[-1][0] if self.lines else 0
-            raise GroupTableError(f"line {last}: unexpected end of file, expected {what}")
-        item = self.lines[self.pos]
+            raise GroupTableError(f"line {self.linenos[-1] if self.lines else 0}: unexpected end of file, "
+                                  f"expected {what}")
         self.pos += 1
-        return item
+        return self.linenos[self.pos - 1], self.lines[self.pos - 1]
 
-    def keyword(self, key: str) -> int:
+    def keyword(self, key: str) -> tuple[int, int]:
+        """The line number and integer value of a `<key> <value>` line."""
         lineno, line = self.next(f"'{key} <value>'")
         parts = line.split()
         if len(parts) != 2 or parts[0] != key:
             raise GroupTableError(f"line {lineno}: expected '{key} <value>', got {line!r}")
         try:
-            return int(parts[1])
+            return lineno, int(parts[1])
         except ValueError:
             raise GroupTableError(f"line {lineno}: {key} value {parts[1]!r} is not an integer")
+
+
+def _dim(cur: _Cursor, k: int, order: int) -> int:
+    """Read irrep k's `dim` line; refuse a dim its group or the file cannot hold."""
+    lineno, d = cur.keyword("dim")
+    if d < 1:
+        raise GroupTableError(f"irrep {k}: dimension must be positive")
+    if d * d > order:
+        raise GroupTableError(f"line {lineno}: dim {d} exceeds the group: d^2 = {d * d} > order {order}")
+    if order * d > cur.left():
+        raise GroupTableError(f"line {lineno}: dim {d} needs {order * d} lines of 're im' pairs, "
+                              f"but only {cur.left()} content lines follow")
+    return d
+
+
+def _bulk(lines: list[str], widths: np.ndarray, convert, dtype) -> np.ndarray:
+    """All fields of the lines, converted, when line i has widths[i] fields;
+    else a ValueError, as from a field that `convert` refuses."""
+    fields = list(map(str.split, lines))
+    if not np.array_equal(np.fromiter(map(len, fields), int, len(fields)), widths):
+        raise ValueError("a line with another number of fields")
+    return np.fromiter(map(convert, chain.from_iterable(fields)), dtype, int(np.sum(widths)))
+
+
+def _first_fault(cur: _Cursor, order: int):
+    """Raise the error of the first faulty line from the Cayley rows on, read
+    one line at a time; called only when a bulk check has failed."""
+    for r in range(order):
+        lineno, line = cur.next(f"Cayley table row {r}")
+        parts = line.split()
+        if len(parts) != order:
+            raise GroupTableError(f"line {lineno}: Cayley row {r} has {len(parts)} entries, expected {order}")
+        try:
+            list(map(int, parts))
+        except ValueError:
+            raise GroupTableError(f"line {lineno}: non-integer entry in Cayley row {r}")
+    for k in range(cur.keyword("irreps")[1]):
+        d = _dim(cur, k, order)
+        for x, row in np.ndindex(order, d):
+            lineno, line = cur.next(f"irrep {k}, element {x}, row {row}")
+            parts = line.split()
+            if len(parts) != 2 * d:
+                raise GroupTableError(f"line {lineno}: expected {d} 're im' pairs, got {len(parts)} numbers")
+            try:
+                list(map(float, parts))
+            except ValueError:
+                raise GroupTableError(f"line {lineno}: malformed number")
+    raise AssertionError("a bulk check refused a well-formed group file")
 
 
 def load_group_file(path) -> tuple[FiniteGroup, UnitaryDual]:
@@ -571,68 +641,62 @@ def load_group_file(path) -> tuple[FiniteGroup, UnitaryDual]:
     Every FiniteGroup/Irrep/UnitaryDual invariant is verified after parsing;
     on failure, the error message lists all violations.
     """
-    cur = _Cursor(_content_lines(path))
-    order = cur.keyword("group")
+    cur = _Cursor(path)
+    lineno, order = cur.keyword("group")
     if order < 1:
         raise GroupTableError("group order must be positive")
-    identity = cur.keyword("identity")
+    if order >= cur.left():
+        raise GroupTableError(f"line {lineno}: group {order} needs {order} Cayley rows, "
+                              f"but only {cur.left() - 1} content lines follow the identity")
+    lineno, identity = cur.keyword("identity")
+    if not 0 <= identity < order:
+        raise GroupTableError(f"line {lineno}: identity {identity} is not an element 0..{order - 1}")
 
-    cayley = np.zeros((order, order), dtype=np.intp)
-    for r in range(order):
-        lineno, line = cur.next(f"Cayley table row {r}")
-        parts = line.split()
-        if len(parts) != order:
-            raise GroupTableError(
-                f"line {lineno}: Cayley row {r} has {len(parts)} entries, expected {order}"
-            )
-        try:
-            cayley[r] = [int(p) for p in parts]
-        except ValueError:
-            raise GroupTableError(f"line {lineno}: non-integer entry in Cayley row {r}")
+    rows_at = cur.pos
+    try:
+        cayley = _bulk(cur.lines[rows_at:rows_at + order], np.full(order, order), int, np.intp)
+    except ValueError:
+        _first_fault(cur, order)
+    except OverflowError:
+        raise GroupTableError("Cayley table entry out of range")
+    cayley = cayley.reshape(order, order)
     if cayley.min() < 0 or cayley.max() >= order:
         raise GroupTableError("Cayley table entry out of range")
+    cur.pos += order
 
-    n_irreps = cur.keyword("irreps")
-    irreps = []
-    for k in range(n_irreps):
-        d = cur.keyword("dim")
-        if d < 1:
-            raise GroupTableError(f"irrep {k}: dimension must be positive")
-        mats = np.zeros((order, d, d), dtype=complex)
-        for x in range(order):
-            for row in range(d):
-                lineno, line = cur.next(f"irrep {k}, element {x}, row {row}")
-                parts = line.split()
-                if len(parts) != 2 * d:
-                    raise GroupTableError(
-                        f"line {lineno}: expected {d} 're im' pairs, got {len(parts)} numbers"
-                    )
-                try:
-                    vals = [float(p) for p in parts]
-                except ValueError:
-                    raise GroupTableError(f"line {lineno}: malformed number")
-                mats[x, row] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-        irreps.append(Irrep(d, mats, label=f"irrep{k}"))
-    if cur.pos != len(cur.lines):
-        lineno, _ = cur.lines[cur.pos]
-        raise GroupTableError(f"line {lineno}: trailing content after last irrep")
-
-    trivial = next(
-        (k for k, eta in enumerate(irreps)
-         if eta.dim == 1 and np.abs(eta.matrices - 1).max() <= ALG_TOL),
-        -1,
-    )
-    if trivial < 0:
-        raise GroupTableError("dual contains no trivial (all-ones) irrep")
-
+    _, n_irreps = cur.keyword("irreps")
+    start, dims = cur.pos, []
     try:
-        inverse = np.array([int(np.nonzero(cayley[x] == identity)[0][0]) for x in range(order)])
-    except IndexError:
+        for k in range(n_irreps):  # one `dim` line per irrep; the pairs in bulk
+            dims.append(_dim(cur, k, order))
+            cur.pos += order * dims[-1]
+        dims = np.array(dims, dtype=int)
+        pair_line = np.ones(cur.pos - start, dtype=bool)
+        pair_line[np.cumsum(1 + order * dims) - (1 + order * dims)] = False  # the `dim` lines
+        pairs = list(compress(cur.lines[start:cur.pos], pair_line.tolist()))
+        vals = _bulk(pairs, np.repeat(2 * dims, order * dims), float, float)
+    except (GroupTableError, ValueError):
+        cur.pos = rows_at
+        _first_fault(cur, order)
+    if cur.pos != len(cur.lines):
+        raise GroupTableError(f"line {cur.linenos[cur.pos]}: trailing content after last irrep")
+    values = vals[0::2] + 1j * vals[1::2]  # per irrep (x, a, b), irreps in turn
+    row = np.r_[0, np.cumsum(dims * dims)]
+    one = np.flatnonzero(dims == 1)
+    ok = np.abs(values[order * row[one, None] + np.arange(order)] - 1).max(axis=1) <= ALG_TOL
+    if not ok.any():
+        raise GroupTableError("dual contains no trivial (all-ones) irrep")
+    hits = cayley == identity
+    if not hits.any(axis=1).all():
         raise GroupTableError("some element has no inverse under the claimed identity")
-    dual = UnitaryDual(irreps, trivial_index=trivial)
-    group = FiniteGroup(order, cayley, identity, inverse, dual, name=f"file:{path}")
-    dual.group = group
 
+    table = np.empty((row[-1], order), dtype=complex)
+    for first, end, d, r in _runs(dims):
+        run = values[order * r:order * row[end]].reshape(end - first, order, d * d)
+        table[r:row[end]] = run.transpose(0, 2, 1).reshape(-1, order)
+    dual = UnitaryDual(table=table, dims=dims, trivial_index=int(one[ok.argmax()]))
+    group = FiniteGroup(order, cayley, identity, hits.argmax(axis=1), dual, name=f"file:{path}")
+    dual.group = group
     errs = validate(group, dual)
     if errs:
         raise GroupTableError("invalid group table:\n  " + "\n  ".join(errs))

@@ -80,10 +80,6 @@ class GroupOperator:
     def adjoint(self) -> "GroupOperator":
         return GroupOperator(self.group, self.kernel.conj().T)
 
-    def compose(self, other: "GroupOperator") -> "GroupOperator":
-        require_same_group(self.group, other.group, "operators")
-        return GroupOperator(self.group, self.kernel @ other.kernel / self.group.order)
-
     def hs_inner(self, other: "GroupOperator") -> complex:
         """Hilbert-Schmidt pairing (1/|G|^2) sum_{x,y} K1(x,y) K2(x,y)^*."""
         return complex(

@@ -375,15 +375,11 @@ class ImageSpec:
     """
 
     mode: str = "midgrey-zero"
-    width: int = 1
-    height: int = 1
     gamma: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ("midgrey-zero", "white-zero"):
             raise ValueError(f"unknown image mode {self.mode!r}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
         if not (0.0 < self.gamma < math.inf):
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 

@@ -1,7 +1,8 @@
 """Reference computations that tests compare the library against.
 
 Direct sums of the defining formulas and closed forms, with no Fourier
-shortcut, and a row-by-row CSV table reader.  No library code uses them, so
+shortcut, a row-by-row CSV table reader, and groups built, loaded and
+validated one irrep and one line at a time.  No library code uses them, so
 they live beside the tests.
 """
 
@@ -12,7 +13,9 @@ from dataclasses import replace
 import numpy as np
 
 from gtfa import properties
-from gtfa.groups import require_same_group
+from gtfa import groups
+from gtfa.groups import (FiniteGroup, GroupTableError, Irrep, UnitaryDual, representation_runs,
+                         require_same_group)
 from gtfa.harmonic import Signal, fourier, haar_inner, norm, random_signal
 from gtfa.properties import EXHAUSTIVE_TOL, ONB_TOL, SEED, PropertyReport
 from gtfa.signalio import _INDEX_FIELD, _VALUE_FIELD, CsvFormatError
@@ -299,3 +302,222 @@ def read_table_row_loop(path, index: np.ndarray, header=None) -> np.ndarray:
     out = np.empty(len(index), dtype=complex)
     out[pos] = np.array(vals).view(complex)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Groups built, loaded and validated one irrep and one line at a time
+# ---------------------------------------------------------------------------
+
+
+def build_cyclic_per_irrep(N: int):
+    """Reference for `build_cyclic`: one Irrep per character, then stacked."""
+    idx = np.arange(N)
+    cayley = (idx[:, None] + idx[None, :]) % N
+    inverse = (-idx) % N
+    phases = np.exp(2j * np.pi * idx / N)[np.outer(idx, idx) % N]
+    irreps = [Irrep(1, phases[k].reshape(N, 1, 1), label=f"chi{k}") for k in range(N)]
+    dual = UnitaryDual(irreps, trivial_index=0)
+    dual.cyclic_factors = (N,)
+    group = FiniteGroup(N, cayley, 0, inverse, dual, name=f"cyclic:{N}")
+    dual.group = group
+    return group, dual
+
+
+def build_dihedral_per_irrep(n: int):
+    """Reference for `build_dihedral`: one Irrep per representation, then stacked."""
+    order = 2 * n
+    cayley = np.zeros((order, order), dtype=np.intp)
+    i = np.arange(n)
+    cayley[:n, :n] = (i[:, None] + i[None, :]) % n
+    cayley[:n, n:] = n + (i[None, :] - i[:, None]) % n
+    cayley[n:, :n] = n + (i[:, None] + i[None, :]) % n
+    cayley[n:, n:] = (i[None, :] - i[:, None]) % n
+    inverse = np.concatenate([(-i) % n, n + i])
+
+    irreps = []
+    ones = np.ones(n)
+    alt = (-1.0) ** i
+    one_dim_tables = [np.concatenate([ones, ones]), np.concatenate([ones, -ones])]
+    if n % 2 == 0:
+        one_dim_tables += [np.concatenate([alt, alt]), np.concatenate([alt, -alt])]
+    for k, tab in enumerate(one_dim_tables):
+        irreps.append(Irrep(1, tab.astype(complex).reshape(order, 1, 1), label=f"one{k}"))
+    roots = np.exp(2j * np.pi * i / n)
+    n_two = (n - 1) // 2 if n % 2 == 1 else n // 2 - 1
+    for h in range(1, n_two + 1):
+        mats = np.zeros((order, 2, 2), dtype=complex)
+        w = roots[(h * i) % n]
+        mats[:n, 0, 0] = w
+        mats[:n, 1, 1] = w.conj()
+        mats[n:, 0, 1] = w.conj()
+        mats[n:, 1, 0] = w
+        irreps.append(Irrep(2, mats, label=f"two{h}"))
+    dual = UnitaryDual(irreps, trivial_index=0)
+    group = FiniteGroup(order, cayley, 0, inverse, dual, name=f"dihedral:{n}")
+    dual.group = group
+    return group, dual
+
+
+def build_product_per_irrep(a, b):
+    """Reference for `build_product`: one Irrep per Kronecker product, then stacked."""
+    ga, da = a
+    gb, db = b
+    na, nb = ga.order, gb.order
+    order = na * nb
+    ia = np.arange(order) // nb
+    ib = np.arange(order) % nb
+    cayley = ga.cayley[np.ix_(ia, ia)] * nb + gb.cayley[np.ix_(ib, ib)]
+    inverse = ga.inverse[ia] * nb + gb.inverse[ib]
+    identity = ga.identity * nb + gb.identity
+    kron = {}
+    for (fa, _, _, _), A in zip(da.runs, representation_runs(da)):
+        for (fb, _, _, _), B in zip(db.runs, representation_runs(db)):
+            d = A.shape[-1] * B.shape[-1]
+            prod = np.einsum("jxab,kxcd->jkxacbd", A[:, ia], B[:, ib], order="C")
+            prod = prod.reshape(len(A), len(B), order, d, d)
+            kron.update(((fa + j, fb + k), m) for j, row in enumerate(prod) for k, m in enumerate(row))
+    irreps = [Irrep(xi.dim * eta.dim, kron[ka, kb], label=f"{xi.label}x{eta.label}")
+              for ka, xi in enumerate(da.irreps) for kb, eta in enumerate(db.irreps)]
+    dual = UnitaryDual(irreps, trivial_index=da.trivial_index * len(db.irreps) + db.trivial_index)
+    if da.cyclic_factors is not None and db.cyclic_factors is not None:
+        dual.cyclic_factors = da.cyclic_factors + db.cyclic_factors
+    group = FiniteGroup(order, cayley, int(identity), inverse, dual, name=f"product:{ga.name}x{gb.name}")
+    dual.group = group
+    return group, dual
+
+
+def validate_per_irrep(group: FiniteGroup, dual: UnitaryDual) -> list[str]:
+    """Reference for `groups.validate`: every check irrep by irrep, the
+    associativity check on two whole |G|^3 index arrays."""
+    errs = []
+    n = group.order
+    c = group.cayley
+    if c.shape != (n, n):
+        return [f"cayley table shape {c.shape} does not match order {n}"]
+    if c.min() < 0 or c.max() >= n:
+        return ["cayley table contains out-of-range element indices"]
+    e = group.identity
+    if not (np.array_equal(c[e], np.arange(n)) and np.array_equal(c[:, e], np.arange(n))):
+        errs.append(f"identity axiom fails for claimed identity {e}")
+    bad_inv = np.nonzero(c[np.arange(n), group.inverse] != e)[0]
+    if bad_inv.size:
+        errs.append(f"inverse axiom fails at elements {bad_inv.tolist()}")
+    bad = np.argwhere(c[c, :] != c[:, c])
+    if bad.size:
+        x, y, z = bad[0]
+        errs.append(f"associativity fails at ({x},{y},{z}) and {len(bad) - 1} more triples")
+    for k, eta in enumerate(dual.irreps):
+        m = eta.matrices
+        if m.shape != (n, eta.dim, eta.dim):
+            errs.append(f"irrep {k}: matrix table shape {m.shape} invalid")
+            continue
+        uerr = np.abs(m @ eta.star - np.eye(eta.dim)).max()
+        if uerr > groups.ALG_TOL:
+            worst = int(np.abs(m @ eta.star - np.eye(eta.dim)).reshape(n, -1).max(1).argmax())
+            errs.append(f"irrep {k}: non-unitary at element {worst} (err {uerr:.3g})")
+        herr = np.abs(m[c.reshape(-1)].reshape(n, n, eta.dim, eta.dim)
+                      - np.einsum("xab,ybc->xyac", m, m)).max()
+        if herr > groups.ALG_TOL:
+            errs.append(f"irrep {k}: homomorphism violated (err {herr:.3g})")
+        if np.abs(m[e] - np.eye(eta.dim)).max() > groups.ALG_TOL:
+            errs.append(f"irrep {k}: eta(e) != I")
+        irr = abs(np.mean(np.abs(eta.characters) ** 2) - 1.0)
+        if irr > groups.STAT_TOL:
+            errs.append(f"irrep {k}: not irreducible (character norm err {irr:.3g})")
+    if int(np.sum(dual.dims**2)) != n:
+        errs.append(f"Peter-Weyl completeness fails: sum d^2 = {int(np.sum(dual.dims ** 2))} != {n}")
+    chars = np.stack([eta.characters for eta in dual.irreps])
+    gram = chars @ chars.conj().T / n
+    off = gram - np.diag(np.diag(gram))
+    pairs = np.argwhere(np.abs(off) > groups.STAT_TOL)
+    for j, k in pairs[pairs[:, 0] < pairs[:, 1]]:
+        errs.append(f"irreps {j} and {k} are equivalent (character overlap)")
+    t = dual.trivial_index
+    if not (dual.irreps[t].dim == 1 and np.abs(dual.irreps[t].matrices - 1).max() <= groups.ALG_TOL):
+        errs.append(f"trivial_index {t} does not point at the all-ones irrep")
+    return errs
+
+
+def load_group_file_line_loop(path):
+    """Reference for `load_group_file`: the file read one line at a time,
+    each irrep allocated from its `dim` line, then `validate_per_irrep`.
+    Files whose sizes the library refuses up front may exhaust memory here."""
+    lines = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                lines.append((lineno, line))
+    pos = 0
+
+    def next_line(what):
+        nonlocal pos
+        if pos >= len(lines):
+            last = lines[-1][0] if lines else 0
+            raise GroupTableError(f"line {last}: unexpected end of file, expected {what}")
+        pos += 1
+        return lines[pos - 1]
+
+    def keyword(key):
+        lineno, line = next_line(f"'{key} <value>'")
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != key:
+            raise GroupTableError(f"line {lineno}: expected '{key} <value>', got {line!r}")
+        try:
+            return int(parts[1])
+        except ValueError:
+            raise GroupTableError(f"line {lineno}: {key} value {parts[1]!r} is not an integer")
+
+    order = keyword("group")
+    if order < 1:
+        raise GroupTableError("group order must be positive")
+    identity = keyword("identity")
+    cayley = np.zeros((order, order), dtype=np.intp)
+    for r in range(order):
+        lineno, line = next_line(f"Cayley table row {r}")
+        parts = line.split()
+        if len(parts) != order:
+            raise GroupTableError(f"line {lineno}: Cayley row {r} has {len(parts)} entries, expected {order}")
+        try:
+            cayley[r] = [int(p) for p in parts]
+        except ValueError:
+            raise GroupTableError(f"line {lineno}: non-integer entry in Cayley row {r}")
+    if cayley.min() < 0 or cayley.max() >= order:
+        raise GroupTableError("Cayley table entry out of range")
+    n_irreps = keyword("irreps")
+    irreps = []
+    for k in range(n_irreps):
+        d = keyword("dim")
+        if d < 1:
+            raise GroupTableError(f"irrep {k}: dimension must be positive")
+        mats = np.zeros((order, d, d), dtype=complex)
+        for x in range(order):
+            for row in range(d):
+                lineno, line = next_line(f"irrep {k}, element {x}, row {row}")
+                parts = line.split()
+                if len(parts) != 2 * d:
+                    raise GroupTableError(
+                        f"line {lineno}: expected {d} 're im' pairs, got {len(parts)} numbers")
+                try:
+                    vals = [float(p) for p in parts]
+                except ValueError:
+                    raise GroupTableError(f"line {lineno}: malformed number")
+                mats[x, row] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
+        irreps.append(Irrep(d, mats, label=f"irrep{k}"))
+    if pos != len(lines):
+        raise GroupTableError(f"line {lines[pos][0]}: trailing content after last irrep")
+    trivial = next((k for k, eta in enumerate(irreps)
+                    if eta.dim == 1 and np.abs(eta.matrices - 1).max() <= groups.ALG_TOL), -1)
+    if trivial < 0:
+        raise GroupTableError("dual contains no trivial (all-ones) irrep")
+    try:
+        inverse = np.array([int(np.nonzero(cayley[x] == identity)[0][0]) for x in range(order)])
+    except IndexError:
+        raise GroupTableError("some element has no inverse under the claimed identity")
+    dual = UnitaryDual(irreps, trivial_index=trivial)
+    group = FiniteGroup(order, cayley, identity, inverse, dual, name=f"file:{path}")
+    dual.group = group
+    errs = validate_per_irrep(group, dual)
+    if errs:
+        raise GroupTableError("invalid group table:\n  " + "\n  ".join(errs))
+    return group, dual

@@ -353,6 +353,14 @@ def test_group_file_invalid_through_cli(tmp_path):
     assert rc == 2
 
 
+def test_group_file_impossible_dim_exits_2(tmp_path, capsys):
+    """A dim no irrep of the group can have is refused before any allocation."""
+    gf = tmp_path / "big.grp"
+    gf.write_text("group 2\nidentity 0\n0 1\n1 0\nirreps 2\ndim 10000000\n1 0\n1 0\ndim 1\n1 0\n-1 0\n")
+    assert main(["verify", "--group", f"file:{gf}", "--kernel", "kn"]) == 2
+    assert "line 6: dim 10000000" in capsys.readouterr().err
+
+
 def test_figures_grid_csv(tmp_path):
     wav = chirp_wav(tmp_path, N=32, f0=2, f1=9)
     out = tmp_path / "g"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import builtin_corpus, group_file_text, relabelled_dihedral6, reordered_cyclic4
 from gtfa import groups
 from gtfa.groups import (
+    FiniteGroup,
     GroupTableError,
     build_cyclic,
     build_dihedral,
@@ -352,3 +354,245 @@ def test_block_product_matches_per_block_matmul(dim, rng):
             expect[j, b, x] = left[j, min(b, left.shape[1] - 1), x] @ right[j, b, x]
         assert got.shape == right.shape
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+# ---------------------------------------------------------------------------
+# Table-first duals against the per-irrep construction (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_pair(got, want):
+    """Group and dual equal bit for bit: table, dims, runs, cyclic factors,
+    trivial index, and every irrep's dim, matrices and label."""
+    (g1, d1), (g2, d2) = got, want
+    assert (g1.order, g1.identity, g1.name) == (g2.order, g2.identity, g2.name)
+    assert np.array_equal(g1.cayley, g2.cayley) and np.array_equal(g1.inverse, g2.inverse)
+    assert d1.table.dtype == d2.table.dtype and d1.table.shape == d2.table.shape
+    assert d1.table.tobytes() == d2.table.tobytes()
+    assert d1.dims.dtype == d2.dims.dtype and np.array_equal(d1.dims, d2.dims)
+    assert d1.runs == d2.runs
+    assert d1.cyclic_factors == d2.cyclic_factors and d1.trivial_index == d2.trivial_index
+    assert len(d1.irreps) == len(d2.irreps) == len(d1)
+    for a, b in zip(d1.irreps, d2.irreps):
+        assert (a.dim, a.label) == (b.dim, b.label)
+        assert a.matrices.shape == b.matrices.shape and a.matrices.tobytes() == b.matrices.tobytes()
+
+
+@pytest.mark.parametrize("N", [*range(1, 65), 512])
+def test_cyclic_table_matches_per_irrep_build(N):
+    _assert_same_pair(build_cyclic.__wrapped__(N), oracles.build_cyclic_per_irrep(N))
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_dihedral_table_matches_per_irrep_build(n):
+    _assert_same_pair(build_dihedral.__wrapped__(n), oracles.build_dihedral_per_irrep(n))
+
+
+PRODUCT_FACTORS = [("cyclic", 4, "cyclic", 8), ("cyclic", 16, "cyclic", 32), ("cyclic", 1, "cyclic", 5),
+                   ("cyclic", 2, "dihedral", 3), ("cyclic", 3, "dihedral", 4), ("dihedral", 5, "cyclic", 2),
+                   ("dihedral", 3, "dihedral", 4), ("dihedral", 4, "dihedral", 6)]
+
+
+@pytest.mark.parametrize("fa,na,fb,nb", PRODUCT_FACTORS)
+def test_product_table_matches_per_irrep_build(fa, na, fb, nb):
+    new = {"cyclic": build_cyclic, "dihedral": build_dihedral}
+    old = {"cyclic": oracles.build_cyclic_per_irrep, "dihedral": oracles.build_dihedral_per_irrep}
+    _assert_same_pair(build_product(new[fa](na), new[fb](nb)),
+                      oracles.build_product_per_irrep(old[fa](na), old[fb](nb)))
+    # three factors: a product dual as a factor
+    inner = oracles.build_product_per_irrep(old[fa](na), old[fb](nb))
+    _assert_same_pair(build_product(build_cyclic(2), build_product(new[fa](na), new[fb](nb))),
+                      oracles.build_product_per_irrep(oracles.build_cyclic_per_irrep(2), inner))
+
+
+def _quirky_z3_text():
+    """Z/3 in forms the loader has always read: comments, blank and indented
+    lines, tabs, '+1' and '0_1' integers, '1e0', '-0' and '1_0e-1' numbers."""
+    w = np.exp(2j * np.pi / 3)
+    lines = ["# header comment", "group 3  # order", "", "identity\t0", " +0 1 2", "1 2 0_0", "2\t0 1",
+             "irreps 3", "dim 1", "1e0 -0", "1 0", "1 0 # trailing comment", "dim 1"]
+    lines += [f"{(w ** x).real:.17g} {(w ** x).imag:.17g}" for x in range(3)]
+    lines += ["dim 1", "1_0e-1 0"]
+    lines += [f"{(w ** (2 * x)).real:.17g} {(w ** (2 * x)).imag:.17g}" for x in (1, 2)]
+    return "\n".join(lines) + "\n\n"
+
+
+def _group_files(tmp_path):
+    paths = []
+    for gd in [build_cyclic(1), build_cyclic(5), build_cyclic(12), build_dihedral(4), build_dihedral(7),
+               build_product(build_cyclic(2), build_dihedral(3))]:
+        paths.append(tmp_path / f"{gd[0].name.replace(':', '_')}.grp")
+        paths[-1].write_text(group_file_text(*gd))
+    relabelled_dihedral6(tmp_path)
+    paths.append(tmp_path / "d6.grp")  # relabelled, irreps reordered to dims 2,1,1,2,1,1
+    ga, da = build_product(build_cyclic(2), build_dihedral(8))
+    p = np.random.default_rng(3).permutation(ga.order)  # element x -> p[x]
+    cayley = np.empty_like(ga.cayley)
+    cayley[np.ix_(p, p)] = p[ga.cayley]
+    inverse = np.empty_like(p)
+    inverse[p] = p[ga.inverse]
+    mats = [np.empty_like(eta.matrices) for eta in da.irreps]
+    for m, eta in zip(mats, da.irreps):
+        m[p] = eta.matrices
+    relabelled = FiniteGroup(ga.order, cayley, int(p[ga.identity]), inverse)
+    paths.append(tmp_path / "c2xd8.grp")
+    paths[-1].write_text(group_file_text(relabelled, groups.UnitaryDual(
+        [groups.Irrep(m.shape[1], m) for m in mats])))
+    paths.append(tmp_path / "quirky.grp")
+    paths[-1].write_text(_quirky_z3_text())
+    return paths
+
+
+def test_loaded_tables_match_line_loop(tmp_path):
+    for path in _group_files(tmp_path):
+        _assert_same_pair(load_group_file(path), oracles.load_group_file_line_loop(path))
+
+
+def _loader_faults():
+    """Malformed group files whose message the two-stage loader keeps."""
+    ok = _z3_file_text().splitlines()
+
+    def edit(i, new):  # the file with content line i replaced
+        return "\n".join(ok[:i] + [new] + ok[i + 1:]) + "\n"
+
+    return {
+        "short cayley row": edit(4, "1 2"),
+        "non-integer cayley entry": edit(4, "1 2 x"),
+        "cayley entry out of range": edit(4, "1 2 3"),
+        "negative group": "group 0\n",
+        "bad identity line": edit(2, "identity zero"),
+        "bad irreps line": edit(6, "irrep 3"),
+        "zero dim": edit(7, "dim 0"),
+        "bad dim keyword": edit(11, "dimension 1"),
+        "pair count": edit(8, "1 0 0"),
+        "malformed number": edit(9, "1 x"),
+        "malformed before bad dim": "\n".join(ok[:9] + ["1 x", ok[10], "dim x"] + ok[12:]) + "\n",
+        "trailing content": _z3_file_text() + "1 0\n",
+        "no trivial irrep": _z3_file_text().replace("dim 1\n1 0\n1 0\n1 0\n", "dim 1\n1 0\n-1 0\n1 0\n"),
+        "no inverse": "group 2\nidentity 0\n0 1\n1 1\nirreps 2\ndim 1\n1 0\n1 0\ndim 1\n1 0\n-1 0\n",
+        "non-unitary": _z3_file_text(corrupt=(1, 1)),
+        "incomplete dual": _z3_file_text(n_irreps=2),
+        "bad associativity": edit(5, "2 1 0"),
+    }
+
+
+@pytest.mark.parametrize("case", _loader_faults())
+def test_loader_messages_match_line_loop(tmp_path, case):
+    p = tmp_path / "bad.grp"
+    p.write_text(_loader_faults()[case])
+    with pytest.raises(GroupTableError) as want:
+        oracles.load_group_file_line_loop(p)
+    with pytest.raises(GroupTableError) as got:
+        load_group_file(p)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("group 2\nidentity 0\n0 1\n1 0\nirreps 2\ndim 10000000\n1 0\n1 0\ndim 1\n1 0\n-1 0\n",
+     "line 6: dim 10000000 exceeds the group"),
+    ("group 3\nidentity 0\n0 1 2\n1 2 0\n2 0 1\nirreps 1\ndim 2\n" + "1 0 0 0\n0 0 1 0\n" * 3,
+     "line 7: dim 2 exceeds the group: d^2 = 4 > order 3"),
+    ("group 10000000\nidentity 0\n0 1\n1 0\nirreps 1\n", "line 1: group 10000000 needs 10000000 Cayley rows"),
+    ("group 2\nidentity 5\n0 1\n1 0\nirreps 1\ndim 1\n1 0\n1 0\n",
+     "line 2: identity 5 is not an element 0..1"),
+    ("group 2\nidentity -1\n0 1\n1 0\nirreps 1\ndim 1\n1 0\n1 0\n", "line 2: identity -1 is not an element"),
+    ("group 4\nidentity 0\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\nirreps 4\n"
+     "dim 1\n1 0\n1 0\n1 0\n1 0\ndim 1\n1 0\n1 0\n",
+     "line 13: dim 1 needs 4 lines of 're im' pairs, but only 2"),
+])
+def test_loader_refuses_sizes_before_allocating(tmp_path, text, message):
+    """Sizes the file or the group cannot hold are refused with their line,
+    before any array of that size exists (peak traced memory under 1 MB)."""
+    import tracemalloc
+
+    p = tmp_path / "big.grp"
+    p.write_text(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupTableError) as exc:
+            load_group_file(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value).startswith(message)
+    assert peak < 1 << 20
+
+
+def test_building_a_dual_makes_no_irrep_until_read(tmp_path, monkeypatch):
+    made = []
+    monkeypatch.setattr(groups.Irrep, "__post_init__", lambda self: made.append(self.label))
+    path = tmp_path / "d4.grp"
+    path.write_text(group_file_text(*build_dihedral(4)))
+    duals = [build_cyclic.__wrapped__(6)[1], build_dihedral.__wrapped__(5)[1],
+             build_product(build_cyclic.__wrapped__(2), build_dihedral.__wrapped__(3))[1],
+             load_group_file(path)[1]]
+    assert made == []
+    for d in duals:
+        before = len(made)
+        labels = [eta.label for eta in d.irreps]
+        assert made[before:] == labels and len(labels) == len(d)
+        assert d.irreps is d.irreps and len(made) == before + len(d)  # made once
+    assert made[-5:] == [f"irrep{k}" for k in range(5)]
+
+
+# ---------------------------------------------------------------------------
+# validate against the per-irrep checks, on corrupted pairs
+# ---------------------------------------------------------------------------
+
+
+def _with_table(gd, table=None, trivial=None, cayley=None, dims=None):
+    g, d = gd
+    dual = groups.UnitaryDual(table=d.table if table is None else table,
+                              dims=d.dims if dims is None else dims, label=d.label,
+                              trivial_index=d.trivial_index if trivial is None else trivial)
+    c = g.cayley if cayley is None else cayley
+    return FiniteGroup(g.order, c, g.identity, g.inverse, dual), dual
+
+
+def _corrupted_pairs():
+    z3 = build_cyclic(3)
+    t = z3[1].table.copy()
+    t[1, 1] = 0.2 + 0.3j
+    d6 = build_dihedral(6)
+    blk = d6[1].table.copy()
+    blk[4 + 4:4 + 8, 3] *= 1.5  # the second 2-dim irrep of the run, at element 3
+    flip = build_dihedral(4)[1].table.copy()
+    flip[4:] *= -1
+    d8 = build_dihedral(8)
+    swapped = d8[0].cayley.copy()
+    swapped[[3, 5]] = swapped[[5, 3]]
+    c4 = build_cyclic(4)
+    two = groups.UnitaryDual([groups.Irrep(1, [[[1]], [[1]]]), groups.Irrep(1, [[[1]], [[-1]]])])
+    return {
+        "non-unitary": _with_table(z3, t),
+        "incomplete dual": _with_table(z3, z3[1].table[:2], dims=[1, 1]),
+        "bad associativity": (FiniteGroup(2, [[0, 1], [1, 1]], 0, [0, 1], two), two),
+        "non-unitary block in a 2-dim run": _with_table(d6, blk),
+        "wrong trivial index": _with_table(z3, trivial=1),
+        "eta(e) != I": _with_table(build_dihedral(4), flip),
+        "repeated irrep": _with_table(c4, c4[1].table[[0, 1, 2, 1]]),
+        "swapped cayley rows": _with_table(d8, cayley=swapped),
+        "wrong identity": (FiniteGroup(4, c4[0].cayley, 1, c4[0].inverse, c4[1]), c4[1]),
+        "table for another order": _with_table(z3, np.ones((3, 4)), trivial=0),
+    }
+
+
+@pytest.mark.parametrize("case", _corrupted_pairs())
+def test_validate_messages_match_per_irrep_checks(case):
+    g, d = _corrupted_pairs()[case]
+    errs = validate(g, d)
+    assert errs and errs == oracles.validate_per_irrep(g, d)
+
+
+def test_validate_matches_per_irrep_checks_on_corpus(group_and_dual):
+    assert validate(*group_and_dual) == oracles.validate_per_irrep(*group_and_dual) == []
+
+
+@pytest.mark.parametrize("case", ["bad associativity", "non-unitary", "non-unitary block in a 2-dim run",
+                                  "swapped cayley rows"])
+def test_validate_chunked_equals_unchunked(case, monkeypatch):
+    g, d = _corrupted_pairs()[case]
+    whole = validate(g, d)
+    monkeypatch.setattr(groups, "VALIDATE_BYTES", 1)  # one element x per chunk
+    assert validate(g, d) == whole
+    assert groups._chunks(g.order, 17 * g.order ** 2) == [slice(x, x + 1) for x in range(g.order)]
