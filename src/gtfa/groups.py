@@ -300,19 +300,19 @@ class FiniteGroup:
     inverse: np.ndarray
     dual: UnitaryDual | None = None
     name: str = "group"
-    # cache for the (x, y) -> x * y^{-1} index table used by convolutions
-    _right_div: np.ndarray | None = field(default=None, repr=False)
+    # cache for the lag index table
+    _lag_index: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.cayley = np.ascontiguousarray(self.cayley, dtype=np.intp)
         self.inverse = np.ascontiguousarray(self.inverse, dtype=np.intp)
 
     @property
-    def right_div(self) -> np.ndarray:
-        """Index table rd[x, y] = x * y^{-1}."""
-        if self._right_div is None:
-            self._right_div = np.ascontiguousarray(self.cayley[:, self.inverse])
-        return self._right_div
+    def lag_index(self) -> np.ndarray:
+        """Index table L[y, x] = x * y^{-1}, lag-major and C-contiguous."""
+        if self._lag_index is None:
+            self._lag_index = self.cayley.T[self.inverse]
+        return self._lag_index
 
     def __eq__(self, other) -> bool:
         return self is other or (

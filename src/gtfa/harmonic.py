@@ -15,6 +15,8 @@ Conventions (fixed throughout the package):
   file-loaded duals stay on the naive sum, which is the FFT route's oracle.
   The Plancherel-weighted sums (`nc_integral`, `plancherel_inner`) are
   `groups.plancherel_trace` and `groups.plancherel_pairing`.
+* `convolve`, the ambiguity and Cohen transforms and `kn_symbol` gather
+  translates through one index table per group, `FiniteGroup.lag_index`.
 * Fourier coefficients are stored as one array (end - first, d, d) per run
   of equal-dimension irreps (`UnitaryDual.runs`); `blocks` views them per
   irrep.
@@ -154,7 +156,7 @@ def convolve(u: Signal, v: Signal) -> Signal:
     require_same_group(u.group, v.group, "signals")
     require_single(u, v)
     g = u.group
-    return Signal(g, u.values[g.right_div] @ v.values / g.order)
+    return Signal(g, u.values.take(g.lag_index.T) @ v.values / g.order)  # u(x y^{-1}) at [x, y]
 
 
 def delta_signal(group: FiniteGroup) -> Signal:

@@ -120,7 +120,7 @@ def kn_symbol(B: GroupOperator) -> TFFunction:
     """
     group = B.group
     # s[w, x] = K(x, x w^{-1}), then the transform in w
-    s = B.kernel[np.arange(group.order), group.right_div.T]
+    s = B.kernel[np.arange(group.order), group.lag_index]
     return TFFunction.from_runs(group, group.dual, group_fourier(group.dual, s))
 
 

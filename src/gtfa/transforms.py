@@ -6,7 +6,11 @@ Every transform D is determined by its ambiguity kernel phi:
 
 where FR(u, v) is the ambiguity transform of the Rihaczek (Kohn-Nirenberg)
 base transform and the product is the pointwise matrix product with the
-kernel on the left.  The library provides:
+kernel on the left.  `cohen_transform` computes D in three stages (ambiguity
+transform, kernel product, inverse symplectic transform), except on a dual
+whose Fourier pair takes the FFT route: there the same sums are in-place
+FFTs on one work array, with the three stages as the tests' oracle.  The
+library provides:
 
 * kn / anti-kn          phi = I  /  phi(xi, y) = xi(y)
 * born-jordan (Z/N)     the commutator kernel with the margin fix on the axes
@@ -23,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import (FiniteGroup, UnitaryDual, block_product, build_cyclic, group_fourier, is_cyclic,
-                     representation_runs, require_same_dual, require_same_group)
+from .groups import (FiniteGroup, UnitaryDual, _fft_shape, block_product, build_cyclic, group_fourier,
+                     is_cyclic, representation_runs, require_same_dual, require_same_group)
 from .harmonic import Signal, fourier, norm, require_pairable, require_single
 from .tfplane import (
     AmbiguityFunction,
@@ -112,7 +116,7 @@ def ambiguity_transform(u: Signal, v: Signal) -> AmbiguityFunction:
     """
     require_pairable(u, v)
     group, dual = u.group, u.group.dual
-    w = u.values[..., :, None] * v.values.conj()[..., group.right_div]  # w[..., x, y]
+    w = u.values[..., :, None] * v.values.conj().take(group.lag_index.T, axis=-1)  # w[..., x, y]
     # transformed in x, which goes first: the batch axis lands between x and y
     return AmbiguityFunction.from_runs(group, dual, group_fourier(dual, w.swapaxes(0, -2)))
 
@@ -134,14 +138,46 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
         Matrix-valued distribution over the time-frequency plane.  Bounded by
         ||phi||_Linf ||u|| ||v|| in the plane's L2 norm.  For batches its
         runs are (end - first, B, |G|, d, d), entry b being D(u[b], v[b]).
+
+    Computed as `ambiguity_transform`, `block_product` with phi and
+    `inverse_symplectic_fourier`, or, on a dual on the FFT route
+    (`groups._fft_shape`), in one buffer by `_cohen_fft`.
     """
     require_same_group(k.group, u.group, "kernel and signal")
     require_same_dual(k.dual, u.group.dual, "kernel and signal")
     group, dual = u.group, u.group.dual
+    shape = _fft_shape(dual)
+    if shape is not None:
+        require_pairable(u, v)
+        D = _cohen_fft(shape, k.phi.scalar_table(), u, v)
+        return TFFunction.from_runs(group, dual, [D[..., None, None]])
     # a batch axis after the kernel's run axis, to broadcast over
     phi = k.phi.runs if u.values.ndim == 1 else [p[:, None] for p in k.phi.runs]
     runs = block_product(phi, ambiguity_transform(u, v).runs)
     return inverse_symplectic_fourier(AmbiguityFunction.from_runs(group, dual, runs))
+
+
+def _cohen_fft(shape: tuple[int, ...], phi: np.ndarray, u: Signal, v: Signal) -> np.ndarray:
+    """D[eta, ..., x] on the FFT route, phi the kernel's table [xi, y].
+
+    The three stages of `cohen_transform` in one lag-major work array
+    w[y, ..., x], the batch axis (if any) between y and x.  The transform in
+    x and the inverse one in xi run along the last, contiguous axes; only the
+    final transform in y is strided.  Every step writes into w.
+    """
+    n, batch = u.values.shape[-1], u.values.ndim - 1
+    L = u.group.lag_index
+    vc = v.values.conj()
+    # w[y, ..., x] = u(x) v(x y^{-1})^*
+    w = vc[np.arange(len(vc))[:, None], L[:, None]] if batch else vc.take(L)
+    w *= u.values
+    last = w.reshape(n, *w.shape[1:-1], *shape)
+    np.fft.fftn(last, axes=range(-len(shape), 0), norm="forward", out=last)  # FR(u, v)[xi, y]
+    w *= phi.T[:, None] if batch else phi.T
+    np.fft.ifftn(last, axes=range(-len(shape), 0), norm="forward", out=last)  # t[x, y]
+    first = w.reshape(*shape, *w.shape[1:])
+    np.fft.fftn(first, axes=range(len(shape)), norm="forward", out=first)  # D[eta, x]
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +222,13 @@ def born_jordan_cyclic_kernel(N: int) -> CohenKernel:
     """Born-Jordan kernel on Z/NZ: commutator kernel plus margin fix."""
     group, dual = build_cyclic(N)
     idx = np.arange(N)
-    roots = np.exp(2j * np.pi * idx / N)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = 1.0 - roots[(idx[:, None] * idx[None, :]) % N]
-        den = np.outer(1.0 - roots, 1.0 - np.exp(-2j * np.pi * idx / N))
-        table = np.where(den != 0, 2j * np.pi / N * num / np.where(den == 0, 1, den), 0)
+    # 2 pi i (1 - chi_xi(y)) / (N (1 - chi_xi(1)) (1 - chi_y(1)^*)) off the axes, in one table;
+    # chi_xi(y) is the dual's table, exp(2 pi i (xi y mod N) / N)
+    table = np.subtract(1.0, dual.table)
+    np.multiply(2j * np.pi / N, table, out=table)
+    den = np.outer(1.0 - np.exp(2j * np.pi * idx / N), 1.0 - np.exp(-2j * np.pi * idx / N))
+    den[0] = den[:, 0] = 1.0  # zero on the axes, set below
+    np.divide(table, den, out=table)
     table[0, :] = 1.0
     table[:, 0] = 1.0
     return _scalar_kernel(group, dual, table, f"born-jordan:{N}")

@@ -111,6 +111,43 @@ def born_jordan_phi(N: int, xi: int, y: int) -> complex:
     return complex(2j * np.pi / N * num / den)
 
 
+def born_jordan_table_where(N: int) -> np.ndarray:
+    """`born_jordan_cyclic_kernel`'s table as first built: a fresh array per
+    step, the axes masked by `np.where` before they are set to 1."""
+    idx = np.arange(N)
+    roots = np.exp(2j * np.pi * idx / N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = 1.0 - roots[(idx[:, None] * idx[None, :]) % N]
+        den = np.outer(1.0 - roots, 1.0 - np.exp(-2j * np.pi * idx / N))
+        table = np.where(den != 0, 2j * np.pi / N * num / np.where(den == 0, 1, den), 0)
+    table[0, :] = 1.0
+    table[:, 0] = 1.0
+    return table
+
+
+# ---------------------------------------------------------------------------
+# Gathers through rd[x, y] = x y^{-1}, the transpose of `FiniteGroup.lag_index`
+# ---------------------------------------------------------------------------
+
+
+def right_div(group: FiniteGroup) -> np.ndarray:
+    """rd[x, y] = x * y^{-1}, C-contiguous."""
+    return np.ascontiguousarray(group.cayley[:, group.inverse])
+
+
+def convolve_right_div(u: Signal, v: Signal) -> Signal:
+    """`harmonic.convolve` as one product with the gathered u(x y^{-1}) at [x, y]."""
+    g = u.group
+    return Signal(g, u.values[right_div(g)] @ v.values / g.order)
+
+
+def kn_symbol_right_div(B: GroupOperator) -> TFFunction:
+    """`quantization.kn_symbol` gathering s[w, x] = K(x, x w^{-1}) through rd^T."""
+    group = B.group
+    s = B.kernel[np.arange(group.order), right_div(group).T]
+    return TFFunction.from_runs(group, group.dual, groups.group_fourier(group.dual, s))
+
+
 def check_l2_bound_serial(k: CohenKernel, samples: int = 100) -> PropertyReport:
     """`properties.check_l2_bound` one pair at a time: ||D(u,v)|| against
     ||phi||_Linf ||u|| ||v|| on `samples` pairs of serial `random_signal` draws."""

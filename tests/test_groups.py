@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,24 @@ def test_group_cache_evicts_the_oldest(build, first):
     assert rebuilt is not watched
     require_same_group(watched[0], rebuilt[0])
     require_same_dual(watched[1], rebuilt[1])
+
+
+def test_lag_index_is_the_transposed_right_division(corpus_and_file_group):
+    g, _ = corpus_and_file_group
+    L = g.lag_index
+    assert L is g.lag_index and L.flags.c_contiguous
+    assert np.array_equal(L, oracles.right_div(g).T)  # L[y, x] = x y^{-1}
+
+
+def test_dropped_group_frees_its_lag_index():
+    """The table is cached on its group: a group outside the builder caches
+    takes its table with it when dropped."""
+    g, d = build_product(build_cyclic(4), build_cyclic(8))
+    ref = weakref.ref(g.lag_index)
+    assert ref() is g.lag_index
+    del g, d
+    gc.collect()
+    assert ref() is None
 
 
 def test_cyclic_rejects_zero():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import convolve_right_div
 from gtfa.groups import build_cyclic, build_dihedral
 from gtfa.harmonic import (
     Signal,
@@ -110,6 +111,14 @@ def test_convolution_identity(group_and_dual, rng):
     g, _ = group_and_dual
     u = random_signal(g, rng)
     assert np.abs(convolve(u, delta_signal(g)).values - u.values).max() < 1e-10
+
+
+@pytest.mark.parametrize("gd", [build_dihedral(5), build_cyclic(89), build_dihedral(64), build_cyclic(512)],
+                         ids=lambda gd: gd[0].name)
+def test_convolve_bits_match_right_division_gather(gd, rng):
+    g, _ = gd
+    u, v = random_signal(g, rng), random_signal(g, rng)
+    assert convolve(u, v).values.tobytes() == convolve_right_div(u, v).values.tobytes()
 
 
 def test_convolution_with_ones(rng):

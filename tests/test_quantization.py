@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import max_block_diff, reordered_cyclic4
-from oracles import distribution_from_localization, duality_residual
+from oracles import distribution_from_localization, duality_residual, kn_symbol_right_div
 from gtfa.groups import build_cyclic, build_dihedral
 from gtfa.harmonic import convolve, fourier, haar_inner, random_signal
 from gtfa.quantization import (
@@ -106,6 +106,14 @@ def test_kn_symbol_of_translation_roundtrip(rng):
         K[x, g.cayley[g.inverse[s], x]] = g.order  # left translation by s
     B = GroupOperator(g, K)
     assert np.abs(kn_operator(kn_symbol(B)).kernel - B.kernel).max() < 1e-9
+
+
+@pytest.mark.parametrize("gd", [build_dihedral(5), build_cyclic(89), build_cyclic(257)],
+                         ids=lambda gd: gd[0].name)
+def test_kn_symbol_bits_match_right_division_gather(gd, rng):
+    g, _ = gd
+    B = random_operator(g, rng)
+    assert all(a.tobytes() == e.tobytes() for a, e in zip(kn_symbol(B).runs, kn_symbol_right_div(B).runs))
 
 
 def test_kn_roundtrips(corpus_and_file_group, rng):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import group_file_text, max_block_diff, reordered_cyclic4
-from oracles import born_jordan_phi, cohen_transform_direct, commutator_kernel_closed_form
-from gtfa import groups
+from oracles import (born_jordan_phi, born_jordan_table_where, cohen_transform_direct,
+                     commutator_kernel_closed_form, right_div)
+from gtfa import groups, transforms
 from gtfa.groups import (FiniteGroup, Irrep, UnitaryDual, build_cyclic, build_dihedral, build_product,
                          load_group_file)
 from gtfa.harmonic import (
@@ -194,13 +195,90 @@ def test_batch_entries_match_single_calls_fft_and_4d_irreps(gd, rng):
     _check_batch_entries_match_single_calls(g, d, rng)
 
 
-def test_born_jordan_fft_route_matches_naive(monkeypatch, rng):
-    k = born_jordan_cyclic_kernel(512)
-    u = random_signal(k.group, rng)
-    (fast,) = cohen_transform(k, u, u).runs
-    monkeypatch.setattr(groups, "FFT_MIN_ORDER", 513)
-    (slow,) = cohen_transform(k, u, u).runs
-    assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+FFT_COHEN_GROUPS = [build_cyclic(128), build_cyclic(257), build_cyclic(512),
+                    build_product(build_cyclic(8), build_cyclic(16)),
+                    build_product(build_cyclic(16), build_cyclic(32))]
+FFT_COHEN_KERNELS = {
+    "born-jordan": lambda g, d: born_jordan_cyclic_kernel(g.order),
+    "kn": lambda g, d: kn_kernel(d),
+    "anti-kn": lambda g, d: anti_kn_kernel(d),
+    "margin-fix": lambda g, d: margin_fix_kernel(d),
+    "spectrogram": lambda g, d: spectrogram_kernel(gaussian_window(g, 4.0)),
+}
+
+
+@pytest.mark.parametrize("gd,kernel", [
+    (gd, name) for gd in FFT_COHEN_GROUPS for name in FFT_COHEN_KERNELS
+    if name != "born-jordan" or len(gd[1].cyclic_factors) == 1
+], ids=lambda p: p if isinstance(p, str) else p[0].name)
+def test_cohen_fft_route_matches_three_stages(gd, kernel, monkeypatch, rng):
+    """The one-buffer FFT route against the three-stage path on the naive sums
+    (ambiguity transform, kernel product, inverse symplectic transform), for a
+    single signal, a batch, and u != v, within 1e-12 of the largest entry."""
+    g, d = gd
+    assert groups._fft_shape(d) == d.cyclic_factors
+    k = FFT_COHEN_KERNELS[kernel](g, d)
+
+    def signal(*b):
+        return Signal(g, rng.standard_normal((*b, g.order)) + 1j * rng.standard_normal((*b, g.order)))
+
+    u, v, U, V = signal(), signal(), signal(3), signal(3)
+    pairs = [(u, u), (u, v), (U, U), (U, V)]
+    fast = [cohen_transform(k, a, b).runs for a, b in pairs]
+    monkeypatch.setattr(groups, "FFT_MIN_ORDER", g.order + 1)
+    for (a, b), (got,) in zip(pairs, fast):
+        (want,) = cohen_transform(k, a, b).runs
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_cohen_fft_route_skips_the_ambiguity_transform(monkeypatch, rng):
+    """From order 128 a cyclic dual never reaches the three-stage path."""
+    def refuse(u, v):
+        raise AssertionError("three-stage path taken")
+
+    monkeypatch.setattr(transforms, "ambiguity_transform", refuse)
+    for n in (128, 512):
+        g, d = build_cyclic(n)
+        u = random_signal(g, rng)
+        cohen_transform(kn_kernel(d), u, u)
+    g, d = build_cyclic(127)
+    u = random_signal(g, rng)
+    with pytest.raises(AssertionError, match="three-stage"):
+        cohen_transform(kn_kernel(d), u, u)
+
+
+def test_cohen_fft_route_keeps_the_refusals(rng):
+    g, d = build_cyclic(128)
+    k = kn_kernel(d)
+    u = random_signal(g, rng)
+    batch = Signal(g, rng.standard_normal((2, 128)) + 0j)
+    with pytest.raises(ValueError, match="signal batches of shapes"):
+        cohen_transform(k, u, batch)
+    other = random_signal(build_product(build_cyclic(8), build_cyclic(16))[0], rng)
+    with pytest.raises(ValueError, match="group mismatch: signals"):
+        cohen_transform(k, u, other)
+    with pytest.raises(ValueError, match="group mismatch: kernel and signal"):
+        cohen_transform(k, other, other)
+
+
+@pytest.mark.parametrize("N", [8, 89, 512])
+def test_born_jordan_table_bits_match_where_construction(N):
+    table = born_jordan_cyclic_kernel(N).phi.scalar_table()
+    assert table.tobytes() == born_jordan_table_where(N).tobytes()
+
+
+@pytest.mark.parametrize("gd", [build_dihedral(5), build_cyclic(89), build_cyclic(257)],
+                         ids=lambda gd: gd[0].name)
+def test_ambiguity_transform_bits_match_right_division_gather(gd, rng):
+    g, d = gd
+    for b in [(), (3,)]:
+        u = Signal(g, rng.standard_normal((*b, g.order)) + 1j * rng.standard_normal((*b, g.order)))
+        v = Signal(g, rng.standard_normal((*b, g.order)) + 1j * rng.standard_normal((*b, g.order)))
+        w = u.values[..., :, None] * v.values.conj()[..., right_div(g)]
+        want = groups.group_fourier(d, w.swapaxes(0, -2))
+        got = ambiguity_transform(u, v).runs
+        assert all(a.tobytes() == e.tobytes() for a, e in zip(got, want))
 
 
 def test_margin_correct_kernel_on_dirac():
