@@ -187,22 +187,21 @@ def _with_suffix(path, suffix):
 def cmd_verify(args) -> int:
     from .properties import CHECKS, report_csv, report_lines, run_all_checks
 
+    wanted = [r.strip() for r in (args.require or "").split(",") if r.strip()]
+    unknown = [w for w in wanted if w not in CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown properties in --require: {', '.join(unknown)}")
     group = parse_group(args.group)
     kernel = parse_kernel(args.kernel, group)
     reports = run_all_checks(kernel, verify=not args.no_cross)
     print(report_lines(reports))
     if args.csv:
         signalio.atomic_write(args.csv, report_csv(reports).encode())
-    if args.require:
-        wanted = [r.strip() for r in args.require.split(",") if r.strip()]
-        unknown = [w for w in wanted if w not in CHECKS]
-        if unknown:
-            raise ConfigError(f"unknown properties in --require: {', '.join(unknown)}")
-        by_name = {r.name: r for r in reports}
-        failed = [w for w in wanted if not by_name[w].holds]
-        if failed:
-            print(f"required properties failed: {', '.join(failed)}", file=sys.stderr)
-            return EXIT_PROPERTY
+    by_name = {r.name: r for r in reports}
+    failed = [w for w in wanted if not by_name[w].holds]
+    if failed:
+        print(f"required properties failed: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_PROPERTY
     return EXIT_OK
 
 

@@ -12,12 +12,14 @@ reports are byte-identical across runs; the draws are those of serial
 `random_signal` calls.  Each cross-check takes its signals as batches and
 pairs them with the batch-aware sums (`haar_inner`, `norm`, `tf_inner`,
 `tf_norm`): a few array operations per batch, cut so that one batched plane
-array stays within BATCH_BYTES.  normalized and the two margins cross-check
-the same 20 pairs; within one `run_all_checks` call that sample is
-transformed once and its three residuals are shared, and symmetric and
-positive share their 50 values D[u](e, eps) the same way.  onb-resolution
-needs no sample: by linearity, the basis sum of its distributions is the
-constant phi(eps, e), so the check reduces to a kernel-side figure.
+array stays within BATCH_BYTES.  One sampled pass transforms l2-bound's 100
+pairs, each batch once, and also yields the cross-checks of normalized and
+the two margins (pairs 0-19) and of unitary (Moyal, pairs 2i and 2i+1,
+i < 20): within one `run_all_checks` call these five checks share one pass
+(with verify=False only l2-bound runs it), as symmetric and positive share
+their 50 values D[u](e, eps).  onb-resolution needs no sample: by linearity,
+the basis sum of its distributions is the constant phi(eps, e), so the check
+reduces to a kernel-side figure.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .groups import plancherel_trace, representation_runs
 from .harmonic import Signal, fourier, haar_inner, norm
 from .quantization import original_localization
-from .tfplane import tf_inner, tf_norm
+from .tfplane import TFFunction, tf_inner, tf_norm
 from .transforms import CohenKernel, cohen_transform
 
 __all__ = [
@@ -132,19 +134,44 @@ def _shared(k: CohenKernel, compute):
     return share[1][compute]
 
 
-def _margin_residuals(k: CohenKernel) -> dict[str, float]:
-    """The cross-checks of normalized, time-margins and freq-margins, on the
-    same 20 pairs (u, w): the largest |integral D(u,w) - <u,w>|, |time margin
-    - u w^*| and |frequency margin - u_hat w_hat^*|."""
-    res = np.zeros(3)
-    for U, W in _sample_batches(k.group, 20, 2, np.random.default_rng(SEED)):
-        D = cohen_transform(k, U, W)
-        margin = plancherel_trace(k.dual, D.runs).sum(axis=0)  # margin[b, x]
-        freq = max(np.abs(run.mean(axis=2) - urun @ wrun.conj().swapaxes(-1, -2)).max()
-                   for run, urun, wrun in zip(D.runs, fourier(U).runs, fourier(W).runs))
-        res = np.maximum(res, [np.abs(margin.mean(axis=-1) - haar_inner(U, W)).max(),
-                               np.abs(margin - U.values * W.values.conj()).max(), freq])
-    return dict(zip(("normalized", "time-margins", "freq-margins"), res.tolist()))
+def _entries(D, U, V, sl, copy=False):
+    """Entries sl of a batch pair, (D(u,v), u, v); D's runs copied if asked."""
+    runs = [run[:, sl].copy() if copy else run[:, sl] for run in D.runs]
+    return (TFFunction.from_runs(D.group, D.dual, runs),
+            Signal(U.group, U.values[sl]), Signal(V.group, V.values[sl]))
+
+
+def _margins(D, U, V) -> list:
+    """The largest |integral D(u,v) - <u,v>|, |time margin - u v^*|, |freq. margin - u_hat v_hat^*|."""
+    margin = plancherel_trace(D.dual, D.runs).sum(axis=0)  # margin[b, x]
+    return [np.abs(margin.mean(axis=-1) - haar_inner(U, V)).max(),
+            np.abs(margin - U.values * V.values.conj()).max(),
+            max(np.abs(run.mean(axis=2) - urun @ vrun.conj().swapaxes(-1, -2)).max()
+                for run, urun, vrun in zip(D.runs, fourier(U).runs, fourier(V).runs))]
+
+
+def _sampled_pass(k: CohenKernel) -> dict[str, float]:
+    """Over l2-bound's 100 seeded pairs (u, v), each batch transformed once: the
+    largest ||D(u,v)|| - ||phi||_Linf ||u|| ||v||, the margin residuals on pairs
+    0-19 and the Moyal residual |<D(u,v), D(f,h)> - <u,f> <v,h>^*| on pairs
+    (u, v), (f, h) = 2i, 2i+1, i < 20, the first carried over to the next
+    batch when a batch ends between them."""
+    bound, worst, start, carry = k.linf_norm(), np.zeros(5), 0, None
+    for U, V in _sample_batches(k.group, 100, 2, np.random.default_rng(SEED)):
+        D = cohen_transform(k, U, V)
+        margins = _margins(*_entries(D, U, V, slice(20 - start))) if start < 20 else [0.0] * 3
+        lo, hi = start % 2, min(len(U.values), 40 - start)  # this batch's Moyal entries
+        moyal = [(carry, _entries(D, U, V, slice(1)))] if carry is not None else []
+        if hi - lo >= 2:
+            moyal.append((_entries(D, U, V, slice(lo, hi - 1, 2)),
+                          _entries(D, U, V, slice(lo + 1, hi, 2))))
+        new = [(tf_norm(D) - bound * norm(U) * norm(V)).max(), *margins,
+               max((np.abs(tf_inner(Da, Db) - haar_inner(u, f) * np.conj(haar_inner(v, h))).max()
+                    for (Da, u, v), (Db, f, h) in moyal), default=0.0)]
+        carry = _entries(D, U, V, slice(hi - 1, hi), copy=True) if hi > lo and (hi - lo) % 2 else None
+        worst, start = np.maximum(worst, new), start + len(U.values)
+        del D, moyal  # one batch of planes alive at a time, besides the carried entry
+    return dict(zip(("l2-bound", "normalized", "time-margins", "freq-margins", "unitary"), worst.tolist()))
 
 
 def _seeded_signals(g, count: int) -> Signal:
@@ -171,7 +198,7 @@ def check_normalized(k: CohenKernel, verify: bool = True) -> PropertyReport:
     g = k.group
     eps = k.dual.trivial_index
     v = abs(k.phi.blocks[eps][g.identity][0, 0] - 1.0)
-    cross = _shared(k, _margin_residuals)["normalized"] if verify else None
+    cross = _shared(k, _sampled_pass)["normalized"] if verify else None
     return _report("normalized", v, v > EXHAUSTIVE_TOL, cross, witness=lambda: (eps, g.identity))
 
 
@@ -180,7 +207,7 @@ def check_time_margins(k: CohenKernel, verify: bool = True) -> PropertyReport:
     e = k.group.identity
     per_block = np.concatenate([np.abs(run[:, e] - np.eye(run.shape[-1])).max(axis=(1, 2))
                                 for run in k.phi.runs])
-    cross = _shared(k, _margin_residuals)["time-margins"] if verify else None
+    cross = _shared(k, _sampled_pass)["time-margins"] if verify else None
     return _report("time-margins", per_block.max(initial=0.0), per_block > EXHAUSTIVE_TOL, cross,
                    witness=lambda i: (i, e))
 
@@ -189,7 +216,7 @@ def check_frequency_margins(k: CohenKernel, verify: bool = True) -> PropertyRepo
     """Condition (d): phi(eps, y) = 1 for every y."""
     eps = k.dual.trivial_index
     row = np.abs(k.phi.blocks[eps][:, 0, 0] - 1.0)
-    cross = _shared(k, _margin_residuals)["freq-margins"] if verify else None
+    cross = _shared(k, _sampled_pass)["freq-margins"] if verify else None
     return _report("freq-margins", row.max(initial=0.0), row > EXHAUSTIVE_TOL, cross,
                    witness=lambda y: (eps, y))
 
@@ -236,13 +263,7 @@ def check_unitary(k: CohenKernel, verify: bool = True) -> PropertyReport:
         np.abs(run @ run.conj().swapaxes(-1, -2) - np.eye(run.shape[-1])).max(axis=(-2, -1))
         for run in k.phi.runs
     ])
-    cross = None
-    if verify:
-        cross = 0.0
-        for U, V, F, H in _sample_batches(k.group, 20, 4, np.random.default_rng(SEED)):
-            lhs = tf_inner(cohen_transform(k, U, V), cohen_transform(k, F, H))
-            rhs = haar_inner(U, F) * np.conj(haar_inner(V, H))
-            cross = max(cross, np.abs(lhs - rhs).max())
+    cross = _shared(k, _sampled_pass)["unitary"] if verify else None
     return _report("unitary", table.max(initial=0.0), table > EXHAUSTIVE_TOL, cross)
 
 
@@ -278,14 +299,9 @@ def check_inner_invariant(k: CohenKernel, verify: bool = True) -> PropertyReport
                    witness=lambda kk, z, y: (kk, y, z))
 
 
-def check_l2_bound(k: CohenKernel, samples: int = 100) -> PropertyReport:
-    """||D(u,v)|| <= ||phi||_Linf ||u|| ||v|| on `samples` random pairs."""
-    bound_const = k.linf_norm()
-    worst = 0.0
-    for U, V in _sample_batches(k.group, samples, 2, np.random.default_rng(SEED)):
-        excess = tf_norm(cohen_transform(k, U, V)) - bound_const * norm(U) * norm(V)
-        worst = max(worst, excess.max())
-    return _report("l2-bound", max(worst, 0.0), False, None)
+def check_l2_bound(k: CohenKernel) -> PropertyReport:
+    """||D(u,v)|| <= ||phi||_Linf ||u|| ||v|| on 100 random pairs."""
+    return _report("l2-bound", _shared(k, _sampled_pass)["l2-bound"], False, None)
 
 
 def check_onb_resolution(k: CohenKernel) -> PropertyReport:

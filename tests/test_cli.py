@@ -133,6 +133,24 @@ def test_verify_require_subsets(capsys):
     assert rc == 1
 
 
+def test_verify_unknown_require_refused_before_checks(tmp_path, capsys, monkeypatch):
+    """An unknown --require name exits 2 before any check runs: nothing on
+    stdout and no CSV written."""
+    from gtfa import properties
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_all_checks called")
+
+    monkeypatch.setattr(properties, "run_all_checks", refuse)
+    csvp = tmp_path / "rep.csv"
+    rc = main(["verify", "--group", "cyclic:5", "--kernel", "kn",
+               "--require", "normalized,no-such-property", "--csv", str(csvp)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no-such-property" in captured.err
+    assert not csvp.exists()
+
+
 def test_verify_spectrogram_window_file(tmp_path, capsys):
     g, _ = build_cyclic(16)
     from gtfa.transforms import gaussian_window

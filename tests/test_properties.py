@@ -202,12 +202,10 @@ KINDS = {
 }
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_checks_match_serial_oracles(corpus_and_file_group, kind):
+def assert_checks_match_serial_oracles(k):
     """run_all_checks against one-signal-at-a-time oracles: the same verdicts,
     witnesses and kernel-side figures; the sampled and transform-side figures
     within 1e-13 relative."""
-    k = KINDS[kind](*corpus_and_file_group)
     reports = run_all_checks(k)
     assert [r.name for r in reports] == list(SERIAL_CHECKS)
     for got, expect in zip(reports, (oracle(k) for oracle in SERIAL_CHECKS.values())):
@@ -220,6 +218,32 @@ def test_checks_match_serial_oracles(corpus_and_file_group, kind):
         assert (got.cross_check is None) == (expect.cross_check is None), got.name
         if got.cross_check is not None:
             assert abs(got.cross_check - expect.cross_check) <= 1e-13 * max(1.0, expect.cross_check), got.name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_checks_match_serial_oracles(corpus_and_file_group, kind):
+    assert_checks_match_serial_oracles(KINDS[kind](*corpus_and_file_group))
+
+
+@pytest.mark.parametrize("budget", [lambda n: 1, lambda n: 3 * 16 * n ** 2], ids=["one-pair", "three-pairs"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_checks_match_serial_oracles_under_small_budgets(corpus_and_file_group, kind, budget, monkeypatch):
+    """The same with one pair per batch, and with three, an odd count, so that
+    Moyal quadruples (pairs 2i, 2i+1) straddle batch boundaries."""
+    g, d = corpus_and_file_group
+    monkeypatch.setattr(properties, "BATCH_BYTES", budget(g.order))
+    assert_checks_match_serial_oracles(KINDS[kind](g, d))
+
+
+@pytest.mark.parametrize("n, calls", [(16, 7), (48, 100)], ids=["order-32", "order-96"])
+def test_run_all_checks_transforms_each_pair_once(n, calls, monkeypatch):
+    """l2-bound's 100 seeded pairs feed the margin and Moyal cross-checks too:
+    7 batches of up to 16 pairs at order 32, one pair per batch at order 96."""
+    made = []
+    transform = properties.cohen_transform
+    monkeypatch.setattr(properties, "cohen_transform", lambda *a: made.append(None) or transform(*a))
+    run_all_checks(kn_kernel(build_dihedral(n)[1]))
+    assert len(made) == calls
 
 
 @pytest.mark.parametrize("make", [
