@@ -6,9 +6,6 @@ error, 3 numeric error (singular kernel, invalid distribution table).
 Group specs:   cyclic:N | dihedral:n | product:<spec>x<spec> | file:<path>
 Kernel specs:  kn | anti-kn | born-jordan | wigner-odd | margin-fix
                | spectrogram:<windowfile> | commutator:<f-file>:<g-file>
-
-GTFA_THREADS sizes the thread pool of `figures` (0 or unset = automatic);
-it does not limit BLAS or any other parallelism.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ from .transforms import (
     wigner_kernel_odd_cyclic,
 )
 
-# properties, reconstruct, limits and the thread pool are imported inside the
-# one command that uses each, so that a process pays only for its own command.
+# properties, reconstruct and limits are imported inside the one command that
+# uses each, so that a process pays only for its own command.
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -53,17 +50,19 @@ class ConfigError(ValueError):
     pass
 
 
-def worker_count() -> int:
-    """Size of the `figures` thread pool from GTFA_THREADS (0 or unset picks
-    automatically)."""
-    raw = os.environ.get("GTFA_THREADS", "0")
+# The errors a reader raises for a faulty file; each message names the file.
+_FILE_ERRORS = (GroupTableError, signalio.CsvFormatError, signalio.UnsupportedFormat,
+                signalio.TruncatedFile)
+
+
+def _read(what: str, reader, path, *args):
+    """reader(path, *args), with a missing or faulty file as a ConfigError."""
     try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"GTFA_THREADS={raw!r} is not an integer")
-    if n < 0:
-        raise ConfigError("GTFA_THREADS must be >= 0")
-    return n if n > 0 else min(4, os.cpu_count() or 1)
+        return reader(path, *args)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}")
+    except _FILE_ERRORS as e:
+        raise ConfigError(str(e))
 
 
 def parse_group(spec: str) -> FiniteGroup:
@@ -88,13 +87,7 @@ def parse_group(spec: str) -> FiniteGroup:
             return build_product((ga, ga.dual), (gb, gb.dual))[0]
         raise ConfigError(f"bad product spec {spec!r}")
     if spec.startswith("file:"):
-        path = spec[5:]
-        try:
-            return load_group_file(path)[0]
-        except FileNotFoundError:
-            raise ConfigError(f"group file not found: {path}")
-        except GroupTableError as e:
-            raise ConfigError(str(e))
+        return _read("group", load_group_file, spec[5:])[0]
     raise ConfigError(f"unknown group spec {spec!r}")
 
 
@@ -129,12 +122,7 @@ def parse_kernel(spec: str, group: FiniteGroup) -> CohenKernel:
 
 
 def _read_signal(path, group) -> Signal:
-    try:
-        return signalio.read_csv_signal(path, group)
-    except FileNotFoundError:
-        raise ConfigError(f"signal file not found: {path}")
-    except signalio.CsvFormatError as e:
-        raise ConfigError(str(e))
+    return _read("signal", signalio.read_csv_signal, path, group)
 
 
 def _tf_to_matrix(a: TFFunction) -> np.ndarray:
@@ -208,12 +196,7 @@ def cmd_verify(args) -> int:
 def cmd_quantize(args) -> int:
     group = parse_group(args.group)
     kernel = parse_kernel(args.kernel, group)
-    try:
-        a = signalio.read_tf_csv(args.symbol, group)
-    except FileNotFoundError:
-        raise ConfigError(f"symbol file not found: {args.symbol}")
-    except signalio.CsvFormatError as e:
-        raise ConfigError(str(e))
+    a = _read("symbol", signalio.read_tf_csv, args.symbol, group)
     B = quantize(kernel, a)
     signalio.write_operator_csv(args.out, B)
     return EXIT_OK
@@ -222,12 +205,7 @@ def cmd_quantize(args) -> int:
 def cmd_dequantize(args) -> int:
     group = parse_group(args.group)
     kernel = parse_kernel(args.kernel, group)
-    try:
-        B = signalio.read_operator_csv(args.operator, group)
-    except FileNotFoundError:
-        raise ConfigError(f"operator file not found: {args.operator}")
-    except signalio.CsvFormatError as e:
-        raise ConfigError(str(e))
+    B = _read("operator", signalio.read_operator_csv, args.operator, group)
     b = dequantize(kernel, B)  # SingularKernel -> exit 3 in main()
     signalio.write_tf_csv(args.out, b)
     return EXIT_OK
@@ -239,12 +217,7 @@ def cmd_reconstruct(args) -> int:
     group = parse_group(args.group)
     if not is_cyclic(group):
         raise ConfigError("reconstruct works on cyclic groups")
-    try:
-        Q = signalio.read_tf_csv(args.infile, group)
-    except FileNotFoundError:
-        raise ConfigError(f"distribution file not found: {args.infile}")
-    except signalio.CsvFormatError as e:
-        raise ConfigError(str(e))
+    Q = _read("distribution", signalio.read_tf_csv, args.infile, group)
     try:
         rep = retrieval_report(Q, tol_zero=args.tol_zero)
     except MarginNegative as e:
@@ -273,16 +246,9 @@ def cmd_figures(args) -> int:
     Born-Jordan distribution (midgrey PGM), and a Gaussian-window
     spectrogram (white PGM).
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from .limits import q_z_distribution
 
-    try:
-        u = signalio.read_wav_mono16(args.wav)
-    except FileNotFoundError:
-        raise ConfigError(f"WAV file not found: {args.wav}")
-    except (signalio.UnsupportedFormat, signalio.TruncatedFile) as e:
-        raise ConfigError(str(e))
+    u = _read("WAV", signalio.read_wav_mono16, args.wav)
     N = len(u)
     sigma = args.sigma if args.sigma is not None else N / 16.0
     if not sigma > 0:
@@ -292,34 +258,18 @@ def cmd_figures(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     out = lambda name: os.path.join(args.outdir, name)
 
-    signalio.write_csv_matrix(
-        out("waveform.csv"),
-        [[i, s.real, s.imag] for i, s in enumerate(u.values)],
-    )
+    per = signalio.periodize(u, N)  # u itself: N is its length and it starts at 0
+    signalio.write_csv_signal(out("waveform.csv"), per)
 
-    per = signalio.periodize(u, N)
-    w = gaussian_window(per.group, sigma)
-
-    def make_qz():
-        grid = q_z_distribution(u, N, axis_fix=args.axis_fix)
-        if args.grid_csv:
-            signalio.write_grid_csv(out("born_jordan_z.csv"), grid)
-        return grid.real_grid()
-
-    def make_qcyclic():
-        D = cohen_transform(born_jordan_cyclic_kernel(N), per, per)
-        return _tf_to_matrix(D)
-
-    def make_spec():
-        return np.abs(stft(w, per).scalar_table()) ** 2
-
-    with ThreadPoolExecutor(max_workers=min(3, worker_count())) as pool:
-        fq, fc, fs = pool.submit(make_qz), pool.submit(make_qcyclic), pool.submit(make_spec)
-        qz, qc, sp = fq.result(), fc.result(), fs.result()
-
-    _render(qz, midgrey, out("born_jordan_z.pgm"))
-    _render(qc, midgrey, out("born_jordan_cyclic.pgm"))
-    _render(sp, white, out("spectrogram.pgm"))
+    grid = q_z_distribution(u, N, axis_fix=args.axis_fix)
+    if args.grid_csv:
+        signalio.write_grid_csv(out("born_jordan_z.csv"), grid)
+    _render(grid.real_grid(), midgrey, out("born_jordan_z.pgm"))
+    del grid  # one picture's arrays at a time
+    _render(_tf_to_matrix(cohen_transform(born_jordan_cyclic_kernel(N), per, per)), midgrey,
+            out("born_jordan_cyclic.pgm"))
+    spectrogram = np.abs(stft(gaussian_window(per.group, sigma), per).scalar_table()) ** 2
+    _render(spectrogram, white, out("spectrogram.pgm"))
     return EXIT_OK
 
 

@@ -17,7 +17,9 @@ where varphi_Z(x, y) = 1/|y| on the one-sided window -y < x <= 0 (y > 0)
 resp. 0 < x <= -y (y < 0), and zero otherwise.  The kernel's y = 0 axis is
 zero; the optional axis fix adds the frequency-flat term |u(x)|^2, the
 integer-side analogue of the margin-repair kernel, so that margins and total
-energy come out right.  It is on by default.
+energy come out right.  It is on by default.  On an M-bin frequency grid the
+phase depends on y only through y mod M, so the sum over lags is a fold onto
+the M residues and one length-M FFT per time.
 """
 
 from __future__ import annotations
@@ -145,32 +147,25 @@ def varphi_DZ(x: int, y: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lag_sums(u: ZSignal, t_start: int, t_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """h[i, j] = sum_t varphi_Z(x_i - t, y_j) u(t) u(t - y_j)^*  and the lags y_j.
+def _lag_rows(u: ZSignal, t_start: int, t_count: int):
+    """Each lag y != 0 of u, from -(L - 1) to L - 1, with its row of lag sums
+    h_y[i] = sum_t varphi_Z(x_i - t, y) u(t) u(t - y)^*,  x_i = t_start + i.
 
     For y > 0 the window collapses to t = x .. x + y - 1; for y < 0 to
     t = x - |y| .. x - 1.
     """
     L = len(u)
-    ys = np.concatenate([np.arange(-(L - 1), 0), np.arange(1, L)])
     lo = min(t_start, u.offset) - 2 * L  # padding keeps windows and rolls in bounds
     hi = max(t_start + t_count, u.offset + L) + 2 * L
     full = np.zeros(hi - lo, dtype=complex)
     full[u.offset - lo : u.offset - lo + L] = u.values
-    xs = np.arange(t_start, t_start + t_count)
-    h = np.zeros((t_count, len(ys)), dtype=complex)
-    for j, y in enumerate(ys):
+    xs = np.arange(t_start, t_start + t_count) - lo
+    for y in (*range(-(L - 1), 0), *range(1, L)):
         g = full * np.conj(np.roll(full, y))  # g[t] = u(t) u(t-y)^*
         c = np.concatenate([[0.0], np.cumsum(g)])
-        if y > 0:
-            # sum over t in [x, x+y-1]
-            a = xs - lo
-            h[:, j] = (c[a + y] - c[a]) / y
-        else:
-            m = -y
-            a = xs - lo - m
-            h[:, j] = (c[a + m] - c[a]) / m
-    return h, ys
+        m = abs(y)
+        a = xs if y > 0 else xs - m  # the window starts at x or at x - |y|
+        yield y, (c[a + m] - c[a]) / m
 
 
 def q_z_distribution(
@@ -182,6 +177,10 @@ def q_z_distribution(
 ) -> ZTFGrid:
     """Nonperiodic Born-Jordan distribution of u on an M-bin frequency grid.
 
+    Each lag's row of window sums is added onto the row of its residue mod M,
+    in one (M, t_count) array, and one length-M FFT per time takes the sum
+    over lags.
+
     The default time window is the support of u, which carries all of the
     margin mass: summing the grid over frequencies (weight 1/M) returns
     |u(x)|^2 exactly whenever M exceeds the largest contributing lag.
@@ -192,9 +191,10 @@ def q_z_distribution(
         t_start = u.offset
     if t_count is None:
         t_count = len(u)
-    h, ys = _lag_sums(u, t_start, t_count)
-    ph = np.exp(-2j * np.pi * np.outer(ys, np.arange(M)) / M)
-    vals = (h @ ph).T  # vals[k, i]
+    folded = np.zeros((M, t_count), dtype=complex)  # folded[r] = sum of h_y over y = r mod M
+    for y, row in _lag_rows(u, t_start, t_count):
+        folded[y % M] += row
+    vals = np.fft.fft(folded, axis=0, out=folded)  # vals[k, i]
     if axis_fix:
         uvals = np.array([u.at(int(t)) for t in range(t_start, t_start + t_count)])
         vals += (np.abs(uvals) ** 2)[None, :]

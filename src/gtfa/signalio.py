@@ -1,8 +1,8 @@
 """File formats: WAV ingestion, CSV tables, PGM images, periodization.
 
 All CSV output is locale-independent: ',' separator, '.' decimal point, 17
-significant digits, '\\n' line endings, no header unless a format explicitly
-carries one.  Files are written atomically (temp file + rename).
+significant digits, '\\n' line endings, no header.  Files are written
+atomically (temp file + rename).
 
 CSV tables are read in two stages.  The bulk stage matches every non-blank
 line against the row grammar, converts all fields with one numpy call and
@@ -29,8 +29,7 @@ import numpy as np
 
 from .groups import FiniteGroup, UnitaryDual, build_cyclic
 from .harmonic import Signal, require_single
-from .tfplane import TFFunction, AmbiguityFunction
-from .transforms import CohenKernel
+from .tfplane import TFFunction
 from .quantization import GroupOperator
 
 if TYPE_CHECKING:  # imported where a ZSignal is built, so that table I/O does not load limits
@@ -44,13 +43,10 @@ __all__ = [
     "read_wav_mono16",
     "read_csv_signal",
     "write_csv_signal",
-    "write_csv_matrix",
     "read_tf_csv",
     "write_tf_csv",
     "read_operator_csv",
     "write_operator_csv",
-    "write_kernel_csv",
-    "read_kernel_csv",
     "write_grid_csv",
     "render_pgm",
     "periodize",
@@ -153,21 +149,20 @@ def _box_index(*shape: int) -> np.ndarray:
     return np.indices(shape).reshape(len(shape), -1).T
 
 
-def _block_index(order: int, dual: UnitaryDual, element_first: bool) -> np.ndarray:
-    """Index rows `x,eta_index,row,col` (element_first) or `xi_index,y_index,row,col`
-    of a per-irrep table, in the order irrep, element, row, column: the entries
-    of each run (end - first, order, d, d) of the dual in C order."""
+def _block_index(order: int, dual: UnitaryDual) -> np.ndarray:
+    """Index rows `x,eta_index,row,col` of a per-irrep table, in the order
+    irrep, element, row, column: the entries of each run (end - first, order,
+    d, d) of the dual in C order."""
     k, t, r, c = np.concatenate([_box_index(end - first, order, d, d) + [first, 0, 0, 0]
                                  for first, end, d, _ in dual.runs]).T
-    return np.stack((t, k, r, c) if element_first else (k, t, r, c), axis=1)
+    return np.stack((t, k, r, c), axis=1)
 
 
-def _write_table(path, index: np.ndarray, values, header=None):
+def _write_table(path, index: np.ndarray, values):
     """Write one row `*index,re,im` per index row, values to 17 significant digits."""
     values = np.asarray(values, dtype=complex).ravel()
     row = ",".join(["%d"] * index.shape[1] + ["%.17g", "%.17g"])
-    lines = [] if header is None else [header]
-    lines += map(row.__mod__, zip(*index.T.tolist(), values.real.tolist(), values.imag.tolist()))
+    lines = map(row.__mod__, zip(*index.T.tolist(), values.real.tolist(), values.imag.tolist()))
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
@@ -196,7 +191,7 @@ def _slots(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return box, slot
 
 
-def _read_table(path, index: np.ndarray, header=None) -> np.ndarray:
+def _read_table(path, index: np.ndarray) -> np.ndarray:
     """The values of a CSV table with rows `*index,re,im`, in the order of
     `index`'s rows.
 
@@ -211,11 +206,6 @@ def _read_table(path, index: np.ndarray, header=None) -> np.ndarray:
     rows = list(filter(str.strip, lines))
     if not rows:
         raise CsvFormatError(f"{path}: empty file, expected {len(index)} rows")
-    start = 0
-    if header is not None:
-        if lines[0].strip() != header:
-            raise CsvFormatError(f"{path}: line 1: expected header {header!r}")
-        start, rows = 1, rows[1:]
     width = index.shape[1]
     if len(rows) == len(index) and all(map(_row_pattern(width, _SHORT_INDEX).fullmatch, rows)):
         table = np.loadtxt(rows, delimiter=",", ndmin=2)
@@ -231,10 +221,10 @@ def _read_table(path, index: np.ndarray, header=None) -> np.ndarray:
                 out = np.empty(len(index), dtype=complex)
                 out[pos] = values.view(complex)[:, 0]
                 return out
-    raise _table_error(path, lines, start, index)
+    raise _table_error(path, lines, index)
 
 
-def _table_error(path, lines: list[str], start: int, index: np.ndarray) -> CsvFormatError:
+def _table_error(path, lines: list[str], index: np.ndarray) -> CsvFormatError:
     """The error for the first fault of a table that the bulk stage of
     `_read_table` refused, found by reading its lines one by one.
 
@@ -246,9 +236,9 @@ def _table_error(path, lines: list[str], start: int, index: np.ndarray) -> CsvFo
     width = index.shape[1]
     row = _row_pattern(width, _INDEX_FIELD.pattern)
     keys, line_of = [], []
-    lineno, error = start, None
+    lineno, error = 0, None
     try:
-        for lineno, line in enumerate(lines[start:], start=start + 1):
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             parts = line.split(",")
@@ -290,15 +280,6 @@ def _table_error(path, lines: list[str], start: int, index: np.ndarray) -> CsvFo
     )
 
 
-def _read_runs(path, group: FiniteGroup, element_first: bool, header=None) -> list[np.ndarray]:
-    """A tf or kernel table as one array (end - first, |G|, d, d) per run of
-    the dual: `_block_index` rows come in run order, so each run is a reshape."""
-    n, dual = group.order, group.dual
-    flat = _read_table(path, _block_index(n, dual, element_first), header)
-    return [flat[n * row:n * (row + (end - first) * d * d)].reshape(end - first, n, d, d)
-            for first, end, d, row in dual.runs]
-
-
 def read_csv_signal(path, group: FiniteGroup) -> Signal:
     """Signal CSV: rows `index,re,im`, one per group element."""
     return Signal(group, _read_table(path, _box_index(group.order)))
@@ -309,21 +290,22 @@ def write_csv_signal(path, u: Signal):
     _write_table(path, _box_index(u.group.order), u.values)
 
 
-def write_csv_matrix(path, table):
-    """Generic numeric CSV: one row per table row, 17 significant digits."""
-    lines = [",".join(f"{float(v):.17g}" for v in row) for row in np.atleast_2d(table)]
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
-
-
 def write_tf_csv(path, a: TFFunction):
     """Symbol / distribution CSV: rows `x,eta_index,row,col,re,im`."""
-    index = _block_index(a.group.order, a.dual, element_first=True)
+    index = _block_index(a.group.order, a.dual)
     _write_table(path, index, np.concatenate([run.ravel() for run in a.runs]))
 
 
 def read_tf_csv(path, group: FiniteGroup) -> TFFunction:
-    """Symbol / distribution CSV: one row `x,eta_index,row,col,re,im` per entry."""
-    return TFFunction.from_runs(group, group.dual, _read_runs(path, group, element_first=True))
+    """Symbol / distribution CSV: one row `x,eta_index,row,col,re,im` per entry.
+
+    `_block_index` rows come in run order, so each run (end - first, |G|, d, d)
+    of the dual is a reshape of the values read."""
+    n, dual = group.order, group.dual
+    flat = _read_table(path, _block_index(n, dual))
+    runs = [flat[n * row:n * (row + (end - first) * d * d)].reshape(end - first, n, d, d)
+            for first, end, d, row in dual.runs]
+    return TFFunction.from_runs(group, dual, runs)
 
 
 def write_operator_csv(path, B: GroupOperator):
@@ -335,21 +317,6 @@ def read_operator_csv(path, group: FiniteGroup) -> GroupOperator:
     """Operator CSV: one row `x,y,re,im` per kernel entry."""
     n = group.order
     return GroupOperator(group, _read_table(path, _box_index(n, n)).reshape(n, n))
-
-
-KERNEL_HEADER = "xi_index,y_index,row,col,re,im"
-
-
-def write_kernel_csv(path, k: CohenKernel):
-    index = _block_index(k.group.order, k.dual, element_first=False)
-    _write_table(path, index, np.concatenate([run.ravel() for run in k.phi.runs]), KERNEL_HEADER)
-
-
-def read_kernel_csv(path, group: FiniteGroup, name=None) -> CohenKernel:
-    """Kernel CSV: the header, then one row `xi_index,y_index,row,col,re,im` per entry."""
-    runs = _read_runs(path, group, element_first=False, header=KERNEL_HEADER)
-    phi = AmbiguityFunction.from_runs(group, group.dual, runs)
-    return CohenKernel(name or f"file:{path}", phi)
 
 
 def write_grid_csv(path, grid: ZTFGrid):

@@ -84,7 +84,7 @@ def reordered_cyclic4(tmp_path):
     return load_group_file(path)
 
 
-def corrupt_table(text, case, header_lines=0):
+def corrupt_table(text, case):
     """A CSV table with one defect, and the line number its reader must report.
 
     The cases are the corruptions a reader could silently accept or misplace:
@@ -95,38 +95,38 @@ def corrupt_table(text, case, header_lines=0):
     and fields that Python's int() and float() read but no writer emits: an
     index `0_0`, `+0` or ` 0` for 0, and a value `1_0.5` for 10.5."""
     lines = text.splitlines()
-    first = lines[header_lines].split(",")
-    line = header_lines + 1
+    first = lines[0].split(",")
+    line = 1
     if case == "negative-index":
-        lines[header_lines] = ",".join(["-1"] + first[1:])
+        lines[0] = ",".join(["-1"] + first[1:])
     elif case == "fractional-index":
-        lines[header_lines] = ",".join(["1.7"] + first[1:])
+        lines[0] = ",".join(["1.7"] + first[1:])
     elif case == "large-index":
-        lines[header_lines] = ",".join(["1000000"] + first[1:])
+        lines[0] = ",".join(["1000000"] + first[1:])
     elif case == "non-finite":
-        lines[header_lines] = ",".join(first[:-1] + ["nan"])
+        lines[0] = ",".join(first[:-1] + ["nan"])
     elif case == "extra-field":
-        lines[header_lines] = ",".join(first + ["0"])
+        lines[0] = ",".join(first + ["0"])
     elif case == "missing-row":
         lines.pop()
         line = len(lines)
     elif case == "duplicate-row":
-        lines[header_lines + 1] = lines[header_lines]
+        lines[1] = lines[0]
         line += 1
     elif case == "after-blank-line":
-        lines[header_lines] = ",".join(["-1"] + first[1:])
-        lines.insert(header_lines, "")
+        lines[0] = ",".join(["-1"] + first[1:])
+        lines.insert(0, "")
         line += 1
     elif case == "index-hole":
-        lines[header_lines] = ",".join(first[:3] + ["1"] + first[4:])
+        lines[0] = ",".join(first[:3] + ["1"] + first[4:])
     elif case == "underscore-index":
-        lines[header_lines] = ",".join([f"{first[0]}_0"] + first[1:])
+        lines[0] = ",".join([f"{first[0]}_0"] + first[1:])
     elif case == "plus-index":
-        lines[header_lines] = ",".join([f"+{first[0]}"] + first[1:])
+        lines[0] = ",".join([f"+{first[0]}"] + first[1:])
     elif case == "space-index":
-        lines[header_lines] = ",".join([f" {first[0]}"] + first[1:])
+        lines[0] = ",".join([f" {first[0]}"] + first[1:])
     elif case == "underscore-value":
-        lines[header_lines] = ",".join(first[:-2] + ["1_0.5"] + first[-1:])
+        lines[0] = ",".join(first[:-2] + ["1_0.5"] + first[-1:])
     return "\n".join(lines) + "\n", line
 
 
@@ -136,6 +136,7 @@ CORRUPTIONS = ["negative-index", "fractional-index", "non-finite", "missing-row"
 
 
 def corruptions(table):
-    """The CORRUPTIONS that apply to a table kind: only tf and kernel tables
-    have the `col` field that "index-hole" sets."""
+    """The CORRUPTIONS that apply to a table kind: only the block tables (tf,
+    and the kernel layout of tests/test_signalio.py) have the `col` field that
+    "index-hole" sets."""
     return [c for c in CORRUPTIONS if c != "index-hole" or table in ("tf", "kernel")]

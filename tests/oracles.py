@@ -17,6 +17,7 @@ from gtfa import groups
 from gtfa.groups import (FiniteGroup, GroupTableError, Irrep, UnitaryDual, representation_runs,
                          require_same_group)
 from gtfa.harmonic import Signal, fourier, haar_inner, norm, random_signal
+from gtfa.limits import ZSignal, ZTFGrid, _lag_rows
 from gtfa.properties import EXHAUSTIVE_TOL, ONB_TOL, SEED, PropertyReport
 from gtfa.signalio import _INDEX_FIELD, _VALUE_FIELD, CsvFormatError
 from gtfa.quantization import (GroupOperator, identity_operator, kn_operator, original_localization,
@@ -269,7 +270,25 @@ SERIAL_CHECKS = {
 }
 
 
-def read_table_row_loop(path, index: np.ndarray, header=None) -> np.ndarray:
+def q_z_distribution_dense(u: ZSignal, M: int, t_start: int | None = None, t_count: int | None = None,
+                           axis_fix: bool = True) -> ZTFGrid:
+    """Reference for `limits.q_z_distribution`: the sum over lags as a dense
+    (2L - 2) x M table of phases e^{-i 2 pi y k / M}, one column of lag sums
+    per lag, and one matrix product."""
+    if t_start is None:
+        t_start = u.offset
+    if t_count is None:
+        t_count = len(u)
+    lags = list(_lag_rows(u, t_start, t_count))
+    ys = np.array([y for y, _ in lags], dtype=int)
+    h = np.array([row for _, row in lags], dtype=complex).reshape(len(lags), t_count).T
+    vals = (h @ np.exp(-2j * np.pi * np.outer(ys, np.arange(M)) / M)).T
+    if axis_fix:
+        vals += (np.abs([u.at(t) for t in range(t_start, t_start + t_count)]) ** 2)[None, :]
+    return ZTFGrid(t_start, M, vals)
+
+
+def read_table_row_loop(path, index: np.ndarray) -> np.ndarray:
     """Reference for `signalio._read_table`: the table read one line at a
     time, each line matched, split and converted with float() on its own.
 
@@ -280,17 +299,12 @@ def read_table_row_loop(path, index: np.ndarray, header=None) -> np.ndarray:
         lines = fh.read().splitlines()
     if not any(line.strip() for line in lines):
         raise CsvFormatError(f"{path}: empty file, expected {len(index)} rows")
-    start = 0
-    if header is not None:
-        if not lines or lines[0].strip() != header:
-            raise CsvFormatError(f"{path}: line 1: expected header {header!r}")
-        start = 1
     width = index.shape[1]
     row = re.compile(",".join([f"(?:{_INDEX_FIELD.pattern})"] * width + [f"(?:{_VALUE_FIELD.pattern})"] * 2))
     keys, vals, line_of = [], [], []
-    lineno, error = start, None
+    lineno, error = 0, None
     try:
-        for lineno, line in enumerate(lines[start:], start=start + 1):
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             parts = line.split(",")

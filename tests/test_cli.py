@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,17 @@ import pytest
 
 import gtfa
 from conftest import corrupt_table, corruptions
-from gtfa.cli import main, parse_group, worker_count, ConfigError
+from oracles import q_z_distribution_dense
+from gtfa.cli import main, parse_group, ConfigError
 from gtfa.groups import build_cyclic
 from gtfa.harmonic import Signal, random_signal
 from gtfa.quantization import identity_operator
 from gtfa.signalio import (
+    ImageSpec,
     read_csv_signal,
     read_tf_csv,
+    read_wav_mono16,
+    render_pgm,
     write_csv_signal,
     write_operator_csv,
     write_tf_csv,
@@ -40,16 +45,6 @@ def test_parse_group_specs():
     for bad in ("cyclic:0", "cyclic:x", "ring:4", "product:cyclic:2", "dihedral:1"):
         with pytest.raises(ConfigError):
             parse_group(bad)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("GTFA_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("GTFA_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("GTFA_THREADS", "many")
-    with pytest.raises(ConfigError):
-        worker_count()
 
 
 def test_transform_writes_csv_and_pgm(tmp_path, rng):
@@ -224,6 +219,34 @@ def test_corrupt_input_tables_exit2(tmp_path, rng, capsys, command, case):
     assert f"line {line}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("what,argv", [
+    ("signal", ["transform", "--group", "cyclic:4", "--kernel", "kn", "--in", "{missing}", "--out", "o.csv"]),
+    ("signal", ["transform", "--group", "cyclic:4", "--kernel", "spectrogram:{missing}", "--in", "{missing}",
+                "--out", "o.csv"]),
+    ("symbol", ["quantize", "--group", "cyclic:4", "--kernel", "kn", "--symbol", "{missing}", "--out", "o.csv"]),
+    ("operator", ["dequantize", "--group", "cyclic:4", "--kernel", "kn", "--operator", "{missing}",
+                  "--out", "o.csv"]),
+    ("distribution", ["reconstruct", "--group", "cyclic:4", "--in", "{missing}", "--out", "o.csv"]),
+    ("WAV", ["figures", "--wav", "{missing}", "--outdir", "o"]),
+    ("group", ["verify", "--group", "file:{missing}", "--kernel", "kn"]),
+], ids=["signal", "window", "symbol", "operator", "distribution", "wav", "group"])
+def test_missing_input_file_message(tmp_path, capsys, what, argv):
+    missing = str(tmp_path / "none.csv")
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {what} file not found: {missing}\n"
+
+
+@pytest.mark.parametrize("payload,reason", [
+    (b"RIFX\0\0\0\0WAVE", "not a RIFF/WAVE file"),
+    (b"RIFF", "too short for a RIFF header"),
+])
+def test_faulty_wav_message(tmp_path, capsys, payload, reason):
+    wav = tmp_path / "bad.wav"
+    wav.write_bytes(payload)
+    assert main(["figures", "--wav", str(wav), "--outdir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {wav}: {reason}\n"
+
+
 def test_reconstruct_roundtrip(tmp_path, rng):
     g, _ = build_cyclic(16)
     u = Signal(g, rng.standard_normal(16) + 1j * rng.standard_normal(16)
@@ -316,6 +339,16 @@ def test_figures_pipeline(tmp_path):
     assert err.max() <= 1.0
 
 
+def test_figures_waveform_csv_rows(tmp_path):
+    """waveform.csv has one row `index,re,im` per sample, values to 17
+    significant digits and a zero imaginary part."""
+    wav = chirp_wav(tmp_path, N=64, f0=4, f1=20)
+    out = tmp_path / "o"
+    assert main(["figures", "--wav", wav, "--outdir", str(out)]) == 0
+    samples = read_wav_mono16(wav).values.real
+    assert (out / "waveform.csv").read_text() == "".join(f"{i},{v:.17g},0\n" for i, v in enumerate(samples))
+
+
 def test_figures_missing_wav(tmp_path):
     rc = main(["figures", "--wav", str(tmp_path / "none.wav"), "--outdir", str(tmp_path)])
     assert rc == 2
@@ -340,9 +373,34 @@ def test_figures_bad_options_exit2(tmp_path, capsys, flag, value, reason):
 
 
 def test_figures_respects_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("GTFA_THREADS", "1")
+    """`figures` computes its pictures in the calling thread and starts none,
+    whatever GTFA_THREADS says: the variable is ignored."""
+    def no_thread(self):
+        raise AssertionError("figures started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setenv("GTFA_THREADS", "many")
     wav = chirp_wav(tmp_path, N=64, f0=4, f1=20)
-    assert main(["figures", "--wav", wav, "--outdir", str(tmp_path / "o")]) == 0
+    out = tmp_path / "o"
+    assert main(["figures", "--wav", wav, "--outdir", str(out), "--grid-csv"]) == 0
+    assert sorted(os.listdir(out)) == ["born_jordan_cyclic.pgm", "born_jordan_z.csv", "born_jordan_z.pgm",
+                                       "spectrogram.pgm", "waveform.csv"]
+
+
+def test_figures_born_jordan_z_matches_dense_oracle(tmp_path):
+    """The nonperiodic picture of a 256-sample chirp, byte for byte as
+    rendered from the dense-DFT oracle's grid, and the grid CSV within 1e-12."""
+    wav = chirp_wav(tmp_path)
+    out = tmp_path / "o"
+    assert main(["figures", "--wav", wav, "--outdir", str(out), "--grid-csv"]) == 0
+    grid = q_z_distribution_dense(read_wav_mono16(wav), 256)
+    render_pgm(grid.real_grid(), ImageSpec("midgrey-zero"), tmp_path / "oracle.pgm")
+    assert (out / "born_jordan_z.pgm").read_bytes() == (tmp_path / "oracle.pgm").read_bytes()
+    rows = np.loadtxt(out / "born_jordan_z.csv", delimiter=",")
+    assert rows[:, :2].tolist() == [[t, k] for t in range(256) for k in range(256)]
+    got = rows[:, 2] + 1j * rows[:, 3]
+    want = grid.values.T.ravel()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_custom_group_file_through_cli(tmp_path, rng):

@@ -14,7 +14,7 @@ from gtfa.limits import (
     sampled_z_kernel,
     varphi_DZ,
 )
-from oracles import born_jordan_phi
+from oracles import born_jordan_phi, q_z_distribution_dense
 
 
 def test_phi_DT_frozen_value():
@@ -137,6 +137,28 @@ def test_qz_direct_sum_oracle(rng):
         for k in range(M)
     )
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("L,M,t_start,t_count,axis_fix", [
+    (89, 89, None, None, True),    # M < 2L - 1: residues of lags on both sides of 0 meet
+    (89, 89, None, None, False),
+    (20, 39, None, None, True),    # M = 2L - 1: one lag per residue
+    (20, 64, None, None, True),
+    (7, 1, None, None, True),      # one frequency bin: every lag folds onto it
+    (1, 5, None, None, True),      # no lag at all
+    (1, 5, None, None, False),
+    (12, 9, -20, 45, True),        # a window wider than the support, shifted
+    (12, 9, 0, 3, False),          # a window inside the support
+], ids=["L89-M89", "L89-M89-no-fix", "M=2L-1", "M>2L-1", "M1", "L1", "L1-no-fix", "wide-window",
+        "inner-window"])
+def test_qz_fold_matches_dense_oracle(rng, L, M, t_start, t_count, axis_fix):
+    """The folded FFT equals the dense table of phases to 1e-12 relative."""
+    u = ZSignal(-5, rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    got = q_z_distribution(u, M, t_start, t_count, axis_fix)
+    want = q_z_distribution_dense(u, M, t_start, t_count, axis_fix)
+    assert (got.t_start, got.freq_bins) == (want.t_start, want.freq_bins)
+    assert got.values.shape == want.values.shape
+    assert np.abs(got.values - want.values).max() <= 1e-12 * max(np.abs(want.values).max(), 1e-300)
 
 
 def test_sampled_kernel_margins():
