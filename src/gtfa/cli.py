@@ -18,7 +18,7 @@ import numpy as np
 
 from . import signalio
 from .groups import (FiniteGroup, GroupTableError, build_cyclic, build_dihedral, build_product,
-                     is_cyclic, load_group_file, plancherel_trace)
+                     is_cyclic, load_group_file, plancherel_trace, require_same_dual)
 from .harmonic import Signal
 from .quantization import SingularKernel, dequantize, quantize
 from .signalio import ImageSpec, render_pgm
@@ -91,6 +91,18 @@ def parse_group(spec: str) -> FiniteGroup:
     raise ConfigError(f"unknown group spec {spec!r}")
 
 
+def _require_cyclic(group: FiniteGroup, message: str):
+    """Refuse a group outside the cyclic labelling, or a group file whose
+    dual lists the characters in another order than cyclic:N's."""
+    if not is_cyclic(group):
+        raise ConfigError(message)
+    try:
+        require_same_dual(group.dual, build_cyclic(group.order)[1])
+    except ValueError:
+        raise ConfigError(f"{message}: the group's dual must list the characters "
+                          f"in the order of cyclic:{group.order}")
+
+
 def parse_kernel(spec: str, group: FiniteGroup) -> CohenKernel:
     if spec == "kn":
         return kn_kernel(group.dual)
@@ -99,12 +111,13 @@ def parse_kernel(spec: str, group: FiniteGroup) -> CohenKernel:
     if spec == "margin-fix":
         return margin_fix_kernel(group.dual)
     if spec == "born-jordan":
-        if not is_cyclic(group):
-            raise ConfigError("born-jordan kernel needs a cyclic group")
+        _require_cyclic(group, "born-jordan kernel needs a cyclic group")
         return born_jordan_cyclic_kernel(group.order)
     if spec == "wigner-odd":
-        if not is_cyclic(group) or group.order % 2 == 0:
-            raise ConfigError("wigner-odd kernel needs an odd-order cyclic group")
+        message = "wigner-odd kernel needs an odd-order cyclic group"
+        if group.order % 2 == 0:
+            raise ConfigError(message)
+        _require_cyclic(group, message)
         return wigner_kernel_odd_cyclic(group.order)
     if spec.startswith("spectrogram:"):
         w = _read_signal(spec[len("spectrogram:"):], group)
@@ -184,7 +197,7 @@ def cmd_verify(args) -> int:
     reports = run_all_checks(kernel, verify=not args.no_cross)
     print(report_lines(reports))
     if args.csv:
-        signalio.atomic_write(args.csv, report_csv(reports).encode())
+        signalio.atomic_write(args.csv, (report_csv(reports).encode(),))
     by_name = {r.name: r for r in reports}
     failed = [w for w in wanted if not by_name[w].holds]
     if failed:
@@ -215,8 +228,7 @@ def cmd_reconstruct(args) -> int:
     from .reconstruct import MarginNegative, retrieval_report
 
     group = parse_group(args.group)
-    if not is_cyclic(group):
-        raise ConfigError("reconstruct works on cyclic groups")
+    _require_cyclic(group, "reconstruct works on cyclic groups")
     Q = _read("distribution", signalio.read_tf_csv, args.infile, group)
     try:
         rep = retrieval_report(Q, tol_zero=args.tol_zero)
@@ -232,7 +244,7 @@ def cmd_reconstruct(args) -> int:
         f"all_zero {int(rep.islands == 0)}\n"
     )
     if args.report:
-        signalio.atomic_write(args.report, report.encode())
+        signalio.atomic_write(args.report, (report.encode(),))
     else:
         print(report, end="")
     return EXIT_OK

@@ -326,9 +326,14 @@ class FiniteGroup:
 
 
 def is_cyclic(group: FiniteGroup) -> bool:
-    """True when the group law is addition mod |G|, the labeling of cyclic:N."""
-    i = np.arange(group.order)
-    return np.array_equal(group.cayley, (i[:, None] + i[None, :]) % group.order)
+    """True when the group law is addition mod |G|, the labeling of cyclic:N.
+
+    Reads one column: x * 1 = x + 1 for every x makes 0 the identity and
+    x = 1^x, so by associativity x * y = x + y.
+    It costs O(|G|) time and memory: no |G| x |G| table is made.
+    """
+    N = group.order
+    return np.array_equal(group.cayley[:, 1 % N], (np.arange(N) + 1) % N)
 
 
 def require_same_group(a: FiniteGroup, b: FiniteGroup, what: str = "operands"):

@@ -5,38 +5,41 @@ class [u] = {lambda u : |lambda| = 1} for every N, even composite N where the
 quantization itself is not invertible.  The constructive inverse used here:
 
 1.  Time margins give the magnitudes |u(x)|^2.
-2.  The ambiguity side FQ[u](xi, y), divided by the geometric-sum factor of
-    the kernel, yields the partial autocorrelations
-        E(x, y) = sum_{k=0}^{y-1} u(x+k) u(x+k-y)^*.
-3.  Starting from a pivot z with u(z) != 0 (phase fixed to be real positive),
-    u(z+j) and u(z-j) are recovered recursively for j = 1..floor(N/2): the
-    unknown term of E(z+1, j) resp. E(z, j) supplies the phase, the margin
-    supplies the magnitude.
+2.  Inverting FQ[u](xi, y) / phi(xi, y) in xi, over the entries where the
+    Born-Jordan kernel phi is nonzero, gives the exact part K[x, y] of the
+    lag table.  Off the axes phi vanishes where xi y = 0 mod N, at the
+    multiples of N/g, g = gcd(y, N); so u(x) u(x-y)^* - K[x, y] depends only
+    on x mod g, and sums to zero over the g residues.
+3.  From a pivot z with u(z) != 0, its phase fixed real positive, the
+    products u(z+j) u(z)^* and u(z) u(z-j)^* for j = 1..floor(N/2) are
+    K[z+j, j] and K[z, j] plus that difference at residue z mod g: -g/j
+    times its sum over the known products u(z+t) u(z+t-j)^*, 0 < t < j with
+    g not dividing t, which cover every other residue j/g times.  Each
+    product gives a phase, the margin the magnitude.
 
-Zeros are skipped; if zeros split the index circle into several arcs, the
-relative phases between arcs are not determined by the recursion and one
-consistent choice is returned (flagged via islands > 1 in the report).
+Every sample is tied to the pivot itself, so zeros of u leave no phase
+undetermined: the recursion fixes [u] whenever the pivot is nonzero.  The
+report's `islands`, the number of arcs of nonzero samples, is information.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import build_cyclic, group_inverse_fourier, plancherel_trace
+from .groups import build_cyclic, group_inverse_fourier, plancherel_trace, require_same_dual
 from .harmonic import Signal, haar_inner, norm, require_single
 from .tfplane import TFFunction, symplectic_fourier, tf_norm
 from .transforms import born_jordan_cyclic_kernel, cohen_transform
 
 __all__ = [
     "MarginNegative",
-    "PartialAutocorrelation",
     "RoundtripReport",
     "born_jordan_distribution",
     "island_count",
     "magnitudes_from_margins",
-    "partial_autocorrelations",
     "phase_retrieve",
     "retrieval_report",
     "roundtrip_report",
@@ -49,17 +52,6 @@ class MarginNegative(ValueError):
     """A time margin is substantially negative: not a valid Q[u] table."""
 
 
-@dataclass
-class PartialAutocorrelation:
-    """Table E(x, y) = sum_{k<y} u(x+k) u(x+k-y)^*, for y = 1..N-1.
-
-    Stored as an (N, N) array; column 0 is unused and kept at zero.
-    """
-
-    order: int
-    table: np.ndarray
-
-
 def born_jordan_distribution(u: Signal) -> TFFunction:
     """Q[u] on the signal's cyclic group."""
     require_single(u)
@@ -67,13 +59,9 @@ def born_jordan_distribution(u: Signal) -> TFFunction:
     return cohen_transform(k, Signal(k.group, u.values), Signal(k.group, u.values))
 
 
-def _margins(Q: TFFunction) -> np.ndarray:
-    return plancherel_trace(Q.dual, Q.runs).sum(axis=0)
-
-
 def magnitudes_from_margins(Q: TFFunction) -> np.ndarray:
     """|u(x)|^2 from the time margins of Q[u]; tiny negatives are clamped."""
-    m = _margins(Q).real
+    m = plancherel_trace(Q.dual, Q.runs).sum(axis=0).real
     if m.min() < MARGIN_FLOOR:
         raise MarginNegative(
             f"time margin at x={int(m.argmin())} is {m.min():.3g} < {MARGIN_FLOOR:g}"
@@ -81,22 +69,16 @@ def magnitudes_from_margins(Q: TFFunction) -> np.ndarray:
     return np.maximum(m, 0.0)
 
 
-def partial_autocorrelations(Q: TFFunction) -> PartialAutocorrelation:
-    """Extract E(x, y) from FQ[u] by dividing out the kernel's sum factor.
-
-    For y != 0:  h_y(xi) = FQ(xi, y) * N (1 - e^{-i 2 pi y / N}) / (i 2 pi)
-    for xi != 0, and h_y(0) = y * FQ(0, y); then E(., y) is the inverse DFT
-    of h_y.  Any table is accepted; validity surfaces in round-trip residuals.
-    """
-    N = Q.group.order
+def _lag_table(Q: TFFunction) -> np.ndarray:
+    """K[x, y] = sum over xi with phi(xi, y) != 0 of chi_xi(x) FQ(xi, y) / phi(xi, y),
+    phi the Born-Jordan kernel: the lag products u(x) u(x-y)^* up to a
+    function of x mod gcd(y, N) that sums to zero over the residues."""
+    k = born_jordan_cyclic_kernel(Q.group.order)
+    require_same_dual(k.dual, Q.dual, "kernel and distribution")
+    phi = k.phi.scalar_table()
     FQ = symplectic_fourier(Q).scalar_table()  # [xi, y]
-    y = np.arange(N)
-    h = FQ * (N * (1.0 - np.exp(-2j * np.pi * y / N)) / (2j * np.pi))[None, :]
-    h[0, :] = y * FQ[0, :]
-    # E[x, y] = sum_xi e^{i 2 pi x xi / N} h_y(xi)
-    E = group_inverse_fourier(Q.dual, [h[:, :, None, None]])
-    E[:, 0] = 0.0
-    return PartialAutocorrelation(N, E)
+    H = np.divide(FQ, phi, out=np.zeros_like(FQ), where=phi != 0)
+    return group_inverse_fourier(Q.dual, [H[:, :, None, None]])
 
 
 def phase_retrieve(Q: TFFunction, tol_zero: float = 1e-9) -> Signal:
@@ -104,7 +86,7 @@ def phase_retrieve(Q: TFFunction, tol_zero: float = 1e-9) -> Signal:
 
     The returned signal is real and positive at the pivot (the index of
     largest magnitude); positions whose margin falls below tol_zero are set
-    to zero and skipped by the recursion.
+    to zero.
     """
     group = Q.group
     N = group.order
@@ -113,44 +95,34 @@ def phase_retrieve(Q: TFFunction, tol_zero: float = 1e-9) -> Signal:
     if not mag.any():
         return Signal(group, np.zeros(N))
 
+    # v[t] = u(z + t) and K[t, y] = K(z + t, y), z the pivot
     z = int(mag.argmax())
-    u = np.zeros(N, dtype=complex)
-    u[z] = mag[z]
-    if N == 1:
-        return Signal(group, u)
+    mag = np.roll(mag, -z)
+    K = np.roll(_lag_table(Q), -z, axis=0)
+    v = np.zeros(N, dtype=complex)
+    v[0] = mag[0]
 
-    E = partial_autocorrelations(Q).table
-
-    def assign(idx, residual, conj_side):
-        if mag[idx] == 0.0:
-            return
-        val = np.conj(residual / u[z]) if conj_side else residual / np.conj(u[z])
-        a = abs(val)
-        u[idx] = mag[idx] * (val / a) if a > 0 else mag[idx]
+    def assign(t, product):  # v[t] from v[t] v[0]^* = product, v[0] real
+        a = abs(product)
+        v[t] = mag[t] * (product / a) if a > 0 else mag[t]
 
     for j in range(1, N // 2 + 1):
-        ip, im = (z + j) % N, (z - j) % N
-        # E(z+1, j): unknown term u(z+j) u(z)^* at k = j-1
-        ks = np.arange(j - 1)
-        known_p = np.sum(u[(z + 1 + ks) % N] * np.conj(u[(z + 1 + ks - j) % N]))
-        assign(ip, E[(z + 1) % N, j] - known_p, conj_side=False)
-        if im == ip:
-            break
-        # E(z, j): unknown term u(z) u(z-j)^* at k = 0
-        ks = np.arange(1, j)
-        known_m = np.sum(u[(z + ks) % N] * np.conj(u[(z + ks - j) % N]))
-        assign(im, E[z, j] - known_m, conj_side=True)
-    return Signal(group, u)
+        g = math.gcd(j, N)
+        t = np.arange(1, j)
+        t = t[t % g != 0]
+        # v[t] v[t-j]^* - K[t, j] at t = 0 mod g, from its zero sum over the residues
+        d = -(g / j) * np.sum(v[t] * np.conj(v[t - j]) - K[t, j])
+        assign(j, K[j, j] + d)  # v[j] v[0]^*
+        if 2 * j < N:
+            assign(-j, np.conj(K[0, j] + d))  # (v[0] v[-j]^*)^*
+    return Signal(group, np.roll(v, z))
 
 
 def island_count(mask: np.ndarray) -> int:
     """Number of maximal arcs of True values on the index circle."""
     if mask.all():
         return 1
-    if not mask.any():
-        return 0
-    changes = np.count_nonzero(mask != np.roll(mask, 1))
-    return changes // 2
+    return np.count_nonzero(mask != np.roll(mask, 1)) // 2
 
 
 @dataclass
@@ -189,7 +161,6 @@ def retrieval_report(Q: TFFunction, tol_zero: float = 1e-9) -> RoundtripReport:
 
 def roundtrip_report(u: Signal, tol_zero: float = 1e-9) -> RoundtripReport:
     """Forward transform, retrieve, and measure how well [u] was recovered."""
-    cyc, _ = build_cyclic(u.group.order)
-    u = Signal(cyc, u.values)
+    u = Signal(build_cyclic(u.group.order)[0], u.values)
     rep = retrieval_report(born_jordan_distribution(u), tol_zero=tol_zero)
     return replace(rep, class_distance=class_distance(u, rep.recovered))

@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 
+# Rows formatted and written at a time: the text of one chunk is held in
+# memory, not the table's.
+CSV_CHUNK_ROWS = 65536
+
+
 class UnsupportedFormat(ValueError):
     """WAV file exists but is not PCM 16-bit mono."""
 
@@ -65,8 +70,9 @@ class CsvFormatError(ValueError):
     """Malformed CSV row; message carries the line number."""
 
 
-def atomic_write(path, data: bytes):
-    """Write data to a temp file beside path, then rename it over path.
+def atomic_write(path, chunks):
+    """Write an iterable of byte strings to a temp file beside path, then
+    rename it over path.
 
     The file gets mode 0o666 less the umask, as open() would create it.  Not
     in __all__, so perfbench/tracer.py counts its time in the writers.
@@ -77,7 +83,7 @@ def atomic_write(path, data: bytes):
     fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -159,11 +165,18 @@ def _block_index(order: int, dual: UnitaryDual) -> np.ndarray:
 
 
 def _write_table(path, index: np.ndarray, values):
-    """Write one row `*index,re,im` per index row, values to 17 significant digits."""
+    """Write one row `*index,re,im` per index row, values to 17 significant
+    digits, CSV_CHUNK_ROWS rows at a time."""
     values = np.asarray(values, dtype=complex).ravel()
-    row = ",".join(["%d"] * index.shape[1] + ["%.17g", "%.17g"])
-    lines = map(row.__mod__, zip(*index.T.tolist(), values.real.tolist(), values.imag.tolist()))
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    row = ",".join(["%d"] * index.shape[1] + ["%.17g", "%.17g"]) + "\n"
+
+    def chunks():
+        for i in range(0, len(values), CSV_CHUNK_ROWS):
+            part = slice(i, i + CSV_CHUNK_ROWS)
+            cols = zip(*index[part].T.tolist(), values[part].real.tolist(), values[part].imag.tolist())
+            yield "".join(map(row.__mod__, cols)).encode()
+
+    atomic_write(path, chunks())
 
 
 # Integers as `%d` writes them, and decimal numbers in plain or scientific
@@ -387,7 +400,7 @@ def render_pgm(values, spec: ImageSpec, path):
     h, w = pix.shape
     body = "\n".join([" ".join(_PIXEL_TEXT[row].tolist()) for row in pix])
     data = f"P2\n{w} {h}\n255\n{body}\n".encode()
-    atomic_write(path, data)
+    atomic_write(path, (data,))
 
 
 def periodize(u: ZSignal, N: int) -> Signal:

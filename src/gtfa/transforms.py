@@ -343,12 +343,10 @@ def _halving_map(N: int) -> np.ndarray:
 
 
 def wigner_kernel_odd_cyclic(N: int) -> CohenKernel:
-    """Wigner kernel phi(xi, y) = exp(i 2 pi xi h(y) / N), h the halving map."""
+    """Wigner kernel phi(xi, y) = xi(h(y)) = exp(i 2 pi (xi h(y) mod N) / N), h the
+    halving map: columns of the dual's table, whose phases are reduced mod N."""
     group, dual = build_cyclic(N)
-    h = _halving_map(N)
-    idx = np.arange(N)
-    table = np.exp(2j * np.pi * np.outer(idx, h) / N)
-    return _scalar_kernel(group, dual, table, f"wigner-odd:{N}")
+    return _scalar_kernel(group, dual, dual.table[:, _halving_map(N)], f"wigner-odd:{N}")
 
 
 def wigner_odd_cyclic(u: Signal, v: Signal) -> TFFunction:

@@ -292,6 +292,41 @@ def test_reconstruct_corrupted_margins_exit3(tmp_path, rng, capsys):
     assert "margin" in capsys.readouterr().err
 
 
+def permuted_cyclic5(tmp_path):
+    """cyclic:5 through a group file whose dual lists the characters in the
+    order 0, 3, 2, 1, 4: the cyclic labelling with another dual."""
+    from conftest import group_file_text
+    from gtfa.groups import Irrep, UnitaryDual
+
+    g, d = build_cyclic(5)
+    path = tmp_path / "z5.grp"
+    path.write_text(group_file_text(g, UnitaryDual([Irrep(1, d.irreps[k].matrices) for k in (0, 3, 2, 1, 4)])))
+    return f"file:{path}", parse_group(f"file:{path}")
+
+
+@pytest.mark.parametrize("kernel", ["born-jordan", "wigner-odd"])
+def test_cyclic_kernels_refuse_a_permuted_dual(tmp_path, rng, capsys, kernel):
+    spec, g = permuted_cyclic5(tmp_path)
+    up = write_signal(tmp_path, "u.csv", g, random_signal(g, rng).values)
+    assert main(["transform", "--group", spec, "--kernel", kernel, "--in", up,
+                 "--out", str(tmp_path / "q.csv")]) == 2
+    assert "in the order of cyclic:5" in capsys.readouterr().err
+    assert not (tmp_path / "q.csv").exists()
+
+
+def test_reconstruct_refuses_a_permuted_dual(tmp_path, rng, capsys):
+    """The exact distribution, written in the file's irrep order, is refused:
+    the kernel's runs and the table's would not line up."""
+    spec, g = permuted_cyclic5(tmp_path)
+    u = random_signal(build_cyclic(5)[0], rng)
+    Q = cohen_transform(born_jordan_cyclic_kernel(5), u, u).scalar_table()
+    qp = str(tmp_path / "q.csv")
+    write_tf_csv(qp, TFFunction.from_scalar_table(g, g.dual, Q[[0, 3, 2, 1, 4]]))
+    assert main(["reconstruct", "--group", spec, "--in", qp, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "in the order of cyclic:5" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # figures
 # ---------------------------------------------------------------------------

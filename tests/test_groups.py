@@ -269,6 +269,23 @@ def test_is_cyclic_means_the_cyclic_labeling(gd):
     assert is_cyclic(g) == g.name.startswith("cyclic:")
 
 
+def test_is_cyclic_reads_one_column():
+    """No |G|^2 table is built: at order 2048 one is 32 MiB."""
+    import tracemalloc
+
+    i = np.arange(2048)
+    g = FiniteGroup(2048, (i[:, None] + i) % 2048, 0, -i % 2048)  # no dual to build
+    tracemalloc.start()
+    try:
+        assert is_cyclic(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    shifted = FiniteGroup(g.order, (g.cayley + 1) % g.order, g.order - 1, (-2 - np.arange(g.order)) % g.order)
+    assert not is_cyclic(shifted)  # the law x + y + 1 has identity N - 1
+
+
 # ---------------------------------------------------------------------------
 # The group-Fourier primitives against the naive per-irrep sums
 # ---------------------------------------------------------------------------

@@ -542,6 +542,25 @@ def test_atomic_write_honours_umask(tmp_path):
     assert stat.S_IMODE(os.stat(tmp_path / "u.csv").st_mode) == 0o640
 
 
+def test_write_tf_csv_holds_one_chunk_of_text(tmp_path, rng, monkeypatch):
+    """The text of one chunk of rows is in memory at a time, not the table's,
+    and the file is the same whatever the chunk size."""
+    import tracemalloc
+
+    g, _ = build_cyclic(128)
+    D = cohen_transform(born_jordan_cyclic_kernel(128), *[random_signal(g, rng)] * 2)
+    write_tf_csv(tmp_path / "whole.csv", D)  # 16384 rows, one chunk
+    monkeypatch.setattr(signalio, "CSV_CHUNK_ROWS", 1000)
+    tracemalloc.start()
+    try:
+        write_tf_csv(tmp_path / "chunked.csv", D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert peak < 2 << 20  # the whole table's text takes 4.7 MiB
+
+
 def test_wav_empty_data_chunk(tmp_path):
     p = tmp_path / "empty.wav"
     p.write_bytes(make_wav([]))

@@ -585,6 +585,19 @@ def test_wigner_kernel_value():
     assert k.phi.scalar_table()[1, 2] == pytest.approx(np.exp(2j * np.pi / 5))
 
 
+def test_wigner_kernel_phases_reduced_mod_n(monkeypatch):
+    """phi(xi, y) = exp(i 2 pi (xi h(y) mod N) / N) bit for bit; the unreduced
+    phase 2 pi xi h(y) / N is off by up to 2.6e-12 at N = 2047."""
+    from gtfa import transforms
+
+    N = 2047
+    monkeypatch.setattr(transforms, "build_cyclic", build_cyclic.__wrapped__)  # keep 2047 out of the cache
+    tab = wigner_kernel_odd_cyclic(N).phi.scalar_table()
+    h = (N + 1) // 2 * np.arange(N) % N
+    for xi in np.array_split(np.arange(N), 8):
+        assert np.array_equal(tab[xi], np.exp(2j * np.pi * (np.outer(xi, h) % N) / N))
+
+
 def test_wigner_two_routes(rng):
     g, _ = build_cyclic(7)
     u, v = random_signal(g, rng), random_signal(g, rng)
