@@ -3,8 +3,8 @@
 A group is stored as a dense Cayley table on element indices 0..|G|-1; the
 table is the single source of truth for the group law.  Each group built here
 carries its complete unitary dual: an ordered list of inequivalent irreducible
-unitary matrix representations, stored as one table (`UnitaryDual.table`)
-that the builders and the file loader write directly; per-irrep `Irrep`
+unitary matrix representations, stored as one table (`UnitaryDual.table`),
+made on first read for the cyclic and product builders; per-irrep `Irrep`
 objects are views of it, made only when `UnitaryDual.irreps` is first read.
 
 Dual ordering is canonical and load-bearing for file outputs: cyclic duals are
@@ -31,7 +31,8 @@ the stacked table.  A dual whose builder made it the standard character table
 of cyclic factors (`UnitaryDual.cyclic_factors`: `build_cyclic` and products
 of such duals) takes an FFT route instead once |G| >= FFT_MIN_ORDER: the same
 sums as an n-dimensional DFT over the factor axes, in O(|G| log |G|) per
-column.  Dihedral duals, products with a dihedral factor and file-loaded
+column, with no |G| x |G| table (`cyclic:N` holds a window view as its Cayley
+table).  Dihedral duals, products with a dihedral factor and file-loaded
 duals always take the naive sum, which stays the oracle of the FFT route.
 """
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress
 
 import numpy as np
@@ -116,10 +117,10 @@ class UnitaryDual:
     complete dual has a square table (sum d_k^2 = |G|); an all-scalar dual's
     table is its character table.  Beside it the dual stores `dims`, `runs`,
     `trivial_index`, `cyclic_factors` and `label(k)`, the name of irrep k
-    ("irrep<k>" unless the builder names it).
-    `irreps`, a list of Irrep views of the table, is made when first read.
-    UnitaryDual(irreps, trivial_index) stacks given Irreps into the table;
-    the builders pass `table`, `dims` and `label` instead.
+    ("irrep<k>" unless the builder names it).  `irreps`, Irrep views of the
+    table, and the table itself if the builder passed a function making it,
+    are made when first read.  UnitaryDual(irreps, trivial_index) stacks
+    given Irreps into the table; the builders pass `table`, `dims`, `label`.
 
     `cyclic_factors` is set only by the builders that know the table is the
     standard character table of Z/n_1 x ... x Z/n_r, elements and irreps
@@ -134,22 +135,22 @@ class UnitaryDual:
             table = np.concatenate([eta.matrices.reshape(n, -1).T for eta in irreps])
             dims = [eta.dim for eta in irreps]
             label = tuple(eta.label for eta in irreps).__getitem__
-        self.table = table
+        self._table = table
         self.dims = np.asarray(dims, dtype=int)
         self.runs = _runs(self.dims)
         self.trivial_index = trivial_index
         self.label = label or "irrep{}".format
-        self._irreps: list[Irrep] | None = None
         self.group: "FiniteGroup | None" = None  # backref, set by builders
         self.cyclic_factors: tuple[int, ...] | None = None  # set by builders
 
-    @property
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        return self._table() if callable(self._table) else self._table
+
+    @functools.cached_property
     def irreps(self) -> list[Irrep]:
-        if self._irreps is None:
-            views = (m for run in representation_runs(self) for m in run)
-            self._irreps = [Irrep(d, m, self.label(k))
-                            for k, (d, m) in enumerate(zip(self.dims.tolist(), views))]
-        return self._irreps
+        views = (m for run in representation_runs(self) for m in run)
+        return [Irrep(d, m, self.label(k)) for k, (d, m) in enumerate(zip(self.dims.tolist(), views))]
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -227,15 +228,15 @@ def plancherel_trace(dual: UnitaryDual, runs) -> np.ndarray:
 
 
 def plancherel_pairing(dual: UnitaryDual, b, a, batch: int = 0):
-    """sum_k d_k <b_k, a_k>, each pairing summing b conj(a) over every axis
-    but the `batch` axes right after the run axis, which are kept: a complex
-    for batch = 0, else an array with one value per batch entry."""
+    """sum_k d_k <b_k, a_k>, each pairing b conj(a) where it lies, summed over
+    every axis but the `batch` axes right after the run axis, which are kept:
+    a complex for batch = 0, else an array with one value per batch entry."""
     total = 0
     for (_, _, d, _), rb, ra in zip(dual.runs, b, a):
         if rb.shape != ra.shape:
             raise ValueError(f"cannot pair runs of shapes {rb.shape} and {ra.shape}")
-        shape = (*rb.shape[:1 + batch], -1)
-        total = total + d * np.vecdot(ra.reshape(shape), rb.reshape(shape)).sum(axis=0)
+        pair = np.vecdot(ra, rb, axis=1 + batch)
+        total = total + d * pair.sum(axis=(0, *range(1 + batch, pair.ndim)))
     return as_value(total)
 
 
@@ -246,7 +247,7 @@ def as_value(x):
 
 def _fft_shape(dual: UnitaryDual) -> tuple[int, ...] | None:
     """The cyclic factor orders when the Fourier pair takes the FFT route."""
-    if dual.cyclic_factors is not None and len(dual.table) >= FFT_MIN_ORDER:
+    if dual.cyclic_factors is not None and len(dual.dims) >= FFT_MIN_ORDER:
         return dual.cyclic_factors
     return None
 
@@ -277,10 +278,10 @@ def group_inverse_fourier(dual: UnitaryDual, runs) -> np.ndarray:
     table with the runs laid out as rows (k, a, b) -> d_k block_k[..., b, a],
     or on the FFT route one unscaled inverse DFT of those rows.
     """
-    v = np.empty((len(dual.table), *runs[0].shape[1:-2]), dtype=complex)
+    shape = _fft_shape(dual)  # on the FFT route every irrep is a character, one row each
+    v = np.empty((len(dual.table) if shape is None else len(dual.dims), *runs[0].shape[1:-2]), dtype=complex)
     for (_, _, d, _), run, rows in zip(dual.runs, runs, _table_runs(dual, v)):
         np.multiply(run, d, out=rows)
-    shape = _fft_shape(dual)
     if shape is None:
         return (dual.table.T @ v.reshape(len(v), -1)).reshape(v.shape)
     t = np.fft.ifftn(v.reshape(*shape, *v.shape[1:]), axes=range(len(shape)), norm="forward")
@@ -300,19 +301,15 @@ class FiniteGroup:
     inverse: np.ndarray
     dual: UnitaryDual | None = None
     name: str = "group"
-    # cache for the lag index table
-    _lag_index: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.cayley = np.ascontiguousarray(self.cayley, dtype=np.intp)
+        self.cayley = np.asarray(self.cayley, dtype=np.intp)  # keeps build_cyclic's window view
         self.inverse = np.ascontiguousarray(self.inverse, dtype=np.intp)
 
-    @property
+    @functools.cached_property
     def lag_index(self) -> np.ndarray:
         """Index table L[y, x] = x * y^{-1}, lag-major and C-contiguous."""
-        if self._lag_index is None:
-            self._lag_index = self.cayley.T[self.inverse]
-        return self._lag_index
+        return self.cayley.T[self.inverse]
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -344,13 +341,22 @@ def require_same_group(a: FiniteGroup, b: FiniteGroup, what: str = "operands"):
 def require_same_dual(a: UnitaryDual, b: UnitaryDual, what: str = "operands"):
     """Runs of two functions line up only when their duals list the same irreps
     in the same order; an equal group may carry another dual (a group file)."""
-    if a is not b and not (a.table.shape == b.table.shape and np.array_equal(a.table, b.table)):
+    same = (a.cyclic_factors == b.cyclic_factors if a.cyclic_factors and b.cyclic_factors  # standard tables
+            else a is b or (a.table.shape == b.table.shape and np.array_equal(a.table, b.table)))
+    if not same:
         raise ValueError(f"dual mismatch: {what} live on different duals")
 
 
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
+
+
+def cyclic_exponents(N: int, rows: slice = slice(None)) -> np.ndarray:
+    """k x mod N for the characters k in `rows` and every x: chi_k(x) = exp(2 pi i (k x mod N) / N),
+    the phase reduced before the exponential (unreduced, it loses 1e-12 of accuracy at N = 2048)."""
+    kx = np.arange(N, dtype=np.int32 if N < 46341 else np.intp)  # k x < 2^31
+    return np.remainder(e := kx[rows, None] * kx, N, out=e)
 
 
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -367,11 +373,8 @@ def build_cyclic(N: int) -> tuple[FiniteGroup, UnitaryDual]:
     # row x of the Cayley table, (x + y) mod N, is a window of 0..N-1 twice over
     cayley = np.ndarray((N, N), idx.dtype, np.concatenate((idx, idx[:-1])), strides=(idx.itemsize,) * 2)
     inverse = (-idx) % N
-    # chi_k(x) is the (k x mod N)-th root of unity: an unreduced phase
-    # 2 pi k x / N loses up to 1e-12 of accuracy at N = 2048.
-    kx = idx.astype(np.int32) if N < 46341 else idx  # k x < 2^31
-    phases = np.exp(2j * np.pi * idx / N)[np.outer(kx, kx) % N]
-    dual = UnitaryDual(table=phases, dims=np.ones(N, dtype=int), label="chi{}".format)
+    dual = UnitaryDual(table=lambda: np.exp(2j * np.pi * idx / N)[cyclic_exponents(N)],
+                       dims=np.ones(N, dtype=int), label="chi{}".format)
     dual.cyclic_factors = (N,)
     group = FiniteGroup(N, cayley, 0, inverse, dual, name=f"cyclic:{N}")
     dual.group = group
@@ -427,21 +430,23 @@ def build_product(
     inverse = (ga.inverse[:, None] * nb + gb.inverse).ravel()
     identity = ga.identity * nb + gb.identity
 
-    # irrep (ka, kb) is ka * len(db) + kb: xi_ka fills d_ka^2 rows per row of
-    # db.table.  One einsum per pair of runs; np.kron differs in the last bit.
+    def recipe():
+        # irrep (ka, kb) is ka * len(db) + kb: xi_ka fills d_ka^2 rows per row of
+        # db.table.  One einsum per pair of runs; np.kron differs in the last bit.
+        rows_b = len(db.table)
+        table = np.empty((len(da.table) * rows_b, order), dtype=complex)
+        runs_b = list(zip(db.runs, representation_runs(db)))
+        for (fa, ea, dA, ra), A in zip(da.runs, representation_runs(da)):
+            rows = table[ra * rows_b:(ra + (ea - fa) * dA * dA) * rows_b].reshape(ea - fa, -1, order)
+            A = np.repeat(A, nb, axis=1)  # A[:, x_a] at element (x_a, x_b)
+            for (fb, eb, dB, rb), B in runs_b:
+                prod = np.einsum("jxab,kxcd->jkxacbd", A, np.tile(B, (1, na, 1, 1)), order="C")
+                out = rows[:, dA * dA * rb:dA * dA * (rb + (eb - fb) * dB * dB)]
+                out.reshape(ea - fa, eb - fb, dA, dB, dA, dB, order)[...] = np.moveaxis(prod, 2, -1)
+        return table
     dims = np.outer(da.dims, db.dims).ravel()
-    rows_b = len(db.table)
-    table = np.empty((len(da.table) * rows_b, order), dtype=complex)
-    runs_b = list(zip(db.runs, representation_runs(db)))
-    for (fa, ea, dA, ra), A in zip(da.runs, representation_runs(da)):
-        rows = table[ra * rows_b:(ra + (ea - fa) * dA * dA) * rows_b].reshape(ea - fa, -1, order)
-        A = np.repeat(A, nb, axis=1)  # A[:, x_a] at element (x_a, x_b)
-        for (fb, eb, dB, rb), B in runs_b:
-            prod = np.einsum("jxab,kxcd->jkxacbd", A, np.tile(B, (1, na, 1, 1)), order="C")
-            out = rows[:, dA * dA * rb:dA * dA * (rb + (eb - fb) * dB * dB)]
-            out.reshape(ea - fa, eb - fb, dA, dB, dA, dB, order)[...] = np.moveaxis(prod, 2, -1)
     la, lb, kb = da.label, db.label, len(db)
-    dual = UnitaryDual(table=table, dims=dims, trivial_index=da.trivial_index * kb + db.trivial_index,
+    dual = UnitaryDual(table=recipe, dims=dims, trivial_index=da.trivial_index * kb + db.trivial_index,
                        label=lambda k: f"{la(k // kb)}x{lb(k % kb)}")
     if da.cyclic_factors is not None and db.cyclic_factors is not None:
         # element and irrep indices are both x_a * nb + x_b: C order over the factors

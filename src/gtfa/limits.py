@@ -152,19 +152,19 @@ def _lag_rows(u: ZSignal, t_start: int, t_count: int):
     h_y[i] = sum_t varphi_Z(x_i - t, y) u(t) u(t - y)^*,  x_i = t_start + i.
 
     For y > 0 the window collapses to t = x .. x + y - 1; for y < 0 to
-    t = x - |y| .. x - 1.
+    t = x - |y| .. x - 1.  Products u(t) u(t-y)^* are summed over the span
+    the windows read, from an exact +0 one before the support at the latest.
     """
     L = len(u)
-    lo = min(t_start, u.offset) - 2 * L  # padding keeps windows and rolls in bounds
+    lo = min(t_start, u.offset) - 2 * L  # padding keeps windows and shifts in bounds
     hi = max(t_start + t_count, u.offset + L) + 2 * L
     full = np.zeros(hi - lo, dtype=complex)
     full[u.offset - lo : u.offset - lo + L] = u.values
-    xs = np.arange(t_start, t_start + t_count) - lo
     for y in (*range(-(L - 1), 0), *range(1, L)):
-        g = full * np.conj(np.roll(full, y))  # g[t] = u(t) u(t-y)^*
-        c = np.concatenate([[0.0], np.cumsum(g)])
-        m = abs(y)
-        a = xs if y > 0 else xs - m  # the window starts at x or at x - |y|
+        m, a0 = abs(y), t_start - lo - max(-y, 0)  # the first window starts at x or at x - |y|
+        s, e = min(a0, u.offset - lo + min(y, 0) - 1), a0 + t_count - 1 + m
+        c = np.concatenate([[0.0], np.cumsum(full[s:e] * np.conj(full[s - y : e - y]))])
+        a = np.arange(a0 - s, a0 - s + t_count)
         yield y, (c[a + m] - c[a]) / m
 
 

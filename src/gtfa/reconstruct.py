@@ -29,10 +29,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import build_cyclic, group_inverse_fourier, plancherel_trace, require_same_dual
+from .groups import group_inverse_fourier, plancherel_trace, require_same_dual
 from .harmonic import Signal, haar_inner, norm, require_single
 from .tfplane import TFFunction, symplectic_fourier, tf_norm
-from .transforms import born_jordan_cyclic_kernel, cohen_transform
+from .transforms import CohenKernel, born_jordan_cyclic_kernel, cohen_transform
 
 __all__ = [
     "MarginNegative",
@@ -69,11 +69,10 @@ def magnitudes_from_margins(Q: TFFunction) -> np.ndarray:
     return np.maximum(m, 0.0)
 
 
-def _lag_table(Q: TFFunction) -> np.ndarray:
+def _lag_table(Q: TFFunction, k: CohenKernel) -> np.ndarray:
     """K[x, y] = sum over xi with phi(xi, y) != 0 of chi_xi(x) FQ(xi, y) / phi(xi, y),
-    phi the Born-Jordan kernel: the lag products u(x) u(x-y)^* up to a
+    phi the Born-Jordan kernel k: the lag products u(x) u(x-y)^* up to a
     function of x mod gcd(y, N) that sums to zero over the residues."""
-    k = born_jordan_cyclic_kernel(Q.group.order)
     require_same_dual(k.dual, Q.dual, "kernel and distribution")
     phi = k.phi.scalar_table()
     FQ = symplectic_fourier(Q).scalar_table()  # [xi, y]
@@ -88,6 +87,10 @@ def phase_retrieve(Q: TFFunction, tol_zero: float = 1e-9) -> Signal:
     largest magnitude); positions whose margin falls below tol_zero are set
     to zero.
     """
+    return _phase_retrieve(Q, born_jordan_cyclic_kernel(Q.group.order), tol_zero)
+
+
+def _phase_retrieve(Q: TFFunction, k: CohenKernel, tol_zero: float) -> Signal:  # k: the kernel of Q's order
     group = Q.group
     N = group.order
     mags2 = magnitudes_from_margins(Q)
@@ -98,7 +101,7 @@ def phase_retrieve(Q: TFFunction, tol_zero: float = 1e-9) -> Signal:
     # v[t] = u(z + t) and K[t, y] = K(z + t, y), z the pivot
     z = int(mag.argmax())
     mag = np.roll(mag, -z)
-    K = np.roll(_lag_table(Q), -z, axis=0)
+    K = np.roll(_lag_table(Q, k), -z, axis=0)
     v = np.zeros(N, dtype=complex)
     v[0] = mag[0]
 
@@ -146,8 +149,12 @@ def class_distance(u: Signal, v: Signal) -> float:
 def retrieval_report(Q: TFFunction, tol_zero: float = 1e-9) -> RoundtripReport:
     """Retrieve [u] from a distribution table Q and measure the result
     against Q itself: the residual ||Q[rec] - Q||, the islands and the pivot."""
-    rec = phase_retrieve(Q, tol_zero=tol_zero)
-    Qrec = born_jordan_distribution(rec)
+    return _retrieval_report(Q, born_jordan_cyclic_kernel(Q.group.order), tol_zero)
+
+
+def _retrieval_report(Q: TFFunction, k: CohenKernel, tol_zero: float) -> RoundtripReport:
+    rec = _phase_retrieve(Q, k, tol_zero)
+    Qrec = cohen_transform(k, *[Signal(k.group, rec.values)] * 2)
     diff = TFFunction.from_runs(Q.group, Q.dual, [a - b for a, b in zip(Qrec.runs, Q.runs)])
     return RoundtripReport(
         order=Q.group.order,
@@ -161,6 +168,8 @@ def retrieval_report(Q: TFFunction, tol_zero: float = 1e-9) -> RoundtripReport:
 
 def roundtrip_report(u: Signal, tol_zero: float = 1e-9) -> RoundtripReport:
     """Forward transform, retrieve, and measure how well [u] was recovered."""
-    u = Signal(build_cyclic(u.group.order)[0], u.values)
-    rep = retrieval_report(born_jordan_distribution(u), tol_zero=tol_zero)
+    require_single(u)
+    k = born_jordan_cyclic_kernel(u.group.order)
+    u = Signal(k.group, u.values)
+    rep = _retrieval_report(cohen_transform(k, u, u), k, tol_zero)
     return replace(rep, class_distance=class_distance(u, rep.recovered))

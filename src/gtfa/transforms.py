@@ -26,9 +26,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .groups import (FiniteGroup, UnitaryDual, _fft_shape, block_product, build_cyclic, group_fourier,
-                     is_cyclic, representation_runs, require_same_dual, require_same_group)
+from .groups import (FiniteGroup, UnitaryDual, _fft_shape, block_product, build_cyclic, cyclic_exponents,
+                     group_fourier, is_cyclic, representation_runs, require_same_dual, require_same_group)
 from .harmonic import Signal, fourier, norm, require_pairable, require_single
 from .tfplane import (
     AmbiguityFunction,
@@ -161,22 +162,22 @@ def _cohen_fft(shape: tuple[int, ...], phi: np.ndarray, u: Signal, v: Signal) ->
     """D[eta, ..., x] on the FFT route, phi the kernel's table [xi, y].
 
     The three stages of `cohen_transform` in one lag-major work array
-    w[y, ..., x], the batch axis (if any) between y and x.  The transform in
-    x and the inverse one in xi run along the last, contiguous axes; only the
-    final transform in y is strided.  Every step writes into w.
+    w[y, ..., x] = u(x) v(x - y)^*, read through a window view of v, not an
+    index table; the batch axis (if any) between y and x.  The transforms in x
+    and in xi run along the last, contiguous axes; only the final transform in
+    y is strided.  Every later step writes into w.
     """
-    n, batch = u.values.shape[-1], u.values.ndim - 1
-    L = u.group.lag_index
-    vc = v.values.conj()
-    # w[y, ..., x] = u(x) v(x y^{-1})^*
-    w = vc[np.arange(len(vc))[:, None], L[:, None]] if batch else vc.take(L)
-    w *= u.values
-    last = w.reshape(n, *w.shape[1:-1], *shape)
-    np.fft.fftn(last, axes=range(-len(shape), 0), norm="forward", out=last)  # FR(u, v)[xi, y]
-    w *= phi.T[:, None] if batch else phi.T
-    np.fft.ifftn(last, axes=range(-len(shape), 0), norm="forward", out=last)  # t[x, y]
-    first = w.reshape(*shape, *w.shape[1:])
-    np.fft.fftn(first, axes=range(len(shape)), norm="forward", out=first)  # D[eta, x]
+    n, lead, r = u.values.shape[-1], u.values.shape[:-1], len(shape)
+    # v^* doubled along each factor axis, from x_j = n_j on: x - y stays in it for 0 <= x, y < n
+    vc = np.tile(v.values.conj().reshape(*lead, *shape), (2,) * r)[(..., *[slice(k, None) for k in shape])]
+    view = as_strided(vc, (*shape, *vc.shape), (*(-s for s in vc.strides[-r:]), *vc.strides), writeable=False)
+    w = np.multiply(view, u.values.reshape(*lead, *shape), order="C").reshape(n, *lead, n)
+    last = w.reshape(n, *lead, *shape)
+    np.fft.fftn(last, axes=range(-r, 0), norm="forward", out=last)  # FR(u, v)[xi, y]
+    w *= phi.T[:, None] if lead else phi.T
+    np.fft.ifftn(last, axes=range(-r, 0), norm="forward", out=last)  # t[x, y]
+    first = w.reshape(*shape, *lead, n)
+    np.fft.fftn(first, axes=range(r), norm="forward", out=first)  # D[eta, x]
     return w
 
 
@@ -186,7 +187,7 @@ def _cohen_fft(shape: tuple[int, ...], phi: np.ndarray, u: Signal, v: Signal) ->
 
 
 def _scalar_kernel(group, dual, table, name) -> CohenKernel:
-    return CohenKernel(name, AmbiguityFunction.from_scalar_table(group, dual, table))
+    return CohenKernel(name, AmbiguityFunction.from_runs(group, dual, [table[..., None, None]]))
 
 
 def kn_kernel(dual: UnitaryDual) -> CohenKernel:
@@ -221,14 +222,16 @@ def margin_fix_kernel(dual: UnitaryDual) -> CohenKernel:
 def born_jordan_cyclic_kernel(N: int) -> CohenKernel:
     """Born-Jordan kernel on Z/NZ: commutator kernel plus margin fix."""
     group, dual = build_cyclic(N)
-    idx = np.arange(N)
-    # 2 pi i (1 - chi_xi(y)) / (N (1 - chi_xi(1)) (1 - chi_y(1)^*)) off the axes, in one table;
-    # chi_xi(y) is the dual's table, exp(2 pi i (xi y mod N) / N)
-    table = np.subtract(1.0, dual.table)
-    np.multiply(2j * np.pi / N, table, out=table)
-    den = np.outer(1.0 - np.exp(2j * np.pi * idx / N), 1.0 - np.exp(-2j * np.pi * idx / N))
-    den[0] = den[:, 0] = 1.0  # zero on the axes, set below
-    np.divide(table, den, out=table)
+    # 2 pi i (1 - chi_xi(y)) / (N (1 - chi_xi(1)) (1 - chi_y(1)^*)) off the axes, in blocks of 2^16 entries
+    # from the reduced phases; divided by the product of the factors (one after the other rounds otherwise)
+    a = 1.0 - np.exp(2j * np.pi * np.arange(N) / N)
+    num, b = np.multiply(2j * np.pi / N, a), a.conj()
+    a[0] = b[0] = 1.0  # zero on the axes, set below
+    table = np.empty((N, N), dtype=complex)
+    for s in range(0, N, step := -(-(1 << 16) // N)):
+        rows = table[s:s + step]
+        num.take(cyclic_exponents(N, slice(s, s + step)), out=rows, mode="clip")  # in range; "raise" buffers
+        np.divide(rows, a[s:s + step, None] * b, out=rows)
     table[0, :] = 1.0
     table[:, 0] = 1.0
     return _scalar_kernel(group, dual, table, f"born-jordan:{N}")

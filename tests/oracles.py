@@ -288,6 +288,22 @@ def q_z_distribution_dense(u: ZSignal, M: int, t_start: int | None = None, t_cou
     return ZTFGrid(t_start, M, vals)
 
 
+def lag_rows_roll(u: ZSignal, t_start: int, t_count: int):
+    """Reference for `limits._lag_rows`: per lag, the products u(t) u(t-y)^*
+    rolled, multiplied and cumulatively summed over the whole padded line."""
+    L = len(u)
+    lo = min(t_start, u.offset) - 2 * L
+    hi = max(t_start + t_count, u.offset + L) + 2 * L
+    full = np.zeros(hi - lo, dtype=complex)
+    full[u.offset - lo : u.offset - lo + L] = u.values
+    xs = np.arange(t_start, t_start + t_count) - lo
+    for y in (*range(-(L - 1), 0), *range(1, L)):
+        c = np.concatenate([[0.0], np.cumsum(full * np.conj(np.roll(full, y)))])
+        m = abs(y)
+        a = xs if y > 0 else xs - m
+        yield y, (c[a + m] - c[a]) / m
+
+
 def read_table_row_loop(path, index: np.ndarray) -> np.ndarray:
     """Reference for `signalio._read_table`: the table read one line at a
     time, each line matched, split and converted with float() on its own.

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -441,6 +442,55 @@ def test_product_table_matches_per_irrep_build(fa, na, fb, nb):
     inner = oracles.build_product_per_irrep(old[fa](na), old[fb](nb))
     _assert_same_pair(build_product(build_cyclic(2), build_product(new[fa](na), new[fb](nb))),
                       oracles.build_product_per_irrep(oracles.build_cyclic_per_irrep(2), inner))
+
+
+FRESH = [lambda: build_cyclic.__wrapped__(61), lambda: build_cyclic.__wrapped__(512),
+         lambda: build_product(build_cyclic.__wrapped__(16), build_cyclic.__wrapped__(32))]
+
+
+@pytest.mark.parametrize("build", FRESH, ids=["cyclic:61", "cyclic:512", "product:cyclic:16xcyclic:32"])
+def test_dual_table_is_made_on_first_read(build):
+    """The cyclic and product builders pass a recipe: no table until it is
+    read, then the eager construction's table, bit for bit, kept."""
+    g, d = build()
+    assert "table" not in vars(d)
+    factors = [oracles.build_cyclic_per_irrep(n) for n in d.cyclic_factors]
+    want = factors[0] if len(factors) == 1 else oracles.build_product_per_irrep(*factors)
+    table = d.table
+    assert d.table is table
+    assert table.shape == want[1].table.shape and table.tobytes() == want[1].table.tobytes()
+
+
+def test_cyclic_build_allocates_no_square_table():
+    """cyclic:2048 holds O(N) arrays: its Cayley table is a window view of
+    0..N-1 twice over, and its dual table is not made (64 MiB if it were)."""
+    tracemalloc.start()
+    try:
+        g, d = build_cyclic.__wrapped__(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert is_cyclic(g) and np.array_equal(g.cayley[5], (5 + np.arange(2048)) % 2048)
+
+
+def test_require_same_dual_compares_factors_else_tables(tmp_path):
+    """Duals with cyclic factors match by their factors, without reading a
+    table; a file dual is compared by table and refused if permuted."""
+    from gtfa.groups import require_same_dual
+
+    a, b = build_cyclic.__wrapped__(256)[1], build_cyclic.__wrapped__(256)[1]
+    require_same_dual(a, b)
+    assert "table" not in vars(a) and "table" not in vars(b)
+    p, q = build_product(build_cyclic(16), build_cyclic(32)), build_product(build_cyclic(32), build_cyclic(16))
+    with pytest.raises(ValueError, match="dual mismatch"):
+        require_same_dual(p[1], q[1])
+    g4, d4 = reordered_cyclic4(tmp_path)
+    with pytest.raises(ValueError, match="dual mismatch"):
+        require_same_dual(build_cyclic(4)[1], d4)
+    same = tmp_path / "z4.same.grp"
+    same.write_text(group_file_text(*build_cyclic(4)))
+    require_same_dual(build_cyclic(4)[1], load_group_file(same)[1])
 
 
 def _quirky_z3_text():

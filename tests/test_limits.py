@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gtfa.limits import (
     ZSignal,
+    _lag_rows,
     cyclic_vs_z_comparison,
     phi_DT,
     phi_DZ,
@@ -14,7 +15,7 @@ from gtfa.limits import (
     sampled_z_kernel,
     varphi_DZ,
 )
-from oracles import born_jordan_phi, q_z_distribution_dense
+from oracles import born_jordan_phi, lag_rows_roll, q_z_distribution_dense
 
 
 def test_phi_DT_frozen_value():
@@ -159,6 +160,27 @@ def test_qz_fold_matches_dense_oracle(rng, L, M, t_start, t_count, axis_fix):
     assert (got.t_start, got.freq_bins) == (want.t_start, want.freq_bins)
     assert got.values.shape == want.values.shape
     assert np.abs(got.values - want.values).max() <= 1e-12 * max(np.abs(want.values).max(), 1e-300)
+
+
+@pytest.mark.parametrize("L,t_start,t_count", [
+    (60, None, None),    # the support
+    (60, -7, 40),        # a window starting before the support
+    (60, 30, 50),        # starting inside it: the products before the window are not zero
+    (60, 100, 10),       # past the support
+    (60, 20, 0),         # an empty window
+    (1, None, None),     # no lag at all
+    (2048, None, None),
+])
+def test_lag_rows_match_the_rolled_products_bit_for_bit(rng, L, t_start, t_count):
+    """Products formed over the span the windows read give the lag sums of
+    the whole rolled line, bit for bit, signed zeros included (an integer
+    signal's products with zeros have imaginary parts -0 or +0)."""
+    t_start, t_count = (5, L) if t_start is None else (t_start, t_count)
+    for values in (rng.standard_normal(L) + 1j * rng.standard_normal(L), -1.0 - np.arange(L) % 3):
+        u = ZSignal(5, values)
+        got, want = list(_lag_rows(u, t_start, t_count)), list(lag_rows_roll(u, t_start, t_count))
+        assert [y for y, _ in got] == [y for y, _ in want]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
 
 
 def test_sampled_kernel_margins():

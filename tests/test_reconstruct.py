@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gtfa import reconstruct
 from gtfa.groups import build_cyclic
 from gtfa.harmonic import Signal, constant_signal, random_signal
 from gtfa.reconstruct import (
@@ -9,6 +10,7 @@ from gtfa.reconstruct import (
     class_distance,
     magnitudes_from_margins,
     phase_retrieve,
+    retrieval_report,
     roundtrip_report,
 )
 from gtfa.tfplane import TFFunction
@@ -141,3 +143,26 @@ def test_roundtrip_sparse_and_heavy_zero_signals(rng):
         rep = roundtrip_report(Signal(g, vals))
         assert rep.class_distance < 1e-7, (N, np.flatnonzero(vals))
         assert rep.distribution_residual < 1e-7, (N, np.flatnonzero(vals))
+
+
+def test_each_report_builds_the_kernel_once(monkeypatch, rng):
+    """retrieval_report and roundtrip_report pass one Born-Jordan kernel to
+    the retrieval and the forward transforms; their results are unchanged."""
+    g, _ = build_cyclic(24)
+    u = random_signal(g, rng)
+    Q = born_jordan_distribution(u)
+    want = retrieval_report(Q), roundtrip_report(u)
+    builds, build = [], reconstruct.born_jordan_cyclic_kernel
+
+    def counted(N):
+        builds.append(N)
+        return build(N)
+
+    monkeypatch.setattr(reconstruct, "born_jordan_cyclic_kernel", counted)
+    got = retrieval_report(Q), roundtrip_report(u)
+    assert builds == [24, 24]
+    for a, b in zip(got, want):
+        assert (a.class_distance, a.distribution_residual) == (b.class_distance, b.distribution_residual)
+        assert a.recovered.values.tobytes() == b.recovered.values.tobytes()
+    phase_retrieve(Q)
+    assert builds == [24, 24, 24]

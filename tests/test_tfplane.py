@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import max_block_diff, reordered_cyclic4
 from gtfa.groups import build_cyclic, build_dihedral, build_product
-from gtfa.harmonic import haar_inner, random_signal
+from gtfa.harmonic import Signal, haar_inner, random_signal
 from gtfa.tfplane import (
     AmbiguityFunction,
     TFFunction,
@@ -20,7 +22,9 @@ from gtfa.tfplane import (
 from gtfa.transforms import (
     ambiguity_transform,
     born_jordan_cyclic_kernel,
+    cohen_transform,
     gaussian_window,
+    kn_kernel,
     rihaczek,
     spectrogram_kernel,
 )
@@ -199,3 +203,21 @@ def test_block_shape_validation(rng):
         TFFunction(g, d, bad)
     with pytest.raises(ValueError, match="blocks"):
         AmbiguityFunction(g, d, good.blocks[:-1])
+
+
+def test_tf_norm_of_a_batch_copies_no_run(rng):
+    """The pairing reads each run where it lies: a 16-pair batch of
+    distributions at dihedral:8 (64 KiB in its 2x2 run) takes a few KiB, not
+    the 99 KiB of two reshaped copies, and the norms match entry by entry."""
+    g, d = build_dihedral(8)
+    u = Signal(g, rng.standard_normal((16, g.order)) + 1j * rng.standard_normal((16, g.order)))
+    D = cohen_transform(kn_kernel(d), u, u)
+    want = [tf_norm(TFFunction.from_runs(g, d, [r[:, b] for r in D.runs])) for b in range(16)]
+    tracemalloc.start()
+    try:
+        got = tf_norm(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 10
+    assert np.abs(got - want).max() <= 1e-12 * max(want)

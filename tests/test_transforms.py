@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -248,6 +253,34 @@ def test_cohen_fft_route_skips_the_ambiguity_transform(monkeypatch, rng):
         cohen_transform(kn_kernel(d), u, u)
 
 
+def test_cohen_fft_route_makes_no_group_table(rng):
+    """The FFT route reads the signals, the kernel and the cyclic factors
+    only: neither the dual table nor the lag index of the group is made."""
+    g, d = build_cyclic.__wrapped__(300)
+    gp, dp = build_product(build_cyclic.__wrapped__(8), build_cyclic.__wrapped__(20))
+    for grp, dual, k in [(g, d, born_jordan_cyclic_kernel(300)), (gp, dp, kn_kernel(dp))]:
+        u = Signal(grp, rng.standard_normal((2, grp.order)) + 1j * rng.standard_normal((2, grp.order)))
+        cohen_transform(k, u, u)
+        cohen_transform(k, Signal(grp, u.values[0]), Signal(grp, u.values[1]))
+        assert "table" not in vars(dual) and "lag_index" not in vars(grp)
+
+
+def test_born_jordan_transform_at_2048_peaks_at_two_tables():
+    """In a fresh process, building cyclic:2048, its Born-Jordan kernel and
+    one transform peaks at the kernel and the output, 64 MiB each, plus
+    small change (257 MiB while the group held its N^2 tables)."""
+    code = ("import tracemalloc, numpy as np; tracemalloc.start()\n"
+            "from gtfa.groups import build_cyclic; from gtfa.harmonic import Signal\n"
+            "from gtfa.transforms import born_jordan_cyclic_kernel, cohen_transform\n"
+            "g, d = build_cyclic(2048); k = born_jordan_cyclic_kernel(2048)\n"
+            "u = Signal(g, np.random.default_rng(0).standard_normal(2048) + 0j); cohen_transform(k, u, u)\n"
+            "print(tracemalloc.get_traced_memory()[1])")
+    path = [str(Path(transforms.__file__).parents[1])] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) <= 130 << 20
+
+
 def test_cohen_fft_route_keeps_the_refusals(rng):
     g, d = build_cyclic(128)
     k = kn_kernel(d)
@@ -262,7 +295,7 @@ def test_cohen_fft_route_keeps_the_refusals(rng):
         cohen_transform(k, other, other)
 
 
-@pytest.mark.parametrize("N", [8, 89, 512])
+@pytest.mark.parametrize("N", [8, 89, 300, 512])
 def test_born_jordan_table_bits_match_where_construction(N):
     table = born_jordan_cyclic_kernel(N).phi.scalar_table()
     assert table.tobytes() == born_jordan_table_where(N).tobytes()
