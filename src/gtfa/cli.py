@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import signalio
-from .groups import (FiniteGroup, GroupTableError, build_cyclic, build_dihedral, build_product,
+from .groups import (INDEX_FIELD, FiniteGroup, GroupTableError, build_cyclic, build_dihedral, build_product,
                      is_cyclic, load_group_file, plancherel_trace, require_same_dual)
 from .harmonic import Signal
 from .quantization import SingularKernel, dequantize, quantize
@@ -68,8 +68,11 @@ def _read(what: str, reader, path, *args):
 def parse_group(spec: str) -> FiniteGroup:
     for prefix, build in (("cyclic:", build_cyclic), ("dihedral:", build_dihedral)):
         if spec.startswith(prefix):
+            n = spec[len(prefix):]
+            if not INDEX_FIELD.fullmatch(n):
+                raise ConfigError(f"bad group spec {spec!r}: {n!r} is not an integer")
             try:
-                return build(int(spec[len(prefix):]))[0]
+                return build(int(n))[0]
             except ValueError as e:
                 raise ConfigError(f"bad group spec {spec!r}: {e}")
     if spec.startswith("product:"):

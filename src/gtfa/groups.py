@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from itertools import chain, compress
 
 import numpy as np
 
@@ -560,10 +559,20 @@ def validate(group: FiniteGroup, dual: UnitaryDual) -> list[str]:
 #   then per irrep: "dim <d>" followed by <order> blocks of d lines,
 #   each line holding d "re im" pairs.  '#' starts a comment.
 #
-# `load_group_file` converts the Cayley rows and all "re im" pairs in bulk
-# and checks them as arrays; when a check fails, `_first_fault` reads the
-# lines one by one to raise the first faulty line's error.  A group order or
-# dim the rest of the file cannot hold, or d^2 > order, is refused up front.
+# Integers take the form INDEX_FIELD and numbers VALUE_FIELD, the field
+# grammar of the CSV tables (signalio) and of the CLI's group specs too.
+# `load_group_file` reads the Cayley rows, then each irrep's pairs, as one
+# block of lines (`_Cursor.block`), which it walks line by line only to name
+# the first faulty line.  A group order or dim the rest of the file cannot
+# hold, or d^2 > order, is refused before its block is read.
+
+# Integers as `%d` writes them, and decimal numbers in plain or scientific
+# notation (which `%.17g` writes): Python's int() and float() would also take
+# "+1", " 2" and "1_0", which no writer emits.  The optional parts of a number
+# are written `(?:...|)` rather than `(?:...)?`: the same forms, which the
+# regex engine matches about a quarter faster (CSV rows, CPython 3.11).
+INDEX_FIELD = re.compile(r"-?[0-9]+")
+VALUE_FIELD = re.compile(r"-?[0-9]+(?:\.[0-9]+|)(?:[eE][+-]?[0-9]+|)|-?inf|nan")
 
 
 class _Cursor:
@@ -578,23 +587,34 @@ class _Cursor:
     def left(self) -> int:
         return len(self.lines) - self.pos
 
-    def next(self, what: str) -> tuple[int, str]:
-        if self.pos >= len(self.lines):
-            raise GroupTableError(f"line {self.linenos[-1] if self.lines else 0}: unexpected end of file, "
-                                  f"expected {what}")
-        self.pos += 1
-        return self.linenos[self.pos - 1], self.lines[self.pos - 1]
-
     def keyword(self, key: str) -> tuple[int, int]:
         """The line number and integer value of a `<key> <value>` line."""
-        lineno, line = self.next(f"'{key} <value>'")
+        if self.pos >= len(self.lines):
+            raise GroupTableError(f"line {self.linenos[-1] if self.lines else 0}: unexpected end of file, "
+                                  f"expected '{key} <value>'")
+        lineno, line = self.linenos[self.pos], self.lines[self.pos]
+        self.pos += 1
         parts = line.split()
         if len(parts) != 2 or parts[0] != key:
             raise GroupTableError(f"line {lineno}: expected '{key} <value>', got {line!r}")
-        try:
-            return lineno, int(parts[1])
-        except ValueError:
+        if not INDEX_FIELD.fullmatch(parts[1]):
             raise GroupTableError(f"line {lineno}: {key} value {parts[1]!r} is not an integer")
+        return lineno, int(parts[1])
+
+    def block(self, n: int, width: int, field: re.Pattern, count: str, form: str) -> np.ndarray:
+        """The next n lines as an (n, width) float array, when each holds
+        `width` whitespace-separated fields of the form `field`.  Else the
+        error of the first line i that does not: `count` if it has another
+        number of fields, else `form`, each formatted with i and that number n."""
+        lines = self.lines[self.pos:self.pos + n]
+        line = re.compile(rf"(?:{field.pattern})(?:\s+(?:{field.pattern})){{{width - 1}}}")
+        if not all(map(line.fullmatch, lines)):
+            for i, parts in enumerate(map(str.split, lines)):
+                if len(parts) != width or not all(map(field.fullmatch, parts)):
+                    message = (count if len(parts) != width else form).format(i=i, n=len(parts))
+                    raise GroupTableError(f"line {self.linenos[self.pos + i]}: {message}")
+        self.pos += n
+        return np.loadtxt(lines, ndmin=2)
 
 
 def _dim(cur: _Cursor, k: int, order: int) -> int:
@@ -608,41 +628,6 @@ def _dim(cur: _Cursor, k: int, order: int) -> int:
         raise GroupTableError(f"line {lineno}: dim {d} needs {order * d} lines of 're im' pairs, "
                               f"but only {cur.left()} content lines follow")
     return d
-
-
-def _bulk(lines: list[str], widths: np.ndarray, convert, dtype) -> np.ndarray:
-    """All fields of the lines, converted, when line i has widths[i] fields;
-    else a ValueError, as from a field that `convert` refuses."""
-    fields = list(map(str.split, lines))
-    if not np.array_equal(np.fromiter(map(len, fields), int, len(fields)), widths):
-        raise ValueError("a line with another number of fields")
-    return np.fromiter(map(convert, chain.from_iterable(fields)), dtype, int(np.sum(widths)))
-
-
-def _first_fault(cur: _Cursor, order: int):
-    """Raise the error of the first faulty line from the Cayley rows on, read
-    one line at a time; called only when a bulk check has failed."""
-    for r in range(order):
-        lineno, line = cur.next(f"Cayley table row {r}")
-        parts = line.split()
-        if len(parts) != order:
-            raise GroupTableError(f"line {lineno}: Cayley row {r} has {len(parts)} entries, expected {order}")
-        try:
-            list(map(int, parts))
-        except ValueError:
-            raise GroupTableError(f"line {lineno}: non-integer entry in Cayley row {r}")
-    for k in range(cur.keyword("irreps")[1]):
-        d = _dim(cur, k, order)
-        for x, row in np.ndindex(order, d):
-            lineno, line = cur.next(f"irrep {k}, element {x}, row {row}")
-            parts = line.split()
-            if len(parts) != 2 * d:
-                raise GroupTableError(f"line {lineno}: expected {d} 're im' pairs, got {len(parts)} numbers")
-            try:
-                list(map(float, parts))
-            except ValueError:
-                raise GroupTableError(f"line {lineno}: malformed number")
-    raise AssertionError("a bulk check refused a well-formed group file")
 
 
 def load_group_file(path) -> tuple[FiniteGroup, UnitaryDual]:
@@ -662,49 +647,30 @@ def load_group_file(path) -> tuple[FiniteGroup, UnitaryDual]:
     if not 0 <= identity < order:
         raise GroupTableError(f"line {lineno}: identity {identity} is not an element 0..{order - 1}")
 
-    rows_at = cur.pos
-    try:
-        cayley = _bulk(cur.lines[rows_at:rows_at + order], np.full(order, order), int, np.intp)
-    except ValueError:
-        _first_fault(cur, order)
-    except OverflowError:
+    cayley = cur.block(order, order, INDEX_FIELD, f"Cayley row {{i}} has {{n}} entries, expected {order}",
+                       "non-integer entry in Cayley row {i}")
+    if cayley.min() < 0 or cayley.max() >= order:  # read as floats, so no entry overflows
         raise GroupTableError("Cayley table entry out of range")
-    cayley = cayley.reshape(order, order)
-    if cayley.min() < 0 or cayley.max() >= order:
-        raise GroupTableError("Cayley table entry out of range")
-    cur.pos += order
+    cayley = cayley.astype(np.intp)
 
-    _, n_irreps = cur.keyword("irreps")
-    start, dims = cur.pos, []
-    try:
-        for k in range(n_irreps):  # one `dim` line per irrep; the pairs in bulk
-            dims.append(_dim(cur, k, order))
-            cur.pos += order * dims[-1]
-        dims = np.array(dims, dtype=int)
-        pair_line = np.ones(cur.pos - start, dtype=bool)
-        pair_line[np.cumsum(1 + order * dims) - (1 + order * dims)] = False  # the `dim` lines
-        pairs = list(compress(cur.lines[start:cur.pos], pair_line.tolist()))
-        vals = _bulk(pairs, np.repeat(2 * dims, order * dims), float, float)
-    except (GroupTableError, ValueError):
-        cur.pos = rows_at
-        _first_fault(cur, order)
+    dims, tables = [], []
+    for k in range(cur.keyword("irreps")[1]):
+        d = _dim(cur, k, order)
+        pairs = cur.block(order * d, 2 * d, VALUE_FIELD, f"expected {d} 're im' pairs, got {{n}} numbers",
+                          "malformed number")
+        dims.append(d)
+        tables.append((pairs[:, 0::2] + 1j * pairs[:, 1::2]).reshape(order, d * d).T)  # rows (a, b), columns x
     if cur.pos != len(cur.lines):
         raise GroupTableError(f"line {cur.linenos[cur.pos]}: trailing content after last irrep")
-    values = vals[0::2] + 1j * vals[1::2]  # per irrep (x, a, b), irreps in turn
-    row = np.r_[0, np.cumsum(dims * dims)]
-    one = np.flatnonzero(dims == 1)
-    ok = np.abs(values[order * row[one, None] + np.arange(order)] - 1).max(axis=1) <= ALG_TOL
-    if not ok.any():
+    trivial = next((k for k, t in enumerate(tables) if len(t) == 1 and np.abs(t - 1).max() <= ALG_TOL), None)
+    if trivial is None:
         raise GroupTableError("dual contains no trivial (all-ones) irrep")
     hits = cayley == identity
     if not hits.any(axis=1).all():
         raise GroupTableError("some element has no inverse under the claimed identity")
 
-    table = np.empty((row[-1], order), dtype=complex)
-    for first, end, d, r in _runs(dims):
-        run = values[order * r:order * row[end]].reshape(end - first, order, d * d)
-        table[r:row[end]] = run.transpose(0, 2, 1).reshape(-1, order)
-    dual = UnitaryDual(table=table, dims=dims, trivial_index=int(one[ok.argmax()]))
+    table = np.ascontiguousarray(np.concatenate(tables))  # concatenated transposes come out in F order
+    dual = UnitaryDual(table=table, dims=dims, trivial_index=trivial)
     group = FiniteGroup(order, cayley, identity, hits.argmax(axis=1), dual, name=f"file:{path}")
     dual.group = group
     errs = validate(group, dual)

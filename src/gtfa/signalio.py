@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .groups import FiniteGroup, UnitaryDual, build_cyclic
+from .groups import INDEX_FIELD, VALUE_FIELD, FiniteGroup, UnitaryDual, build_cyclic
 from .harmonic import Signal, require_single
 from .tfplane import TFFunction
 from .quantization import GroupOperator
@@ -179,11 +179,6 @@ def _write_table(path, index: np.ndarray, values):
     atomic_write(path, chunks())
 
 
-# Integers as `%d` writes them, and decimal numbers in plain or scientific
-# notation (which `%.17g` writes): Python's int() and float() would also take
-# "+1", " 2" and "1_0", which no writer emits.
-_INDEX_FIELD = re.compile(r"-?[0-9]+")
-_VALUE_FIELD = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|-?inf|nan")
 # The index fields that the bulk stage reads as floats: at most 15 significant
 # digits, which every float holds exactly.  A longer index is out of range of
 # any table, and the row loop names its line.
@@ -192,7 +187,7 @@ _SHORT_INDEX = r"-?0*[0-9]{1,15}"
 
 def _row_pattern(width: int, index_field: str) -> re.Pattern:
     """One row `*index,re,im` with `width` index fields."""
-    return re.compile(",".join([f"(?:{index_field})"] * width + [f"(?:{_VALUE_FIELD.pattern})"] * 2))
+    return re.compile(",".join([f"(?:{index_field})"] * width + [f"(?:{VALUE_FIELD.pattern})"] * 2))
 
 
 def _slots(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +204,7 @@ def _read_table(path, index: np.ndarray) -> np.ndarray:
     `index`'s rows.
 
     Index fields must be integers and values finite decimal numbers, in the
-    forms `_INDEX_FIELD` and `_VALUE_FIELD`.  Rows may come in any order and blank
+    forms `INDEX_FIELD` and `VALUE_FIELD`.  Rows may come in any order and blank
     lines are skipped, but every index row must come from exactly one line.
     This is the bulk stage (see the module docstring); when one of its checks
     fails, `_table_error` names the first offending line.
@@ -247,7 +242,7 @@ def _table_error(path, lines: list[str], index: np.ndarray) -> CsvFormatError:
     With neither fault, the only one left is a missing row.
     """
     width = index.shape[1]
-    row = _row_pattern(width, _INDEX_FIELD.pattern)
+    row = _row_pattern(width, INDEX_FIELD.pattern)
     keys, line_of = [], []
     lineno, error = 0, None
     try:
@@ -258,7 +253,7 @@ def _table_error(path, lines: list[str], index: np.ndarray) -> CsvFormatError:
             strict = row.fullmatch(line)
             if not strict and len(parts) != width + 2:
                 raise CsvFormatError(f"{path}: line {lineno}: {len(parts)} fields, expected {width + 2}")
-            if not strict and not all(map(_VALUE_FIELD.fullmatch, parts[-2:])):
+            if not strict and not all(map(VALUE_FIELD.fullmatch, parts[-2:])):
                 raise CsvFormatError(f"{path}: line {lineno}: malformed number")
             if not (math.isfinite(float(parts[-2])) and math.isfinite(float(parts[-1]))):
                 raise CsvFormatError(f"{path}: line {lineno}: non-finite value")

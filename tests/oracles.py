@@ -14,12 +14,12 @@ import numpy as np
 
 from gtfa import properties
 from gtfa import groups
-from gtfa.groups import (FiniteGroup, GroupTableError, Irrep, UnitaryDual, representation_runs,
-                         require_same_group)
+from gtfa.groups import (INDEX_FIELD, VALUE_FIELD, FiniteGroup, GroupTableError, Irrep, UnitaryDual,
+                         representation_runs, require_same_group)
 from gtfa.harmonic import Signal, fourier, haar_inner, norm, random_signal
 from gtfa.limits import ZSignal, ZTFGrid, _lag_rows
 from gtfa.properties import EXHAUSTIVE_TOL, ONB_TOL, SEED, PropertyReport
-from gtfa.signalio import _INDEX_FIELD, _VALUE_FIELD, CsvFormatError
+from gtfa.signalio import CsvFormatError
 from gtfa.quantization import (GroupOperator, identity_operator, kn_operator, original_localization,
                                quantize, tf_integral)
 from gtfa.tfplane import AmbiguityFunction, TFFunction, tf_inner, tf_norm
@@ -316,7 +316,7 @@ def read_table_row_loop(path, index: np.ndarray) -> np.ndarray:
     if not any(line.strip() for line in lines):
         raise CsvFormatError(f"{path}: empty file, expected {len(index)} rows")
     width = index.shape[1]
-    row = re.compile(",".join([f"(?:{_INDEX_FIELD.pattern})"] * width + [f"(?:{_VALUE_FIELD.pattern})"] * 2))
+    row = re.compile(",".join([f"(?:{INDEX_FIELD.pattern})"] * width + [f"(?:{VALUE_FIELD.pattern})"] * 2))
     keys, vals, line_of = [], [], []
     lineno, error = 0, None
     try:
@@ -327,7 +327,7 @@ def read_table_row_loop(path, index: np.ndarray) -> np.ndarray:
             strict = row.fullmatch(line)
             if not strict and len(parts) != width + 2:
                 raise CsvFormatError(f"{path}: line {lineno}: {len(parts)} fields, expected {width + 2}")
-            if not strict and not all(map(_VALUE_FIELD.fullmatch, parts[-2:])):
+            if not strict and not all(map(VALUE_FIELD.fullmatch, parts[-2:])):
                 raise CsvFormatError(f"{path}: line {lineno}: malformed number")
             real, imag = float(parts[-2]), float(parts[-1])
             if not (math.isfinite(real) and math.isfinite(imag)):
@@ -507,7 +507,9 @@ def validate_per_irrep(group: FiniteGroup, dual: UnitaryDual) -> list[str]:
 
 def load_group_file_line_loop(path):
     """Reference for `load_group_file`: the file read one line at a time,
-    each irrep allocated from its `dim` line, then `validate_per_irrep`.
+    each field matched against `INDEX_FIELD` or `VALUE_FIELD` and converted
+    with int() or float() on its own, each irrep allocated from its `dim`
+    line, then `validate_per_irrep`.
     Files whose sizes the library refuses up front may exhaust memory here."""
     lines = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -530,27 +532,26 @@ def load_group_file_line_loop(path):
         parts = line.split()
         if len(parts) != 2 or parts[0] != key:
             raise GroupTableError(f"line {lineno}: expected '{key} <value>', got {line!r}")
-        try:
-            return int(parts[1])
-        except ValueError:
+        if not INDEX_FIELD.fullmatch(parts[1]):
             raise GroupTableError(f"line {lineno}: {key} value {parts[1]!r} is not an integer")
+        return int(parts[1])
 
     order = keyword("group")
     if order < 1:
         raise GroupTableError("group order must be positive")
     identity = keyword("identity")
-    cayley = np.zeros((order, order), dtype=np.intp)
+    rows = []
     for r in range(order):
         lineno, line = next_line(f"Cayley table row {r}")
         parts = line.split()
         if len(parts) != order:
             raise GroupTableError(f"line {lineno}: Cayley row {r} has {len(parts)} entries, expected {order}")
-        try:
-            cayley[r] = [int(p) for p in parts]
-        except ValueError:
+        if not all(INDEX_FIELD.fullmatch(p) for p in parts):
             raise GroupTableError(f"line {lineno}: non-integer entry in Cayley row {r}")
-    if cayley.min() < 0 or cayley.max() >= order:
+        rows.append([int(p) for p in parts])
+    if not all(0 <= v < order for row in rows for v in row):
         raise GroupTableError("Cayley table entry out of range")
+    cayley = np.array(rows, dtype=np.intp)
     n_irreps = keyword("irreps")
     irreps = []
     for k in range(n_irreps):
@@ -565,10 +566,9 @@ def load_group_file_line_loop(path):
                 if len(parts) != 2 * d:
                     raise GroupTableError(
                         f"line {lineno}: expected {d} 're im' pairs, got {len(parts)} numbers")
-                try:
-                    vals = [float(p) for p in parts]
-                except ValueError:
+                if not all(VALUE_FIELD.fullmatch(p) for p in parts):
                     raise GroupTableError(f"line {lineno}: malformed number")
+                vals = [float(p) for p in parts]
                 mats[x, row] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
         irreps.append(Irrep(d, mats, label=f"irrep{k}"))
     if pos != len(lines):

@@ -42,7 +42,8 @@ def test_parse_group_specs():
     assert parse_group("dihedral:4").order == 8
     assert parse_group("product:cyclic:2xdihedral:3").order == 12
     assert parse_group("product:cyclic:2xcyclic:3").order == 6
-    for bad in ("cyclic:0", "cyclic:x", "ring:4", "product:cyclic:2", "dihedral:1"):
+    for bad in ("cyclic:0", "cyclic:x", "ring:4", "product:cyclic:2", "dihedral:1", "cyclic:1_0", "cyclic:+5",
+                "cyclic: 7", "dihedral:0_4", "product:cyclic:1_0xcyclic:3", "product:cyclic:2xdihedral:+3"):
         with pytest.raises(ConfigError):
             parse_group(bad)
 
@@ -465,11 +466,14 @@ def test_group_file_invalid_through_cli(tmp_path):
 
 
 def test_group_file_impossible_dim_exits_2(tmp_path, capsys):
-    """A dim no irrep of the group can have is refused before any allocation."""
-    gf = tmp_path / "big.grp"
-    gf.write_text("group 2\nidentity 0\n0 1\n1 0\nirreps 2\ndim 10000000\n1 0\n1 0\ndim 1\n1 0\n-1 0\n")
-    assert main(["verify", "--group", f"file:{gf}", "--kernel", "kn"]) == 2
-    assert "line 6: dim 10000000" in capsys.readouterr().err
+    """A dim no irrep of the group can have is refused before any allocation,
+    and a Cayley entry outside the field grammar with its line."""
+    gf = tmp_path / "bad.grp"
+    for cayley, dim, message in [("0 1", "10000000", "line 6: dim 10000000"),
+                                 ("0_0 1", "1", "line 3: non-integer entry in Cayley row 0")]:
+        gf.write_text(f"group 2\nidentity 0\n{cayley}\n1 0\nirreps 2\ndim {dim}\n1 0\n1 0\ndim 1\n1 0\n-1 0\n")
+        assert main(["verify", "--group", f"file:{gf}", "--kernel", "kn"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_figures_grid_csv(tmp_path):

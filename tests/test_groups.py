@@ -494,13 +494,13 @@ def test_require_same_dual_compares_factors_else_tables(tmp_path):
 
 
 def _quirky_z3_text():
-    """Z/3 in forms the loader has always read: comments, blank and indented
-    lines, tabs, '+1' and '0_1' integers, '1e0', '-0' and '1_0e-1' numbers."""
+    """Z/3 in forms the field grammar admits and no writer emits: comments,
+    blank and indented lines, tabs, '1e0', '-0' and leading zeros."""
     w = np.exp(2j * np.pi / 3)
-    lines = ["# header comment", "group 3  # order", "", "identity\t0", " +0 1 2", "1 2 0_0", "2\t0 1",
+    lines = ["# header comment", "group 3  # order", "", "identity\t0", " 00 1 2", "1 2 -0", "2\t0 01",
              "irreps 3", "dim 1", "1e0 -0", "1 0", "1 0 # trailing comment", "dim 1"]
     lines += [f"{(w ** x).real:.17g} {(w ** x).imag:.17g}" for x in range(3)]
-    lines += ["dim 1", "1_0e-1 0"]
+    lines += ["dim 1", "010e-1 0"]
     lines += [f"{(w ** (2 * x)).real:.17g} {(w ** (2 * x)).imag:.17g}" for x in (1, 2)]
     return "\n".join(lines) + "\n\n"
 
@@ -537,7 +537,8 @@ def test_loaded_tables_match_line_loop(tmp_path):
 
 
 def _loader_faults():
-    """Malformed group files whose message the two-stage loader keeps."""
+    """Malformed group files, each refused with the same message by the
+    loader's block checks and by the line loop."""
     ok = _z3_file_text().splitlines()
 
     def edit(i, new):  # the file with content line i replaced
@@ -561,6 +562,13 @@ def _loader_faults():
         "non-unitary": _z3_file_text(corrupt=(1, 1)),
         "incomplete dual": _z3_file_text(n_irreps=2),
         "bad associativity": edit(5, "2 1 0"),
+        "plus-signed cayley entry": edit(3, "+0 1 2"),
+        "underscored cayley entry": edit(4, "1 2 0_0"),
+        "cayley entry beyond intp": edit(4, "1 2 99999999999999999999"),
+        "underscored number": edit(9, "1_0e-1 0"),
+        "plus-signed group": edit(1, "group +3"),
+        "underscored dim": edit(7, "dim 1_0"),
+        "no irreps": "\n".join(ok[:6] + ["irreps 0"]) + "\n",
     }
 
 
