@@ -230,6 +230,8 @@ def cmd_dequantize(args) -> int:
 def cmd_reconstruct(args) -> int:
     from .reconstruct import MarginNegative, retrieval_report
 
+    if not 0 <= args.tol_zero < np.inf:
+        raise ConfigError("--tol-zero must be finite and >= 0")
     group = parse_group(args.group)
     _require_cyclic(group, "reconstruct works on cyclic groups")
     Q = _read("distribution", signalio.read_tf_csv, args.infile, group)

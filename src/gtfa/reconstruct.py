@@ -13,9 +13,11 @@ quantization itself is not invertible.  The constructive inverse used here:
 3.  From a pivot z with u(z) != 0, its phase fixed real positive, the
     products u(z+j) u(z)^* and u(z) u(z-j)^* for j = 1..floor(N/2) are
     K[z+j, j] and K[z, j] plus that difference at residue z mod g: -g/j
-    times its sum over the known products u(z+t) u(z+t-j)^*, 0 < t < j with
-    g not dividing t, which cover every other residue j/g times.  Each
-    product gives a phase, the margin the magnitude.
+    times its sum over 0 < t < j with g not dividing t (all t < j, less the
+    multiples of g), which cover every other residue j/g times.  The known
+    products u(z+t) u(z+t-j)^* enter it as two strided slices per lag; K's
+    share is computed for all lags at once.  Each product gives a phase,
+    the margin the magnitude.
 
 Every sample is tied to the pivot itself, so zeros of u leave no phase
 undetermined: the recursion fixes [u] whenever the pivot is nonzero.  The
@@ -85,23 +87,26 @@ def phase_retrieve(Q: TFFunction, tol_zero: float = 1e-9) -> Signal:
 
     The returned signal is real and positive at the pivot (the index of
     largest magnitude); positions whose margin falls below tol_zero are set
-    to zero.
+    to zero.  A tol_zero that is not finite and >= 0 raises ValueError.
     """
     return _phase_retrieve(Q, born_jordan_cyclic_kernel(Q.group.order), tol_zero)
 
 
 def _phase_retrieve(Q: TFFunction, k: CohenKernel, tol_zero: float) -> Signal:  # k: the kernel of Q's order
+    if not 0 <= tol_zero < math.inf:
+        raise ValueError(f"tol_zero must be finite and >= 0, not {tol_zero!r}")
     group = Q.group
     N = group.order
-    mags2 = magnitudes_from_margins(Q)
-    mag = np.sqrt(np.where(mags2 < tol_zero, 0.0, mags2))
+    mag = magnitudes_from_margins(Q)  # |u|^2, then |u|
+    mag = np.sqrt(np.where(mag < tol_zero, 0.0, mag))
     if not mag.any():
         return Signal(group, np.zeros(N))
 
-    # v[t] = u(z + t) and K[t, y] = K(z + t, y), z the pivot
-    z = int(mag.argmax())
-    mag = np.roll(mag, -z)
-    K = np.roll(_lag_table(Q, k), -z, axis=0)
+    # v[t] = u(z + t) and K[t, y] = K(z + t, y), z the pivot, for t, y <= h
+    z, h = int(mag.argmax()), N // 2
+    rows = (np.arange(N) + z) % N
+    K = _lag_table(Q, k)[rows[:h + 1], :h + 1]
+    mag = mag[rows].tolist()
     v = np.zeros(N, dtype=complex)
     v[0] = mag[0]
 
@@ -109,16 +114,21 @@ def _phase_retrieve(Q: TFFunction, k: CohenKernel, tol_zero: float) -> Signal:  
         a = abs(product)
         v[t] = mag[t] * (product / a) if a > 0 else mag[t]
 
-    for j in range(1, N // 2 + 1):
-        g = math.gcd(j, N)
-        t = np.arange(1, j)
-        t = t[t % g != 0]
+    lags = np.arange(1, h + 1)
+    gcds = np.gcd(lags, N)
+    t = np.arange(h)[:, None]
+    # K's share of each lag's known sum: K[t, j] over 0 < t < j with g not dividing t
+    known = np.sum(K[:h, 1:], axis=0, where=(t < lags) & (t % gcds != 0))
+    for j, g, kjj, k0j, kj in zip(lags.tolist(), gcds.tolist(), K.diagonal()[1:].tolist(),
+                                  K[0, 1:].tolist(), known.tolist()):
+        # v[t] v[t-j]^* over all 0 < t < j, less the multiples of g
+        s = complex(np.vdot(v[N - j + 1:], v[1:j]) - np.vdot(v[N - j + g::g], v[g:j:g]))
         # v[t] v[t-j]^* - K[t, j] at t = 0 mod g, from its zero sum over the residues
-        d = -(g / j) * np.sum(v[t] * np.conj(v[t - j]) - K[t, j])
-        assign(j, K[j, j] + d)  # v[j] v[0]^*
+        d = -(g / j) * (s - kj)
+        assign(j, kjj + d)  # v[j] v[0]^*
         if 2 * j < N:
-            assign(-j, np.conj(K[0, j] + d))  # (v[0] v[-j]^*)^*
-    return Signal(group, np.roll(v, z))
+            assign(N - j, (k0j + d).conjugate())  # (v[0] v[-j]^*)^*
+    return Signal(group, v[(np.arange(N) - z) % N])
 
 
 def island_count(mask: np.ndarray) -> int:

@@ -1,8 +1,9 @@
 """Reference computations that tests compare the library against.
 
 Direct sums of the defining formulas and closed forms, with no Fourier
-shortcut, a row-by-row CSV table reader, and groups built, loaded and
-validated one irrep and one line at a time.  No library code uses them, so
+shortcut, phase retrieval one index array per lag, a row-by-row CSV table
+reader, and groups built, loaded and validated one irrep and one line at a
+time.  No library code uses them, so
 they live beside the tests.
 """
 
@@ -22,6 +23,7 @@ from gtfa.properties import EXHAUSTIVE_TOL, ONB_TOL, SEED, PropertyReport
 from gtfa.signalio import CsvFormatError
 from gtfa.quantization import (GroupOperator, identity_operator, kn_operator, original_localization,
                                quantize, tf_integral)
+from gtfa.reconstruct import _lag_table, magnitudes_from_margins
 from gtfa.tfplane import AmbiguityFunction, TFFunction, tf_inner, tf_norm
 from gtfa.transforms import CohenKernel, cohen_transform
 
@@ -302,6 +304,40 @@ def lag_rows_roll(u: ZSignal, t_start: int, t_count: int):
         m = abs(y)
         a = xs if y > 0 else xs - m
         yield y, (c[a + m] - c[a]) / m
+
+
+def phase_retrieve_loop(Q: TFFunction, k: CohenKernel, tol_zero: float) -> Signal:
+    """Reference for `reconstruct._phase_retrieve`: the recursion out from the
+    pivot with each lag's known sum gathered through an index array of its
+    residues and reduced on its own."""
+    group = Q.group
+    N = group.order
+    mags2 = magnitudes_from_margins(Q)
+    mag = np.sqrt(np.where(mags2 < tol_zero, 0.0, mags2))
+    if not mag.any():
+        return Signal(group, np.zeros(N))
+
+    # v[t] = u(z + t) and K[t, y] = K(z + t, y), z the pivot
+    z = int(mag.argmax())
+    mag = np.roll(mag, -z)
+    K = np.roll(_lag_table(Q, k), -z, axis=0)
+    v = np.zeros(N, dtype=complex)
+    v[0] = mag[0]
+
+    def assign(t, product):  # v[t] from v[t] v[0]^* = product, v[0] real
+        a = abs(product)
+        v[t] = mag[t] * (product / a) if a > 0 else mag[t]
+
+    for j in range(1, N // 2 + 1):
+        g = math.gcd(j, N)
+        t = np.arange(1, j)
+        t = t[t % g != 0]
+        # v[t] v[t-j]^* - K[t, j] at t = 0 mod g, from its zero sum over the residues
+        d = -(g / j) * np.sum(v[t] * np.conj(v[t - j]) - K[t, j])
+        assign(j, K[j, j] + d)  # v[j] v[0]^*
+        if 2 * j < N:
+            assign(-j, np.conj(K[0, j] + d))  # (v[0] v[-j]^*)^*
+    return Signal(group, np.roll(v, z))
 
 
 def read_table_row_loop(path, index: np.ndarray) -> np.ndarray:

@@ -280,6 +280,30 @@ def test_reconstruct_all_zero(tmp_path, capsys):
     assert "all_zero 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol_zero", ["nan", "inf", "-1"])
+def test_reconstruct_bad_tol_zero_exit2(tmp_path, capsys, tol_zero):
+    """`--tol-zero inf` would zero every sample and `nan` none: both are
+    refused, as is a negative one, before the distribution file is read."""
+    out = tmp_path / "r.csv"
+    rc = main(["reconstruct", "--group", "cyclic:4", "--in", str(tmp_path / "missing.csv"),
+               "--out", str(out), "--tol-zero", tol_zero])
+    assert rc == 2
+    assert "--tol-zero must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_tol_zero_0(tmp_path, rng, capsys):
+    """`--tol-zero 0` is accepted: only samples whose margin is exactly 0 are zero."""
+    g, _ = build_cyclic(8)
+    u = random_signal(g, rng)
+    qp = str(tmp_path / "q.csv")
+    write_tf_csv(qp, cohen_transform(born_jordan_cyclic_kernel(8), u, u))
+    rp = str(tmp_path / "r.csv")
+    assert main(["reconstruct", "--group", "cyclic:8", "--in", qp, "--out", rp, "--tol-zero", "0"]) == 0
+    assert "all_zero 0" in capsys.readouterr().out
+    assert np.abs(np.abs(read_csv_signal(rp, g).values) - np.abs(u.values)).max() < 1e-9
+
+
 def test_reconstruct_corrupted_margins_exit3(tmp_path, rng, capsys):
     g, _ = build_cyclic(8)
     u = random_signal(g, rng)

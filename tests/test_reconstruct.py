@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import phase_retrieve_loop
+
 from gtfa import reconstruct
 from gtfa.groups import build_cyclic
 from gtfa.harmonic import Signal, constant_signal, random_signal
@@ -14,6 +16,7 @@ from gtfa.reconstruct import (
     roundtrip_report,
 )
 from gtfa.tfplane import TFFunction
+from gtfa.transforms import born_jordan_cyclic_kernel
 
 
 def zero_free(rng, N):
@@ -166,3 +169,47 @@ def test_each_report_builds_the_kernel_once(monkeypatch, rng):
         assert a.recovered.values.tobytes() == b.recovered.values.tobytes()
     phase_retrieve(Q)
     assert builds == [24, 24, 24]
+
+
+def _parity_cases():
+    """(values, tol_zero): zero-free draws at orders 1..64 and four larger
+    orders, every sparse signal, a draw with a third of its samples just
+    under tol_zero, and orders 2 and 4, whose lag N/2 has no negative sample."""
+    rng = np.random.default_rng(20)
+    for N in (*range(1, 65), 127, 384, 509, 512):
+        yield pytest.param(zero_free(rng, N).values, 1e-9, id=f"zero-free-{N}")
+    for i, (N, vals) in enumerate(_sparse_signals(rng)):
+        yield pytest.param(vals, 1e-9, id=f"sparse-{N}-{i}")
+    vals = zero_free(rng, 48).values
+    vals[::3] *= np.sqrt(0.9e-6) / np.abs(vals[::3])  # |u|^2 just under tol_zero
+    yield pytest.param(vals, 1e-6, id="under-tol-zero-48")
+    yield pytest.param(np.array([2.0, -1j]), 1e-9, id="half-lag-2")
+    yield pytest.param(np.array([1, 1j, -1, 1]), 1e-9, id="half-lag-4")
+
+
+@pytest.mark.parametrize("vals,tol_zero", _parity_cases())
+def test_phase_retrieve_matches_the_lag_by_lag_loop(vals, tol_zero):
+    """Each lag's known sum from two strided slices and K's share for all lags
+    at once give the same samples as gathering each lag's residues on its own."""
+    N = len(vals)
+    g, _ = build_cyclic(N)
+    k = born_jordan_cyclic_kernel(N)
+    Q = born_jordan_distribution(Signal(g, vals))
+    got = reconstruct._phase_retrieve(Q, k, tol_zero).values
+    want = phase_retrieve_loop(Q, k, tol_zero).values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(vals).max()
+    under = np.abs(vals) ** 2 < tol_zero
+    assert (got[under] == 0).all() and (want[under] == 0).all()
+
+
+@pytest.mark.parametrize("tol_zero", [np.nan, np.inf, -1.0])
+def test_bad_tol_zero_is_refused(tol_zero):
+    """A NaN tol_zero would zero nothing and an infinite one everything."""
+    g, _ = build_cyclic(6)
+    u = constant_signal(g)
+    Q = born_jordan_distribution(u)
+    for call in (phase_retrieve, retrieval_report):
+        with pytest.raises(ValueError, match="tol_zero must be finite and >= 0"):
+            call(Q, tol_zero)
+    with pytest.raises(ValueError, match="tol_zero must be finite and >= 0"):
+        roundtrip_report(u, tol_zero)
