@@ -659,7 +659,7 @@ def load_group_file(path) -> tuple[FiniteGroup, UnitaryDual]:
         pairs = cur.block(order * d, 2 * d, VALUE_FIELD, f"expected {d} 're im' pairs, got {{n}} numbers",
                           "malformed number")
         dims.append(d)
-        tables.append((pairs[:, 0::2] + 1j * pairs[:, 1::2]).reshape(order, d * d).T)  # rows (a, b), columns x
+        tables.append(pairs.view(complex).reshape(order, d * d).T)  # rows (a, b), columns x
     if cur.pos != len(cur.lines):
         raise GroupTableError(f"line {cur.linenos[cur.pos]}: trailing content after last irrep")
     trivial = next((k for k, t in enumerate(tables) if len(t) == 1 and np.abs(t - 1).max() <= ALG_TOL), None)

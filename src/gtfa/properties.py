@@ -7,17 +7,20 @@ condition is the authoritative verdict here; in verification mode each checker
 also cross-validates one transform-side condition statistically on seeded
 random signals and reports the residual.
 
-All sampled cross-checks draw from a fresh generator seeded with 0xC0FFEE, so
-reports are byte-identical across runs; the draws are those of serial
-`random_signal` calls.  Each cross-check takes its signals as batches and
-pairs them with the batch-aware sums (`haar_inner`, `norm`, `tf_inner`,
-`tf_norm`): a few array operations per batch, cut so that one batched plane
-array stays within BATCH_BYTES.  One sampled pass transforms l2-bound's 100
-pairs, each batch once, and also yields the cross-checks of normalized and
-the two margins (pairs 0-19) and of unitary (Moyal, pairs 2i and 2i+1,
-i < 20): within one `run_all_checks` call these five checks share one pass
-(with verify=False only l2-bound runs it), as symmetric and positive share
-their 50 values D[u](e, eps).  onb-resolution needs no sample: by linearity,
+All sampled cross-checks take the first signals of one draw from a fresh
+generator seeded with 0xC0FFEE, so reports are byte-identical across runs; the
+draws are those of serial `random_signal` calls.  Each cross-check takes its
+signals as batches and pairs them with the batch-aware sums (`haar_inner`,
+`norm`, `tf_inner`, `tf_norm`): a few array operations per batch, cut into
+batches of even size so that one batched plane array stays within BATCH_BYTES
+(a batch holds two planes where one takes more than half).  One sampled pass
+transforms l2-bound's 100 pairs, pair i the signals 2i and 2i+1, each batch
+once, and also yields the cross-checks of normalized and the two margins
+(pairs 0-19) and of unitary (Moyal, pairs 2i and 2i+1, i < 20, which share a
+batch): within one `run_all_checks` call these five checks share one pass
+(with verify=False only l2-bound runs it), as symmetric, positive and inner
+share the localization operator delta^D and symmetric and positive their 50
+values D[u](e, eps).  onb-resolution needs no sample: by linearity,
 the basis sum of its distributions is the constant phi(eps, e), so the check
 reduces to a kernel-side figure.
 """
@@ -97,25 +100,10 @@ def _report(name, violations, hits, cross, tol=EXHAUSTIVE_TOL, witness=lambda *i
 
 
 def _batches(g, count) -> list[slice]:
-    """Cut `count` signals on g into batches within BATCH_BYTES."""
-    size = max(1, BATCH_BYTES // (16 * g.order ** 2))
+    """Cut `count` signals (or pairs) on g into batches of even size, at
+    least 2, within BATCH_BYTES wherever one plane array takes at most half."""
+    size = max(2, BATCH_BYTES // (16 * g.order ** 2) // 2 * 2)
     return [slice(i, min(i + size, count)) for i in range(0, count, size)]
-
-
-def _draw(g, count, k, rng) -> np.ndarray:
-    """`count` draws of k random signals, values (count, k, |G|).
-
-    Entry [i, j] is what the (i k + j)-th serial `random_signal(g, rng)` call
-    would return: per signal, its real part then its imaginary part."""
-    x = rng.standard_normal((count, k, 2, g.order))
-    return x[:, :, 0] + 1j * x[:, :, 1]
-
-
-def _sample_batches(g, count, k, rng):
-    """`count` draws of k random signals, yielded as k batched Signals per batch."""
-    for b in _batches(g, count):
-        x = _draw(g, b.stop - b.start, k, rng)
-        yield [Signal(g, x[:, j]) for j in range(k)]
 
 
 # While run_all_checks runs: (its kernel, {computation: result}).  A context
@@ -134,10 +122,9 @@ def _shared(k: CohenKernel, compute):
     return share[1][compute]
 
 
-def _entries(D, U, V, sl, copy=False):
-    """Entries sl of a batch pair, (D(u,v), u, v); D's runs copied if asked."""
-    runs = [run[:, sl].copy() if copy else run[:, sl] for run in D.runs]
-    return (TFFunction.from_runs(D.group, D.dual, runs),
+def _entries(D, U, V, sl):
+    """Entries sl of a batch pair, (D(u,v), u, v)."""
+    return (TFFunction.from_runs(D.group, D.dual, [run[:, sl] for run in D.runs]),
             Signal(U.group, U.values[sl]), Signal(V.group, V.values[sl]))
 
 
@@ -150,38 +137,42 @@ def _margins(D, U, V) -> list:
                 for run, urun, vrun in zip(D.runs, fourier(U).runs, fourier(V).runs))]
 
 
+def _moyal(Da, u, v, Db, f, h) -> float:
+    """The largest |<D(u,v), D(f,h)> - <u,f> <v,h>^*| over the batch."""
+    return np.abs(tf_inner(Da, Db) - haar_inner(u, f) * np.conj(haar_inner(v, h))).max()
+
+
 def _sampled_pass(k: CohenKernel) -> dict[str, float]:
-    """Over l2-bound's 100 seeded pairs (u, v), each batch transformed once: the
-    largest ||D(u,v)|| - ||phi||_Linf ||u|| ||v||, the margin residuals on pairs
-    0-19 and the Moyal residual |<D(u,v), D(f,h)> - <u,f> <v,h>^*| on pairs
-    (u, v), (f, h) = 2i, 2i+1, i < 20, the first carried over to the next
-    batch when a batch ends between them."""
-    bound, worst, start, carry = k.linf_norm(), np.zeros(5), 0, None
-    for U, V in _sample_batches(k.group, 100, 2, np.random.default_rng(SEED)):
+    """Over l2-bound's 100 seeded pairs (u, v), pair i the signals 2i and 2i+1,
+    each batch transformed once: the largest ||D(u,v)|| - ||phi||_Linf ||u|| ||v||,
+    the margin residuals on pairs 0-19 and the Moyal residual on pairs 2i and
+    2i+1, i < 20, which share a batch since batches are even."""
+    g, bound, worst = k.group, k.linf_norm(), np.zeros(5)
+    W = _seeded_signals(g, 200).values
+    for b in _batches(g, 100):
+        U, V = Signal(g, W[2 * b.start:2 * b.stop:2]), Signal(g, W[2 * b.start + 1:2 * b.stop:2])
         D = cohen_transform(k, U, V)
-        margins = _margins(*_entries(D, U, V, slice(20 - start))) if start < 20 else [0.0] * 3
-        lo, hi = start % 2, min(len(U.values), 40 - start)  # this batch's Moyal entries
-        moyal = [(carry, _entries(D, U, V, slice(1)))] if carry is not None else []
-        if hi - lo >= 2:
-            moyal.append((_entries(D, U, V, slice(lo, hi - 1, 2)),
-                          _entries(D, U, V, slice(lo + 1, hi, 2))))
-        new = [(tf_norm(D) - bound * norm(U) * norm(V)).max(), *margins,
-               max((np.abs(tf_inner(Da, Db) - haar_inner(u, f) * np.conj(haar_inner(v, h))).max()
-                    for (Da, u, v), (Db, f, h) in moyal), default=0.0)]
-        carry = _entries(D, U, V, slice(hi - 1, hi), copy=True) if hi > lo and (hi - lo) % 2 else None
-        worst, start = np.maximum(worst, new), start + len(U.values)
-        del D, moyal  # one batch of planes alive at a time, besides the carried entry
+        new = [(tf_norm(D) - bound * norm(U) * norm(V)).max(), 0.0, 0.0, 0.0, 0.0]
+        if b.start < 20:
+            new[1:4] = _margins(*_entries(D, U, V, slice(20 - b.start)))
+        if b.start < 40:
+            hi = min(b.stop, 40) - b.start
+            new[4] = _moyal(*_entries(D, U, V, slice(0, hi, 2)), *_entries(D, U, V, slice(1, hi, 2)))
+        worst = np.maximum(worst, new)
+        del D  # one batch of planes alive at a time
     return dict(zip(("l2-bound", "normalized", "time-margins", "freq-margins", "unitary"), worst.tolist()))
 
 
 def _seeded_signals(g, count: int) -> Signal:
-    """The first `count` random signals drawn from SEED, as a batch."""
-    return Signal(g, _draw(g, count, 1, np.random.default_rng(SEED))[:, 0])
+    """The first `count` serial `random_signal` draws from SEED, as a batch:
+    per signal, its real part then its imaginary part."""
+    x = np.random.default_rng(SEED).standard_normal((count, 2, g.order))
+    return Signal(g, x[:, 0] + 1j * x[:, 1])
 
 
 def _origin_values(k: CohenKernel) -> np.ndarray:
     """D[u](e, eps) = <u, delta^D u> for 50 seeded random signals u."""
-    return _origin(original_localization(k).kernel, _seeded_signals(k.group, 50))
+    return _origin(_shared(k, original_localization).kernel, _seeded_signals(k.group, 50))
 
 
 def _origin(K: np.ndarray, U: Signal) -> np.ndarray:
@@ -228,10 +219,7 @@ def check_symmetric(k: CohenKernel, verify: bool = True) -> PropertyReport:
     lag = k.timelag().values
     other = lag[g.cayley.T, g.inverse[None, :]]
     diff = np.abs(lag.conj() - other)
-    cross = None
-    if verify:
-        vals = _shared(k, _origin_values)
-        cross = np.abs(vals.imag).max()
+    cross = np.abs(_shared(k, _origin_values).imag).max() if verify else None
     return _report("symmetric", diff.max(initial=0.0), diff > EXHAUSTIVE_TOL, cross)
 
 
@@ -239,18 +227,12 @@ def check_positive(k: CohenKernel, verify: bool = True) -> PropertyReport:
     """Positivity via the Gram matrix Gamma[x, y] = varphi(x^{-1}, y^{-1} x):
     D[u](e, eps) >= 0 for all u iff Gamma is positive semidefinite.
     Violation = Hermiticity defect + negative part of the smallest eigenvalue."""
-    g = k.group
-    lag = k.timelag().values
-    inv, cay = g.inverse, g.cayley
-    # Gamma[x, y] = varphi(x^{-1}, y^{-1} x)
-    gamma = lag[inv[:, None], cay[inv, :].T]
+    gamma = _shared(k, original_localization).kernel.conj()  # K(z, y) of delta^D is Gamma[z, y]^*
     herm_defect = float(np.abs(gamma - gamma.conj().T).max())
     lam = np.linalg.eigvalsh((gamma + gamma.conj().T) / 2)
     neg = max(0.0, -float(lam.min()))
-    cross = None
-    if verify:
-        vals = _shared(k, _origin_values)
-        cross = (np.abs(vals.imag) + np.maximum(0.0, -vals.real)).max()
+    vals = _shared(k, _origin_values) if verify else None
+    cross = (np.abs(vals.imag) + np.maximum(0.0, -vals.real)).max() if verify else None
     return _report("positive", herm_defect + neg, herm_defect > EXHAUSTIVE_TOL or neg > EXHAUSTIVE_TOL,
                    cross, witness=lambda: (int(np.argmin(lam)),))
 
@@ -286,7 +268,7 @@ def check_inner_invariant(k: CohenKernel, verify: bool = True) -> PropertyReport
     diff = np.concatenate(diffs)
     cross = None
     if verify:
-        K = original_localization(k).kernel
+        K = _shared(k, original_localization).kernel
         U = _seeded_signals(g, 20)
         base = _origin(K, U)
         cross = 0.0

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import group_inverse_fourier, plancherel_trace, require_same_dual
+from .groups import group_inverse_fourier, require_same_dual
 from .harmonic import Signal, haar_inner, norm, require_single
 from .tfplane import TFFunction, symplectic_fourier, tf_norm
 from .transforms import CohenKernel, born_jordan_cyclic_kernel, cohen_transform
@@ -62,8 +62,9 @@ def born_jordan_distribution(u: Signal) -> TFFunction:
 
 
 def magnitudes_from_margins(Q: TFFunction) -> np.ndarray:
-    """|u(x)|^2 from the time margins of Q[u]; tiny negatives are clamped."""
-    m = plancherel_trace(Q.dual, Q.runs).sum(axis=0).real
+    """|u(x)|^2 from the time margins of Q[u] on an all-scalar (cyclic) dual;
+    tiny negatives are clamped."""
+    m = Q.scalar_table().sum(axis=0).real
     if m.min() < MARGIN_FLOOR:
         raise MarginNegative(
             f"time margin at x={int(m.argmin())} is {m.min():.3g} < {MARGIN_FLOOR:g}"

@@ -379,19 +379,12 @@ def render_pgm(values, spec: ImageSpec, path):
     if not np.isfinite(v).all():
         raise ValueError("image values must be finite after the gamma map")
     if spec.mode == "midgrey-zero":
-        s = np.abs(v).max(initial=0.0)
-        if s == 0.0:
-            pix = np.full(v.shape, 128, dtype=int)
-        else:
-            with np.errstate(over="ignore"):
-                pix = np.rint(127.5 * (1.0 - np.clip(v / s, -1.0, 1.0))).astype(int)
+        top, lo, gain = np.abs(v).max(initial=0.0), -1.0, 127.5
     else:
-        m = v.max(initial=0.0)
-        if m <= 0.0:
-            pix = np.full(v.shape, 255, dtype=int)
-        else:
-            with np.errstate(over="ignore"):
-                pix = np.rint(255.0 * (1.0 - np.clip(v / m, 0.0, 1.0))).astype(int)
+        top, lo, gain = v.max(initial=0.0), 0.0, 255.0
+    with np.errstate(over="ignore"):
+        ratio = np.clip(v / top, lo, 1.0) if top > 0.0 else np.zeros(v.shape)
+    pix = np.rint(gain * (1.0 - ratio)).astype(int)
     h, w = pix.shape
     body = "\n".join([" ".join(_PIXEL_TEXT[row].tolist()) for row in pix])
     data = f"P2\n{w} {h}\n255\n{body}\n".encode()

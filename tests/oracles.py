@@ -605,7 +605,7 @@ def load_group_file_line_loop(path):
                 if not all(VALUE_FIELD.fullmatch(p) for p in parts):
                     raise GroupTableError(f"line {lineno}: malformed number")
                 vals = [float(p) for p in parts]
-                mats[x, row] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
+                mats[x, row] = np.array(vals).view(complex)
         irreps.append(Irrep(d, mats, label=f"irrep{k}"))
     if pos != len(lines):
         raise GroupTableError(f"line {lines[pos][0]}: trailing content after last irrep")

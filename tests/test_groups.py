@@ -536,6 +536,23 @@ def test_loaded_tables_match_line_loop(tmp_path):
         _assert_same_pair(load_group_file(path), oracles.load_group_file_line_loop(path))
 
 
+def test_group_file_keeps_the_sign_of_zero(tmp_path):
+    """'re im' pairs load as written, as in signal CSVs: `1 -0` and `-1 -0`
+    keep a negative zero imaginary part, in the loader and the line loop, and
+    a written built group (dihedral tables hold -0 entries) loads back bit for
+    bit, so no other value of a table moves."""
+    p = tmp_path / "z2.grp"
+    p.write_text("group 2\nidentity 0\n0 1\n1 0\nirreps 2\ndim 1\n1 0\n1 -0\ndim 1\n1 0\n-1 -0\n")
+    for load in (load_group_file, oracles.load_group_file_line_loop):
+        table = load(p)[1].table
+        assert table.tolist() == [[1, 1], [1, -1]]
+        assert np.signbit(table.imag).tolist() == [[False, True], [False, True]]
+    for gd in [build_cyclic(1), build_cyclic(12), build_dihedral(4), build_dihedral(7),
+               build_product(build_cyclic(2), build_dihedral(3))]:
+        p.write_text(group_file_text(*gd))
+        assert load_group_file(p)[1].table.tobytes() == gd[1].table.tobytes(), gd[0].name
+
+
 def _loader_faults():
     """Malformed group files, each refused with the same message by the
     loader's block checks and by the line loop."""

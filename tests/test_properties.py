@@ -147,23 +147,22 @@ def test_l2_bound_is_equality_for_kn(rng):
         assert abs(tf_norm(rihaczek(u, v)) - norm(u) * norm(v)) <= 1e-10
 
 
-@pytest.mark.parametrize("budget", [None, 3 * 16 * 32 ** 2])
-@pytest.mark.parametrize("k", [2, 4])
-def test_sample_batches_are_the_serial_draws(k, budget, monkeypatch):
-    """The batched samples equal serial random_signal draws bit for bit, in
-    batches cut to the byte budget (16 at order 32, or 3 with a smaller one)."""
+@pytest.mark.parametrize("budget, sizes", [
+    (None, [16] * 6 + [4]),
+    (1, [2] * 50),
+    (3 * 16 * 32 ** 2, [2] * 50),
+    (6 * 16 * 32 ** 2, [6] * 16 + [4]),
+], ids=["default", "one-byte", "three-planes", "six-planes"])
+def test_batches_are_even(budget, sizes, monkeypatch):
+    """Batches of the 100 pairs at order 32 are even-sized and at least 2, so
+    that Moyal partners (pairs 2i, 2i+1) share a batch: 16 with the default
+    budget, 2 under budgets of fewer than four planes."""
     if budget is not None:
         monkeypatch.setattr(properties, "BATCH_BYTES", budget)
-    g, _ = build_dihedral(16)
-    batched, serial = np.random.default_rng(7), np.random.default_rng(7)
-    sizes = []
-    for batch in properties._sample_batches(g, 20, k, batched):
-        sizes.append(len(batch[0].values))
-        for draws in zip(*(u.values for u in batch)):
-            for values in draws:
-                assert np.array_equal(values, random_signal(g, serial).values)
-    assert sizes == ([16, 4] if budget is None else [3] * 6 + [2])
-    assert batched.standard_normal() == serial.standard_normal()
+    batches = properties._batches(build_dihedral(16)[0], 100)
+    assert [b.stop - b.start for b in batches] == sizes
+    assert batches[0].start == 0 and batches[-1].stop == 100
+    assert all(a.stop == b.start for a, b in zip(batches, batches[1:]))
 
 
 @pytest.mark.parametrize("budget", [None, 1])
@@ -182,10 +181,11 @@ def test_l2_bound_matches_serial_oracle(make, budget, monkeypatch):
     assert abs(got.max_violation - expect.max_violation) <= 1e-13
 
 
-@pytest.mark.parametrize("count", [50, 20])
+@pytest.mark.parametrize("count", [50, 20, 200])
 def test_seeded_signals_are_the_serial_draws(count):
-    """The one-draw batches of symmetric, positive (50) and inner (20) are
-    the serial random_signal draws from SEED, bit for bit."""
+    """The one-draw batches of symmetric, positive (50), inner (20) and the
+    sampled pass (200, pair i the signals 2i and 2i+1) are the serial
+    random_signal draws from SEED, bit for bit."""
     g, _ = build_dihedral(16)
     serial = np.random.default_rng(properties.SEED)
     batch = properties._seeded_signals(g, count)
@@ -225,20 +225,23 @@ def test_checks_match_serial_oracles(corpus_and_file_group, kind):
     assert_checks_match_serial_oracles(KINDS[kind](*corpus_and_file_group))
 
 
-@pytest.mark.parametrize("budget", [lambda n: 1, lambda n: 3 * 16 * n ** 2], ids=["one-pair", "three-pairs"])
+@pytest.mark.parametrize("budget", [lambda n: 1, lambda n: 3 * 16 * n ** 2, lambda n: 6 * 16 * n ** 2],
+                         ids=["one-pair", "three-pairs", "six-pairs"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_checks_match_serial_oracles_under_small_budgets(corpus_and_file_group, kind, budget, monkeypatch):
-    """The same with one pair per batch, and with three, an odd count, so that
-    Moyal quadruples (pairs 2i, 2i+1) straddle batch boundaries."""
+    """The same under budgets of one byte and of three and six pairs' planes
+    (the ids name the budget): batches of 2, 2 and 6 pairs, so that the last
+    batch of the margin or Moyal pairs ends just at pair 20 or 40 or is cut
+    short there."""
     g, d = corpus_and_file_group
     monkeypatch.setattr(properties, "BATCH_BYTES", budget(g.order))
     assert_checks_match_serial_oracles(KINDS[kind](g, d))
 
 
-@pytest.mark.parametrize("n, calls", [(16, 7), (48, 100)], ids=["order-32", "order-96"])
+@pytest.mark.parametrize("n, calls", [(16, 7), (48, 50)], ids=["order-32", "order-96"])
 def test_run_all_checks_transforms_each_pair_once(n, calls, monkeypatch):
     """l2-bound's 100 seeded pairs feed the margin and Moyal cross-checks too:
-    7 batches of up to 16 pairs at order 32, one pair per batch at order 96."""
+    7 batches of up to 16 pairs at order 32, two pairs per batch at order 96."""
     made = []
     transform = properties.cohen_transform
     monkeypatch.setattr(properties, "cohen_transform", lambda *a: made.append(None) or transform(*a))

@@ -4,7 +4,7 @@ import pytest
 from oracles import phase_retrieve_loop
 
 from gtfa import reconstruct
-from gtfa.groups import build_cyclic
+from gtfa.groups import build_cyclic, plancherel_trace
 from gtfa.harmonic import Signal, constant_signal, random_signal
 from gtfa.reconstruct import (
     MarginNegative,
@@ -37,6 +37,9 @@ def test_magnitudes_random(rng):
     u = random_signal(g, rng)
     Q = born_jordan_distribution(u)
     assert np.abs(magnitudes_from_margins(Q) - np.abs(u.values) ** 2).max() < 1e-9
+    # the plain sum of the scalar table is the Plancherel trace, bit for bit
+    trace = plancherel_trace(Q.dual, Q.runs).sum(axis=0).real
+    assert magnitudes_from_margins(Q).tobytes() == np.maximum(trace, 0.0).tobytes()
 
 
 def test_magnitudes_corrupted_table(rng):
