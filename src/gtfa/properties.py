@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import plancherel_trace, representation_runs
+from .groups import _chunks, plancherel_trace, representation_runs
 from .harmonic import Signal, fourier, haar_inner, norm
 from .quantization import original_localization
 from .tfplane import TFFunction, tf_inner, tf_norm
@@ -255,17 +255,18 @@ def check_inner_invariant(k: CohenKernel, verify: bool = True) -> PropertyReport
     g = k.group
     n = g.order
     conj_idx = g.cayley[g.cayley, g.inverse[:, None]]  # conj_idx[z, y] = z y z^{-1}
-    # per run, diff[j, z, y] = max |phi(xi, z y z^{-1}) - xi(z) phi(xi, y) xi(z)^*|
-    # over the entries, with xi(z) phi xi(z)^* = (xi(z) (x) conj xi(z)) vec phi
-    diffs = []
-    for xi, phi in zip(representation_runs(k.dual), k.phi.runs):
-        m, d = len(xi), xi.shape[-1]
+    # diff[k, z, y] = max |phi(xi, z y z^{-1}) - xi(z) phi(xi, y) xi(z)^*| over the
+    # entries, with xi(z) phi xi(z)^* = (xi(z) (x) conj xi(z)) vec phi, per run in
+    # blocks of z whose delta takes at most VALIDATE_BYTES (one block up to order 64)
+    diff = np.empty((len(k.dual), n, n))
+    for (first, end, d, _), xi, phi in zip(k.dual.runs, representation_runs(k.dual), k.phi.runs):
+        m = end - first
         kron = np.einsum("jzac,jzbe->jabzce", xi, xi.conj()).reshape(m, d * d, n, d * d)
         vec = phi.reshape(m, n, d * d).swapaxes(1, 2)  # vec[j, (c, e), y]
-        delta = kron @ vec[:, None]                     # delta[j, (a, b), z, y]
-        delta -= vec[..., conj_idx]
-        diffs.append(np.abs(delta).max(axis=1))
-    diff = np.concatenate(diffs)
+        for zs in _chunks(n, 16 * m * d * d * n):
+            delta = kron[:, :, zs] @ vec[:, None]       # delta[j, (a, b), z, y]
+            delta -= vec[..., conj_idx[zs]]
+            np.abs(delta).max(axis=1, out=diff[first:end, zs])
     cross = None
     if verify:
         K = _shared(k, original_localization).kernel

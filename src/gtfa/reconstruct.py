@@ -5,11 +5,14 @@ class [u] = {lambda u : |lambda| = 1} for every N, even composite N where the
 quantization itself is not invertible.  The constructive inverse used here:
 
 1.  Time margins give the magnitudes |u(x)|^2.
-2.  Inverting FQ[u](xi, y) / phi(xi, y) in xi, over the entries where the
-    Born-Jordan kernel phi is nonzero, gives the exact part K[x, y] of the
-    lag table.  Off the axes phi vanishes where xi y = 0 mod N, at the
-    multiples of N/g, g = gcd(y, N); so u(x) u(x-y)^* - K[x, y] depends only
-    on x mod g, and sums to zero over the g residues.
+2.  Born-Jordan's time-lag kernel is a box: for y != 0, Q's inverse
+    transform in eta is t[y, x] = c(y) sum_{s<y} w[y, x+s] + const(y), with
+    w[y, x] = u(x) u(x-y)^* and c(y) = 2 pi i / (N (1 - e^{-2 pi i y/N})).
+    So (t[y, x+1] - t[y, x]) / c(y) = w[y, x+y] - w[y, x], whose running sums
+    along the chains x, x+y, x+2y, ... give w[y] up to one constant per
+    residue of x mod g, g = gcd(y, N).  Shifted to the mean of t[y], which is
+    that of w[y], they are the lag table K[x, y]: u(x) u(x-y)^* - K[x, y]
+    depends only on x mod g, and sums to zero over the g residues.
 3.  From a pivot z with u(z) != 0, its phase fixed real positive, the
     products u(z+j) u(z)^* and u(z) u(z-j)^* for j = 1..floor(N/2) are
     K[z+j, j] and K[z, j] plus that difference at residue z mod g: -g/j
@@ -31,9 +34,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .groups import group_inverse_fourier, require_same_dual
+from .groups import build_cyclic, group_inverse_fourier, require_same_dual
 from .harmonic import Signal, haar_inner, norm, require_single
-from .tfplane import TFFunction, symplectic_fourier, tf_norm
+from .tfplane import TFFunction, tf_norm
 from .transforms import CohenKernel, born_jordan_cyclic_kernel, cohen_transform
 
 __all__ = [
@@ -57,8 +60,7 @@ class MarginNegative(ValueError):
 def born_jordan_distribution(u: Signal) -> TFFunction:
     """Q[u] on the signal's cyclic group."""
     require_single(u)
-    k = born_jordan_cyclic_kernel(u.group.order)
-    return cohen_transform(k, Signal(k.group, u.values), Signal(k.group, u.values))
+    return cohen_transform(born_jordan_cyclic_kernel(u.group.order), u, u)
 
 
 def magnitudes_from_margins(Q: TFFunction) -> np.ndarray:
@@ -72,15 +74,25 @@ def magnitudes_from_margins(Q: TFFunction) -> np.ndarray:
     return np.maximum(m, 0.0)
 
 
-def _lag_table(Q: TFFunction, k: CohenKernel) -> np.ndarray:
-    """K[x, y] = sum over xi with phi(xi, y) != 0 of chi_xi(x) FQ(xi, y) / phi(xi, y),
-    phi the Born-Jordan kernel k: the lag products u(x) u(x-y)^* up to a
-    function of x mod gcd(y, N) that sums to zero over the residues."""
-    require_same_dual(k.dual, Q.dual, "kernel and distribution")
-    phi = k.phi.scalar_table()
-    FQ = symplectic_fourier(Q).scalar_table()  # [xi, y]
-    H = np.divide(FQ, phi, out=np.zeros_like(FQ), where=phi != 0)
-    return group_inverse_fourier(Q.dual, [H[:, :, None, None]])
+def _lag_table(Q: TFFunction, z: int, h: int) -> np.ndarray:
+    """K[t, y] = K(z + t, y) for t, y = 0..h (step 2 of the module docstring),
+    from Q alone: no kernel and no symplectic transform."""
+    N = Q.group.order
+    require_same_dual(Q.dual, build_cyclic(N)[1], f"distribution and cyclic:{N}")
+    t = group_inverse_fourier(Q.dual, Q.runs)[:h + 1]  # t[y, x]
+    lags, j = np.arange(h + 1), np.arange(N)
+    D = t[:, (j + 1) % N] - t
+    D *= (N / (2j * np.pi) * (1 - np.exp(-2j * np.pi * lags / N)))[:, None]  # / c(y), and 0 at lag 0
+    total = t.sum(axis=1)
+    del t
+    # entry j of lag y's row is x = j y + j // m mod N, m = N / gcd(y, N): the
+    # chains through each residue by steps of y, one after the other
+    x = (np.multiply.outer(lags, j) + j // (N // np.gcd(lags, N))[:, None]) % N
+    row = N * lags[:, None]  # x + row indexes the flat D
+    S = D.ravel()[x + row].cumsum(axis=1)  # w[y, x+y] less a constant per chain
+    D.ravel()[(x + lags[:, None]) % N + row] = S  # D[y, x] = w[y, x] less that constant
+    D += ((total - S.sum(axis=1)) / N)[:, None]
+    return D[:, (np.arange(h + 1) + z) % N].T
 
 
 def phase_retrieve(Q: TFFunction, tol_zero: float = 1e-9) -> Signal:
@@ -88,12 +100,9 @@ def phase_retrieve(Q: TFFunction, tol_zero: float = 1e-9) -> Signal:
 
     The returned signal is real and positive at the pivot (the index of
     largest magnitude); positions whose margin falls below tol_zero are set
-    to zero.  A tol_zero that is not finite and >= 0 raises ValueError.
+    to zero.  A tol_zero that is not finite and >= 0 raises ValueError, and
+    so does a dual other than cyclic:N's.
     """
-    return _phase_retrieve(Q, born_jordan_cyclic_kernel(Q.group.order), tol_zero)
-
-
-def _phase_retrieve(Q: TFFunction, k: CohenKernel, tol_zero: float) -> Signal:  # k: the kernel of Q's order
     if not 0 <= tol_zero < math.inf:
         raise ValueError(f"tol_zero must be finite and >= 0, not {tol_zero!r}")
     group = Q.group
@@ -106,7 +115,7 @@ def _phase_retrieve(Q: TFFunction, k: CohenKernel, tol_zero: float) -> Signal:  
     # v[t] = u(z + t) and K[t, y] = K(z + t, y), z the pivot, for t, y <= h
     z, h = int(mag.argmax()), N // 2
     rows = (np.arange(N) + z) % N
-    K = _lag_table(Q, k)[rows[:h + 1], :h + 1]
+    K = _lag_table(Q, z, h)
     mag = mag[rows].tolist()
     v = np.zeros(N, dtype=complex)
     v[0] = mag[0]
@@ -164,8 +173,8 @@ def retrieval_report(Q: TFFunction, tol_zero: float = 1e-9) -> RoundtripReport:
 
 
 def _retrieval_report(Q: TFFunction, k: CohenKernel, tol_zero: float) -> RoundtripReport:
-    rec = _phase_retrieve(Q, k, tol_zero)
-    Qrec = cohen_transform(k, *[Signal(k.group, rec.values)] * 2)
+    rec = phase_retrieve(Q, tol_zero)
+    Qrec = cohen_transform(k, rec, rec)
     diff = TFFunction.from_runs(Q.group, Q.dual, [a - b for a, b in zip(Qrec.runs, Q.runs)])
     return RoundtripReport(
         order=Q.group.order,
@@ -181,6 +190,5 @@ def roundtrip_report(u: Signal, tol_zero: float = 1e-9) -> RoundtripReport:
     """Forward transform, retrieve, and measure how well [u] was recovered."""
     require_single(u)
     k = born_jordan_cyclic_kernel(u.group.order)
-    u = Signal(k.group, u.values)
     rep = _retrieval_report(cohen_transform(k, u, u), k, tol_zero)
     return replace(rep, class_distance=class_distance(u, rep.recovered))

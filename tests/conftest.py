@@ -1,7 +1,20 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gtfa
 from gtfa.groups import FiniteGroup, Irrep, UnitaryDual, build_cyclic, build_dihedral, build_product, load_group_file
+
+
+def fresh_python(code: str) -> str:
+    """Standard output of `python -c code` in a fresh process that imports
+    this gtfa."""
+    path = [os.path.dirname(os.path.dirname(gtfa.__file__))] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
 def builtin_corpus():

@@ -1,10 +1,10 @@
 """Reference computations that tests compare the library against.
 
 Direct sums of the defining formulas and closed forms, with no Fourier
-shortcut, phase retrieval one index array per lag, a row-by-row CSV table
-reader, and groups built, loaded and validated one irrep and one line at a
-time.  No library code uses them, so
-they live beside the tests.
+shortcut, phase retrieval on the Born-Jordan kernel's phi division with one
+index array per lag, a row-by-row CSV table reader, and groups built, loaded
+and validated one irrep and one line at a time.  No library code uses them,
+so they live beside the tests.
 """
 
 import math
@@ -16,15 +16,15 @@ import numpy as np
 from gtfa import properties
 from gtfa import groups
 from gtfa.groups import (INDEX_FIELD, VALUE_FIELD, FiniteGroup, GroupTableError, Irrep, UnitaryDual,
-                         representation_runs, require_same_group)
+                         representation_runs, require_same_dual, require_same_group)
 from gtfa.harmonic import Signal, fourier, haar_inner, norm, random_signal
 from gtfa.limits import ZSignal, ZTFGrid, _lag_rows
 from gtfa.properties import EXHAUSTIVE_TOL, ONB_TOL, SEED, PropertyReport
 from gtfa.signalio import CsvFormatError
 from gtfa.quantization import (GroupOperator, identity_operator, kn_operator, original_localization,
                                quantize, tf_integral)
-from gtfa.reconstruct import _lag_table, magnitudes_from_margins
-from gtfa.tfplane import AmbiguityFunction, TFFunction, tf_inner, tf_norm
+from gtfa.reconstruct import magnitudes_from_margins
+from gtfa.tfplane import AmbiguityFunction, TFFunction, symplectic_fourier, tf_inner, tf_norm
 from gtfa.transforms import CohenKernel, cohen_transform
 
 
@@ -306,10 +306,21 @@ def lag_rows_roll(u: ZSignal, t_start: int, t_count: int):
         yield y, (c[a + m] - c[a]) / m
 
 
+def lag_table_phi(Q: TFFunction, k: CohenKernel) -> np.ndarray:
+    """K[x, y] = sum over xi with phi(xi, y) != 0 of chi_xi(x) FQ(xi, y) / phi(xi, y),
+    phi the Born-Jordan kernel k: the lag products u(x) u(x-y)^* up to a
+    function of x mod gcd(y, N) that sums to zero over the residues."""
+    require_same_dual(k.dual, Q.dual, "kernel and distribution")
+    phi = k.phi.scalar_table()
+    FQ = symplectic_fourier(Q).scalar_table()  # [xi, y]
+    H = np.divide(FQ, phi, out=np.zeros_like(FQ), where=phi != 0)
+    return groups.group_inverse_fourier(Q.dual, [H[:, :, None, None]])
+
+
 def phase_retrieve_loop(Q: TFFunction, k: CohenKernel, tol_zero: float) -> Signal:
-    """Reference for `reconstruct._phase_retrieve`: the recursion out from the
-    pivot with each lag's known sum gathered through an index array of its
-    residues and reduced on its own."""
+    """Reference for `reconstruct.phase_retrieve`: the recursion out from the
+    pivot on the lag table of `lag_table_phi`, with each lag's known sum
+    gathered through an index array of its residues and reduced on its own."""
     group = Q.group
     N = group.order
     mags2 = magnitudes_from_margins(Q)
@@ -320,7 +331,7 @@ def phase_retrieve_loop(Q: TFFunction, k: CohenKernel, tol_zero: float) -> Signa
     # v[t] = u(z + t) and K[t, y] = K(z + t, y), z the pivot
     z = int(mag.argmax())
     mag = np.roll(mag, -z)
-    K = np.roll(_lag_table(Q, k), -z, axis=0)
+    K = np.roll(lag_table_phi(Q, k), -z, axis=0)
     v = np.zeros(N, dtype=complex)
     v[0] = mag[0]
 

@@ -5,8 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import fresh_python
 from oracles import SERIAL_CHECKS, check_l2_bound_serial, check_onb_resolution_basis_sum
-from gtfa import properties
+from gtfa import groups, properties
 from gtfa.groups import build_cyclic, build_dihedral, build_product
 from gtfa.harmonic import random_signal
 from gtfa.properties import (
@@ -125,6 +126,32 @@ def test_inner_invariant_matches_element_loop(corpus_and_file_group, rng):
         assert rep.witness_count == len(wit)
         assert rep.witnesses == wit[:16]
         assert rep.holds == (worst <= 1e-9)
+
+
+@pytest.mark.parametrize("make", [lambda: build_dihedral(16), lambda: build_product(build_cyclic(2), build_dihedral(8)),
+                                  lambda: build_dihedral(48)], ids=["dihedral-16", "c2xd8", "dihedral-48"])
+def test_inner_invariant_in_blocks_of_z(make, monkeypatch, rng):
+    """Every report field is the same with one z per block as with the
+    default blocks: one block at order 32, several at order 96.  A perturbed
+    kn kernel brings witnesses."""
+    g, d = make()
+    perturbed = [b + 1e-3 * rng.standard_normal(b.shape) for b in kn_kernel(d).phi.blocks]
+    kernels = [kind(g, d) for kind in KINDS.values()] + [CohenKernel("perturbed", AmbiguityFunction(g, d, perturbed))]
+    want = [check_inner_invariant(k) for k in kernels]
+    assert want[-1].witness_count > 0
+    monkeypatch.setattr(groups, "VALIDATE_BYTES", 1)
+    assert [check_inner_invariant(k) for k in kernels] == want
+
+
+def test_inner_invariant_at_dihedral_128_peaks_in_blocks():
+    """In a fresh process, the kn check at order 256 stays under 128 MiB
+    (510 MiB while it held every z at once)."""
+    code = ("import tracemalloc; tracemalloc.start()\n"
+            "from gtfa.groups import build_dihedral; from gtfa.properties import check_inner_invariant\n"
+            "from gtfa.transforms import kn_kernel\n"
+            "k = kn_kernel(build_dihedral(128)[1]); tracemalloc.reset_peak(); base = tracemalloc.get_traced_memory()[0]\n"
+            "assert check_inner_invariant(k).holds; print(tracemalloc.get_traced_memory()[1] - base)")
+    assert int(fresh_python(code)) <= 128 << 20
 
 
 def test_l2_bound_examples():

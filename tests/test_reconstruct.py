@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import fresh_python, group_file_text
 from oracles import phase_retrieve_loop
 
 from gtfa import reconstruct
-from gtfa.groups import build_cyclic, plancherel_trace
+from gtfa.groups import build_cyclic, build_dihedral, build_product, load_group_file, plancherel_trace
 from gtfa.harmonic import Signal, constant_signal, random_signal
 from gtfa.reconstruct import (
     MarginNegative,
@@ -16,7 +19,7 @@ from gtfa.reconstruct import (
     roundtrip_report,
 )
 from gtfa.tfplane import TFFunction
-from gtfa.transforms import born_jordan_cyclic_kernel
+from gtfa.transforms import born_jordan_cyclic_kernel, cohen_transform, kn_kernel
 
 
 def zero_free(rng, N):
@@ -171,7 +174,7 @@ def test_each_report_builds_the_kernel_once(monkeypatch, rng):
         assert (a.class_distance, a.distribution_residual) == (b.class_distance, b.distribution_residual)
         assert a.recovered.values.tobytes() == b.recovered.values.tobytes()
     phase_retrieve(Q)
-    assert builds == [24, 24, 24]
+    assert builds == [24, 24]
 
 
 def _parity_cases():
@@ -198,12 +201,93 @@ def test_phase_retrieve_matches_the_lag_by_lag_loop(vals, tol_zero):
     g, _ = build_cyclic(N)
     k = born_jordan_cyclic_kernel(N)
     Q = born_jordan_distribution(Signal(g, vals))
-    got = reconstruct._phase_retrieve(Q, k, tol_zero).values
+    got = phase_retrieve(Q, tol_zero).values
     want = phase_retrieve_loop(Q, k, tol_zero).values
     assert np.abs(got - want).max() <= 1e-12 * np.abs(vals).max()
     under = np.abs(vals) ** 2 < tol_zero
     assert (got[under] == 0).all() and (want[under] == 0).all()
 
+
+def _lag_table_cases():
+    """Zero-free draws at orders 1..64 and five larger orders, and every sparse signal."""
+    rng = np.random.default_rng(22)
+    for N in (*range(1, 65), 127, 384, 509, 512, 2048):
+        yield pytest.param(zero_free(rng, N).values, id=f"zero-free-{N}")
+    for i, (N, vals) in enumerate(_sparse_signals(rng)):
+        yield pytest.param(vals, id=f"sparse-{N}-{i}")
+
+
+@pytest.mark.parametrize("vals", _lag_table_cases())
+def test_lag_table_is_exact_up_to_residue_constants(vals):
+    """Over the rows 0..N/2 from the pivot, u(x) u(x-y)^* - K[x, y] is one
+    constant per residue of x mod gcd(y, N) at every lag y <= N/2, and the
+    constants sum to zero: what the recursion reads, with no oracle."""
+    N, h = len(vals), len(vals) // 2
+    g, _ = build_cyclic(N)
+    z = int(np.abs(vals).argmax())
+    K = reconstruct._lag_table(born_jordan_distribution(Signal(g, vals)), z, h)
+    x = (np.arange(h + 1) + z) % N
+    worst = 0.0
+    for y in range(1, h + 1):
+        d = vals[x] * vals[(x - y) % N].conj() - K[:, y]
+        res = x % math.gcd(y, N)
+        const = (np.bincount(res, d.real) + 1j * np.bincount(res, d.imag)) / np.bincount(res)
+        worst = max(worst, np.abs(d - const[res]).max(), abs(const.sum()))
+    assert worst <= 1e-11 * np.abs(vals).max() ** 2
+
+
+def test_phase_retrieve_at_2048_peaks_under_200_mib():
+    """In a fresh process, retrieval from a cyclic:2048 distribution peaks at
+    Q's inverse transform in eta, 128 MiB with its input copy (320 MiB while
+    it held the kernel, FQ and FQ / phi)."""
+    code = ("import tracemalloc, numpy as np; tracemalloc.start()\n"
+            "from gtfa.groups import build_cyclic; from gtfa.harmonic import Signal\n"
+            "from gtfa.reconstruct import born_jordan_distribution, phase_retrieve\n"
+            "g, _ = build_cyclic(2048); r = np.random.default_rng(0)\n"
+            "Q = born_jordan_distribution(Signal(g, r.standard_normal(2048) + 3 * np.exp(2j * np.pi * r.uniform(size=2048))))\n"
+            "tracemalloc.reset_peak(); base = tracemalloc.get_traced_memory()[0]; phase_retrieve(Q)\n"
+            "print(tracemalloc.get_traced_memory()[1] - base)")
+    assert int(fresh_python(code)) <= 200 << 20
+
+
+@pytest.mark.parametrize("make", [lambda: build_dihedral(4), lambda: build_product(build_cyclic(2), build_cyclic(4))],
+                         ids=["dihedral-4", "c2xc4"])
+def test_signals_stay_on_their_group(make, rng):
+    """A signal of order 8 off cyclic:8 is refused, not read as one on cyclic:8."""
+    u = random_signal(make()[0], rng)
+    for call in (born_jordan_distribution, roundtrip_report):
+        with pytest.raises(ValueError, match="group mismatch"):
+            call(u)
+
+
+def test_file_group_in_cyclic_order(tmp_path, rng):
+    """A file: group in cyclic:8's labelling and character order keeps its
+    signals, distributions and retrievals on itself."""
+    path = tmp_path / "z8.grp"
+    path.write_text(group_file_text(*build_cyclic(8)))
+    g, _ = load_group_file(path)
+    u = zero_free(rng, 8)
+    Q = born_jordan_distribution(Signal(g, u.values))
+    assert Q.group is g and Q.dual is g.dual
+    assert np.abs(Q.scalar_table() - born_jordan_distribution(u).scalar_table()).max() <= 1e-12
+    rep = roundtrip_report(Signal(g, u.values))
+    assert rep.recovered.group is g and rep.class_distance <= 1e-12
+    assert phase_retrieve(Q).group is g
+
+
+def test_phase_retrieve_refuses_other_duals(tmp_path, rng):
+    """A distribution on a product of cyclic groups, or on cyclic:5 through a
+    file whose dual lists the characters in another order, is refused."""
+    from test_cli import permuted_cyclic5
+
+    g, d = build_product(build_cyclic(2), build_cyclic(4))
+    u = zero_free(rng, 8)
+    with pytest.raises(ValueError, match="dual mismatch"):
+        phase_retrieve(cohen_transform(kn_kernel(d), Signal(g, u.values), Signal(g, u.values)))
+    _, g = permuted_cyclic5(tmp_path)
+    Q = born_jordan_distribution(zero_free(rng, 5)).scalar_table()
+    with pytest.raises(ValueError, match="dual mismatch"):
+        phase_retrieve(TFFunction.from_scalar_table(g, g.dual, Q[[0, 3, 2, 1, 4]]))
 
 @pytest.mark.parametrize("tol_zero", [np.nan, np.inf, -1.0])
 def test_bad_tol_zero_is_refused(tol_zero):
