@@ -4,8 +4,9 @@ A group is stored as a dense Cayley table on element indices 0..|G|-1; the
 table is the single source of truth for the group law.  Each group built here
 carries its complete unitary dual: an ordered list of inequivalent irreducible
 unitary matrix representations, stored as one table (`UnitaryDual.table`),
-made on first read for the cyclic and product builders; per-irrep `Irrep`
-objects are views of it, made only when `UnitaryDual.irreps` is first read.
+made on first read for the cyclic and product builders; what a dual holds
+is fixed when it is made.  Its per-irrep `Irrep` views, (dim, matrices)
+each, are made only when `UnitaryDual.irreps` is first read.
 
 Dual ordering is canonical and load-bearing for file outputs: cyclic duals are
 ordered by character exponent, dihedral duals list the 1-dimensional irreps
@@ -85,27 +86,14 @@ class GroupTableError(ValueError):
 
 @dataclass
 class Irrep:
-    """One irreducible unitary representation, tabulated per element.
-
-    matrices has shape (|G|, dim, dim); matrices[x] is eta(x).  The irreps of
-    a UnitaryDual are views of its table, and their matrices view its rows.
-    """
+    """One irreducible unitary representation, a view of a dual's table:
+    matrices has shape (|G|, dim, dim), and matrices[x] = eta(x) views its rows."""
 
     dim: int
     matrices: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.matrices = np.asarray(self.matrices, dtype=complex)
-
-    @property
-    def star(self) -> np.ndarray:
-        """eta(x)^* per element, computed from `matrices` on each access."""
-        return self.matrices.conj().transpose(0, 2, 1)
-
-    @property
-    def characters(self) -> np.ndarray:
-        return np.trace(self.matrices, axis1=1, axis2=2)
 
 
 class UnitaryDual:
@@ -114,33 +102,23 @@ class UnitaryDual:
     A dual is one table, table[(k, a, b), x] = eta_k(x)[a, b]: rows run
     through the irreps in dual order, each irrep's entries row-major.  A
     complete dual has a square table (sum d_k^2 = |G|); an all-scalar dual's
-    table is its character table.  Beside it the dual stores `dims`, `runs`,
-    `trivial_index`, `cyclic_factors` and `label(k)`, the name of irrep k
-    ("irrep<k>" unless the builder names it).  `irreps`, Irrep views of the
-    table, and the table itself if the builder passed a function making it,
-    are made when first read.  UnitaryDual(irreps, trivial_index) stacks
-    given Irreps into the table; the builders pass `table`, `dims`, `label`.
+    table is its character table.  `table` is the array, or a function making
+    it when it is first read; `dims` gives d_k per irrep, from which `runs`
+    follow.  `irreps`, Irrep views of the table, are made when first read.
 
-    `cyclic_factors` is set only by the builders that know the table is the
-    standard character table of Z/n_1 x ... x Z/n_r, elements and irreps
+    `cyclic_factors` is given only by the builders that know the table is
+    the standard character table of Z/n_1 x ... x Z/n_r, elements and irreps
     both in C order over (n_1, ..., n_r); it selects the FFT route of the
     Fourier pair.  None (the default) keeps the naive sum.
     """
 
-    def __init__(self, irreps=None, trivial_index: int = 0, *, table=None, dims=None, label=None):
-        if table is None:
-            irreps = list(irreps)
-            n = irreps[0].matrices.shape[0]
-            table = np.concatenate([eta.matrices.reshape(n, -1).T for eta in irreps])
-            dims = [eta.dim for eta in irreps]
-            label = tuple(eta.label for eta in irreps).__getitem__
+    def __init__(self, table, dims, trivial_index: int = 0, cyclic_factors: tuple[int, ...] | None = None):
         self._table = table
         self.dims = np.asarray(dims, dtype=int)
         self.runs = _runs(self.dims)
         self.trivial_index = trivial_index
-        self.label = label or "irrep{}".format
+        self.cyclic_factors = cyclic_factors
         self.group: "FiniteGroup | None" = None  # backref, set by builders
-        self.cyclic_factors: tuple[int, ...] | None = None  # set by builders
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -149,7 +127,7 @@ class UnitaryDual:
     @functools.cached_property
     def irreps(self) -> list[Irrep]:
         views = (m for run in representation_runs(self) for m in run)
-        return [Irrep(d, m, self.label(k)) for k, (d, m) in enumerate(zip(self.dims.tolist(), views))]
+        return [Irrep(d, m) for d, m in zip(self.dims.tolist(), views)]
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -275,12 +253,16 @@ def group_inverse_fourier(dual: UnitaryDual, runs) -> np.ndarray:
 
     Inverts `group_fourier`.  One dense product of the transposed stacked
     table with the runs laid out as rows (k, a, b) -> d_k block_k[..., b, a],
-    or on the FFT route one unscaled inverse DFT of those rows.
+    or on the FFT route one unscaled inverse DFT of those rows.  A dual of
+    characters alone, as on the FFT route, has one run: its entries are the rows.
     """
-    shape = _fft_shape(dual)  # on the FFT route every irrep is a character, one row each
-    v = np.empty((len(dual.table) if shape is None else len(dual.dims), *runs[0].shape[1:-2]), dtype=complex)
-    for (_, _, d, _), run, rows in zip(dual.runs, runs, _table_runs(dual, v)):
-        np.multiply(run, d, out=rows)
+    shape = _fft_shape(dual)
+    if dual.runs[0][1:3] == (len(dual), 1):  # one run, of dimension 1
+        v = np.ascontiguousarray(runs[0][..., 0, 0], dtype=complex)
+    else:
+        v = np.empty((len(dual.table), *runs[0].shape[1:-2]), dtype=complex)
+        for (_, _, d, _), run, rows in zip(dual.runs, runs, _table_runs(dual, v)):
+            np.multiply(run, d, out=rows)
     if shape is None:
         return (dual.table.T @ v.reshape(len(v), -1)).reshape(v.shape)
     t = np.fft.ifftn(v.reshape(*shape, *v.shape[1:]), axes=range(len(shape)), norm="forward")
@@ -372,9 +354,8 @@ def build_cyclic(N: int) -> tuple[FiniteGroup, UnitaryDual]:
     # row x of the Cayley table, (x + y) mod N, is a window of 0..N-1 twice over
     cayley = np.ndarray((N, N), idx.dtype, np.concatenate((idx, idx[:-1])), strides=(idx.itemsize,) * 2)
     inverse = (-idx) % N
-    dual = UnitaryDual(table=lambda: np.exp(2j * np.pi * idx / N)[cyclic_exponents(N)],
-                       dims=np.ones(N, dtype=int), label="chi{}".format)
-    dual.cyclic_factors = (N,)
+    dual = UnitaryDual(lambda: np.exp(2j * np.pi * idx / N)[cyclic_exponents(N)], np.ones(N, dtype=int),
+                       cyclic_factors=(N,))
     group = FiniteGroup(N, cayley, 0, inverse, dual, name=f"cyclic:{N}")
     dual.group = group
     return group, dual
@@ -409,8 +390,7 @@ def build_dihedral(n: int) -> tuple[FiniteGroup, UnitaryDual]:
     two[:, 0, 0, :n], two[:, 1, 1, :n] = w, w.conj()
     two[:, 0, 1, n:], two[:, 1, 0, n:] = w.conj(), w
 
-    dual = UnitaryDual(table=table, dims=np.repeat([1, 2], [n_one, n_two]),
-                       label=lambda k: f"one{k}" if k < n_one else f"two{k - n_one + 1}")
+    dual = UnitaryDual(table, np.repeat([1, 2], [n_one, n_two]))
     group = FiniteGroup(order, cayley, 0, inverse, dual, name=f"dihedral:{n}")
     dual.group = group
     return group, dual
@@ -443,13 +423,10 @@ def build_product(
                 out = rows[:, dA * dA * rb:dA * dA * (rb + (eb - fb) * dB * dB)]
                 out.reshape(ea - fa, eb - fb, dA, dB, dA, dB, order)[...] = np.moveaxis(prod, 2, -1)
         return table
-    dims = np.outer(da.dims, db.dims).ravel()
-    la, lb, kb = da.label, db.label, len(db)
-    dual = UnitaryDual(table=recipe, dims=dims, trivial_index=da.trivial_index * kb + db.trivial_index,
-                       label=lambda k: f"{la(k // kb)}x{lb(k % kb)}")
-    if da.cyclic_factors is not None and db.cyclic_factors is not None:
-        # element and irrep indices are both x_a * nb + x_b: C order over the factors
-        dual.cyclic_factors = da.cyclic_factors + db.cyclic_factors
+    # element and irrep indices are both x_a * nb + x_b: C order over the factors
+    ca, cb = da.cyclic_factors, db.cyclic_factors
+    dual = UnitaryDual(recipe, np.outer(da.dims, db.dims).ravel(), da.trivial_index * len(db) + db.trivial_index,
+                       None if ca is None or cb is None else ca + cb)
     group = FiniteGroup(order, cayley, int(identity), inverse, dual,
                         name=f"product:{ga.name}x{gb.name}")
     dual.group = group
@@ -633,7 +610,7 @@ def _dim(cur: _Cursor, k: int, order: int) -> int:
 def load_group_file(path) -> tuple[FiniteGroup, UnitaryDual]:
     """Load a custom group and dual from the Group Table Format.
 
-    Every FiniteGroup/Irrep/UnitaryDual invariant is verified after parsing;
+    Every FiniteGroup and UnitaryDual invariant is verified after parsing;
     on failure, the error message lists all violations.
     """
     cur = _Cursor(path)
@@ -670,7 +647,7 @@ def load_group_file(path) -> tuple[FiniteGroup, UnitaryDual]:
         raise GroupTableError("some element has no inverse under the claimed identity")
 
     table = np.ascontiguousarray(np.concatenate(tables))  # concatenated transposes come out in F order
-    dual = UnitaryDual(table=table, dims=dims, trivial_index=trivial)
+    dual = UnitaryDual(table, dims, trivial)
     group = FiniteGroup(order, cayley, identity, hits.argmax(axis=1), dual, name=f"file:{path}")
     dual.group = group
     errs = validate(group, dual)

@@ -195,9 +195,11 @@ def q_z_distribution(
     for y, row in _lag_rows(u, t_start, t_count):
         folded[y % M] += row
     vals = np.fft.fft(folded, axis=0, out=folded)  # vals[k, i]
-    if axis_fix:
-        uvals = np.array([u.at(int(t)) for t in range(t_start, t_start + t_count)])
-        vals += (np.abs(uvals) ** 2)[None, :]
+    if axis_fix:  # |u(x)|^2 at the window's times, zero off the support
+        lo, hi = np.clip([u.offset - t_start, u.offset + len(u) - t_start], 0, t_count)
+        energy = np.zeros(t_count)
+        energy[lo:hi] = np.abs(u.values[lo + t_start - u.offset:hi + t_start - u.offset]) ** 2
+        vals += energy
     return ZTFGrid(t_start, M, vals)
 
 
@@ -206,7 +208,7 @@ def q_z_distribution(
 # ---------------------------------------------------------------------------
 
 
-def sampled_z_kernel(N: int, axis_fix: bool = True) -> CohenKernel:
+def sampled_z_kernel(N: int) -> CohenKernel:
     """The integer-side Born-Jordan kernel carried onto Z/NZ.
 
     Time-lag entries are N * varphi_Z at minimal residues (the factor N
@@ -221,21 +223,17 @@ def sampled_z_kernel(N: int, axis_fix: bool = True) -> CohenKernel:
     signals supported on less than a third of the period.
     """
     group, dual = build_cyclic(N)
-    rep = ((np.arange(N) + N // 2) % N) - N // 2
-    lag = np.zeros((N, N))
-    for iy, ry in enumerate(rep):
-        lifts_y = [(int(ry), 1.0)]
-        if N % 2 == 0 and ry == -(N // 2):
-            lifts_y = [(-(N // 2), 0.5), (N // 2, 0.5)]
-        for ix, rx in enumerate(rep):
-            lifts_x = [int(rx)]
-            if N % 2 == 0 and rx == -(N // 2):
-                lifts_x.append(N // 2)
-            lag[ix, iy] = N * sum(
-                wy * varphi_DZ(x, y) for y, wy in lifts_y for x in lifts_x
-            )
-    if axis_fix:
-        lag[0, 0] += N
+    h = N // 2
+    rep = ((np.arange(N) + h) % N) - h  # minimal residues; -h stands for N/2 when N is even
+    x, y = rep[:, None], rep
+    window = ((-y < x) & (x <= 0)) | ((0 < x) & (x <= -y))  # varphi_DZ's, empty at y = 0
+    lag = np.where(window, 1.0 / np.maximum(np.abs(y), 1), 0.0)
+    if N % 2 == 0:
+        # lags -h and h at half weight: windows 0 < x <= h and -h < x <= 0 give each
+        # time, its lift h included, one term; no other lag meets that lift
+        lag[:, h] = 0.5 * (1.0 / h)
+    lag *= N
+    lag[0, 0] += N
     phi = timelag_to_ambiguity(TimeLagKernel(group, lag.astype(complex)), dual)
     return CohenKernel(f"sampled-z:{N}", phi)
 

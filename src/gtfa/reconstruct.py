@@ -101,10 +101,12 @@ def phase_retrieve(Q: TFFunction, tol_zero: float = 1e-9) -> Signal:
     The returned signal is real and positive at the pivot (the index of
     largest magnitude); positions whose margin falls below tol_zero are set
     to zero.  A tol_zero that is not finite and >= 0 raises ValueError, and
-    so does a dual other than cyclic:N's.
+    so do a non-finite entry of Q and a dual other than cyclic:N's.
     """
     if not 0 <= tol_zero < math.inf:
         raise ValueError(f"tol_zero must be finite and >= 0, not {tol_zero!r}")
+    if not all(np.isfinite(run).all() for run in Q.runs):  # a NaN imaginary part leaves the margins finite
+        raise ValueError("distribution has non-finite entries")
     group = Q.group
     N = group.order
     mag = magnitudes_from_margins(Q)  # |u|^2, then |u|
@@ -169,13 +171,14 @@ def class_distance(u: Signal, v: Signal) -> float:
 def retrieval_report(Q: TFFunction, tol_zero: float = 1e-9) -> RoundtripReport:
     """Retrieve [u] from a distribution table Q and measure the result
     against Q itself: the residual ||Q[rec] - Q||, the islands and the pivot."""
-    return _retrieval_report(Q, born_jordan_cyclic_kernel(Q.group.order), tol_zero)
+    rec = phase_retrieve(Q, tol_zero)  # before the kernel, which it does not need
+    return _retrieval_report(Q, rec, born_jordan_cyclic_kernel(Q.group.order))
 
 
-def _retrieval_report(Q: TFFunction, k: CohenKernel, tol_zero: float) -> RoundtripReport:
-    rec = phase_retrieve(Q, tol_zero)
-    Qrec = cohen_transform(k, rec, rec)
-    diff = TFFunction.from_runs(Q.group, Q.dual, [a - b for a, b in zip(Qrec.runs, Q.runs)])
+def _retrieval_report(Q: TFFunction, rec: Signal, k: CohenKernel) -> RoundtripReport:
+    diff = cohen_transform(k, rec, rec)
+    for a, b in zip(diff.runs, Q.runs):
+        a -= b  # Q[rec] - Q in Q[rec]'s own table
     return RoundtripReport(
         order=Q.group.order,
         class_distance=None,
@@ -190,5 +193,6 @@ def roundtrip_report(u: Signal, tol_zero: float = 1e-9) -> RoundtripReport:
     """Forward transform, retrieve, and measure how well [u] was recovered."""
     require_single(u)
     k = born_jordan_cyclic_kernel(u.group.order)
-    rep = _retrieval_report(cohen_transform(k, u, u), k, tol_zero)
+    Q = cohen_transform(k, u, u)
+    rep = _retrieval_report(Q, phase_retrieve(Q, tol_zero), k)
     return replace(rep, class_distance=class_distance(u, rep.recovered))

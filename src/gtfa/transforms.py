@@ -375,8 +375,11 @@ def gaussian_window(group: FiniteGroup, sigma: float) -> Signal:
     """Unit-energy discrete Gaussian w(x) ~ e^{-pi (x/sigma)^2}, centered at 0.
 
     Distances are measured on the index circle (minimal residue), so the
-    window is symmetric around the identity of a cyclic group.
+    window is symmetric around the identity of a cyclic group.  A sigma that
+    is not > 0 (zero, negative or NaN) raises ValueError.
     """
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, not {sigma!r}")
     n = group.order
     x = np.arange(n)
     d = np.minimum(x, n - x).astype(float)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import gtfa
-from gtfa.groups import FiniteGroup, Irrep, UnitaryDual, build_cyclic, build_dihedral, build_product, load_group_file
+from gtfa.groups import FiniteGroup, Irrep, build_cyclic, build_dihedral, build_product, load_group_file
+from oracles import stack_irreps
 
 
 def fresh_python(code: str) -> str:
@@ -84,7 +85,7 @@ def relabelled_dihedral6(tmp_path):
         irreps.append(Irrep(d.irreps[k].dim, mats))
     relabelled = FiniteGroup(g.order, cayley, int(p[g.identity]), inverse)
     path = tmp_path / "d6.grp"
-    path.write_text(group_file_text(relabelled, UnitaryDual(irreps)))
+    path.write_text(group_file_text(relabelled, stack_irreps(irreps)))
     return load_group_file(path)
 
 
@@ -93,7 +94,7 @@ def reordered_cyclic4(tmp_path):
     0, 3, 2, 1: a group equal to the built one, with another dual."""
     g, d = build_cyclic(4)
     path = tmp_path / "z4.grp"
-    path.write_text(group_file_text(g, UnitaryDual([Irrep(1, d.irreps[k].matrices) for k in (0, 3, 2, 1)])))
+    path.write_text(group_file_text(g, stack_irreps([Irrep(1, d.irreps[k].matrices) for k in (0, 3, 2, 1)])))
     return load_group_file(path)
 
 

@@ -2,9 +2,10 @@
 
 Direct sums of the defining formulas and closed forms, with no Fourier
 shortcut, phase retrieval on the Born-Jordan kernel's phi division with one
-index array per lag, a row-by-row CSV table reader, and groups built, loaded
-and validated one irrep and one line at a time.  No library code uses them,
-so they live beside the tests.
+index array per lag, a row-by-row CSV table reader, the sampled integer
+kernel entry by entry, and groups built, loaded and validated one irrep and
+one line at a time, their duals stacked from given Irreps (`stack_irreps`).
+No library code uses them, so they live beside the tests.
 """
 
 import math
@@ -15,16 +16,17 @@ import numpy as np
 
 from gtfa import properties
 from gtfa import groups
-from gtfa.groups import (INDEX_FIELD, VALUE_FIELD, FiniteGroup, GroupTableError, Irrep, UnitaryDual,
+from gtfa.groups import (INDEX_FIELD, VALUE_FIELD, FiniteGroup, GroupTableError, Irrep, UnitaryDual, build_cyclic,
                          representation_runs, require_same_dual, require_same_group)
 from gtfa.harmonic import Signal, fourier, haar_inner, norm, random_signal
-from gtfa.limits import ZSignal, ZTFGrid, _lag_rows
+from gtfa.limits import ZSignal, ZTFGrid, _lag_rows, varphi_DZ
 from gtfa.properties import EXHAUSTIVE_TOL, ONB_TOL, SEED, PropertyReport
 from gtfa.signalio import CsvFormatError
 from gtfa.quantization import (GroupOperator, identity_operator, kn_operator, original_localization,
                                quantize, tf_integral)
 from gtfa.reconstruct import magnitudes_from_margins
-from gtfa.tfplane import AmbiguityFunction, TFFunction, symplectic_fourier, tf_inner, tf_norm
+from gtfa.tfplane import (AmbiguityFunction, TFFunction, TimeLagKernel, symplectic_fourier, tf_inner, tf_norm,
+                          timelag_to_ambiguity)
 from gtfa.transforms import CohenKernel, cohen_transform
 
 
@@ -48,7 +50,7 @@ def cohen_transform_direct(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
         Vy = lag[cay[inv, :], y]                      # Vy[z, x] = varphi(z^{-1}x, y)
         P[y] = wy @ Vy
     blocks = [
-        np.einsum("yx,yab->xab", P, eta.star) / (n * n) for eta in dual.irreps
+        np.einsum("yx,yab->xab", P, star(eta)) / (n * n) for eta in dual.irreps
     ]
     return TFFunction(group, dual, blocks)
 
@@ -290,6 +292,28 @@ def q_z_distribution_dense(u: ZSignal, M: int, t_start: int | None = None, t_cou
     return ZTFGrid(t_start, M, vals)
 
 
+def sampled_z_kernel_loop(N: int) -> CohenKernel:
+    """Reference for `limits.sampled_z_kernel`: the time-lag table entry by
+    entry, N times the sum of varphi_DZ over the lifts of each residue pair."""
+    group, dual = build_cyclic(N)
+    rep = ((np.arange(N) + N // 2) % N) - N // 2
+    lag = np.zeros((N, N))
+    for iy, ry in enumerate(rep):
+        lifts_y = [(int(ry), 1.0)]
+        if N % 2 == 0 and ry == -(N // 2):
+            lifts_y = [(-(N // 2), 0.5), (N // 2, 0.5)]
+        for ix, rx in enumerate(rep):
+            lifts_x = [int(rx)]
+            if N % 2 == 0 and rx == -(N // 2):
+                lifts_x.append(N // 2)
+            lag[ix, iy] = N * sum(
+                wy * varphi_DZ(x, y) for y, wy in lifts_y for x in lifts_x
+            )
+    lag[0, 0] += N
+    phi = timelag_to_ambiguity(TimeLagKernel(group, lag.astype(complex)), dual)
+    return CohenKernel(f"sampled-z:{N}", phi)
+
+
 def lag_rows_roll(u: ZSignal, t_start: int, t_count: int):
     """Reference for `limits._lag_rows`: per lag, the products u(t) u(t-y)^*
     rolled, multiplied and cumulatively summed over the whole padded line."""
@@ -423,15 +447,31 @@ def read_table_row_loop(path, index: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def stack_irreps(irreps, trivial_index: int = 0, cyclic_factors=None) -> UnitaryDual:
+    """The dual whose table stacks the given Irreps in order: rows (k, a, b),
+    the entries of eta_k(x)[a, b], columns x."""
+    n = len(irreps[0].matrices)
+    table = np.concatenate([eta.matrices.reshape(n, -1).T for eta in irreps])
+    return UnitaryDual(table, [eta.dim for eta in irreps], trivial_index, cyclic_factors)
+
+
+def star(eta: Irrep) -> np.ndarray:
+    """eta(x)^* per element."""
+    return eta.matrices.conj().transpose(0, 2, 1)
+
+
+def characters(eta: Irrep) -> np.ndarray:
+    """tr eta(x) per element."""
+    return np.trace(eta.matrices, axis1=1, axis2=2)
+
+
 def build_cyclic_per_irrep(N: int):
     """Reference for `build_cyclic`: one Irrep per character, then stacked."""
     idx = np.arange(N)
     cayley = (idx[:, None] + idx[None, :]) % N
     inverse = (-idx) % N
     phases = np.exp(2j * np.pi * idx / N)[np.outer(idx, idx) % N]
-    irreps = [Irrep(1, phases[k].reshape(N, 1, 1), label=f"chi{k}") for k in range(N)]
-    dual = UnitaryDual(irreps, trivial_index=0)
-    dual.cyclic_factors = (N,)
+    dual = stack_irreps([Irrep(1, phases[k].reshape(N, 1, 1)) for k in range(N)], cyclic_factors=(N,))
     group = FiniteGroup(N, cayley, 0, inverse, dual, name=f"cyclic:{N}")
     dual.group = group
     return group, dual
@@ -454,8 +494,8 @@ def build_dihedral_per_irrep(n: int):
     one_dim_tables = [np.concatenate([ones, ones]), np.concatenate([ones, -ones])]
     if n % 2 == 0:
         one_dim_tables += [np.concatenate([alt, alt]), np.concatenate([alt, -alt])]
-    for k, tab in enumerate(one_dim_tables):
-        irreps.append(Irrep(1, tab.astype(complex).reshape(order, 1, 1), label=f"one{k}"))
+    for tab in one_dim_tables:
+        irreps.append(Irrep(1, tab.astype(complex).reshape(order, 1, 1)))
     roots = np.exp(2j * np.pi * i / n)
     n_two = (n - 1) // 2 if n % 2 == 1 else n // 2 - 1
     for h in range(1, n_two + 1):
@@ -465,8 +505,8 @@ def build_dihedral_per_irrep(n: int):
         mats[:n, 1, 1] = w.conj()
         mats[n:, 0, 1] = w.conj()
         mats[n:, 1, 0] = w
-        irreps.append(Irrep(2, mats, label=f"two{h}"))
-    dual = UnitaryDual(irreps, trivial_index=0)
+        irreps.append(Irrep(2, mats))
+    dual = stack_irreps(irreps)
     group = FiniteGroup(order, cayley, 0, inverse, dual, name=f"dihedral:{n}")
     dual.group = group
     return group, dual
@@ -490,11 +530,11 @@ def build_product_per_irrep(a, b):
             prod = np.einsum("jxab,kxcd->jkxacbd", A[:, ia], B[:, ib], order="C")
             prod = prod.reshape(len(A), len(B), order, d, d)
             kron.update(((fa + j, fb + k), m) for j, row in enumerate(prod) for k, m in enumerate(row))
-    irreps = [Irrep(xi.dim * eta.dim, kron[ka, kb], label=f"{xi.label}x{eta.label}")
+    irreps = [Irrep(xi.dim * eta.dim, kron[ka, kb])
               for ka, xi in enumerate(da.irreps) for kb, eta in enumerate(db.irreps)]
-    dual = UnitaryDual(irreps, trivial_index=da.trivial_index * len(db.irreps) + db.trivial_index)
-    if da.cyclic_factors is not None and db.cyclic_factors is not None:
-        dual.cyclic_factors = da.cyclic_factors + db.cyclic_factors
+    factors = (da.cyclic_factors + db.cyclic_factors
+               if da.cyclic_factors is not None and db.cyclic_factors is not None else None)
+    dual = stack_irreps(irreps, da.trivial_index * len(db.irreps) + db.trivial_index, factors)
     group = FiniteGroup(order, cayley, int(identity), inverse, dual, name=f"product:{ga.name}x{gb.name}")
     dual.group = group
     return group, dual
@@ -525,9 +565,9 @@ def validate_per_irrep(group: FiniteGroup, dual: UnitaryDual) -> list[str]:
         if m.shape != (n, eta.dim, eta.dim):
             errs.append(f"irrep {k}: matrix table shape {m.shape} invalid")
             continue
-        uerr = np.abs(m @ eta.star - np.eye(eta.dim)).max()
+        uerr = np.abs(m @ star(eta) - np.eye(eta.dim)).max()
         if uerr > groups.ALG_TOL:
-            worst = int(np.abs(m @ eta.star - np.eye(eta.dim)).reshape(n, -1).max(1).argmax())
+            worst = int(np.abs(m @ star(eta) - np.eye(eta.dim)).reshape(n, -1).max(1).argmax())
             errs.append(f"irrep {k}: non-unitary at element {worst} (err {uerr:.3g})")
         herr = np.abs(m[c.reshape(-1)].reshape(n, n, eta.dim, eta.dim)
                       - np.einsum("xab,ybc->xyac", m, m)).max()
@@ -535,12 +575,12 @@ def validate_per_irrep(group: FiniteGroup, dual: UnitaryDual) -> list[str]:
             errs.append(f"irrep {k}: homomorphism violated (err {herr:.3g})")
         if np.abs(m[e] - np.eye(eta.dim)).max() > groups.ALG_TOL:
             errs.append(f"irrep {k}: eta(e) != I")
-        irr = abs(np.mean(np.abs(eta.characters) ** 2) - 1.0)
+        irr = abs(np.mean(np.abs(characters(eta)) ** 2) - 1.0)
         if irr > groups.STAT_TOL:
             errs.append(f"irrep {k}: not irreducible (character norm err {irr:.3g})")
     if int(np.sum(dual.dims**2)) != n:
         errs.append(f"Peter-Weyl completeness fails: sum d^2 = {int(np.sum(dual.dims ** 2))} != {n}")
-    chars = np.stack([eta.characters for eta in dual.irreps])
+    chars = np.stack([characters(eta) for eta in dual.irreps])
     gram = chars @ chars.conj().T / n
     off = gram - np.diag(np.diag(gram))
     pairs = np.argwhere(np.abs(off) > groups.STAT_TOL)
@@ -617,7 +657,7 @@ def load_group_file_line_loop(path):
                     raise GroupTableError(f"line {lineno}: malformed number")
                 vals = [float(p) for p in parts]
                 mats[x, row] = np.array(vals).view(complex)
-        irreps.append(Irrep(d, mats, label=f"irrep{k}"))
+        irreps.append(Irrep(d, mats))
     if pos != len(lines):
         raise GroupTableError(f"line {lines[pos][0]}: trailing content after last irrep")
     trivial = next((k for k, eta in enumerate(irreps)
@@ -628,7 +668,7 @@ def load_group_file_line_loop(path):
         inverse = np.array([int(np.nonzero(cayley[x] == identity)[0][0]) for x in range(order)])
     except IndexError:
         raise GroupTableError("some element has no inverse under the claimed identity")
-    dual = UnitaryDual(irreps, trivial_index=trivial)
+    dual = stack_irreps(irreps, trivial)
     group = FiniteGroup(order, cayley, identity, inverse, dual, name=f"file:{path}")
     dual.group = group
     errs = validate_per_irrep(group, dual)

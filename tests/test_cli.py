@@ -321,11 +321,12 @@ def permuted_cyclic5(tmp_path):
     """cyclic:5 through a group file whose dual lists the characters in the
     order 0, 3, 2, 1, 4: the cyclic labelling with another dual."""
     from conftest import group_file_text
-    from gtfa.groups import Irrep, UnitaryDual
+    from gtfa.groups import Irrep
+    from oracles import stack_irreps
 
     g, d = build_cyclic(5)
     path = tmp_path / "z5.grp"
-    path.write_text(group_file_text(g, UnitaryDual([Irrep(1, d.irreps[k].matrices) for k in (0, 3, 2, 1, 4)])))
+    path.write_text(group_file_text(g, stack_irreps([Irrep(1, d.irreps[k].matrices) for k in (0, 3, 2, 1, 4)])))
     return f"file:{path}", parse_group(f"file:{path}")
 
 

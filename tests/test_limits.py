@@ -15,7 +15,7 @@ from gtfa.limits import (
     sampled_z_kernel,
     varphi_DZ,
 )
-from oracles import born_jordan_phi, lag_rows_roll, q_z_distribution_dense
+from oracles import born_jordan_phi, lag_rows_roll, q_z_distribution_dense, sampled_z_kernel_loop
 
 
 def test_phi_DT_frozen_value():
@@ -181,6 +181,31 @@ def test_lag_rows_match_the_rolled_products_bit_for_bit(rng, L, t_start, t_count
         got, want = list(_lag_rows(u, t_start, t_count)), list(lag_rows_roll(u, t_start, t_count))
         assert [y for y, _ in got] == [y for y, _ in want]
         assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+
+
+@pytest.mark.parametrize("L,t_start,t_count", [
+    (12, None, None),    # the support
+    (12, -20, 45),       # wider than the support on both sides
+    (12, -30, 10),       # before the support
+    (12, 7, 10),         # past it
+    (12, 0, 3),          # inside it
+    (12, 9, 0),          # an empty window
+])
+def test_qz_axis_term_is_the_window_energy_bit_for_bit(rng, L, t_start, t_count):
+    """The axis fix adds |u(x)|^2 at each time of the window, read from the
+    samples as per-time lookups would, zero off the support."""
+    u = ZSignal(-5, rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    got = q_z_distribution(u, 9, t_start, t_count)
+    bare = q_z_distribution(u, 9, t_start, t_count, axis_fix=False)
+    times = got.times.tolist()
+    want = bare.values + (np.abs(np.array([u.at(t) for t in times], dtype=complex)) ** 2)[None, :]
+    assert got.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N", [*range(1, 65), 127, 128, 384])
+def test_sampled_kernel_matches_the_entry_loop_bit_for_bit(N):
+    got, want = sampled_z_kernel(N).phi.scalar_table(), sampled_z_kernel_loop(N).phi.scalar_table()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sampled_kernel_margins():

@@ -236,6 +236,21 @@ def test_lag_table_is_exact_up_to_residue_constants(vals):
     assert worst <= 1e-11 * np.abs(vals).max() ** 2
 
 
+def test_retrieval_report_at_2048_peaks_under_160_mib():
+    """In a fresh process, the retrieval report at cyclic:2048 holds Q[rec]
+    beside Q and the kernel, and subtracts Q from it in place: 128 MiB above
+    Q (192 MiB while it held the kernel through the retrieval and made
+    Q[rec] - Q as a third table)."""
+    code = ("import tracemalloc, numpy as np; tracemalloc.start()\n"
+            "from gtfa.groups import build_cyclic; from gtfa.harmonic import Signal\n"
+            "from gtfa.reconstruct import born_jordan_distribution, retrieval_report\n"
+            "g, _ = build_cyclic(2048); r = np.random.default_rng(0)\n"
+            "Q = born_jordan_distribution(Signal(g, r.standard_normal(2048) + 3 * np.exp(2j * np.pi * r.uniform(size=2048))))\n"
+            "tracemalloc.reset_peak(); base = tracemalloc.get_traced_memory()[0]; retrieval_report(Q)\n"
+            "print(tracemalloc.get_traced_memory()[1] - base)")
+    assert int(fresh_python(code)) <= 160 << 20
+
+
 def test_phase_retrieve_at_2048_peaks_under_200_mib():
     """In a fresh process, retrieval from a cyclic:2048 distribution peaks at
     Q's inverse transform in eta, 128 MiB with its input copy (320 MiB while
@@ -288,6 +303,18 @@ def test_phase_retrieve_refuses_other_duals(tmp_path, rng):
     Q = born_jordan_distribution(zero_free(rng, 5)).scalar_table()
     with pytest.raises(ValueError, match="dual mismatch"):
         phase_retrieve(TFFunction.from_scalar_table(g, g.dual, Q[[0, 3, 2, 1, 4]]))
+
+@pytest.mark.parametrize("entry", [complex(0, np.nan), complex(np.inf, 0)], ids=["nan-imag", "inf"])
+def test_non_finite_distribution_is_refused(entry):
+    """A NaN imaginary part leaves the margins finite, and an infinite entry
+    makes the retrieval non-finite: both are refused, not retrieved."""
+    g, _ = build_cyclic(8)
+    Q = born_jordan_distribution(constant_signal(g))
+    Q.runs[0][3, 5] = entry
+    for call in (phase_retrieve, retrieval_report):
+        with pytest.raises(ValueError, match="distribution has non-finite entries"):
+            call(Q)
+
 
 @pytest.mark.parametrize("tol_zero", [np.nan, np.inf, -1.0])
 def test_bad_tol_zero_is_refused(tol_zero):

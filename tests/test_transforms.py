@@ -8,9 +8,9 @@ import pytest
 
 from conftest import group_file_text, max_block_diff, reordered_cyclic4
 from oracles import (born_jordan_phi, born_jordan_table_where, cohen_transform_direct,
-                     commutator_kernel_closed_form, right_div)
+                     commutator_kernel_closed_form, right_div, stack_irreps, star)
 from gtfa import groups, transforms
-from gtfa.groups import (FiniteGroup, Irrep, UnitaryDual, build_cyclic, build_dihedral, build_product,
+from gtfa.groups import (FiniteGroup, Irrep, build_cyclic, build_dihedral, build_product,
                          load_group_file)
 from gtfa.harmonic import (
     Signal,
@@ -519,7 +519,7 @@ def test_add_kernels_refuses_another_dual_of_an_equal_group(tmp_path, policy):
     g, d = build_dihedral(3)
     path = tmp_path / "d3.grp"
     irreps = [Irrep(d.irreps[k].dim, d.irreps[k].matrices) for k in (2, 0, 1)]
-    path.write_text(group_file_text(FiniteGroup(g.order, g.cayley, g.identity, g.inverse), UnitaryDual(irreps)))
+    path.write_text(group_file_text(FiniteGroup(g.order, g.cayley, g.identity, g.inverse), stack_irreps(irreps)))
     g2, d2 = load_group_file(path)
     assert g2 == g
     with pytest.raises(ValueError, match="different duals"):
@@ -553,7 +553,7 @@ def test_stft_of_ones(rng):
     G = stft(w, constant_signal(g))
     wbar_hat = fourier(Signal(g, w.values.conj()))
     for b, wb, e in zip(G.blocks, wbar_hat.blocks, d.irreps):
-        expect = np.einsum("ab,xbc->xac", wb, e.star)
+        expect = np.einsum("ab,xbc->xac", wb, star(e))
         assert np.abs(b - expect).max() < 1e-10
 
 
@@ -565,6 +565,15 @@ def test_stft_with_delta_window(rng):
     # window = |G| at identity: G_w u(x, eta) = eta(x)^* u(x)
     ch = g.dual.table
     assert np.abs(G - ch.conj() * u.values[None, :]).max() < 1e-10
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan])
+def test_gaussian_window_refuses_a_width_not_above_zero(sigma):
+    """sigma = 0 divided by zero into a NaN window, NaN gave one silently and
+    a negative width was read as its absolute value."""
+    g, _ = build_cyclic(16)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        gaussian_window(g, sigma)
 
 
 def test_spectrogram_normalization_and_warning(rng):
