@@ -16,7 +16,8 @@ Conventions (fixed throughout the package):
   The Plancherel-weighted sums (`nc_integral`, `plancherel_inner`) are
   `groups.plancherel_trace` and `groups.plancherel_pairing`.
 * `convolve`, the ambiguity and Cohen transforms and `kn_symbol` gather
-  translates through one index table per group, `FiniteGroup.lag_index`.
+  translates through one index table per group, `FiniteGroup.lag_index`;
+  `kn_operator` and `original_localization` scatter through it.
 * Fourier coefficients are stored as one array (end - first, d, d) per run
   of equal-dimension irreps (`UnitaryDual.runs`); `blocks` views them per
   irrep.

@@ -106,11 +106,11 @@ def kn_operator(a: TFFunction) -> GroupOperator:
 
     The kernel matrix is K(x, y) = sum_eta d_eta tr(eta(y^{-1} x) a(x, eta)).
     """
-    group = a.group
-    # s[z, x] = sum_eta d_eta tr(eta(z) a(x, eta)), so K(x, y) = s(y^{-1} x, x)
-    s = group_inverse_fourier(a.dual, a.runs)
-    idx = group.cayley[group.inverse, :].T  # idx[x, y] = y^{-1} x
-    return GroupOperator(group, s[idx, np.arange(group.order)[:, None]])
+    group, n = a.group, a.group.order
+    # K(x, x w^{-1}) = s[w, x] = sum_eta d_eta tr(eta(w) a(x, eta)): `kn_symbol`'s gather, inverted
+    K = np.empty((n, n), dtype=complex)
+    K[np.arange(n), group.lag_index] = group_inverse_fourier(a.dual, a.runs)
+    return GroupOperator(group, K)
 
 
 def kn_symbol(B: GroupOperator) -> TFFunction:
@@ -214,9 +214,8 @@ def original_localization(k: CohenKernel) -> GroupOperator:
 
     K(z, y) = varphi_D(z^{-1}, y^{-1} z)^*,  and <u, delta^D u> = D[u](e, eps).
     """
-    group = k.group
-    lag = k.timelag().values
-    inv, cay = group.inverse, group.cayley
-    # K[z, y] = conj(lag[z^{-1}, y^{-1} z]);  cay[inv, :].T has [z, y] = y^{-1} z
-    K = np.conj(lag[inv[:, None], cay[inv, :].T])
+    group, n = k.group, k.group.order
+    # K(z, z w^{-1}) = conj(lag(z^{-1}, w)), scattered through the lag index
+    K = np.empty((n, n), dtype=complex)
+    K[np.arange(n), group.lag_index] = k.timelag().values[group.inverse].T.conj()
     return GroupOperator(group, K)

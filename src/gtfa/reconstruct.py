@@ -79,7 +79,7 @@ def _lag_table(Q: TFFunction, z: int, h: int) -> np.ndarray:
     from Q alone: no kernel and no symplectic transform."""
     N = Q.group.order
     require_same_dual(Q.dual, build_cyclic(N)[1], f"distribution and cyclic:{N}")
-    t = group_inverse_fourier(Q.dual, Q.runs)[:h + 1]  # t[y, x]
+    t = group_inverse_fourier(Q.dual, Q.runs)[:h + 1].copy()  # t[y, x]; a copy frees the rest
     lags, j = np.arange(h + 1), np.arange(N)
     D = t[:, (j + 1) % N] - t
     D *= (N / (2j * np.pi) * (1 - np.exp(-2j * np.pi * lags / N)))[:, None]  # / c(y), and 0 at lag 0

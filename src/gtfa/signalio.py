@@ -4,11 +4,11 @@ All CSV output is locale-independent: ',' separator, '.' decimal point, 17
 significant digits, '\\n' line endings, no header.  Files are written
 atomically (temp file + rename).
 
-CSV tables are read in two stages.  The bulk stage matches every non-blank
-line against the row grammar, converts all fields with one numpy call and
-checks values and indices as arrays; it is the only stage that returns
-values.  When one of its checks fails, a row loop reads the lines one by one
-to name the first offending line and its fault, and raises.
+CSV tables are read in one pass.  Every non-blank line is matched against
+the row grammar, the rows before the first faulty line are converted with one
+numpy call, and their values and indices are checked as arrays.  A refused
+table names its first fault from those same arrays, and only then works out
+line numbers; a sound table is read with no per-line Python loop.
 
 PGM output is plain P2 (ASCII) with maxval 255 so golden files diff cleanly.
 Shading follows the distribution-picture conventions: higher values are
@@ -179,24 +179,18 @@ def _write_table(path, index: np.ndarray, values):
     atomic_write(path, chunks())
 
 
-# The index fields that the bulk stage reads as floats: at most 15 significant
-# digits, which every float holds exactly.  A longer index is out of range of
-# any table, and the row loop names its line.
-_SHORT_INDEX = r"-?0*[0-9]{1,15}"
-
-
-def _row_pattern(width: int, index_field: str) -> re.Pattern:
-    """One row `*index,re,im` with `width` index fields."""
-    return re.compile(",".join([f"(?:{index_field})"] * width + [f"(?:{VALUE_FIELD.pattern})"] * 2))
-
-
-def _slots(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The box that holds every index row, and an array over it whose entry at
-    each index row is that row's position in `index`, -1 elsewhere."""
-    box = index.max(axis=0) + 1
-    slot = np.full(box, -1)
-    slot[tuple(index.T)] = np.arange(len(index))
-    return box, slot
+def _line_fault(line: str, width: int) -> str:
+    """The fault of a line that is not a row of finite values: its field
+    count, else a malformed number, else a non-finite value, else an index
+    that is not an integer."""
+    parts = line.split(",")
+    if len(parts) != width + 2:
+        return f"{len(parts)} fields, expected {width + 2}"
+    if not all(map(VALUE_FIELD.fullmatch, parts[-2:])):
+        return "malformed number"
+    if not all(map(math.isfinite, map(float, parts[-2:]))):
+        return "non-finite value"
+    return f"index {','.join(parts[:-2])} is not an integer"
 
 
 def _read_table(path, index: np.ndarray) -> np.ndarray:
@@ -206,8 +200,11 @@ def _read_table(path, index: np.ndarray) -> np.ndarray:
     Index fields must be integers and values finite decimal numbers, in the
     forms `INDEX_FIELD` and `VALUE_FIELD`.  Rows may come in any order and blank
     lines are skipped, but every index row must come from exactly one line.
-    This is the bulk stage (see the module docstring); when one of its checks
-    fails, `_table_error` names the first offending line.
+    One pass (see the module docstring) converts and places the rows before
+    the first faulty line: one off the row grammar or with a non-finite value.
+    A refused table's error names an index out of range or repeated on one of
+    those rows, else the faulty line's own fault, else the first missing row
+    at the file's last line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -215,76 +212,44 @@ def _read_table(path, index: np.ndarray) -> np.ndarray:
     if not rows:
         raise CsvFormatError(f"{path}: empty file, expected {len(index)} rows")
     width = index.shape[1]
-    if len(rows) == len(index) and all(map(_row_pattern(width, _SHORT_INDEX).fullmatch, rows)):
-        table = np.loadtxt(rows, delimiter=",", ndmin=2)
-        key, values = table[:, :width], table[:, width:]
-        box, slot = _slots(index)
-        if np.isfinite(values).all() and ((key >= 0) & (key < box)).all():
-            pos = slot[tuple(key.astype(np.intp).T)]
-            filled = np.zeros(len(index), dtype=bool)
-            filled[pos] = True
-            if (pos >= 0).all() and filled.all():
-                # A view of the (re, im) pairs: re + 1j*im would turn a -0.0
-                # real part into +0.0.
-                out = np.empty(len(index), dtype=complex)
-                out[pos] = values.view(complex)[:, 0]
-                return out
-    raise _table_error(path, lines, index)
+    row = re.compile(",".join([f"(?:{INDEX_FIELD.pattern})"] * width + [f"(?:{VALUE_FIELD.pattern})"] * 2))
+    bad = len(rows)
+    if not all(map(row.fullmatch, rows)):
+        bad = next(j for j, line in enumerate(rows) if not row.fullmatch(line))
+    # loadtxt warns on no rows.  Index keys are floats: one of 16 or more
+    # significant digits is out of range of any table however it rounds.
+    table = np.loadtxt(rows[:bad], delimiter=",", ndmin=2) if bad else np.empty((0, width + 2))
+    finite = np.isfinite(table[:, width:])
+    bad = bad if finite.all() else int(finite.argmin()) // 2
+    key, values = table[:bad, :width].T.copy(), table[:bad, width:]  # key[field, row]
+    box = index.max(axis=0) + 1
+    slot = np.full(box, -1)  # each index row's position in `index`, -1 in the box's holes
+    slot[tuple(index.T)] = np.arange(len(index))
+    inside = ((key >= 0) & (key < box[:, None])).all(axis=0)
+    pos = np.full(len(inside), -1)
+    pos[inside] = slot[tuple(key[:, inside].astype(np.intp))]
+    count = np.bincount(pos + 1, minlength=len(index) + 1)  # count[0]: rows out of range
+    if bad == len(rows) == len(index) and count[1:].all():  # so each index row once
+        # A view of the (re, im) pairs: re + 1j*im would turn a -0.0 real
+        # part into +0.0.
+        out = np.empty(len(index), dtype=complex)
+        out[pos] = values.view(complex)[:, 0]
+        return out
 
-
-def _table_error(path, lines: list[str], index: np.ndarray) -> CsvFormatError:
-    """The error for the first fault of a table that the bulk stage of
-    `_read_table` refused, found by reading its lines one by one.
-
-    A line-level fault (field count, number form, a non-finite value, a
-    non-integer index) ends the loop, but the rows before it are still
-    placed, so that an index error on an earlier line is the one reported.
-    With neither fault, the only one left is a missing row.
-    """
-    width = index.shape[1]
-    row = _row_pattern(width, INDEX_FIELD.pattern)
-    keys, line_of = [], []
-    lineno, error = 0, None
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            strict = row.fullmatch(line)
-            if not strict and len(parts) != width + 2:
-                raise CsvFormatError(f"{path}: line {lineno}: {len(parts)} fields, expected {width + 2}")
-            if not strict and not all(map(VALUE_FIELD.fullmatch, parts[-2:])):
-                raise CsvFormatError(f"{path}: line {lineno}: malformed number")
-            if not (math.isfinite(float(parts[-2])) and math.isfinite(float(parts[-1]))):
-                raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
-            if not strict:  # the fields and values are sound, so an index is not
-                raise CsvFormatError(f"{path}: line {lineno}: index {','.join(parts[:-2])} is not an integer")
-            keys.append(tuple(map(int, parts[:-2])))
-            line_of.append(lineno)
-    except CsvFormatError as e:
-        error = e
-
-    box, slot = _slots(index)
-    key = np.array(keys).reshape(len(keys), width)
-    inside = ((key >= 0) & (key < box)).all(axis=1)
-    pos = np.full(len(keys), -1)
-    pos[inside] = slot[tuple(key[inside].astype(np.intp).T)]
-    _, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
-    first = first[inverse]
-    bad = np.flatnonzero((pos < 0) | (first != np.arange(len(pos))))
-    if bad.size:
-        j = bad[0]
-        where = f"{path}: line {line_of[j]}: index {keys[j]}"
+    line_of = [n for n, line in enumerate(lines, start=1) if line.strip()]
+    if count[0] or count[1:].max() > 1:
+        _, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
+        first = first[inverse]
+        j = np.flatnonzero((pos < 0) | (first != np.arange(len(pos))))[0]
+        where = f"{path}: line {line_of[j]}: index {tuple(map(int, rows[j].split(',')[:width]))}"
         if pos[j] < 0:
-            return CsvFormatError(f"{where} out of range")
-        return CsvFormatError(f"{where} repeats line {line_of[first[j]]}")
-    if error is not None:
-        return error
-    filled = np.zeros(len(index), dtype=bool)
-    filled[pos] = True
-    return CsvFormatError(
-        f"{path}: line {lineno}: {len(index) - len(keys)} of {len(index)} rows missing, "
-        f"the first for index {tuple(index[np.argmin(filled)].tolist())}"
+            raise CsvFormatError(f"{where} out of range")
+        raise CsvFormatError(f"{where} repeats line {line_of[first[j]]}")
+    if bad < len(rows):
+        raise CsvFormatError(f"{path}: line {line_of[bad]}: {_line_fault(rows[bad], width)}")
+    raise CsvFormatError(
+        f"{path}: line {len(lines)}: {len(index) - len(pos)} of {len(index)} rows missing, "
+        f"the first for index {tuple(index[count[1:].argmin()].tolist())}"
     )
 
 

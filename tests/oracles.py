@@ -131,7 +131,8 @@ def born_jordan_table_where(N: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gathers through rd[x, y] = x y^{-1}, the transpose of `FiniteGroup.lag_index`
+# Gathers through rd[x, y] = x y^{-1}, the transpose of `FiniteGroup.lag_index`,
+# and through ld[x, y] = y^{-1} x, in place of its scatters
 # ---------------------------------------------------------------------------
 
 
@@ -151,6 +152,25 @@ def kn_symbol_right_div(B: GroupOperator) -> TFFunction:
     group = B.group
     s = B.kernel[np.arange(group.order), right_div(group).T]
     return TFFunction.from_runs(group, group.dual, groups.group_fourier(group.dual, s))
+
+
+def left_div(group: FiniteGroup) -> np.ndarray:
+    """ld[x, y] = y^{-1} * x."""
+    return group.cayley[group.inverse, :].T
+
+
+def kn_operator_left_div(a: TFFunction) -> GroupOperator:
+    """`quantization.kn_operator` gathering K(x, y) = s(y^{-1} x, x) through ld."""
+    group = a.group
+    s = groups.group_inverse_fourier(a.dual, a.runs)
+    return GroupOperator(group, s[left_div(group), np.arange(group.order)[:, None]])
+
+
+def original_localization_left_div(k: CohenKernel) -> GroupOperator:
+    """`quantization.original_localization` gathering K(z, y) =
+    conj(lag(z^{-1}, y^{-1} z)) through ld."""
+    group = k.group
+    return GroupOperator(group, np.conj(k.timelag().values[group.inverse[:, None], left_div(group)]))
 
 
 def check_l2_bound_serial(k: CohenKernel, samples: int = 100) -> PropertyReport:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import max_block_diff, reordered_cyclic4
-from oracles import distribution_from_localization, duality_residual, kn_symbol_right_div
-from gtfa.groups import build_cyclic, build_dihedral
+from oracles import (distribution_from_localization, duality_residual, kn_operator_left_div, kn_symbol_right_div,
+                     original_localization_left_div)
+from gtfa.groups import build_cyclic, build_dihedral, build_product
 from gtfa.harmonic import convolve, fourier, haar_inner, random_signal
 from gtfa.quantization import (
     GroupOperator,
@@ -114,6 +115,34 @@ def test_kn_symbol_bits_match_right_division_gather(gd, rng):
     g, _ = gd
     B = random_operator(g, rng)
     assert all(a.tobytes() == e.tobytes() for a, e in zip(kn_symbol(B).runs, kn_symbol_right_div(B).runs))
+
+
+SCATTER_GROUPS = [build_cyclic(7), build_cyclic(89), build_cyclic(300), build_dihedral(5), build_dihedral(16),
+                  build_product(build_cyclic(2), build_dihedral(8)), build_product(build_dihedral(3), build_cyclic(4))]
+
+
+def random_kernel(g, d, rng):
+    n = g.order
+    return CohenKernel("random", timelag_to_ambiguity(TimeLagKernel(g, rng.standard_normal((n, n))
+                                                                    + 1j * rng.standard_normal((n, n))), d))
+
+
+def assert_scatters_match_left_division_gathers(g, d, rng):
+    a = random_tf(g, d, rng)
+    assert kn_operator(a).kernel.tobytes() == kn_operator_left_div(a).kernel.tobytes()
+    for k in (random_kernel(g, d, rng), kn_kernel(d)):
+        assert original_localization(k).kernel.tobytes() == original_localization_left_div(k).kernel.tobytes()
+
+
+@pytest.mark.parametrize("gd", SCATTER_GROUPS, ids=lambda gd: gd[0].name)
+def test_scatters_bits_match_left_division_gathers(gd, rng):
+    """`kn_operator` and `original_localization` scatter through the lag
+    index; the gathers through y^{-1} x they replace give the same bits."""
+    assert_scatters_match_left_division_gathers(*gd, rng)
+
+
+def test_scatters_bits_match_left_division_gathers_on_the_corpus(corpus_and_file_group, rng):
+    assert_scatters_match_left_division_gathers(*corpus_and_file_group, rng)
 
 
 def test_kn_roundtrips(corpus_and_file_group, rng):
