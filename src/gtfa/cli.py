@@ -78,13 +78,9 @@ def parse_group(spec: str) -> FiniteGroup:
     if spec.startswith("product:"):
         body = spec[8:]
         # split at an 'x' where both halves parse as group specs
-        for i, ch in enumerate(body):
-            if ch != "x":
-                continue
-            left, right = body[:i], body[i + 1 :]
+        for i in (i for i, ch in enumerate(body) if ch == "x"):
             try:
-                ga = parse_group(left)
-                gb = parse_group(right)
+                ga, gb = parse_group(body[:i]), parse_group(body[i + 1:])
             except ConfigError:
                 continue
             return build_product((ga, ga.dual), (gb, gb.dual))[0]
@@ -107,12 +103,9 @@ def _require_cyclic(group: FiniteGroup, message: str):
 
 
 def parse_kernel(spec: str, group: FiniteGroup) -> CohenKernel:
-    if spec == "kn":
-        return kn_kernel(group.dual)
-    if spec == "anti-kn":
-        return anti_kn_kernel(group.dual)
-    if spec == "margin-fix":
-        return margin_fix_kernel(group.dual)
+    on_dual = {"kn": kn_kernel, "anti-kn": anti_kn_kernel, "margin-fix": margin_fix_kernel}
+    if spec in on_dual:
+        return on_dual[spec](group.dual)
     if spec == "born-jordan":
         _require_cyclic(group, "born-jordan kernel needs a cyclic group")
         return born_jordan_cyclic_kernel(group.order)
@@ -123,8 +116,7 @@ def parse_kernel(spec: str, group: FiniteGroup) -> CohenKernel:
         _require_cyclic(group, message)
         return wigner_kernel_odd_cyclic(group.order)
     if spec.startswith("spectrogram:"):
-        w = _read_signal(spec[len("spectrogram:"):], group)
-        return spectrogram_kernel(w)
+        return spectrogram_kernel(_read_signal(spec[len("spectrogram:"):], group))
     if spec.startswith("commutator:"):
         rest = spec[len("commutator:"):]
         if ":" not in rest:
@@ -154,16 +146,10 @@ def _tf_to_matrix(a: TFFunction) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _image_spec(mode, gamma) -> ImageSpec:
+def _configured(call, *args):
+    """call(*args), with a ValueError (a bad image option or picture) as a ConfigError."""
     try:
-        return ImageSpec(mode, gamma)
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-
-def _render(values, spec: ImageSpec, path):
-    try:
-        render_pgm(values, spec, path)
+        return call(*args)
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -173,19 +159,14 @@ def cmd_transform(args) -> int:
     kernel = parse_kernel(args.kernel, group)
     if args.pgm:  # the picture has a row per irrep and a column per element
         mode = {"midgrey": "midgrey-zero", "white": "white-zero"}[args.pgm]
-        spec = _image_spec(mode, args.gamma)
+        spec = _configured(ImageSpec, mode, args.gamma)
     u = _read_signal(args.infile, group)
     v = _read_signal(args.second, group) if args.second else u
     D = cohen_transform(kernel, u, v)
     signalio.write_tf_csv(args.out, D)
     if args.pgm:
-        _render(_tf_to_matrix(D), spec, args.pgm_out or _with_suffix(args.out, ".pgm"))
+        _configured(render_pgm, _tf_to_matrix(D), spec, args.pgm_out or os.path.splitext(args.out)[0] + ".pgm")
     return EXIT_OK
-
-
-def _with_suffix(path, suffix):
-    root, _ = os.path.splitext(path)
-    return root + suffix
 
 
 def cmd_verify(args) -> int:
@@ -270,8 +251,8 @@ def cmd_figures(args) -> int:
     sigma = args.sigma if args.sigma is not None else N / 16.0
     if not sigma > 0:
         raise ConfigError("--sigma must be positive")
-    midgrey = _image_spec("midgrey-zero", args.gamma)
-    white = _image_spec("white-zero", args.gamma)
+    midgrey = _configured(ImageSpec, "midgrey-zero", args.gamma)
+    white = _configured(ImageSpec, "white-zero", args.gamma)
     os.makedirs(args.outdir, exist_ok=True)
     out = lambda name: os.path.join(args.outdir, name)
 
@@ -281,12 +262,12 @@ def cmd_figures(args) -> int:
     grid = q_z_distribution(u, N, axis_fix=args.axis_fix)
     if args.grid_csv:
         signalio.write_grid_csv(out("born_jordan_z.csv"), grid)
-    _render(grid.real_grid(), midgrey, out("born_jordan_z.pgm"))
+    _configured(render_pgm, grid.real_grid(), midgrey, out("born_jordan_z.pgm"))
     del grid  # one picture's arrays at a time
-    _render(_tf_to_matrix(cohen_transform(born_jordan_cyclic_kernel(N), per, per)), midgrey,
-            out("born_jordan_cyclic.pgm"))
+    _configured(render_pgm, _tf_to_matrix(cohen_transform(born_jordan_cyclic_kernel(N), per, per)), midgrey,
+                out("born_jordan_cyclic.pgm"))
     spectrogram = np.abs(stft(gaussian_window(per.group, sigma), per).scalar_table()) ** 2
-    _render(spectrogram, white, out("spectrogram.pgm"))
+    _configured(render_pgm, spectrogram, white, out("spectrogram.pgm"))
     return EXIT_OK
 
 

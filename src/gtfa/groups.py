@@ -333,8 +333,8 @@ def require_same_dual(a: UnitaryDual, b: UnitaryDual, what: str = "operands"):
 # ---------------------------------------------------------------------------
 
 
-def cyclic_exponents(N: int, rows: slice = slice(None)) -> np.ndarray:
-    """k x mod N for the characters k in `rows` and every x: chi_k(x) = exp(2 pi i (k x mod N) / N),
+def cyclic_exponents(N: int, rows: slice | np.ndarray = slice(None)) -> np.ndarray:
+    """k x mod N for the k in `rows` (a slice or indices) and every x: chi_k(x) = exp(2 pi i (k x mod N) / N),
     the phase reduced before the exponential (unreduced, it loses 1e-12 of accuracy at N = 2048)."""
     kx = np.arange(N, dtype=np.int32 if N < 46341 else np.intp)  # k x < 2^31
     return np.remainder(e := kx[rows, None] * kx, N, out=e)

@@ -22,6 +22,7 @@ library provides:
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -81,6 +82,13 @@ class CohenKernel:
         if self._timelag is None:
             self._timelag = ambiguity_to_timelag(self.phi)
         return self._timelag
+
+    @functools.cached_property
+    def constant_in_xi(self) -> bool:
+        """Whether phi(xi, y) = c(y) on an all-scalar dual: every row of the
+        table equals the first, exactly.  Decided on first read, then cached."""
+        table = self.phi.scalar_table()
+        return bool((table == table[0]).all())
 
     def linf_norm(self) -> float:
         """max over (xi, y) of the spectral norm of phi(xi, y)."""
@@ -142,7 +150,8 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
 
     Computed as `ambiguity_transform`, `block_product` with phi and
     `inverse_symplectic_fourier`, or, on a dual on the FFT route
-    (`groups._fft_shape`), in one buffer by `_cohen_fft`.
+    (`groups._fft_shape`), in one buffer by `_cohen_fft`, which skips the
+    transforms in x and xi for a kernel constant in xi (the Rihaczek kernel).
     """
     require_same_group(k.group, u.group, "kernel and signal")
     require_same_dual(k.dual, u.group.dual, "kernel and signal")
@@ -150,7 +159,7 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
     shape = _fft_shape(dual)
     if shape is not None:
         require_pairable(u, v)
-        D = _cohen_fft(shape, k.phi.scalar_table(), u, v)
+        D = _cohen_fft(shape, k, u, v)
         return TFFunction.from_runs(group, dual, [D[..., None, None]])
     # a batch axis after the kernel's run axis, to broadcast over
     phi = k.phi.runs if u.values.ndim == 1 else [p[:, None] for p in k.phi.runs]
@@ -158,24 +167,31 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
     return inverse_symplectic_fourier(AmbiguityFunction.from_runs(group, dual, runs))
 
 
-def _cohen_fft(shape: tuple[int, ...], phi: np.ndarray, u: Signal, v: Signal) -> np.ndarray:
-    """D[eta, ..., x] on the FFT route, phi the kernel's table [xi, y].
+def _cohen_fft(shape: tuple[int, ...], k: CohenKernel, u: Signal, v: Signal) -> np.ndarray:
+    """D[eta, ..., x] on the FFT route.
 
     The three stages of `cohen_transform` in one lag-major work array
     w[y, ..., x] = u(x) v(x - y)^*, read through a window view of v, not an
     index table; the batch axis (if any) between y and x.  The transforms in x
-    and in xi run along the last, contiguous axes; only the final transform in
-    y is strided.  Every later step writes into w.
+    and in xi run along the last, contiguous axes, and the kernel's table
+    phi[xi, y] is read as phi^T, which the cyclic kernels store C-ordered.  A
+    kernel constant in xi, phi(xi, y) = c(y) (`CohenKernel.constant_in_xi`),
+    commutes with them: w is scaled by c along y and both are skipped.  Only
+    the final transform in y is strided.  Every later step writes into w.
     """
     n, lead, r = u.values.shape[-1], u.values.shape[:-1], len(shape)
+    full = not k.constant_in_xi  # decided before w exists, so its first test adds nothing to the peak
     # v^* doubled along each factor axis, from x_j = n_j on: x - y stays in it for 0 <= x, y < n
-    vc = np.tile(v.values.conj().reshape(*lead, *shape), (2,) * r)[(..., *[slice(k, None) for k in shape])]
+    vc = np.tile(v.values.conj().reshape(*lead, *shape), (2,) * r)[(..., *[slice(m, None) for m in shape])]
     view = as_strided(vc, (*shape, *vc.shape), (*(-s for s in vc.strides[-r:]), *vc.strides), writeable=False)
     w = np.multiply(view, u.values.reshape(*lead, *shape), order="C").reshape(n, *lead, n)
-    last = w.reshape(n, *lead, *shape)
-    np.fft.fftn(last, axes=range(-r, 0), norm="forward", out=last)  # FR(u, v)[xi, y]
-    w *= phi.T[:, None] if lead else phi.T
-    np.fft.ifftn(last, axes=range(-r, 0), norm="forward", out=last)  # t[x, y]
+    last, table = w.reshape(n, *lead, *shape), k.phi.scalar_table()
+    if full:
+        np.fft.fftn(last, axes=range(-r, 0), norm="forward", out=last)  # FR(u, v)[xi, y]
+    phi = table.T if full else table[:1].T  # [y, xi], or c(y) as one column
+    w *= phi[:, None] if lead else phi
+    if full:
+        np.fft.ifftn(last, axes=range(-r, 0), norm="forward", out=last)  # t[x, y]
     first = w.reshape(*shape, *lead, n)
     np.fft.fftn(first, axes=range(r), norm="forward", out=first)  # D[eta, x]
     return w
@@ -220,21 +236,22 @@ def margin_fix_kernel(dual: UnitaryDual) -> CohenKernel:
 
 
 def born_jordan_cyclic_kernel(N: int) -> CohenKernel:
-    """Born-Jordan kernel on Z/NZ: commutator kernel plus margin fix."""
+    """Born-Jordan kernel on Z/NZ: commutator kernel plus margin fix, stored lag-major (the
+    transpose of a C-ordered table [y, xi] filled in blocks of rows, so phi^T reads in memory order)."""
     group, dual = build_cyclic(N)
     # 2 pi i (1 - chi_xi(y)) / (N (1 - chi_xi(1)) (1 - chi_y(1)^*)) off the axes, in blocks of 2^16 entries
     # from the reduced phases; divided by the product of the factors (one after the other rounds otherwise)
     a = 1.0 - np.exp(2j * np.pi * np.arange(N) / N)
     num, b = np.multiply(2j * np.pi / N, a), a.conj()
     a[0] = b[0] = 1.0  # zero on the axes, set below
-    table = np.empty((N, N), dtype=complex)
+    table = np.empty((N, N), dtype=complex)  # [y, xi]
     for s in range(0, N, step := -(-(1 << 16) // N)):
         rows = table[s:s + step]
         num.take(cyclic_exponents(N, slice(s, s + step)), out=rows, mode="clip")  # in range; "raise" buffers
-        np.divide(rows, a[s:s + step, None] * b, out=rows)
+        np.divide(rows, a * b[s:s + step, None], out=rows)
     table[0, :] = 1.0
     table[:, 0] = 1.0
-    return _scalar_kernel(group, dual, table, f"born-jordan:{N}")
+    return _scalar_kernel(group, dual, table.T, f"born-jordan:{N}")
 
 
 def commutator_kernel(f: Signal, g: Signal) -> CohenKernel:
@@ -302,11 +319,8 @@ def conjugate_kernel(k: CohenKernel) -> CohenKernel:
     yx = cay.T  # yx[x, y] = y * x
     new = np.conj(lag[yx, inv[None, :]])  # new[x, y] = lag(y x, y^{-1})^*
     phi = timelag_to_ambiguity(TimeLagKernel(group, new), k.dual)
-    if k.name.startswith("conj(") and k.name.endswith(")"):
-        name = k.name[5:-1]
-    else:
-        name = f"conj({k.name})"
-    return CohenKernel(name, phi)
+    undo = k.name.startswith("conj(") and k.name.endswith(")")
+    return CohenKernel(k.name[5:-1] if undo else f"conj({k.name})", phi)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +361,11 @@ def _halving_map(N: int) -> np.ndarray:
 
 def wigner_kernel_odd_cyclic(N: int) -> CohenKernel:
     """Wigner kernel phi(xi, y) = xi(h(y)) = exp(i 2 pi (xi h(y) mod N) / N), h the
-    halving map: columns of the dual's table, whose phases are reduced mod N."""
+    halving map, from the reduced phases h(y) xi mod N without the dual's table.
+    Stored lag-major, as the transpose of a C-ordered table [y, xi]."""
     group, dual = build_cyclic(N)
-    return _scalar_kernel(group, dual, dual.table[:, _halving_map(N)], f"wigner-odd:{N}")
+    table = np.exp(2j * np.pi * np.arange(N) / N)[cyclic_exponents(N, _halving_map(N))]
+    return _scalar_kernel(group, dual, table.T, f"wigner-odd:{N}")
 
 
 def wigner_odd_cyclic(u: Signal, v: Signal) -> TFFunction:

@@ -203,12 +203,21 @@ def test_batch_entries_match_single_calls_fft_and_4d_irreps(gd, rng):
 FFT_COHEN_GROUPS = [build_cyclic(128), build_cyclic(257), build_cyclic(512),
                     build_product(build_cyclic(8), build_cyclic(16)),
                     build_product(build_cyclic(16), build_cyclic(32))]
+
+
+def lag_window_kernel(g, d) -> CohenKernel:
+    """phi(xi, y) = c(y) with c random: the same row for every xi."""
+    c = np.array([1, 1j]) @ np.random.default_rng(g.order).standard_normal((2, g.order))
+    return CohenKernel("lag-window", AmbiguityFunction.from_scalar_table(g, d, np.tile(c, (g.order, 1))))
+
+
 FFT_COHEN_KERNELS = {
     "born-jordan": lambda g, d: born_jordan_cyclic_kernel(g.order),
     "kn": lambda g, d: kn_kernel(d),
     "anti-kn": lambda g, d: anti_kn_kernel(d),
     "margin-fix": lambda g, d: margin_fix_kernel(d),
     "spectrogram": lambda g, d: spectrogram_kernel(gaussian_window(g, 4.0)),
+    "lag-window": lag_window_kernel,
 }
 
 
@@ -235,6 +244,48 @@ def test_cohen_fft_route_matches_three_stages(gd, kernel, monkeypatch, rng):
         (want,) = cohen_transform(k, a, b).runs
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("gd", [build_cyclic(128), build_product(build_cyclic(8), build_cyclic(16))],
+                         ids=lambda gd: gd[0].name)
+def test_kernel_constant_in_xi_skips_the_transforms_in_x(gd, monkeypatch, rng):
+    """A kernel constant in xi, decided on its first transform and kept on it,
+    makes one FFT, over y, for a signal and a batch alike; the same table with
+    one entry perturbed makes the FFT in x, the inverse in xi and the FFT in y."""
+    g, d = gd
+    const = lag_window_kernel(g, d)
+    table = const.phi.scalar_table().copy()
+    table[3, 5] += 1e-3
+    perturbed = CohenKernel("perturbed", AmbiguityFunction.from_scalar_table(g, d, table))
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(a, *args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            calls.append((_name, tuple(kwargs["axes"])))
+            return _fft(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    r = len(d.cyclic_factors)
+    x_axes, y_axes = tuple(range(-r, 0)), tuple(range(r))
+    u, U = random_signal(g, rng), Signal(g, rng.standard_normal((3, g.order)) + 0j)
+    three = [("fftn", x_axes), ("ifftn", x_axes), ("fftn", y_axes)]
+    for k, want in [(const, [("fftn", y_axes)]), (perturbed, three)]:
+        assert "constant_in_xi" not in vars(k)
+        for a in (u, U):
+            calls.clear()
+            cohen_transform(k, a, a)
+            assert calls == want
+        assert vars(k)["constant_in_xi"] is (k is const)
+
+
+@pytest.mark.parametrize("gd", [build_cyclic(512), build_product(build_cyclic(16), build_cyclic(32))],
+                         ids=lambda gd: gd[0].name)
+def test_kn_transform_on_the_fft_route_is_rihaczek(gd, rng):
+    """The Kohn-Nirenberg kernel is constant in xi: its one FFT, over y, gives
+    rihaczek(u, v) within 1e-13 of the largest entry."""
+    g, d = gd
+    u, v = random_signal(g, rng), random_signal(g, rng)
+    for a, b in [(u, u), (u, v)]:
+        got, want = cohen_transform(kn_kernel(d), a, b).scalar_table(), rihaczek(a, b).scalar_table()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_cohen_fft_route_skips_the_ambiguity_transform(monkeypatch, rng):
@@ -299,6 +350,13 @@ def test_cohen_fft_route_keeps_the_refusals(rng):
 def test_born_jordan_table_bits_match_where_construction(N):
     table = born_jordan_cyclic_kernel(N).phi.scalar_table()
     assert table.tobytes() == born_jordan_table_where(N).tobytes()
+
+
+@pytest.mark.parametrize("N", [8, 89, 300, 512])
+def test_born_jordan_table_is_stored_lag_major(N):
+    """The table [xi, y] is the transpose of a C-ordered [y, xi] table, so the
+    FFT route's phi^T reads memory in order."""
+    assert born_jordan_cyclic_kernel(N).phi.scalar_table().T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("gd", [build_dihedral(5), build_cyclic(89), build_cyclic(257)],
@@ -638,6 +696,25 @@ def test_wigner_kernel_phases_reduced_mod_n(monkeypatch):
     h = (N + 1) // 2 * np.arange(N) % N
     for xi in np.array_split(np.arange(N), 8):
         assert np.array_equal(tab[xi], np.exp(2j * np.pi * (np.outer(xi, h) % N) / N))
+
+
+@pytest.mark.parametrize("N", [7, 129, 513])
+def test_wigner_kernel_bits_match_dual_table_columns(N):
+    """The lag-major table from the reduced phases is the dual's table read at
+    the halving map, bit for bit, and phi^T is C-ordered."""
+    tab = wigner_kernel_odd_cyclic(N).phi.scalar_table()
+    want = build_cyclic(N)[1].table[:, (N + 1) // 2 * np.arange(N) % N]
+    assert tab.tobytes() == want.tobytes() and tab.T.flags.c_contiguous
+
+
+def test_wigner_kernel_makes_no_dual_table(monkeypatch, rng):
+    """Building the kernel and one transform on the FFT route leave the dual's
+    N^2 table unmade."""
+    monkeypatch.setattr(transforms, "build_cyclic", build_cyclic.__wrapped__)  # a dual of its own
+    k = wigner_kernel_odd_cyclic(385)
+    u = random_signal(k.group, rng)
+    cohen_transform(k, u, u)
+    assert groups._fft_shape(k.dual) == (385,) and "table" not in vars(k.dual)
 
 
 def test_wigner_two_routes(rng):
