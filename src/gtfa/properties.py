@@ -7,9 +7,10 @@ condition is the authoritative verdict here; in verification mode each checker
 also cross-validates one transform-side condition statistically on seeded
 random signals and reports the residual.
 
-All sampled cross-checks take the first signals of one draw from a fresh
-generator seeded with 0xC0FFEE, so reports are byte-identical across runs; the
-draws are those of serial `random_signal` calls.  Each cross-check takes its
+All sampled cross-checks take the first signals of one draw of 200 from a
+fresh generator seeded with 0xC0FFEE, one draw per `run_all_checks` call, so
+reports are byte-identical across runs; the draws are those of serial
+`random_signal` calls.  Each cross-check takes its
 signals as batches and pairs them with the batch-aware sums (`haar_inner`,
 `norm`, `tf_inner`, `tf_norm`): a few array operations per batch, cut into
 batches of even size so that one batched plane array stays within BATCH_BYTES
@@ -148,7 +149,7 @@ def _sampled_pass(k: CohenKernel) -> dict[str, float]:
     the margin residuals on pairs 0-19 and the Moyal residual on pairs 2i and
     2i+1, i < 20, which share a batch since batches are even."""
     g, bound, worst = k.group, k.linf_norm(), np.zeros(5)
-    W = _seeded_signals(g, 200).values
+    W = _shared(k, _draw)
     for b in _batches(g, 100):
         U, V = Signal(g, W[2 * b.start:2 * b.stop:2]), Signal(g, W[2 * b.start + 1:2 * b.stop:2])
         D = cohen_transform(k, U, V)
@@ -170,9 +171,14 @@ def _seeded_signals(g, count: int) -> Signal:
     return Signal(g, x[:, 0] + 1j * x[:, 1])
 
 
+def _draw(k: CohenKernel) -> np.ndarray:
+    """The sampled pass's 200 seeded signals; the origin values take the first 50, inner the first 20."""
+    return _seeded_signals(k.group, 200).values
+
+
 def _origin_values(k: CohenKernel) -> np.ndarray:
     """D[u](e, eps) = <u, delta^D u> for 50 seeded random signals u."""
-    return _origin(_shared(k, original_localization).kernel, _seeded_signals(k.group, 50))
+    return _origin(_shared(k, original_localization).kernel, Signal(k.group, _shared(k, _draw)[:50]))
 
 
 def _origin(K: np.ndarray, U: Signal) -> np.ndarray:
@@ -270,7 +276,7 @@ def check_inner_invariant(k: CohenKernel, verify: bool = True) -> PropertyReport
     cross = None
     if verify:
         K = _shared(k, original_localization).kernel
-        U = _seeded_signals(g, 20)
+        U = Signal(g, _shared(k, _draw)[:20])
         base = _origin(K, U)
         cross = 0.0
         for b in _batches(g, 20):

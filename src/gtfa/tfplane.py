@@ -27,8 +27,8 @@ file-loaded duals stay on the naive sum.  The pointwise product of
 `groups.block_product` and `groups.plancherel_pairing`: one array operation
 per run, not one per irrep.
 
-`transforms.cohen_transform` ends in `inverse_symplectic_fourier`, except on
-the FFT route, where it computes the same sums in one array of its own.
+`transforms.cohen_transform` computes the same sums on the lag product
+u(x) v(x y^{-1})^* itself, with the Fourier pair or in-place FFTs.
 
 A batch of B plane functions, as `transforms.cohen_transform` returns for a
 batch of signals, has runs (end - first, B, |G|, d, d): the batch axis sits

@@ -6,11 +6,11 @@ Every transform D is determined by its ambiguity kernel phi:
 
 where FR(u, v) is the ambiguity transform of the Rihaczek (Kohn-Nirenberg)
 base transform and the product is the pointwise matrix product with the
-kernel on the left.  `cohen_transform` computes D in three stages (ambiguity
-transform, kernel product, inverse symplectic transform), except on a dual
-whose Fourier pair takes the FFT route: there the same sums are in-place
-FFTs on one work array, with the three stages as the tests' oracle.  The
-library provides:
+kernel on the left.  `cohen_transform` works in the time-lag domain: the lag
+product w[y, x] = u(x) v(x y^{-1})^*, the kernel's action on it, then one
+transform in y.  A kernel with a lag form (kn, anti-kn, margin-fix) acts on w
+directly; any other takes phi between the transform in x and its inverse in
+xi, the three stages' middle.  The library provides:
 
 * kn / anti-kn          phi = I  /  phi(xi, y) = xi(y)
 * born-jordan (Z/N)     the commutator kernel with the margin fix on the axes
@@ -24,20 +24,18 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .groups import (FiniteGroup, UnitaryDual, _fft_shape, block_product, build_cyclic, cyclic_exponents,
-                     group_fourier, is_cyclic, representation_runs, require_same_dual, require_same_group)
+from .groups import (FiniteGroup, UnitaryDual, _fft_shape, block_product, build_cyclic, cyclic_exponents, group_fourier,
+                     group_inverse_fourier, is_cyclic, representation_runs, require_same_dual, require_same_group)
 from .harmonic import Signal, fourier, norm, require_pairable, require_single
 from .tfplane import (
     AmbiguityFunction,
     TFFunction,
     TimeLagKernel,
     ambiguity_to_timelag,
-    inverse_symplectic_fourier,
     timelag_to_ambiguity,
 )
 
@@ -61,34 +59,30 @@ __all__ = [
 ]
 
 
-@dataclass
 class CohenKernel:
-    """An ambiguity (Doppler-lag) kernel naming a Cohen-class transform."""
+    """An ambiguity (Doppler-lag) kernel naming a Cohen-class transform.
 
-    name: str
-    phi: AmbiguityFunction
-    _timelag: TimeLagKernel | None = field(default=None, repr=False)
+    `phi` is the kernel's AmbiguityFunction, or, with `dual` given, a function
+    making it when first read, as `UnitaryDual.table` is made.  `lag`, if given,
+    is its lag form: t = lag(w), the kernel's action on the lag product
+    w[y, ..., x] (see `cohen_transform`), written into w where it can be.
+    """
 
-    @property
-    def group(self) -> FiniteGroup:
-        return self.phi.group
+    def __init__(self, name: str, phi, lag=None, dual: UnitaryDual | None = None):
+        self.name, self.lag, self._timelag = name, lag, None
+        if dual is None:
+            self.phi, self.group, self.dual = phi, phi.group, phi.dual
+        else:
+            self._phi, self.group, self.dual = phi, dual.group, dual
 
-    @property
-    def dual(self) -> UnitaryDual:
-        return self.phi.dual
+    @functools.cached_property
+    def phi(self) -> AmbiguityFunction:
+        return self._phi()
 
     def timelag(self) -> TimeLagKernel:
         """The scalar time-lag form of this kernel (cached)."""
-        if self._timelag is None:
-            self._timelag = ambiguity_to_timelag(self.phi)
+        self._timelag = self._timelag or ambiguity_to_timelag(self.phi)
         return self._timelag
-
-    @functools.cached_property
-    def constant_in_xi(self) -> bool:
-        """Whether phi(xi, y) = c(y) on an all-scalar dual: every row of the
-        table equals the first, exactly.  Decided on first read, then cached."""
-        table = self.phi.scalar_table()
-        return bool((table == table[0]).all())
 
     def linf_norm(self) -> float:
         """max over (xi, y) of the spectral norm of phi(xi, y)."""
@@ -125,9 +119,8 @@ def ambiguity_transform(u: Signal, v: Signal) -> AmbiguityFunction:
     """
     require_pairable(u, v)
     group, dual = u.group, u.group.dual
-    w = u.values[..., :, None] * v.values.conj().take(group.lag_index.T, axis=-1)  # w[..., x, y]
     # transformed in x, which goes first: the batch axis lands between x and y
-    return AmbiguityFunction.from_runs(group, dual, group_fourier(dual, w.swapaxes(0, -2)))
+    return AmbiguityFunction.from_runs(group, dual, group_fourier(dual, _lag_product(None, u, v).T))
 
 
 def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
@@ -148,52 +141,52 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
         ||phi||_Linf ||u|| ||v|| in the plane's L2 norm.  For batches its
         runs are (end - first, B, |G|, d, d), entry b being D(u[b], v[b]).
 
-    Computed as `ambiguity_transform`, `block_product` with phi and
-    `inverse_symplectic_fourier`, or, on a dual on the FFT route
-    (`groups._fft_shape`), in one buffer by `_cohen_fft`, which skips the
-    transforms in x and xi for a kernel constant in xi (the Rihaczek kernel).
+    One path on every dual: the lag product w[y, ..., x] = u(x) v(x y^{-1})^*
+    (the batch axis, if any, between y and x), then the kernel's lag form
+    (`CohenKernel.lag`) if it has one, else the product with phi between the
+    transform in x and its inverse in xi, then the transform in y:
+    `group_fourier`, or on a dual on the FFT route (`groups._fft_shape`) an
+    in-place FFT of w, whose only strided transform it is.
     """
     require_same_group(k.group, u.group, "kernel and signal")
     require_same_dual(k.dual, u.group.dual, "kernel and signal")
-    group, dual = u.group, u.group.dual
-    shape = _fft_shape(dual)
-    if shape is not None:
-        require_pairable(u, v)
-        D = _cohen_fft(shape, k, u, v)
-        return TFFunction.from_runs(group, dual, [D[..., None, None]])
-    # a batch axis after the kernel's run axis, to broadcast over
-    phi = k.phi.runs if u.values.ndim == 1 else [p[:, None] for p in k.phi.runs]
-    runs = block_product(phi, ambiguity_transform(u, v).runs)
-    return inverse_symplectic_fourier(AmbiguityFunction.from_runs(group, dual, runs))
+    require_pairable(u, v)
+    group, dual, shape = u.group, u.group.dual, _fft_shape(u.group.dual)
+    w = _lag_product(shape, u, v)
+    t = k.lag(w) if k.lag else _phi_product(k.phi, dual, shape, w)
+    if shape is None:
+        return TFFunction.from_runs(group, dual, group_fourier(dual, t))
+    t = np.ascontiguousarray(t)  # in case a lag form returns t in another order than w
+    first = t.reshape(*shape, *t.shape[1:])
+    np.fft.fftn(first, axes=range(len(shape)), norm="forward", out=first)  # D[eta, ..., x]
+    return TFFunction.from_runs(group, dual, [t[..., None, None]])
 
 
-def _cohen_fft(shape: tuple[int, ...], k: CohenKernel, u: Signal, v: Signal) -> np.ndarray:
-    """D[eta, ..., x] on the FFT route.
-
-    The three stages of `cohen_transform` in one lag-major work array
-    w[y, ..., x] = u(x) v(x - y)^*, read through a window view of v, not an
-    index table; the batch axis (if any) between y and x.  The transforms in x
-    and in xi run along the last, contiguous axes, and the kernel's table
-    phi[xi, y] is read as phi^T, which the cyclic kernels store C-ordered.  A
-    kernel constant in xi, phi(xi, y) = c(y) (`CohenKernel.constant_in_xi`),
-    commutes with them: w is scaled by c along y and both are skipped.  Only
-    the final transform in y is strided.  Every later step writes into w.
-    """
+def _lag_product(shape: tuple[int, ...] | None, u: Signal, v: Signal) -> np.ndarray:
+    """w[y, ..., x] = u(x) v(x y^{-1})^*: on the naive route a view of the x-major
+    product that `ambiguity_transform` transforms; on the FFT route (factor orders
+    `shape`) C-ordered, read through a window view of v, not an index table."""
+    if shape is None:
+        w = u.values[..., :, None] * v.values.conj().take(u.group.lag_index.T, axis=-1)  # w[..., x, y]
+        return w.transpose(-1, *range(w.ndim - 1))
     n, lead, r = u.values.shape[-1], u.values.shape[:-1], len(shape)
-    full = not k.constant_in_xi  # decided before w exists, so its first test adds nothing to the peak
     # v^* doubled along each factor axis, from x_j = n_j on: x - y stays in it for 0 <= x, y < n
     vc = np.tile(v.values.conj().reshape(*lead, *shape), (2,) * r)[(..., *[slice(m, None) for m in shape])]
     view = as_strided(vc, (*shape, *vc.shape), (*(-s for s in vc.strides[-r:]), *vc.strides), writeable=False)
-    w = np.multiply(view, u.values.reshape(*lead, *shape), order="C").reshape(n, *lead, n)
-    last, table = w.reshape(n, *lead, *shape), k.phi.scalar_table()
-    if full:
-        np.fft.fftn(last, axes=range(-r, 0), norm="forward", out=last)  # FR(u, v)[xi, y]
-    phi = table.T if full else table[:1].T  # [y, xi], or c(y) as one column
-    w *= phi[:, None] if lead else phi
-    if full:
-        np.fft.ifftn(last, axes=range(-r, 0), norm="forward", out=last)  # t[x, y]
-    first = w.reshape(*shape, *lead, n)
-    np.fft.fftn(first, axes=range(r), norm="forward", out=first)  # D[eta, x]
+    return np.multiply(view, u.values.reshape(*lead, *shape), order="C").reshape(n, *lead, n)
+
+
+def _phi_product(phi: AmbiguityFunction, dual: UnitaryDual, shape, w: np.ndarray) -> np.ndarray:
+    """t[y, ..., x] = F^{-1}_xi (phi . F_x w), for a kernel without a lag form.  On the
+    FFT route in place on w along its last, contiguous axes, phi[xi, y] read as phi^T,
+    which the cyclic kernels store C-ordered."""
+    if shape is None:
+        runs = phi.runs if w.ndim == 2 else [p[:, None] for p in phi.runs]  # a batch axis to broadcast over
+        return group_inverse_fourier(dual, block_product(runs, group_fourier(dual, w.T))).T
+    last, axes = w.reshape(*w.shape[:-1], *shape), range(-len(shape), 0)
+    np.fft.fftn(last, axes=axes, norm="forward", out=last)  # FR(u, v)[xi, y]
+    w *= phi.scalar_table().T[:, None] if w.ndim == 3 else phi.scalar_table().T
+    np.fft.ifftn(last, axes=axes, norm="forward", out=last)  # t[x, y]
     return w
 
 
@@ -207,17 +200,23 @@ def _scalar_kernel(group, dual, table, name) -> CohenKernel:
 
 
 def kn_kernel(dual: UnitaryDual) -> CohenKernel:
-    """Kohn-Nirenberg / Rihaczek kernel: phi(xi, y) = I everywhere."""
-    group = dual.group
-    runs = [np.broadcast_to(np.eye(d, dtype=complex), (end - first, group.order, d, d)).copy()
-            for first, end, d, _ in dual.runs]
-    return CohenKernel("kn", AmbiguityFunction.from_runs(group, dual, runs))
+    """Kohn-Nirenberg / Rihaczek kernel: phi(xi, y) = I everywhere.  Its lag form leaves w as it is."""
+    return CohenKernel("kn", lambda: AmbiguityFunction.from_runs(dual.group, dual, [
+        np.broadcast_to(np.eye(d, dtype=complex), (end - first, dual.group.order, d, d)).copy()
+        for first, end, d, _ in dual.runs]), lambda w: w, dual)
 
 
 def anti_kn_kernel(dual: UnitaryDual) -> CohenKernel:
-    """Anti-Kohn-Nirenberg kernel: phi(xi, y) = xi(y)."""
-    runs = [xi.copy() for xi in representation_runs(dual)]
-    return CohenKernel("anti-kn", AmbiguityFunction.from_runs(dual.group, dual, runs))
+    """Anti-Kohn-Nirenberg kernel: phi(xi, y) = xi(y).  As xi(x) xi(y) = xi(x y),
+    its lag form is the gather t[y, x] = w[y, x y], made lag by lag in place."""
+    group = dual.group
+
+    def lag(w):
+        for y, xy in enumerate(group.cayley.T):
+            w[y] = w[y][..., xy]
+        return w
+    return CohenKernel("anti-kn", lambda: AmbiguityFunction.from_runs(
+        group, dual, [xi.copy() for xi in representation_runs(dual)]), lag, dual)
 
 
 def margin_fix_kernel(dual: UnitaryDual) -> CohenKernel:
@@ -225,14 +224,24 @@ def margin_fix_kernel(dual: UnitaryDual) -> CohenKernel:
 
     The resulting transform is
     D(u,v)(x,eta) = u_hat(eta) v_hat(eta)^* + (u(x) v(x)^* - <u,v>) I / |G|.
+    Its lag form keeps w on the identity lag and puts on every other lag y
+    the mean of w[y, .], the lag's transform at the trivial irrep.
     """
-    group = dual.group
-    runs = [np.zeros((end - first, group.order, d, d), dtype=complex) for first, end, d, _ in dual.runs]
-    for run in runs:
-        run[:, group.identity] = np.eye(run.shape[-1])
-    phi = AmbiguityFunction.from_runs(group, dual, runs)
-    phi.blocks[dual.trivial_index][:] = 1.0
-    return CohenKernel("margin-fix", phi)
+    group, e = dual.group, dual.group.identity
+
+    def phi():
+        runs = [np.zeros((end - first, group.order, d, d), dtype=complex) for first, end, d, _ in dual.runs]
+        for run in runs:
+            run[:, e] = np.eye(run.shape[-1])
+        phi = AmbiguityFunction.from_runs(group, dual, runs)
+        phi.blocks[dual.trivial_index][:] = 1.0
+        return phi
+
+    def lag(w):
+        mean = w.mean(axis=-1, keepdims=True)
+        w[:e], w[e + 1:] = mean[:e], mean[e + 1:]
+        return w
+    return CohenKernel("margin-fix", phi, lag, dual)
 
 
 def born_jordan_cyclic_kernel(N: int) -> CohenKernel:

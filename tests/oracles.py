@@ -45,12 +45,13 @@ def cohen_transform_direct(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
     # P[y, x] = sum_z varphi(z^{-1} x, y) u(z) v(z y^{-1})^*
     P = np.zeros((n, n), dtype=complex)
     vconj = v.values.conj()
+    zx = cay[inv, :]                                  # zx[z, x] = z^{-1} x
     for y in range(n):
         wy = u.values * vconj[cay[:, inv[y]]]         # w_y[z]
-        Vy = lag[cay[inv, :], y]                      # Vy[z, x] = varphi(z^{-1}x, y)
+        Vy = lag[:, y].take(zx)                       # Vy[z, x] = varphi(z^{-1}x, y)
         P[y] = wy @ Vy
     blocks = [
-        np.einsum("yx,yab->xab", P, star(eta)) / (n * n) for eta in dual.irreps
+        np.tensordot(P, star(eta), axes=(0, 0)) / (n * n) for eta in dual.irreps  # sum over y
     ]
     return TFFunction(group, dual, blocks)
 

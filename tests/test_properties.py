@@ -221,6 +221,15 @@ def test_seeded_signals_are_the_serial_draws(count):
         assert np.array_equal(values, random_signal(g, serial).values)
 
 
+def test_run_all_checks_makes_one_draw(monkeypatch):
+    """The sampled pass, symmetric and positive's 50 signals and inner's 20
+    come from one seeded draw per run_all_checks call."""
+    draws, draw = [], properties._seeded_signals
+    monkeypatch.setattr(properties, "_seeded_signals", lambda g, count: draws.append(count) or draw(g, count))
+    run_all_checks(margin_fix_kernel(build_dihedral(4)[1]))
+    assert draws == [200]
+
+
 KINDS = {
     "kn": lambda g, d: kn_kernel(d),
     "anti-kn": lambda g, d: anti_kn_kernel(d),

@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import group_file_text, max_block_diff, reordered_cyclic4
+from conftest import fresh_python, group_file_text, max_block_diff, relabelled_dihedral6, reordered_cyclic4
 from oracles import (born_jordan_phi, born_jordan_table_where, cohen_transform_direct,
                      commutator_kernel_closed_form, right_div, stack_irreps, star)
 from gtfa import groups, transforms
-from gtfa.groups import (FiniteGroup, Irrep, build_cyclic, build_dihedral, build_product,
+from gtfa.groups import (FiniteGroup, Irrep, block_product, build_cyclic, build_dihedral, build_product,
                          load_group_file)
 from gtfa.harmonic import (
     Signal,
@@ -21,7 +21,7 @@ from gtfa.harmonic import (
     norm,
     random_signal,
 )
-from gtfa.tfplane import AmbiguityFunction, symplectic_fourier, tf_norm
+from gtfa.tfplane import AmbiguityFunction, inverse_symplectic_fourier, symplectic_fourier, tf_norm
 from gtfa.transforms import (
     CohenKernel,
     add_kernels,
@@ -226,7 +226,7 @@ FFT_COHEN_KERNELS = {
     if name != "born-jordan" or len(gd[1].cyclic_factors) == 1
 ], ids=lambda p: p if isinstance(p, str) else p[0].name)
 def test_cohen_fft_route_matches_three_stages(gd, kernel, monkeypatch, rng):
-    """The one-buffer FFT route against the three-stage path on the naive sums
+    """The one-buffer FFT route against the three stages on the naive sums
     (ambiguity transform, kernel product, inverse symplectic transform), for a
     single signal, a batch, and u != v, within 1e-12 of the largest entry."""
     g, d = gd
@@ -241,20 +241,55 @@ def test_cohen_fft_route_matches_three_stages(gd, kernel, monkeypatch, rng):
     fast = [cohen_transform(k, a, b).runs for a, b in pairs]
     monkeypatch.setattr(groups, "FFT_MIN_ORDER", g.order + 1)
     for (a, b), (got,) in zip(pairs, fast):
-        (want,) = cohen_transform(k, a, b).runs
+        phi = k.phi.runs if a.values.ndim == 1 else [p[:, None] for p in k.phi.runs]
+        amb = AmbiguityFunction.from_runs(g, d, block_product(phi, ambiguity_transform(a, b).runs))
+        (want,) = inverse_symplectic_fourier(amb).runs
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+LAG_FORM_KERNELS = {"kn": kn_kernel, "anti-kn": anti_kn_kernel, "margin-fix": margin_fix_kernel}
+LAG_FORM_GROUPS = {
+    "dihedral:5": lambda tmp: build_dihedral(5),
+    "dihedral:8": lambda tmp: build_dihedral(8),
+    "product:dihedral:3xdihedral:4": lambda tmp: build_product(build_dihedral(3), build_dihedral(4)),
+    "product:cyclic:2xdihedral:8": lambda tmp: build_product(build_cyclic(2), build_dihedral(8)),
+    "file:relabelled-dihedral:6": relabelled_dihedral6,
+    "cyclic:12": lambda tmp: build_cyclic(12),
+    **{gd[0].name: (lambda tmp, gd=gd: gd) for gd in FFT_COHEN_GROUPS},
+}
+
+
+@pytest.mark.parametrize("kernel", list(LAG_FORM_KERNELS))
+@pytest.mark.parametrize("group", list(LAG_FORM_GROUPS))
+def test_lag_forms_match_the_direct_sum(group, kernel, tmp_path, rng):
+    """Each kernel's lag form against the direct time-lag sum, within 1e-12 of
+    the largest entry: u = v, u != v and a batch of 3 whose entries are the
+    pairs (u, u), (u, v), (u, u).  The group file's identity is not element 0."""
+    g, d = LAG_FORM_GROUPS[group](tmp_path)
+    assert g.identity != 0 or not group.startswith("file:")
+    k = LAG_FORM_KERNELS[kernel](d)
+    assert k.lag is not None
+    u, v = random_signal(g, rng), random_signal(g, rng)
+    want = [cohen_transform_direct(k, u, u).runs, cohen_transform_direct(k, u, v).runs]
+    batch = cohen_transform(k, Signal(g, np.stack([u.values] * 3)),
+                            Signal(g, np.stack([u.values, v.values, u.values]))).runs
+    got = [cohen_transform(k, u, u).runs, cohen_transform(k, u, v).runs, *([r[:, b] for r in batch] for b in range(3))]
+    for runs, expect in zip(got, [*want, want[0], want[1], want[0]]):
+        scale = max(np.abs(r).max() for r in expect)
+        assert max(np.abs(a - b).max() for a, b in zip(runs, expect)) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("gd", [build_cyclic(128), build_product(build_cyclic(8), build_cyclic(16))],
                          ids=lambda gd: gd[0].name)
-def test_kernel_constant_in_xi_skips_the_transforms_in_x(gd, monkeypatch, rng):
-    """A kernel constant in xi, decided on its first transform and kept on it,
-    makes one FFT, over y, for a signal and a batch alike; the same table with
-    one entry perturbed makes the FFT in x, the inverse in xi and the FFT in y."""
+def test_lag_forms_skip_the_transforms_in_x(gd, monkeypatch, rng):
+    """On the FFT route a kernel with a lag form (kn, anti-kn, margin-fix) makes
+    one FFT, over y, for a signal and a batch alike.  Kernels without one make
+    the FFT in x, the inverse in xi and the FFT in y: the lag window, constant
+    in xi, and the same table with one entry perturbed."""
     g, d = gd
-    const = lag_window_kernel(g, d)
-    table = const.phi.scalar_table().copy()
+    window = lag_window_kernel(g, d)
+    table = window.phi.scalar_table().copy()
     table[3, 5] += 1e-3
     perturbed = CohenKernel("perturbed", AmbiguityFunction.from_scalar_table(g, d, table))
     calls = []
@@ -266,21 +301,20 @@ def test_kernel_constant_in_xi_skips_the_transforms_in_x(gd, monkeypatch, rng):
     r = len(d.cyclic_factors)
     x_axes, y_axes = tuple(range(-r, 0)), tuple(range(r))
     u, U = random_signal(g, rng), Signal(g, rng.standard_normal((3, g.order)) + 0j)
-    three = [("fftn", x_axes), ("ifftn", x_axes), ("fftn", y_axes)]
-    for k, want in [(const, [("fftn", y_axes)]), (perturbed, three)]:
-        assert "constant_in_xi" not in vars(k)
+    one, three = [("fftn", y_axes)], [("fftn", x_axes), ("ifftn", x_axes), ("fftn", y_axes)]
+    kernels = [(make(d), one) for make in LAG_FORM_KERNELS.values()] + [(window, three), (perturbed, three)]
+    for k, want in kernels:
         for a in (u, U):
             calls.clear()
             cohen_transform(k, a, a)
-            assert calls == want
-        assert vars(k)["constant_in_xi"] is (k is const)
+            assert calls == want, k.name
 
 
 @pytest.mark.parametrize("gd", [build_cyclic(512), build_product(build_cyclic(16), build_cyclic(32))],
                          ids=lambda gd: gd[0].name)
 def test_kn_transform_on_the_fft_route_is_rihaczek(gd, rng):
-    """The Kohn-Nirenberg kernel is constant in xi: its one FFT, over y, gives
-    rihaczek(u, v) within 1e-13 of the largest entry."""
+    """The Kohn-Nirenberg kernel's lag form leaves the lag product as it is: its
+    one FFT, over y, gives rihaczek(u, v) within 1e-13 of the largest entry."""
     g, d = gd
     u, v = random_signal(g, rng), random_signal(g, rng)
     for a, b in [(u, u), (u, v)]:
@@ -289,31 +323,40 @@ def test_kn_transform_on_the_fft_route_is_rihaczek(gd, rng):
 
 
 def test_cohen_fft_route_skips_the_ambiguity_transform(monkeypatch, rng):
-    """From order 128 a cyclic dual never reaches the three-stage path."""
-    def refuse(u, v):
+    """From order 128 a cyclic dual never reaches the three-stage path, with or
+    without a lag form; below, a kernel without one (Born-Jordan) takes it, for
+    its kernel product, and one with a lag form (kn) does not."""
+    def refuse(*args):
         raise AssertionError("three-stage path taken")
 
     monkeypatch.setattr(transforms, "ambiguity_transform", refuse)
+    monkeypatch.setattr(transforms, "block_product", refuse)
     for n in (128, 512):
         g, d = build_cyclic(n)
         u = random_signal(g, rng)
         cohen_transform(kn_kernel(d), u, u)
+        cohen_transform(born_jordan_cyclic_kernel(n), u, u)
     g, d = build_cyclic(127)
     u = random_signal(g, rng)
+    cohen_transform(kn_kernel(d), u, u)
     with pytest.raises(AssertionError, match="three-stage"):
-        cohen_transform(kn_kernel(d), u, u)
+        cohen_transform(born_jordan_cyclic_kernel(127), u, u)
 
 
 def test_cohen_fft_route_makes_no_group_table(rng):
     """The FFT route reads the signals, the kernel and the cyclic factors
-    only: neither the dual table nor the lag index of the group is made."""
+    only: neither the dual table nor the lag index of the group is made, nor
+    the phi of a kernel with a lag form."""
     g, d = build_cyclic.__wrapped__(300)
     gp, dp = build_product(build_cyclic.__wrapped__(8), build_cyclic.__wrapped__(20))
-    for grp, dual, k in [(g, d, born_jordan_cyclic_kernel(300)), (gp, dp, kn_kernel(dp))]:
+    kernels = [(g, d, born_jordan_cyclic_kernel(300))]
+    kernels += [(grp, dual, make(dual)) for grp, dual in [(g, d), (gp, dp)] for make in LAG_FORM_KERNELS.values()]
+    for grp, dual, k in kernels:
         u = Signal(grp, rng.standard_normal((2, grp.order)) + 1j * rng.standard_normal((2, grp.order)))
         cohen_transform(k, u, u)
         cohen_transform(k, Signal(grp, u.values[0]), Signal(grp, u.values[1]))
         assert "table" not in vars(dual) and "lag_index" not in vars(grp)
+        assert k.lag is None or "phi" not in vars(k)
 
 
 def test_born_jordan_transform_at_2048_peaks_at_two_tables():
@@ -330,6 +373,23 @@ def test_born_jordan_transform_at_2048_peaks_at_two_tables():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert int(out.stdout) <= 130 << 20
+
+
+def test_lag_form_transforms_at_2048_peak_at_one_table():
+    """In a fresh process, one cyclic:2048 transform with kn, anti-kn or
+    margin-fix peaks at its work array, 64 MiB, plus small change, and makes
+    neither the kernel's phi nor the dual's table (with dense kernels kn
+    peaked at 128 MiB and anti-kn at 192 MiB)."""
+    code = ("import tracemalloc, numpy as np; tracemalloc.start()\n"
+            "from gtfa.groups import build_cyclic; from gtfa.harmonic import Signal\n"
+            "from gtfa.transforms import anti_kn_kernel, cohen_transform, kn_kernel, margin_fix_kernel\n"
+            "g, d = build_cyclic(2048); u = Signal(g, np.random.default_rng(0).standard_normal(2048) + 0j)\n"
+            "for make in (kn_kernel, anti_kn_kernel, margin_fix_kernel):\n"
+            "    k = make(d); tracemalloc.reset_peak(); cohen_transform(k, u, u)\n"
+            "    print(tracemalloc.get_traced_memory()[1], 'phi' in vars(k), 'table' in vars(d))")
+    for line in fresh_python(code).splitlines():
+        peak, phi, table = line.split()
+        assert int(peak) <= 70 << 20 and phi == table == "False", line
 
 
 def test_cohen_fft_route_keeps_the_refusals(rng):
