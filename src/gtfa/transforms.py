@@ -8,9 +8,9 @@ where FR(u, v) is the ambiguity transform of the Rihaczek (Kohn-Nirenberg)
 base transform and the product is the pointwise matrix product with the
 kernel on the left.  `cohen_transform` works in the time-lag domain: the lag
 product w[y, x] = u(x) v(x y^{-1})^*, the kernel's action on it, then one
-transform in y.  A kernel with a lag form (kn, anti-kn, margin-fix) acts on w
-directly; any other takes phi between the transform in x and its inverse in
-xi, the three stages' middle.  The library provides:
+transform in y.  A kernel with a lag form (kn, anti-kn, margin-fix, wigner-odd)
+acts on w directly; any other takes phi between the transform in x and its
+inverse in xi, the three stages' middle.  The library provides:
 
 * kn / anti-kn          phi = I  /  phi(xi, y) = xi(y)
 * born-jordan (Z/N)     the commutator kernel with the margin fix on the axes
@@ -65,7 +65,8 @@ class CohenKernel:
     `phi` is the kernel's AmbiguityFunction, or, with `dual` given, a function
     making it when first read, as `UnitaryDual.table` is made.  `lag`, if given,
     is its lag form: t = lag(w), the kernel's action on the lag product
-    w[y, ..., x] (see `cohen_transform`), written into w where it can be.
+    w[y, ..., x] (see `cohen_transform`), written into w where it can be; the
+    library's (kn, anti-kn, margin-fix, wigner-odd) make their phi when read.
     """
 
     def __init__(self, name: str, phi, lag=None, dual: UnitaryDual | None = None):
@@ -195,10 +196,6 @@ def _phi_product(phi: AmbiguityFunction, dual: UnitaryDual, shape, w: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _scalar_kernel(group, dual, table, name) -> CohenKernel:
-    return CohenKernel(name, AmbiguityFunction.from_runs(group, dual, [table[..., None, None]]))
-
-
 def kn_kernel(dual: UnitaryDual) -> CohenKernel:
     """Kohn-Nirenberg / Rihaczek kernel: phi(xi, y) = I everywhere.  Its lag form leaves w as it is."""
     return CohenKernel("kn", lambda: AmbiguityFunction.from_runs(dual.group, dual, [
@@ -206,17 +203,24 @@ def kn_kernel(dual: UnitaryDual) -> CohenKernel:
         for first, end, d, _ in dual.runs]), lambda w: w, dual)
 
 
-def anti_kn_kernel(dual: UnitaryDual) -> CohenKernel:
-    """Anti-Kohn-Nirenberg kernel: phi(xi, y) = xi(y).  As xi(x) xi(y) = xi(x y),
-    its lag form is the gather t[y, x] = w[y, x y], made lag by lag in place."""
-    group = dual.group
+def _shift_lag(group: FiniteGroup, shifts):
+    """The lag form of a kernel phi(xi, y) = xi(s(y)), s(y) = shifts[y]: as
+    xi(x) xi(s) = xi(x s), it is the gather t[y, x] = w[y, x s(y)], lag by lag in place."""
+    columns = group.cayley.T  # columns[s, x] = x s
 
     def lag(w):
-        for y, xy in enumerate(group.cayley.T):
-            w[y] = w[y][..., xy]
+        for y, s in enumerate(shifts):
+            w[y] = w[y][..., columns[s]]
         return w
+    return lag
+
+
+def anti_kn_kernel(dual: UnitaryDual) -> CohenKernel:
+    """Anti-Kohn-Nirenberg kernel: phi(xi, y) = xi(y).  Its lag form is the
+    shift t[y, x] = w[y, x y] (`_shift_lag` with s(y) = y)."""
+    group = dual.group
     return CohenKernel("anti-kn", lambda: AmbiguityFunction.from_runs(
-        group, dual, [xi.copy() for xi in representation_runs(dual)]), lag, dual)
+        group, dual, [xi.copy() for xi in representation_runs(dual)]), _shift_lag(group, range(group.order)), dual)
 
 
 def margin_fix_kernel(dual: UnitaryDual) -> CohenKernel:
@@ -260,7 +264,7 @@ def born_jordan_cyclic_kernel(N: int) -> CohenKernel:
         np.divide(rows, a * b[s:s + step, None], out=rows)
     table[0, :] = 1.0
     table[:, 0] = 1.0
-    return _scalar_kernel(group, dual, table.T, f"born-jordan:{N}")
+    return CohenKernel(f"born-jordan:{N}", AmbiguityFunction.from_runs(group, dual, [table.T[..., None, None]]))
 
 
 def commutator_kernel(f: Signal, g: Signal) -> CohenKernel:
@@ -362,38 +366,31 @@ def spectrogram_kernel(w: Signal) -> CohenKernel:
     return CohenKernel("spectrogram", AmbiguityFunction.from_runs(w.group, w.group.dual, runs))
 
 
-def _halving_map(N: int) -> np.ndarray:
+def wigner_kernel_odd_cyclic(N: int) -> CohenKernel:
+    """Wigner kernel phi(xi, y) = xi(h(y)), h(y) = (N + 1) / 2 * y mod N the halving
+    map of odd N.  As 2 h(y) = y, its lag form is the shift t[y, x] = w[y, x + h(y)]
+    = u(x + h(y)) v(x - h(y))^* (`_shift_lag` with s = h).  Its phi, made on first
+    read, is exp(i 2 pi (xi h(y) mod N) / N) from the reduced phases without the
+    dual's table, stored lag-major as the transpose of a C-ordered table [y, xi]."""
     if N % 2 == 0:
         raise ValueError(f"the halving map y -> y/2 needs odd order, got N = {N}")
-    return (((N + 1) // 2) * np.arange(N)) % N
-
-
-def wigner_kernel_odd_cyclic(N: int) -> CohenKernel:
-    """Wigner kernel phi(xi, y) = xi(h(y)) = exp(i 2 pi (xi h(y) mod N) / N), h the
-    halving map, from the reduced phases h(y) xi mod N without the dual's table.
-    Stored lag-major, as the transpose of a C-ordered table [y, xi]."""
-    group, dual = build_cyclic(N)
-    table = np.exp(2j * np.pi * np.arange(N) / N)[cyclic_exponents(N, _halving_map(N))]
-    return _scalar_kernel(group, dual, table.T, f"wigner-odd:{N}")
+    (group, dual), h = build_cyclic(N), ((N + 1) // 2 * np.arange(N)) % N
+    return CohenKernel(f"wigner-odd:{N}", lambda: AmbiguityFunction.from_runs(group, dual, [
+        np.exp(2j * np.pi * np.arange(N) / N)[cyclic_exponents(N, h)].T[..., None, None]]), _shift_lag(group, h), dual)
 
 
 def wigner_odd_cyclic(u: Signal, v: Signal) -> TFFunction:
     """Natural Wigner transform on an odd cyclic group:
 
-    W(u,v)(x, eta) = (1/N) sum_y e^{-i 2 pi y eta / N} u(x + h(y)) v(x - h(y))^*.
+    W(u,v)(x, eta) = (1/N) sum_y e^{-i 2 pi y eta / N} u(x + h(y)) v(x - h(y))^*,
+
+    the Cohen transform of `wigner_kernel_odd_cyclic(N)`: the dual must be cyclic:N's.
     """
     require_same_group(u.group, v.group, "signals")
     require_single(u, v)
-    group = u.group
-    if not is_cyclic(group):
+    if not is_cyclic(u.group):
         raise ValueError("wigner_odd_cyclic requires a cyclic group")
-    N = group.order
-    h = _halving_map(N)
-    x = np.arange(N)
-    # core[y, x] = u(x + h(y)) v(x - h(y))^*
-    core = u.values[(x[None, :] + h[:, None]) % N] * \
-        v.values.conj()[(x[None, :] - h[:, None]) % N]
-    return TFFunction.from_runs(group, group.dual, group_fourier(group.dual, core))
+    return cohen_transform(wigner_kernel_odd_cyclic(u.group.order), u, v)
 
 
 def gaussian_window(group: FiniteGroup, sigma: float) -> Signal:

@@ -1,10 +1,11 @@
 """Reference computations that tests compare the library against.
 
-Direct sums of the defining formulas and closed forms, with no Fourier
-shortcut, phase retrieval on the Born-Jordan kernel's phi division with one
-index array per lag, a row-by-row CSV table reader, the sampled integer
-kernel entry by entry, and groups built, loaded and validated one irrep and
-one line at a time, their duals stacked from given Irreps (`stack_irreps`).
+Direct sums of the defining formulas (the Cohen and odd Wigner transforms)
+and closed forms, with no Fourier shortcut, phase retrieval on the
+Born-Jordan kernel's phi division with one index array per lag, a
+row-by-row CSV table reader, the sampled integer kernel entry by entry,
+and groups built, loaded and validated one irrep and one line at a time,
+their duals stacked from given Irreps (`stack_irreps`).
 No library code uses them, so they live beside the tests.
 """
 
@@ -54,6 +55,17 @@ def cohen_transform_direct(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
         np.tensordot(P, star(eta), axes=(0, 0)) / (n * n) for eta in dual.irreps  # sum over y
     ]
     return TFFunction(group, dual, blocks)
+
+
+def wigner_odd_cyclic_direct(u: Signal, v: Signal) -> TFFunction:
+    """The paper's Wigner sum on an odd cyclic group, h the halving map y -> y/2:
+
+    W(u,v)(x, eta) = (1/N) sum_y eta(y)^* u(x + h(y)) v(x - h(y))^*.
+    """
+    group, dual, N = u.group, u.group.dual, u.group.order
+    h, x = (N + 1) // 2 * np.arange(N) % N, np.arange(N)
+    core = u.values[(x + h[:, None]) % N] * v.values.conj()[(x - h[:, None]) % N]  # core[y, x]
+    return TFFunction(group, dual, [np.tensordot(core, star(eta), axes=(0, 0)) / N for eta in dual.irreps])
 
 
 def commutator_kernel_closed_form(f: Signal, g: Signal) -> AmbiguityFunction:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import fresh_python, group_file_text, max_block_diff, relabelled_dihedral6, reordered_cyclic4
 from oracles import (born_jordan_phi, born_jordan_table_where, cohen_transform_direct,
-                     commutator_kernel_closed_form, right_div, stack_irreps, star)
+                     commutator_kernel_closed_form, right_div, stack_irreps, star, wigner_odd_cyclic_direct)
 from gtfa import groups, transforms
 from gtfa.groups import (FiniteGroup, Irrep, block_product, build_cyclic, build_dihedral, build_product,
                          load_group_file)
@@ -258,17 +258,24 @@ LAG_FORM_GROUPS = {
     "cyclic:12": lambda tmp: build_cyclic(12),
     **{gd[0].name: (lambda tmp, gd=gd: gd) for gd in FFT_COHEN_GROUPS},
 }
+# the Wigner kernel on odd cyclic groups only, on both sides of FFT_MIN_ORDER
+ODD_CYCLIC_GROUPS = {f"cyclic:{n}": (lambda tmp, n=n: build_cyclic(n)) for n in (5, 127, 129, 257)}
+LAG_FORM_CASES = [(group, kernel) for group in LAG_FORM_GROUPS for kernel in LAG_FORM_KERNELS]
+LAG_FORM_CASES += [(group, "wigner-odd") for group in ODD_CYCLIC_GROUPS]
 
 
-@pytest.mark.parametrize("kernel", list(LAG_FORM_KERNELS))
-@pytest.mark.parametrize("group", list(LAG_FORM_GROUPS))
+def wigner_odd_kernel(d):
+    return wigner_kernel_odd_cyclic(d.group.order)
+
+
+@pytest.mark.parametrize("group,kernel", LAG_FORM_CASES, ids=[f"{g}-{k}" for g, k in LAG_FORM_CASES])
 def test_lag_forms_match_the_direct_sum(group, kernel, tmp_path, rng):
     """Each kernel's lag form against the direct time-lag sum, within 1e-12 of
     the largest entry: u = v, u != v and a batch of 3 whose entries are the
     pairs (u, u), (u, v), (u, u).  The group file's identity is not element 0."""
-    g, d = LAG_FORM_GROUPS[group](tmp_path)
+    g, d = {**LAG_FORM_GROUPS, **ODD_CYCLIC_GROUPS}[group](tmp_path)
     assert g.identity != 0 or not group.startswith("file:")
-    k = LAG_FORM_KERNELS[kernel](d)
+    k = {**LAG_FORM_KERNELS, "wigner-odd": wigner_odd_kernel}[kernel](d)
     assert k.lag is not None
     u, v = random_signal(g, rng), random_signal(g, rng)
     want = [cohen_transform_direct(k, u, u).runs, cohen_transform_direct(k, u, v).runs]
@@ -280,13 +287,14 @@ def test_lag_forms_match_the_direct_sum(group, kernel, tmp_path, rng):
         assert max(np.abs(a - b).max() for a, b in zip(runs, expect)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("gd", [build_cyclic(128), build_product(build_cyclic(8), build_cyclic(16))],
+@pytest.mark.parametrize("gd", [build_cyclic(128), build_cyclic(129), build_product(build_cyclic(8), build_cyclic(16))],
                          ids=lambda gd: gd[0].name)
 def test_lag_forms_skip_the_transforms_in_x(gd, monkeypatch, rng):
-    """On the FFT route a kernel with a lag form (kn, anti-kn, margin-fix) makes
-    one FFT, over y, for a signal and a batch alike.  Kernels without one make
-    the FFT in x, the inverse in xi and the FFT in y: the lag window, constant
-    in xi, and the same table with one entry perturbed."""
+    """On the FFT route a kernel with a lag form (kn, anti-kn, margin-fix, and
+    wigner-odd at odd order) makes one FFT, over y, for a signal and a batch
+    alike.  Kernels without one make the FFT in x, the inverse in xi and the
+    FFT in y: the lag window, constant in xi, and the same table with one
+    entry perturbed."""
     g, d = gd
     window = lag_window_kernel(g, d)
     table = window.phi.scalar_table().copy()
@@ -303,6 +311,7 @@ def test_lag_forms_skip_the_transforms_in_x(gd, monkeypatch, rng):
     u, U = random_signal(g, rng), Signal(g, rng.standard_normal((3, g.order)) + 0j)
     one, three = [("fftn", y_axes)], [("fftn", x_axes), ("ifftn", x_axes), ("fftn", y_axes)]
     kernels = [(make(d), one) for make in LAG_FORM_KERNELS.values()] + [(window, three), (perturbed, three)]
+    kernels += [(wigner_odd_kernel(d), one)] if g.order % 2 else []
     for k, want in kernels:
         for a in (u, U):
             calls.clear()
@@ -343,7 +352,7 @@ def test_cohen_fft_route_skips_the_ambiguity_transform(monkeypatch, rng):
         cohen_transform(born_jordan_cyclic_kernel(127), u, u)
 
 
-def test_cohen_fft_route_makes_no_group_table(rng):
+def test_cohen_fft_route_makes_no_group_table(monkeypatch, rng):
     """The FFT route reads the signals, the kernel and the cyclic factors
     only: neither the dual table nor the lag index of the group is made, nor
     the phi of a kernel with a lag form."""
@@ -351,6 +360,9 @@ def test_cohen_fft_route_makes_no_group_table(rng):
     gp, dp = build_product(build_cyclic.__wrapped__(8), build_cyclic.__wrapped__(20))
     kernels = [(g, d, born_jordan_cyclic_kernel(300))]
     kernels += [(grp, dual, make(dual)) for grp, dual in [(g, d), (gp, dp)] for make in LAG_FORM_KERNELS.values()]
+    monkeypatch.setattr(transforms, "build_cyclic", build_cyclic.__wrapped__)  # a dual of its own
+    wigner = wigner_kernel_odd_cyclic(301)
+    kernels.append((wigner.group, wigner.dual, wigner))
     for grp, dual, k in kernels:
         u = Signal(grp, rng.standard_normal((2, grp.order)) + 1j * rng.standard_normal((2, grp.order)))
         cohen_transform(k, u, u)
@@ -377,18 +389,23 @@ def test_born_jordan_transform_at_2048_peaks_at_two_tables():
 
 def test_lag_form_transforms_at_2048_peak_at_one_table():
     """In a fresh process, one cyclic:2048 transform with kn, anti-kn or
-    margin-fix peaks at its work array, 64 MiB, plus small change, and makes
-    neither the kernel's phi nor the dual's table (with dense kernels kn
-    peaked at 128 MiB and anti-kn at 192 MiB)."""
+    margin-fix, and one cyclic:2049 transform with wigner-odd, peaks at its
+    work array, 64 MiB, plus small change, and makes neither the kernel's phi
+    nor the dual's table (with dense kernels kn peaked at 128 MiB, anti-kn at
+    192 MiB and wigner-odd at 130 MiB)."""
     code = ("import tracemalloc, numpy as np; tracemalloc.start()\n"
             "from gtfa.groups import build_cyclic; from gtfa.harmonic import Signal\n"
-            "from gtfa.transforms import anti_kn_kernel, cohen_transform, kn_kernel, margin_fix_kernel\n"
-            "g, d = build_cyclic(2048); u = Signal(g, np.random.default_rng(0).standard_normal(2048) + 0j)\n"
-            "for make in (kn_kernel, anti_kn_kernel, margin_fix_kernel):\n"
-            "    k = make(d); tracemalloc.reset_peak(); cohen_transform(k, u, u)\n"
-            "    print(tracemalloc.get_traced_memory()[1], 'phi' in vars(k), 'table' in vars(d))")
-    for line in fresh_python(code).splitlines():
-        peak, phi, table = line.split()
+            "from gtfa.transforms import anti_kn_kernel, cohen_transform, kn_kernel, margin_fix_kernel, "
+            "wigner_kernel_odd_cyclic\n"
+            "d = build_cyclic(2048)[1]\n"
+            "for k in (kn_kernel(d), anti_kn_kernel(d), margin_fix_kernel(d), wigner_kernel_odd_cyclic(2049)):\n"
+            "    u = Signal(k.group, np.random.default_rng(0).standard_normal(k.group.order) + 0j)\n"
+            "    tracemalloc.reset_peak(); cohen_transform(k, u, u)\n"
+            "    print(k.name, tracemalloc.get_traced_memory()[1], 'phi' in vars(k), 'table' in vars(k.dual))")
+    lines = fresh_python(code).splitlines()
+    assert [line.split()[0] for line in lines] == ["kn", "anti-kn", "margin-fix", "wigner-odd:2049"]
+    for line in lines:
+        _, peak, phi, table = line.split()
         assert int(peak) <= 70 << 20 and phi == table == "False", line
 
 
@@ -778,11 +795,36 @@ def test_wigner_kernel_makes_no_dual_table(monkeypatch, rng):
 
 
 def test_wigner_two_routes(rng):
-    g, _ = build_cyclic(7)
-    u, v = random_signal(g, rng), random_signal(g, rng)
-    assert max_block_diff(
-        cohen_transform(wigner_kernel_odd_cyclic(7), u, v), wigner_odd_cyclic(u, v)
-    ) < 1e-10
+    """wigner_odd_cyclic and the Cohen transform of the Wigner kernel against
+    the paper's direct sum, within 1e-12 of its largest entry, for u != v on
+    the naive route (7) and the FFT route (129)."""
+    for N in (7, 129):
+        g, _ = build_cyclic(N)
+        u, v = random_signal(g, rng), random_signal(g, rng)
+        (want,) = wigner_odd_cyclic_direct(u, v).runs
+        for D in (wigner_odd_cyclic(u, v), cohen_transform(wigner_kernel_odd_cyclic(N), u, v)):
+            assert np.abs(D.runs[0] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_wigner_refuses_a_permuted_dual(tmp_path, rng):
+    """cyclic:7 through a group file: with the characters in cyclic:7's order
+    the Wigner transform is the built group's, on the file's group; with
+    characters 2 and 5 swapped the group is cyclic:7's, its dual is not, and
+    the transform, being the Cohen transform of cyclic:7's kernel, is refused."""
+    g, d = build_cyclic(7)
+    u = random_signal(g, rng)
+
+    def on_file(order):
+        path = tmp_path / "z7.grp"
+        path.write_text(group_file_text(g, stack_irreps([Irrep(1, d.irreps[k].matrices) for k in order])))
+        return Signal(load_group_file(path)[0], u.values)
+
+    same = on_file(range(7))
+    W = wigner_odd_cyclic(same, same)
+    assert W.group is same.group and W.runs[0].tobytes() == wigner_odd_cyclic(u, u).runs[0].tobytes()
+    swapped = on_file((0, 1, 5, 3, 4, 2, 6))
+    with pytest.raises(ValueError, match="dual mismatch: kernel and signal"):
+        wigner_odd_cyclic(swapped, swapped)
 
 
 def test_wigner_symmetry(rng):
