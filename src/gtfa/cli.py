@@ -1,7 +1,8 @@
 """Command-line interface wiring the modules into reproducible pipelines.
 
 Exit codes: 0 success, 1 a required property fails, 2 configuration/usage
-error, 3 numeric error (singular kernel, invalid distribution table).
+error or out of memory, 3 numeric error (singular kernel, invalid
+distribution table).
 
 Group specs:   cyclic:N | dihedral:n | product:<spec>x<spec> | file:<path>
 Kernel specs:  kn | anti-kn | born-jordan | wigner-odd | margin-fix
@@ -350,6 +351,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:  # numpy's message gives the size asked for
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except SingularKernel as e:
         print(f"numeric error: {e}", file=sys.stderr)

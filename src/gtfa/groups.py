@@ -24,8 +24,8 @@ how many of them are batch axes, which it keeps.  This module alone knows
 how the runs lie in the stacked table and how they are weighted: the Fourier
 pair (`group_fourier`, `group_inverse_fourier`), the pointwise product
 (`block_product`) and the Plancherel sums (`plancherel_trace`,
-`plancherel_pairing`) take and return runs, and `stack_blocks` checks
-per-irrep blocks given from outside and stacks them.
+`plancherel_pairing`) take and return runs, and `DualFunction` checks
+the runs of a function given to it against the dual.
 
 The Fourier pair is defined by the naive O(|G|^2) sum, one dense product with
 the stacked table.  A dual whose builder made it the standard character table
@@ -57,7 +57,7 @@ __all__ = [
     "load_group_file",
     "validate",
 ]
-# The Fourier pair and the per-run helpers (stack_blocks to plancherel_pairing)
+# The Fourier pair and the per-run helpers (DualFunction to plancherel_pairing)
 # are public but left out of __all__: perfbench/tracer.py times each __all__
 # name by self time, so listing them would move the transform work out of the
 # harmonic/tfplane/transforms layers.
@@ -162,20 +162,26 @@ def representation_runs(dual: UnitaryDual) -> list[np.ndarray]:
     return [v.swapaxes(-1, -2) for v in _table_runs(dual, dual.table)]
 
 
-def stack_blocks(dual: UnitaryDual, blocks, lead: tuple) -> list[np.ndarray]:
-    """Per-irrep blocks of shape lead + (d_k, d_k), checked and stacked into
-    one array per run.  Producers inside the package build runs directly."""
-    blocks = list(blocks)
-    if len(blocks) != len(dual):
-        raise ValueError(f"{len(blocks)} blocks for {len(dual)} irreps")
-    runs = []
-    for first, end, d, _ in dual.runs:
-        want = (*lead, d, d)
-        bad = [np.shape(b) for b in blocks[first:end] if np.shape(b) != want]
-        if bad:
-            raise ValueError(f"block shape {bad[0]} != ({','.join(map(str, want))})")
-        runs.append(np.array(blocks[first:end], dtype=complex))
-    return runs
+class DualFunction:
+    """A function on the dual, over the further axes `lead` ((|G|,) on a plane),
+    as its runs: run i of shape (end - first, *batch, *lead, d, d), the batch
+    axes the same in every run.  Each run is checked against `dual.runs` and
+    kept as np.asarray(run, complex), with no copy; `blocks` views them."""
+
+    def __init__(self, dual: UnitaryDual, runs, lead: tuple = ()):
+        runs = [np.asarray(run, dtype=complex) for run in runs]
+        if len(runs) != len(dual.runs):
+            raise ValueError(f"got {len(runs)} runs, the dual has {len(dual.runs)}")
+        batch = runs[0].shape[1:runs[0].ndim - len(lead) - 2]
+        for i, ((first, end, d, _), run) in enumerate(zip(dual.runs, runs)):
+            if run.shape != (want := (end - first, *batch, *lead, d, d)):
+                raise ValueError(f"run {i} of shape {run.shape}, expected {want}")
+        self.dual, self.runs = dual, runs
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """The block of each irrep in dual order, as a view into the runs."""
+        return [b for run in self.runs for b in run]
 
 
 def block_product(left, right) -> list[np.ndarray]:
@@ -321,9 +327,10 @@ def require_same_group(a: FiniteGroup, b: FiniteGroup, what: str = "operands"):
 
 def require_same_dual(a: UnitaryDual, b: UnitaryDual, what: str = "operands"):
     """Runs of two functions line up only when their duals list the same irreps
-    in the same order; an equal group may carry another dual (a group file)."""
+    in the same order, the tables equal within ALG_TOL (a group file's digits);
+    an equal group may carry another dual (a group file)."""
     same = (a.cyclic_factors == b.cyclic_factors if a.cyclic_factors and b.cyclic_factors  # standard tables
-            else a is b or (a.table.shape == b.table.shape and np.array_equal(a.table, b.table)))
+            else a is b or (a.table.shape == b.table.shape and np.abs(a.table - b.table).max() <= ALG_TOL))
     if not same:
         raise ValueError(f"dual mismatch: {what} live on different duals")
 

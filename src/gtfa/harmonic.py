@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, UnitaryDual, as_value, group_fourier, group_inverse_fourier,
-                     plancherel_pairing, plancherel_trace, require_same_group, stack_blocks)
+from .groups import (DualFunction, FiniteGroup, UnitaryDual, as_value, group_fourier, group_inverse_fourier,
+                     plancherel_pairing, plancherel_trace, require_same_group)
 
 __all__ = [
     "Signal",
@@ -93,28 +93,12 @@ def require_pairable(u: Signal, v: Signal):
         raise ValueError(f"signal batches of shapes {u.values.shape} and {v.values.shape}")
 
 
-class FourierCoefficients:
+class FourierCoefficients(DualFunction):
     """Matrix-valued Fourier coefficients: one d_eta x d_eta block per irrep.
 
-    Stored as `runs`, one array (end - first, d, d) per run of the dual, or
-    (end - first, B, d, d) for a batch of signals.
+    FourierCoefficients(dual, runs) takes one array (end - first, d, d) per
+    run of the dual, or (end - first, B, d, d) for a batch of signals.
     """
-
-    def __init__(self, dual: UnitaryDual, blocks):
-        self.dual = dual
-        self.runs = stack_blocks(dual, blocks, ())
-
-    @classmethod
-    def from_runs(cls, dual: UnitaryDual, runs) -> "FourierCoefficients":
-        """Wrap per-run arrays as they are, unchecked."""
-        c = cls.__new__(cls)
-        c.dual, c.runs = dual, runs
-        return c
-
-    @property
-    def blocks(self) -> list[np.ndarray]:
-        """The block of each irrep in dual order, as a view into the runs."""
-        return [b for run in self.runs for b in run]
 
 
 def haar_inner(u: Signal, v: Signal) -> complex | np.ndarray:
@@ -130,7 +114,7 @@ def norm(u: Signal) -> float | np.ndarray:
 def fourier(u: Signal) -> FourierCoefficients:
     """u_hat(eta) = (1/|G|) sum_x u(x) eta(x)^*, per signal of a batch."""
     dual = u.group.dual
-    return FourierCoefficients.from_runs(dual, group_fourier(dual, u.values.T))
+    return FourierCoefficients(dual, group_fourier(dual, u.values.T))
 
 
 def inverse_fourier(c: FourierCoefficients) -> Signal:

@@ -125,7 +125,7 @@ def _shared(k: CohenKernel, compute):
 
 def _entries(D, U, V, sl):
     """Entries sl of a batch pair, (D(u,v), u, v)."""
-    return (TFFunction.from_runs(D.group, D.dual, [run[:, sl] for run in D.runs]),
+    return (TFFunction(D.group, D.dual, [run[:, sl] for run in D.runs]),
             Signal(U.group, U.values[sl]), Signal(V.group, V.values[sl]))
 
 

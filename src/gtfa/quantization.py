@@ -121,7 +121,7 @@ def kn_symbol(B: GroupOperator) -> TFFunction:
     group = B.group
     # s[w, x] = K(x, x w^{-1}), then the transform in w
     s = B.kernel[np.arange(group.order), group.lag_index]
-    return TFFunction.from_runs(group, group.dual, group_fourier(group.dual, s))
+    return TFFunction(group, group.dual, group_fourier(group.dual, s))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,7 @@ def quantize(k: CohenKernel, a: TFFunction) -> GroupOperator:
     require_same_group(k.group, a.group, "kernel and symbol")
     require_same_dual(k.dual, a.dual, "kernel and symbol")
     Fb = block_product([p.conj().swapaxes(-1, -2) for p in k.phi.runs], symplectic_fourier(a).runs)
-    return kn_operator(inverse_symplectic_fourier(AmbiguityFunction.from_runs(a.group, a.dual, Fb)))
+    return kn_operator(inverse_symplectic_fourier(AmbiguityFunction(a.group, a.dual, Fb)))
 
 
 def _singular_blocks(k: CohenKernel):
@@ -169,7 +169,7 @@ def dequantize(k: CohenKernel, B: GroupOperator) -> TFFunction:
     # per run: Fb = (phi^*)^{-1} Fa, a division for scalar irreps
     runs = [fa / p.conj() if p.shape[-1] == 1 else np.linalg.solve(p.conj().swapaxes(-1, -2), fa)
             for p, fa in zip(k.phi.runs, Fa.runs)]
-    return inverse_symplectic_fourier(AmbiguityFunction.from_runs(k.group, k.dual, runs))
+    return inverse_symplectic_fourier(AmbiguityFunction(k.group, k.dual, runs))
 
 
 def null_symbol_witness(k: CohenKernel) -> TFFunction | None:
@@ -181,7 +181,7 @@ def null_symbol_witness(k: CohenKernel) -> TFFunction | None:
     bad = _singular_blocks(k)
     if not bad:
         return None
-    Fb = AmbiguityFunction.from_runs(k.group, k.dual, [np.zeros(p.shape, dtype=complex) for p in k.phi.runs])
+    Fb = AmbiguityFunction(k.group, k.dual, [np.zeros(p.shape, dtype=complex) for p in k.phi.runs])
     blocks = Fb.blocks
     for kk, y, _, nullvecs in bad:
         d = blocks[kk].shape[1]

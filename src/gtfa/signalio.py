@@ -278,7 +278,7 @@ def read_tf_csv(path, group: FiniteGroup) -> TFFunction:
     flat = _read_table(path, _block_index(n, dual))
     runs = [flat[n * row:n * (row + (end - first) * d * d)].reshape(end - first, n, d, d)
             for first, end, d, row in dual.runs]
-    return TFFunction.from_runs(group, dual, runs)
+    return TFFunction(group, dual, runs)
 
 
 def write_operator_csv(path, B: GroupOperator):

@@ -43,9 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, UnitaryDual, as_value, block_product, group_fourier,
-                     group_inverse_fourier, plancherel_pairing, require_same_dual, require_same_group,
-                     stack_blocks)
+from .groups import (DualFunction, FiniteGroup, UnitaryDual, as_value, block_product, group_fourier,
+                     group_inverse_fourier, plancherel_pairing, require_same_dual, require_same_group)
 
 __all__ = [
     "TFFunction",
@@ -62,41 +61,20 @@ __all__ = [
 ]
 
 
-class _PlaneFunction:
-    """One matrix per point of a plane, stored as `runs`: one array
-    (end - first, |G|, d, d) per run of the dual."""
+class _PlaneFunction(DualFunction):
+    """One matrix per point of a plane: _PlaneFunction(group, dual, runs) takes
+    one array (end - first, |G|, d, d) per run of the dual, or
+    (end - first, B, |G|, d, d) for a batch."""
 
-    def __init__(self, group: FiniteGroup, dual: UnitaryDual, blocks):
-        self.group, self.dual = group, dual
-        self.runs = stack_blocks(dual, blocks, (group.order,))
-
-    @classmethod
-    def from_runs(cls, group: FiniteGroup, dual: UnitaryDual, runs):
-        """Wrap per-run arrays as they are, unchecked."""
-        f = cls.__new__(cls)
-        f.group, f.dual, f.runs = group, dual, runs
-        return f
-
-    @property
-    def blocks(self) -> list[np.ndarray]:
-        """The (|G|, d, d) block of each irrep in dual order, as a view into the runs."""
-        return [b for run in self.runs for b in run]
+    def __init__(self, group: FiniteGroup, dual: UnitaryDual, runs):
+        self.group = group
+        super().__init__(dual, runs, (group.order,))
 
     def scalar_table(self) -> np.ndarray:
         """(n_irreps, |G|) view for all-scalar duals: table[k, x] = blocks[k][x, 0, 0]."""
-        _require_scalar(self.dual)
+        if self.dual.dims.max() != 1:
+            raise ValueError("a scalar table needs an all-scalar dual")
         return self.runs[0][..., 0, 0]
-
-    @classmethod
-    def from_scalar_table(cls, group: FiniteGroup, dual: UnitaryDual, table):
-        _require_scalar(dual)
-        table = np.asarray(table, dtype=complex).reshape(len(dual), group.order, 1, 1)
-        return cls.from_runs(group, dual, [table])
-
-
-def _require_scalar(dual: UnitaryDual):
-    if dual.dims.max() != 1:
-        raise ValueError("a scalar table needs an all-scalar dual")
 
 
 class TFFunction(_PlaneFunction):
@@ -131,13 +109,13 @@ class TimeLagKernel:
 def symplectic_fourier(a: TFFunction) -> AmbiguityFunction:
     # s[x, y] = sum_eta d_eta tr(eta(y) a(x, eta)), then the transform in x
     s = group_inverse_fourier(a.dual, a.runs).T
-    return AmbiguityFunction.from_runs(a.group, a.dual, group_fourier(a.dual, s))
+    return AmbiguityFunction(a.group, a.dual, group_fourier(a.dual, s))
 
 
 def inverse_symplectic_fourier(A: AmbiguityFunction) -> TFFunction:
     # t[x, y] = sum_xi d_xi tr(xi(x) A(xi, y)), then the transform in y
     t = group_inverse_fourier(A.dual, A.runs)
-    return TFFunction.from_runs(A.group, A.dual, group_fourier(A.dual, t.T))
+    return TFFunction(A.group, A.dual, group_fourier(A.dual, t.T))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +143,7 @@ def tf_convolve(a: TFFunction, b: TFFunction) -> TFFunction:
     Fa = symplectic_fourier(a)
     Fb = symplectic_fourier(b)
     prod = block_product(Fb.runs, Fa.runs)
-    return inverse_symplectic_fourier(AmbiguityFunction.from_runs(a.group, a.dual, prod))
+    return inverse_symplectic_fourier(AmbiguityFunction(a.group, a.dual, prod))
 
 
 # ---------------------------------------------------------------------------
@@ -182,4 +160,4 @@ def timelag_to_ambiguity(k: TimeLagKernel, dual: UnitaryDual | None = None) -> A
     """phi(xi, y) = (1/|G|) sum_x xi(x)^* varphi(x, y)."""
     group = k.group
     dual = group.dual if dual is None else dual
-    return AmbiguityFunction.from_runs(group, dual, group_fourier(dual, k.values))
+    return AmbiguityFunction(group, dual, group_fourier(dual, k.values))

@@ -98,14 +98,11 @@ class CohenKernel:
 
 
 def rihaczek(u: Signal, v: Signal) -> TFFunction:
-    """R(u,v)(x, eta) = u(x) eta(x)^* v_hat(eta)^*."""
+    """R(u,v)(x, eta) = u(x) eta(x)^* v_hat(eta)^*: the Cohen transform of `kn_kernel`,
+    whose lag form leaves the lag product u(x) v(x y^{-1})^* as it is."""
     require_same_group(u.group, v.group, "signals")
     require_single(u, v)
-    group, dual = u.group, u.group.dual
-    # per run: u(x) eta(x)^* v_hat(eta)^*, the irreps of the run on the first axis
-    runs = [u.values[:, None, None] * (eta.conj().swapaxes(-1, -2) @ vhat.conj().swapaxes(-1, -2)[:, None])
-            for eta, vhat in zip(representation_runs(dual), fourier(v).runs)]
-    return TFFunction.from_runs(group, dual, runs)
+    return cohen_transform(kn_kernel(u.group.dual), u, v)
 
 
 def ambiguity_transform(u: Signal, v: Signal) -> AmbiguityFunction:
@@ -121,7 +118,7 @@ def ambiguity_transform(u: Signal, v: Signal) -> AmbiguityFunction:
     require_pairable(u, v)
     group, dual = u.group, u.group.dual
     # transformed in x, which goes first: the batch axis lands between x and y
-    return AmbiguityFunction.from_runs(group, dual, group_fourier(dual, _lag_product(None, u, v).T))
+    return AmbiguityFunction(group, dual, group_fourier(dual, _lag_product(None, u, v).T))
 
 
 def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
@@ -156,11 +153,11 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
     w = _lag_product(shape, u, v)
     t = k.lag(w) if k.lag else _phi_product(k.phi, dual, shape, w)
     if shape is None:
-        return TFFunction.from_runs(group, dual, group_fourier(dual, t))
+        return TFFunction(group, dual, group_fourier(dual, t))
     t = np.ascontiguousarray(t)  # in case a lag form returns t in another order than w
     first = t.reshape(*shape, *t.shape[1:])
     np.fft.fftn(first, axes=range(len(shape)), norm="forward", out=first)  # D[eta, ..., x]
-    return TFFunction.from_runs(group, dual, [t[..., None, None]])
+    return TFFunction(group, dual, [t[..., None, None]])
 
 
 def _lag_product(shape: tuple[int, ...] | None, u: Signal, v: Signal) -> np.ndarray:
@@ -198,7 +195,7 @@ def _phi_product(phi: AmbiguityFunction, dual: UnitaryDual, shape, w: np.ndarray
 
 def kn_kernel(dual: UnitaryDual) -> CohenKernel:
     """Kohn-Nirenberg / Rihaczek kernel: phi(xi, y) = I everywhere.  Its lag form leaves w as it is."""
-    return CohenKernel("kn", lambda: AmbiguityFunction.from_runs(dual.group, dual, [
+    return CohenKernel("kn", lambda: AmbiguityFunction(dual.group, dual, [
         np.broadcast_to(np.eye(d, dtype=complex), (end - first, dual.group.order, d, d)).copy()
         for first, end, d, _ in dual.runs]), lambda w: w, dual)
 
@@ -219,7 +216,7 @@ def anti_kn_kernel(dual: UnitaryDual) -> CohenKernel:
     """Anti-Kohn-Nirenberg kernel: phi(xi, y) = xi(y).  Its lag form is the
     shift t[y, x] = w[y, x y] (`_shift_lag` with s(y) = y)."""
     group = dual.group
-    return CohenKernel("anti-kn", lambda: AmbiguityFunction.from_runs(
+    return CohenKernel("anti-kn", lambda: AmbiguityFunction(
         group, dual, [xi.copy() for xi in representation_runs(dual)]), _shift_lag(group, range(group.order)), dual)
 
 
@@ -237,7 +234,7 @@ def margin_fix_kernel(dual: UnitaryDual) -> CohenKernel:
         runs = [np.zeros((end - first, group.order, d, d), dtype=complex) for first, end, d, _ in dual.runs]
         for run in runs:
             run[:, e] = np.eye(run.shape[-1])
-        phi = AmbiguityFunction.from_runs(group, dual, runs)
+        phi = AmbiguityFunction(group, dual, runs)
         phi.blocks[dual.trivial_index][:] = 1.0
         return phi
 
@@ -264,7 +261,7 @@ def born_jordan_cyclic_kernel(N: int) -> CohenKernel:
         np.divide(rows, a * b[s:s + step, None], out=rows)
     table[0, :] = 1.0
     table[:, 0] = 1.0
-    return CohenKernel(f"born-jordan:{N}", AmbiguityFunction.from_runs(group, dual, [table.T[..., None, None]]))
+    return CohenKernel(f"born-jordan:{N}", AmbiguityFunction(group, dual, [table.T[..., None, None]]))
 
 
 def commutator_kernel(f: Signal, g: Signal) -> CohenKernel:
@@ -315,7 +312,7 @@ def add_kernels(k1: CohenKernel, k2: CohenKernel, on_overlap: str = "sum") -> Co
         runs = [r1.copy() for r1 in k1.phi.runs]
         for r, r2 in zip(runs, k2.phi.runs):
             r[:, group.identity] = r2[:, group.identity]
-    phi = AmbiguityFunction.from_runs(group, dual, runs)
+    phi = AmbiguityFunction(group, dual, runs)
     if on_overlap == "replace":
         phi.blocks[dual.trivial_index][:] = k2.phi.blocks[dual.trivial_index]
     return CohenKernel(f"{k1.name}+{k2.name}", phi)
@@ -351,7 +348,7 @@ def stft(w: Signal, u: Signal) -> TFFunction:
     group, dual = u.group, u.group.dual
     # W2[y, x] = u(y) w(x^{-1} y)^*
     W2 = u.values[:, None] * w.values.conj()[group.cayley[group.inverse]].T
-    return TFFunction.from_runs(group, dual, group_fourier(dual, W2))
+    return TFFunction(group, dual, group_fourier(dual, W2))
 
 
 def spectrogram_kernel(w: Signal) -> CohenKernel:
@@ -363,7 +360,7 @@ def spectrogram_kernel(w: Signal) -> CohenKernel:
         warnings.warn(f"spectrogram window is not unit-energy (||w|| = {norm(w):.6g}); "
                       "the transform will not be normalized")
     runs = [r.conj().swapaxes(-1, -2) for r in ambiguity_transform(w, w).runs]
-    return CohenKernel("spectrogram", AmbiguityFunction.from_runs(w.group, w.group.dual, runs))
+    return CohenKernel("spectrogram", AmbiguityFunction(w.group, w.group.dual, runs))
 
 
 def wigner_kernel_odd_cyclic(N: int) -> CohenKernel:
@@ -375,7 +372,7 @@ def wigner_kernel_odd_cyclic(N: int) -> CohenKernel:
     if N % 2 == 0:
         raise ValueError(f"the halving map y -> y/2 needs odd order, got N = {N}")
     (group, dual), h = build_cyclic(N), ((N + 1) // 2 * np.arange(N)) % N
-    return CohenKernel(f"wigner-odd:{N}", lambda: AmbiguityFunction.from_runs(group, dual, [
+    return CohenKernel(f"wigner-odd:{N}", lambda: AmbiguityFunction(group, dual, [
         np.exp(2j * np.pi * np.arange(N) / N)[cyclic_exponents(N, h)].T[..., None, None]]), _shift_lag(group, h), dual)
 
 

@@ -53,8 +53,9 @@ def max_block_diff(a, b):
     return max(np.abs(x - y).max() for x, y in zip(a.blocks, b.blocks))
 
 
-def group_file_text(group, dual):
-    """Serialize a group and dual to the Group Table Format (test oracle)."""
+def group_file_text(group, dual, digits=17):
+    """Serialize a group and dual to the Group Table Format (test oracle), each
+    number to `digits` significant digits."""
     lines = [f"group {group.order}", f"identity {group.identity}"]
     lines += [" ".join(str(v) for v in row) for row in group.cayley]
     lines.append(f"irreps {len(dual.irreps)}")
@@ -63,7 +64,7 @@ def group_file_text(group, dual):
         for x in range(group.order):
             for r in range(eta.dim):
                 lines.append(" ".join(
-                    f"{eta.matrices[x, r, c].real:.17g} {eta.matrices[x, r, c].imag:.17g}"
+                    f"{eta.matrices[x, r, c].real:.{digits}g} {eta.matrices[x, r, c].imag:.{digits}g}"
                     for c in range(eta.dim)
                 ))
     return "\n".join(lines) + "\n"
@@ -96,6 +97,18 @@ def reordered_cyclic4(tmp_path):
     path = tmp_path / "z4.grp"
     path.write_text(group_file_text(g, stack_irreps([Irrep(1, d.irreps[k].matrices) for k in (0, 3, 2, 1)])))
     return load_group_file(path)
+
+
+def near_equal_cyclic7(tmp_path):
+    """cyclic:7 through a group file whose characters are written to 15
+    significant digits: the labelling and character order of cyclic:7, and a
+    dual table that differs from the built one in the last bits only."""
+    path = tmp_path / "z7-15.grp"
+    path.write_text(group_file_text(*build_cyclic(7), digits=15))
+    g, d = load_group_file(path)
+    err = np.abs(d.table - build_cyclic(7)[1].table).max()
+    assert 0 < err <= 1e-15
+    return f"file:{path}", g
 
 
 def corrupt_table(text, case):

@@ -1,8 +1,10 @@
 """Reference computations that tests compare the library against.
 
 Direct sums of the defining formulas (the Cohen and odd Wigner transforms)
-and closed forms, with no Fourier shortcut, phase retrieval on the
-Born-Jordan kernel's phi division with one index array per lag, a
+and closed forms (the Rihaczek distribution per run), with no Fourier
+shortcut, per-irrep blocks stacked into the runs that `FourierCoefficients`,
+`TFFunction` and `AmbiguityFunction` take (`stack_blocks`), phase retrieval
+on the Born-Jordan kernel's phi division with one index array per lag, a
 row-by-row CSV table reader, the sampled integer kernel entry by entry,
 and groups built, loaded and validated one irrep and one line at a time,
 their duals stacked from given Irreps (`stack_irreps`).
@@ -54,7 +56,27 @@ def cohen_transform_direct(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
     blocks = [
         np.tensordot(P, star(eta), axes=(0, 0)) / (n * n) for eta in dual.irreps  # sum over y
     ]
-    return TFFunction(group, dual, blocks)
+    return TFFunction(group, dual, stack_blocks(dual, blocks))
+
+
+def stack_blocks(dual: UnitaryDual, blocks) -> list[np.ndarray]:
+    """Per-irrep blocks, in dual order, stacked into one array per run of the dual."""
+    blocks = list(blocks)
+    return [np.array(blocks[f:e], dtype=complex) for f, e, *_ in dual.runs]
+
+
+def scalar_runs(table) -> list[np.ndarray]:
+    """The one run (n_irreps, |G|, 1, 1) of an all-scalar dual's (n_irreps, |G|) table."""
+    return [np.asarray(table, dtype=complex)[..., None, None]]
+
+
+def rihaczek_per_run(u: Signal, v: Signal) -> TFFunction:
+    """Reference for `transforms.rihaczek`: R(u,v)(x, eta) = u(x) eta(x)^* v_hat(eta)^*,
+    one product per run of the dual, the irreps of the run on the first axis."""
+    group, dual = u.group, u.group.dual
+    runs = [u.values[:, None, None] * (eta.conj().swapaxes(-1, -2) @ vhat.conj().swapaxes(-1, -2)[:, None])
+            for eta, vhat in zip(representation_runs(dual), fourier(v).runs)]
+    return TFFunction(group, dual, runs)
 
 
 def wigner_odd_cyclic_direct(u: Signal, v: Signal) -> TFFunction:
@@ -65,7 +87,8 @@ def wigner_odd_cyclic_direct(u: Signal, v: Signal) -> TFFunction:
     group, dual, N = u.group, u.group.dual, u.group.order
     h, x = (N + 1) // 2 * np.arange(N) % N, np.arange(N)
     core = u.values[(x + h[:, None]) % N] * v.values.conj()[(x - h[:, None]) % N]  # core[y, x]
-    return TFFunction(group, dual, [np.tensordot(core, star(eta), axes=(0, 0)) / N for eta in dual.irreps])
+    return TFFunction(group, dual, stack_blocks(dual, [np.tensordot(core, star(eta), axes=(0, 0)) / N
+                                                       for eta in dual.irreps]))
 
 
 def commutator_kernel_closed_form(f: Signal, g: Signal) -> AmbiguityFunction:
@@ -77,7 +100,7 @@ def commutator_kernel_closed_form(f: Signal, g: Signal) -> AmbiguityFunction:
     table = (2j * np.pi) * fhat[(-idx) % N][:, None] \
         * (1.0 - np.exp(2j * np.pi * ((idx[:, None] * idx[None, :]) % N) / N)) \
         * g.values.conj()[None, :]
-    return AmbiguityFunction.from_scalar_table(group, group.dual, table)
+    return AmbiguityFunction(group, group.dual, scalar_runs(table))
 
 
 def distribution_from_localization(K: GroupOperator, u: Signal, v: Signal) -> TFFunction:
@@ -102,7 +125,7 @@ def distribution_from_localization(K: GroupOperator, u: Signal, v: Signal) -> TF
             M = (Ux[:, None] * Vx[None, :]) * Kc
             out[x] = np.einsum("zy,zyab->ab", M, mczy)
         blocks.append(out / n**2)
-    return TFFunction(group, dual, blocks)
+    return TFFunction(group, dual, stack_blocks(dual, blocks))
 
 
 def duality_residual(k: CohenKernel, u: Signal, v: Signal, a: TFFunction) -> float:
@@ -164,7 +187,7 @@ def kn_symbol_right_div(B: GroupOperator) -> TFFunction:
     """`quantization.kn_symbol` gathering s[w, x] = K(x, x w^{-1}) through rd^T."""
     group = B.group
     s = B.kernel[np.arange(group.order), right_div(group).T]
-    return TFFunction.from_runs(group, group.dual, groups.group_fourier(group.dual, s))
+    return TFFunction(group, group.dual, groups.group_fourier(group.dual, s))
 
 
 def left_div(group: FiniteGroup) -> np.ndarray:
@@ -289,7 +312,7 @@ def check_onb_resolution_basis_sum(k: CohenKernel) -> PropertyReport:
     for row in np.sqrt(np.repeat(dual.dims, dual.dims ** 2))[:, None] * dual.table:
         v = Signal(g, row)
         acc = [a + b for a, b in zip(acc, cohen_transform(k, v, v).runs)]
-    B = kn_operator(TFFunction.from_runs(g, dual, acc))
+    B = kn_operator(TFFunction(g, dual, acc))
     mv = float(np.abs(B.kernel - identity_operator(g).kernel).max())
     return PropertyReport("onb-resolution", mv <= ONB_TOL, mv, tolerance=ONB_TOL)
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import gtfa
-from conftest import corrupt_table, corruptions
-from oracles import q_z_distribution_dense
+from conftest import corrupt_table, corruptions, near_equal_cyclic7
+from oracles import q_z_distribution_dense, scalar_runs
 from gtfa.cli import main, parse_group, ConfigError
 from gtfa.groups import build_cyclic
 from gtfa.harmonic import Signal, random_signal
@@ -62,6 +62,23 @@ def test_transform_writes_csv_and_pgm(tmp_path, rng):
     assert (tmp_path / "q.pgm").exists()
 
 
+def test_out_of_memory_exits_2(tmp_path, rng, capsys, monkeypatch):
+    """An allocation the machine cannot hold exits 2 with one `error:` line
+    that keeps numpy's size, no traceback, and writes no output file."""
+    import gtfa.cli
+
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 5.96 GiB for an array with shape (20000, 20000) "
+                          "and data type complex128")
+    monkeypatch.setattr(gtfa.cli, "cohen_transform", refuse)
+    g, _ = build_cyclic(8)
+    up, out = write_signal(tmp_path, "u.csv", g, random_signal(g, rng).values), tmp_path / "q.csv"
+    assert main(["transform", "--group", "cyclic:8", "--kernel", "kn", "--in", up, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "5.96 GiB" in err
+    assert not out.exists()
+
+
 def test_transform_second_signal(tmp_path, rng):
     g, _ = build_cyclic(6)
     u, v = random_signal(g, rng), random_signal(g, rng)
@@ -72,8 +89,8 @@ def test_transform_second_signal(tmp_path, rng):
                "--in", up, "--second", vp, "--out", out])
     assert rc == 0
     D = read_tf_csv(out, g)
-    from gtfa.transforms import rihaczek
-    expect = rihaczek(u, v)
+    from oracles import rihaczek_per_run
+    expect = rihaczek_per_run(u, v)
     assert max(np.abs(a - b).max() for a, b in zip(D.blocks, expect.blocks)) < 1e-12
 
 
@@ -169,7 +186,7 @@ def test_verify_csv_report(tmp_path):
 def test_quantize_dequantize_roundtrip(tmp_path, rng):
     g, d = build_cyclic(7)
     table = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    a = TFFunction.from_scalar_table(g, d, table)
+    a = TFFunction(g, d, scalar_runs(table))
     ap = str(tmp_path / "a.csv")
     write_tf_csv(ap, a)
     op = str(tmp_path / "op.csv")
@@ -308,7 +325,7 @@ def test_reconstruct_corrupted_margins_exit3(tmp_path, rng, capsys):
     g, _ = build_cyclic(8)
     u = random_signal(g, rng)
     Q = cohen_transform(born_jordan_cyclic_kernel(8), u, u)
-    bad = TFFunction(Q.group, Q.dual, [b - 2.0 for b in Q.blocks])
+    bad = TFFunction(Q.group, Q.dual, [r - 2.0 for r in Q.runs])
     qp = str(tmp_path / "q.csv")
     write_tf_csv(qp, bad)
     rc = main(["reconstruct", "--group", "cyclic:8", "--in", qp,
@@ -340,6 +357,22 @@ def test_cyclic_kernels_refuse_a_permuted_dual(tmp_path, rng, capsys, kernel):
     assert not (tmp_path / "q.csv").exists()
 
 
+def test_transform_and_reconstruct_on_a_near_equal_file_dual(tmp_path, rng):
+    """A cyclic:7 file with the characters to 15 significant digits lists
+    cyclic:7's dual within ALG_TOL: born-jordan transforms on it and
+    reconstruct recovers the signal's class."""
+    from gtfa.reconstruct import class_distance
+
+    spec, g = near_equal_cyclic7(tmp_path)
+    u = Signal(g, rng.standard_normal(7) + 1j * rng.standard_normal(7) + 3 * np.exp(2j * np.pi * rng.uniform(size=7)))
+    up, qp, rp = write_signal(tmp_path, "u.csv", g, u.values), str(tmp_path / "q.csv"), str(tmp_path / "r.csv")
+    assert main(["transform", "--group", spec, "--kernel", "born-jordan", "--in", up, "--out", qp]) == 0
+    want = cohen_transform(born_jordan_cyclic_kernel(7), Signal(build_cyclic(7)[0], u.values), u).scalar_table()
+    assert np.abs(read_tf_csv(qp, g).scalar_table() - want).max() <= 1e-12 * np.abs(want).max()
+    assert main(["reconstruct", "--group", spec, "--in", qp, "--out", rp, "--report", str(tmp_path / "rep.txt")]) == 0
+    assert class_distance(u, read_csv_signal(rp, g)) <= 1e-10
+
+
 def test_reconstruct_refuses_a_permuted_dual(tmp_path, rng, capsys):
     """The exact distribution, written in the file's irrep order, is refused:
     the kernel's runs and the table's would not line up."""
@@ -347,7 +380,7 @@ def test_reconstruct_refuses_a_permuted_dual(tmp_path, rng, capsys):
     u = random_signal(build_cyclic(5)[0], rng)
     Q = cohen_transform(born_jordan_cyclic_kernel(5), u, u).scalar_table()
     qp = str(tmp_path / "q.csv")
-    write_tf_csv(qp, TFFunction.from_scalar_table(g, g.dual, Q[[0, 3, 2, 1, 4]]))
+    write_tf_csv(qp, TFFunction(g, g.dual, scalar_runs(Q[[0, 3, 2, 1, 4]])))
     assert main(["reconstruct", "--group", spec, "--in", qp, "--out", str(tmp_path / "r.csv")]) == 2
     assert "in the order of cyclic:5" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
@@ -540,7 +573,7 @@ def test_numeric_errors_print_one_line(tmp_path, rng, capsys):
     u = random_signal(g, rng)
     Q = cohen_transform(born_jordan_cyclic_kernel(6), u, u)
     qp = str(tmp_path / "q.csv")
-    write_tf_csv(qp, TFFunction(Q.group, Q.dual, [b - 2.0 for b in Q.blocks]))
+    write_tf_csv(qp, TFFunction(Q.group, Q.dual, [r - 2.0 for r in Q.runs]))
     assert main(["reconstruct", "--group", "cyclic:6", "--in", qp, "--out", str(tmp_path / "r.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric error: ") and err.count("\n") == 1

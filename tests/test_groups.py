@@ -19,7 +19,6 @@ from gtfa.groups import (
     group_inverse_fourier,
     is_cyclic,
     load_group_file,
-    stack_blocks,
     validate,
 )
 
@@ -306,7 +305,7 @@ def _check_primitives_against_naive_sums(g, d, rng):
         blocks = [rng.standard_normal(shape[1:] + (eta.dim, eta.dim))
                   + 1j * rng.standard_normal(shape[1:] + (eta.dim, eta.dim))
                   for eta in d.irreps]
-        runs = stack_blocks(d, blocks, shape[1:])
+        runs = oracles.stack_blocks(d, blocks)
         got = group_inverse_fourier(d, runs)
         # sum_k d_k tr(eta_k(x) B_k[...])
         expect = np.array([

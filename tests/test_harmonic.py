@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import convolve_right_div, star
+from oracles import convolve_right_div, stack_blocks, star
 from gtfa.groups import build_cyclic, build_dihedral
 from gtfa.harmonic import (
     Signal,
@@ -73,7 +73,7 @@ def test_inverse_of_trivial_delta():
     g, d = build_cyclic(6)
     blocks = [np.zeros((1, 1), dtype=complex) for _ in d.irreps]
     blocks[d.trivial_index][0, 0] = 1.0
-    u = inverse_fourier(type(fourier(constant_signal(g)))(d, blocks))
+    u = inverse_fourier(type(fourier(constant_signal(g)))(d, stack_blocks(d, blocks)))
     assert np.abs(u.values - 1).max() < 1e-12
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fresh_python
-from oracles import SERIAL_CHECKS, check_l2_bound_serial, check_onb_resolution_basis_sum
+from oracles import SERIAL_CHECKS, check_l2_bound_serial, check_onb_resolution_basis_sum, scalar_runs, stack_blocks
 from gtfa import groups, properties
 from gtfa.groups import build_cyclic, build_dihedral, build_product
 from gtfa.harmonic import random_signal
@@ -95,7 +95,7 @@ def test_inner_examples():
     blocks = [b.copy() for b in base.phi.blocks]
     two = next(i for i, e in enumerate(d.irreps) if e.dim == 2)
     blocks[two][1] += np.array([[0.5, 0.0], [0.0, 0.0]])  # y = 1 is a rotation
-    bad = CohenKernel("perturbed", AmbiguityFunction(g, d, blocks))
+    bad = CohenKernel("perturbed", AmbiguityFunction(g, d, stack_blocks(d, blocks)))
     assert not check_inner_invariant(bad).holds
 
 
@@ -119,7 +119,7 @@ def test_inner_invariant_matches_element_loop(corpus_and_file_group, rng):
     kn = kn_kernel(d)
     perturbed = [b + 1e-3 * rng.standard_normal(b.shape) for b in kn.phi.blocks]
     for k in [kn, spectrogram_kernel(gaussian_window(g, 2.0)),
-              CohenKernel("perturbed", AmbiguityFunction(g, d, perturbed))]:
+              CohenKernel("perturbed", AmbiguityFunction(g, d, stack_blocks(d, perturbed)))]:
         rep = check_inner_invariant(k, verify=False)
         worst, wit = _inner_by_element_loop(k)
         assert abs(rep.max_violation - worst) <= 1e-14
@@ -136,7 +136,8 @@ def test_inner_invariant_in_blocks_of_z(make, monkeypatch, rng):
     kn kernel brings witnesses."""
     g, d = make()
     perturbed = [b + 1e-3 * rng.standard_normal(b.shape) for b in kn_kernel(d).phi.blocks]
-    kernels = [kind(g, d) for kind in KINDS.values()] + [CohenKernel("perturbed", AmbiguityFunction(g, d, perturbed))]
+    kernels = [kind(g, d) for kind in KINDS.values()]
+    kernels.append(CohenKernel("perturbed", AmbiguityFunction(g, d, stack_blocks(d, perturbed))))
     want = [check_inner_invariant(k) for k in kernels]
     assert want[-1].witness_count > 0
     monkeypatch.setattr(groups, "VALIDATE_BYTES", 1)
@@ -158,7 +159,7 @@ def test_l2_bound_examples():
     assert check_l2_bound(kn_kernel(build_cyclic(6)[1])).holds
     assert check_l2_bound(born_jordan_cyclic_kernel(6)).holds
     g, d = build_cyclic(4)
-    zero = CohenKernel("zero", AmbiguityFunction.from_scalar_table(g, d, np.zeros((4, 4))))
+    zero = CohenKernel("zero", AmbiguityFunction(g, d, scalar_runs(np.zeros((4, 4)))))
     assert check_l2_bound(zero).holds
 
 
@@ -328,8 +329,8 @@ def test_onb_resolution_closed_form_matches_basis_sum(rng, build):
     """|G| |phi(eps, e) - 1| against the quantized basis sum, on a random
     kernel, which is not normalized."""
     g, d = build()
-    k = CohenKernel("random", AmbiguityFunction(g, d, [
-        rng.standard_normal((g.order, n, n)) + 1j * rng.standard_normal((g.order, n, n)) for n in d.dims]))
+    k = CohenKernel("random", AmbiguityFunction(g, d, stack_blocks(d, [
+        rng.standard_normal((g.order, n, n)) + 1j * rng.standard_normal((g.order, n, n)) for n in d.dims])))
     got, expect = check_onb_resolution(k), check_onb_resolution_basis_sum(k)
     assert expect.max_violation > 1.0 and got.holds == expect.holds
     assert abs(got.max_violation - expect.max_violation) <= 1e-13 * expect.max_violation

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import max_block_diff, reordered_cyclic4
 from oracles import (distribution_from_localization, duality_residual, kn_operator_left_div, kn_symbol_right_div,
-                     original_localization_left_div)
+                     original_localization_left_div, stack_blocks)
 from gtfa.groups import build_cyclic, build_dihedral, build_product
 from gtfa.harmonic import convolve, fourier, haar_inner, random_signal
 from gtfa.quantization import (
@@ -35,11 +35,8 @@ from gtfa.transforms import (
 
 
 def random_tf(g, d, rng):
-    return TFFunction(
-        g, d,
-        [rng.standard_normal((g.order, e.dim, e.dim))
-         + 1j * rng.standard_normal((g.order, e.dim, e.dim)) for e in d.irreps],
-    )
+    return TFFunction(g, d, stack_blocks(d, [rng.standard_normal((g.order, e.dim, e.dim))
+                                             + 1j * rng.standard_normal((g.order, e.dim, e.dim)) for e in d.irreps]))
 
 
 def random_operator(g, rng):
@@ -48,11 +45,8 @@ def random_operator(g, rng):
 
 
 def identity_symbol(g, d):
-    return TFFunction(
-        g, d,
-        [np.broadcast_to(np.eye(e.dim, dtype=complex), (g.order, e.dim, e.dim)).copy()
-         for e in d.irreps],
-    )
+    return TFFunction(g, d, stack_blocks(d, [
+        np.broadcast_to(np.eye(e.dim, dtype=complex), (g.order, e.dim, e.dim)) for e in d.irreps]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +195,7 @@ def test_time_like_symbol(rng):
                       (build_dihedral(3), margin_fix_kernel(build_dihedral(3)[1]))]:
         fvals = rng.standard_normal(g.order)
         blocks = [np.einsum("x,ab->xab", fvals, np.eye(e.dim)) for e in d.irreps]
-        a = TFFunction(g, d, blocks)
+        a = TFFunction(g, d, stack_blocks(d, blocks))
         v = random_signal(g, rng)
         out = quantize(k, a).apply(v)
         assert np.abs(out.values - fvals * v.values).max() < 1e-9
@@ -213,7 +207,7 @@ def test_frequency_like_symbol(rng):
     gsig = random_signal(g, rng)
     ghat = fourier(gsig)
     blocks = [np.broadcast_to(b, (g.order, 1, 1)).copy() for b in ghat.blocks]
-    a = TFFunction(g, d, blocks)
+    a = TFFunction(g, d, stack_blocks(d, blocks))
     v = random_signal(g, rng)
     out = quantize(k, a).apply(v)
     assert np.abs(out.values - convolve(v, gsig).values).max() < 1e-9
@@ -222,7 +216,7 @@ def test_frequency_like_symbol(rng):
 def test_adjoint_law(group_and_dual, rng):
     g, d = group_and_dual
     a = random_tf(g, d, rng)
-    astar = TFFunction(g, d, [b.conj().transpose(0, 2, 1) for b in a.blocks])
+    astar = TFFunction(g, d, [r.conj().swapaxes(-1, -2) for r in a.runs])
     for k in all_kernels(g, d):
         lhs = quantize(k, a).adjoint()
         rhs = quantize(conjugate_kernel(k), astar)

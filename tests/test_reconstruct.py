@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fresh_python, group_file_text
-from oracles import phase_retrieve_loop
+from conftest import fresh_python, group_file_text, near_equal_cyclic7
+from oracles import phase_retrieve_loop, scalar_runs
 
 from gtfa import reconstruct
 from gtfa.groups import build_cyclic, build_dihedral, build_product, load_group_file, plancherel_trace
@@ -48,9 +48,9 @@ def test_magnitudes_random(rng):
 def test_magnitudes_corrupted_table(rng):
     g, _ = build_cyclic(7)
     Q = born_jordan_distribution(random_signal(g, rng))
-    bad = [b.copy() for b in Q.blocks]
-    for b in bad:
-        b[3] -= 2.0
+    bad = [r.copy() for r in Q.runs]
+    for r in bad:
+        r[:, 3] -= 2.0
     with pytest.raises(MarginNegative):
         magnitudes_from_margins(TFFunction(Q.group, Q.dual, bad))
 
@@ -302,6 +302,17 @@ def test_file_group_in_cyclic_order(tmp_path, rng):
     assert phase_retrieve(Q).group is g
 
 
+def test_file_group_with_near_equal_characters(tmp_path, rng):
+    """A cyclic:7 file with the characters to 15 significant digits lists
+    cyclic:7's dual within ALG_TOL: its distributions and retrievals run on it."""
+    _, g = near_equal_cyclic7(tmp_path)
+    u = zero_free(rng, 7)
+    Q = born_jordan_distribution(Signal(g, u.values))
+    assert Q.group is g and np.abs(Q.scalar_table() - born_jordan_distribution(u).scalar_table()).max() <= 1e-12
+    rec = phase_retrieve(Q)
+    assert rec.group is g and class_distance(Signal(g, u.values), rec) <= 1e-12
+
+
 def test_phase_retrieve_refuses_other_duals(tmp_path, rng):
     """A distribution on a product of cyclic groups, or on cyclic:5 through a
     file whose dual lists the characters in another order, is refused."""
@@ -314,7 +325,7 @@ def test_phase_retrieve_refuses_other_duals(tmp_path, rng):
     _, g = permuted_cyclic5(tmp_path)
     Q = born_jordan_distribution(zero_free(rng, 5)).scalar_table()
     with pytest.raises(ValueError, match="dual mismatch"):
-        phase_retrieve(TFFunction.from_scalar_table(g, g.dual, Q[[0, 3, 2, 1, 4]]))
+        phase_retrieve(TFFunction(g, g.dual, scalar_runs(Q[[0, 3, 2, 1, 4]])))
 
 @pytest.mark.parametrize("entry", [complex(0, np.nan), complex(np.inf, 0)], ids=["nan-imag", "inf"])
 def test_non_finite_distribution_is_refused(entry):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corrupt_table, corruptions
-from oracles import read_table_row_loop
+from oracles import read_table_row_loop, stack_blocks
 from gtfa import signalio
 from gtfa.groups import build_cyclic, build_dihedral
 from gtfa.harmonic import Signal, random_signal
@@ -168,7 +168,7 @@ def read_kernel_table(path, g):
     flat = signalio._read_table(path, kernel_index(g, d))
     runs = [flat[n * row:n * (row + (end - first) * dim * dim)].reshape(end - first, n, dim, dim)
             for first, end, dim, row in d.runs]
-    return CohenKernel(f"file:{path}", AmbiguityFunction.from_runs(g, d, runs))
+    return CohenKernel(f"file:{path}", AmbiguityFunction(g, d, runs))
 
 
 def random_table(table, g, d, rng):
@@ -181,11 +181,11 @@ def random_table(table, g, d, rng):
     if table == "signal":
         return random_signal(g, rng), write_csv_signal, read_csv_signal
     if table == "tf":
-        return TFFunction(g, d, blocks()), write_tf_csv, read_tf_csv
+        return TFFunction(g, d, stack_blocks(d, blocks())), write_tf_csv, read_tf_csv
     if table == "operator":
         K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return GroupOperator(g, K), write_operator_csv, read_operator_csv
-    return CohenKernel("random", AmbiguityFunction(g, d, blocks())), write_kernel_table, read_kernel_table
+    return CohenKernel("random", AmbiguityFunction(g, d, stack_blocks(d, blocks()))), write_kernel_table, read_kernel_table
 
 
 @pytest.mark.parametrize("table,case", [pytest.param(t, c, id=f"{t}-{c}") for t in TABLES for c in corruptions(t)])

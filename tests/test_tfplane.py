@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import max_block_diff, reordered_cyclic4
+from oracles import stack_blocks
 from gtfa.groups import build_cyclic, build_dihedral, build_product
-from gtfa.harmonic import Signal, haar_inner, random_signal
+from gtfa.harmonic import FourierCoefficients, Signal, haar_inner, random_signal
 from gtfa.tfplane import (
     AmbiguityFunction,
     TFFunction,
@@ -31,26 +32,20 @@ from gtfa.transforms import (
 
 
 def random_tf(g, d, rng):
-    return TFFunction(
-        g, d,
-        [rng.standard_normal((g.order, e.dim, e.dim))
-         + 1j * rng.standard_normal((g.order, e.dim, e.dim)) for e in d.irreps],
-    )
+    return TFFunction(g, d, stack_blocks(d, [rng.standard_normal((g.order, e.dim, e.dim))
+                                             + 1j * rng.standard_normal((g.order, e.dim, e.dim)) for e in d.irreps]))
 
 
 def constant_identity_tf(g, d):
-    return TFFunction(
-        g, d,
-        [np.broadcast_to(np.eye(e.dim, dtype=complex), (g.order, e.dim, e.dim)).copy()
-         for e in d.irreps],
-    )
+    return TFFunction(g, d, stack_blocks(d, [
+        np.broadcast_to(np.eye(e.dim, dtype=complex), (g.order, e.dim, e.dim)) for e in d.irreps]))
 
 
 def test_symplectic_of_trivial_indicator():
     g, d = build_dihedral(3)
     blocks = [np.zeros((g.order, e.dim, e.dim), dtype=complex) for e in d.irreps]
     blocks[d.trivial_index][:] = 1.0  # a(x, eta) = delta_eps(eta)
-    A = symplectic_fourier(TFFunction(g, d, blocks))
+    A = symplectic_fourier(TFFunction(g, d, stack_blocks(d, blocks)))
     for k, b in enumerate(A.blocks):
         expect = np.zeros_like(b)
         if k == d.trivial_index:
@@ -90,7 +85,7 @@ def test_tf_inner_positivity(rng):
     g, d = build_dihedral(3)
     a = random_tf(g, d, rng)
     assert tf_inner(a, a).real > 0
-    zero = TFFunction(g, d, [np.zeros_like(b) for b in a.blocks])
+    zero = TFFunction(g, d, [np.zeros_like(r) for r in a.runs])
     assert abs(tf_inner(zero, zero)) < 1e-12
 
 
@@ -105,11 +100,8 @@ def test_tf_convolve_kn_identity(group_and_dual, rng):
     g, d = group_and_dual
     a = random_tf(g, d, rng)
     # psi_R = F^{-1}(I blocks); convolving with it is the identity
-    ident = AmbiguityFunction(
-        g, d,
-        [np.broadcast_to(np.eye(e.dim, dtype=complex), (g.order, e.dim, e.dim)).copy()
-         for e in d.irreps],
-    )
+    ident = AmbiguityFunction(g, d, stack_blocks(d, [
+        np.broadcast_to(np.eye(e.dim, dtype=complex), (g.order, e.dim, e.dim)) for e in d.irreps]))
     psi = inverse_symplectic_fourier(ident)
     assert max_block_diff(tf_convolve(a, psi), a) < 1e-10
 
@@ -150,11 +142,8 @@ def test_tf_convolve_refuses_another_group_or_dual(tmp_path, rng):
 
 def test_timelag_of_kn_kernel():
     g, d = build_dihedral(3)
-    ident = AmbiguityFunction(
-        g, d,
-        [np.broadcast_to(np.eye(e.dim, dtype=complex), (g.order, e.dim, e.dim)).copy()
-         for e in d.irreps],
-    )
+    ident = AmbiguityFunction(g, d, stack_blocks(d, [
+        np.broadcast_to(np.eye(e.dim, dtype=complex), (g.order, e.dim, e.dim)) for e in d.irreps]))
     lag = ambiguity_to_timelag(ident)
     expect = np.zeros((g.order, g.order))
     expect[g.identity, :] = g.order
@@ -193,16 +182,72 @@ def test_timelag_zero():
 
 
 def test_block_shape_validation(rng):
-    import pytest
-
     g, d = build_dihedral(3)
     good = random_tf(g, d, rng)
-    bad = [b.copy() for b in good.blocks]
-    bad[0] = bad[0][:-1]
-    with pytest.raises(ValueError, match="block shape"):
+    bad = [r.copy() for r in good.runs]
+    bad[0] = bad[0][:, :-1]
+    with pytest.raises(ValueError, match="run 0 of shape"):
         TFFunction(g, d, bad)
-    with pytest.raises(ValueError, match="blocks"):
-        AmbiguityFunction(g, d, good.blocks[:-1])
+    with pytest.raises(ValueError, match="runs"):
+        AmbiguityFunction(g, d, good.runs[:-1])
+
+
+# The three containers, each built from (group, dual, runs).
+CONTAINERS = {"coefficients": lambda g, d, runs: FourierCoefficients(d, runs),
+              "tf": TFFunction, "ambiguity": AmbiguityFunction}
+
+# Faulty runs, from good ones with one batch axis of length 2 on dihedral:3,
+# whose runs hold two 1x1 and one 2x2 irrep.  A coefficient run has no plane
+# axis: its "plane-length" case shortens the batch axis of the last run.
+BAD_RUNS = {
+    "run-count": lambda runs: runs[:-1],
+    "irrep-count": lambda runs: [runs[0][:1], *runs[1:]],
+    "plane-length": lambda runs: [*runs[:-1], runs[-1][..., :-1, :, :]],
+    "block-dims": lambda runs: [*runs[:-1], runs[-1][..., :1, :1]],
+    "batch-axes": lambda runs: [runs[0][:, :1], *runs[1:]],
+}
+
+
+def _runs(g, d, name, batch=(2,)):
+    lead = () if name == "coefficients" else (g.order,)
+    return [np.ones((e - f, *batch, *lead, n, n), dtype=complex) for f, e, n, _ in d.runs]
+
+
+@pytest.mark.parametrize("case", BAD_RUNS)
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_constructors_refuse_runs_unlike_the_dual(name, case):
+    g, d = build_dihedral(3)
+    make = CONTAINERS[name]
+    make(g, d, _runs(g, d, name))
+    with pytest.raises(ValueError, match="runs, the dual has|of shape"):
+        make(g, d, BAD_RUNS[case](_runs(g, d, name)))
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+@pytest.mark.parametrize("build", [lambda: build_cyclic(5), lambda: build_cyclic(1), lambda: build_dihedral(4)],
+                         ids=["cyclic:5", "cyclic:1", "dihedral:4"])
+def test_constructors_refuse_per_irrep_blocks(name, build):
+    """Blocks per irrep, as a list or stacked into one array, are refused where
+    runs are expected, even where a dual has one irrep (cyclic:1) or all of them
+    scalar (N blocks for one run)."""
+    g, d = build()
+    blocks = [b for run in _runs(g, d, name, batch=()) for b in run]
+    for given in (blocks, np.array(blocks) if d.dims.max() == 1 else blocks[::-1]):
+        with pytest.raises(ValueError, match="runs, the dual has|of shape"):
+            CONTAINERS[name](g, d, given)
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_constructors_keep_complex_runs(name):
+    """Complex runs are kept as given, with no copy (a view stays a view);
+    others are converted to complex."""
+    g, d = build_dihedral(3)
+    runs = _runs(g, d, name)
+    runs[0] = runs[0][::-1]
+    kept = CONTAINERS[name](g, d, runs).runs
+    assert all(a is b for a, b in zip(kept, runs))
+    real = CONTAINERS[name](g, d, [r.real for r in runs]).runs
+    assert all(r.dtype == complex and np.array_equal(r, s) for r, s in zip(real, runs))
 
 
 def test_tf_norm_of_a_batch_copies_no_run(rng):
@@ -212,7 +257,7 @@ def test_tf_norm_of_a_batch_copies_no_run(rng):
     g, d = build_dihedral(8)
     u = Signal(g, rng.standard_normal((16, g.order)) + 1j * rng.standard_normal((16, g.order)))
     D = cohen_transform(kn_kernel(d), u, u)
-    want = [tf_norm(TFFunction.from_runs(g, d, [r[:, b] for r in D.runs])) for b in range(16)]
+    want = [tf_norm(TFFunction(g, d, [r[:, b] for r in D.runs])) for b in range(16)]
     tracemalloc.start()
     try:
         got = tf_norm(D)

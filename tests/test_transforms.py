@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fresh_python, group_file_text, max_block_diff, relabelled_dihedral6, reordered_cyclic4
+from conftest import (fresh_python, group_file_text, max_block_diff, near_equal_cyclic7, relabelled_dihedral6,
+                      reordered_cyclic4)
 from oracles import (born_jordan_phi, born_jordan_table_where, cohen_transform_direct,
-                     commutator_kernel_closed_form, right_div, stack_irreps, star, wigner_odd_cyclic_direct)
+                     commutator_kernel_closed_form, right_div, rihaczek_per_run, scalar_runs, stack_irreps, star,
+                     wigner_odd_cyclic_direct)
 from gtfa import groups, transforms
 from gtfa.groups import (FiniteGroup, Irrep, block_product, build_cyclic, build_dihedral, build_product,
                          load_group_file)
@@ -123,7 +125,9 @@ def library_kernels(g, d, rng):
 def test_cohen_kn_is_rihaczek(group_and_dual, rng):
     g, d = group_and_dual
     u, v = random_signal(g, rng), random_signal(g, rng)
-    assert max_block_diff(cohen_transform(kn_kernel(d), u, v), rihaczek(u, v)) < 1e-12
+    want = rihaczek_per_run(u, v)
+    assert max_block_diff(cohen_transform(kn_kernel(d), u, v), want) < 1e-12
+    assert max_block_diff(rihaczek(u, v), want) < 1e-12
 
 
 def test_cohen_l2_bound(group_and_dual, rng):
@@ -173,7 +177,7 @@ def _check_batch_entries_match_single_calls(g, d, rng):
     def close(got, expect):
         return np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
-    k = CohenKernel("random", AmbiguityFunction.from_runs(g, d, [
+    k = CohenKernel("random", AmbiguityFunction(g, d, [
         rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
         for r in kn_kernel(d).phi.runs]))
     U, V = batch(3), batch(3)
@@ -208,7 +212,7 @@ FFT_COHEN_GROUPS = [build_cyclic(128), build_cyclic(257), build_cyclic(512),
 def lag_window_kernel(g, d) -> CohenKernel:
     """phi(xi, y) = c(y) with c random: the same row for every xi."""
     c = np.array([1, 1j]) @ np.random.default_rng(g.order).standard_normal((2, g.order))
-    return CohenKernel("lag-window", AmbiguityFunction.from_scalar_table(g, d, np.tile(c, (g.order, 1))))
+    return CohenKernel("lag-window", AmbiguityFunction(g, d, scalar_runs(np.tile(c, (g.order, 1)))))
 
 
 FFT_COHEN_KERNELS = {
@@ -242,7 +246,7 @@ def test_cohen_fft_route_matches_three_stages(gd, kernel, monkeypatch, rng):
     monkeypatch.setattr(groups, "FFT_MIN_ORDER", g.order + 1)
     for (a, b), (got,) in zip(pairs, fast):
         phi = k.phi.runs if a.values.ndim == 1 else [p[:, None] for p in k.phi.runs]
-        amb = AmbiguityFunction.from_runs(g, d, block_product(phi, ambiguity_transform(a, b).runs))
+        amb = AmbiguityFunction(g, d, block_product(phi, ambiguity_transform(a, b).runs))
         (want,) = inverse_symplectic_fourier(amb).runs
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -299,7 +303,7 @@ def test_lag_forms_skip_the_transforms_in_x(gd, monkeypatch, rng):
     window = lag_window_kernel(g, d)
     table = window.phi.scalar_table().copy()
     table[3, 5] += 1e-3
-    perturbed = CohenKernel("perturbed", AmbiguityFunction.from_scalar_table(g, d, table))
+    perturbed = CohenKernel("perturbed", AmbiguityFunction(g, d, scalar_runs(table)))
     calls = []
     for name in ("fftn", "ifftn"):
         def counted(a, *args, _name=name, _fft=getattr(np.fft, name), **kwargs):
@@ -323,11 +327,11 @@ def test_lag_forms_skip_the_transforms_in_x(gd, monkeypatch, rng):
                          ids=lambda gd: gd[0].name)
 def test_kn_transform_on_the_fft_route_is_rihaczek(gd, rng):
     """The Kohn-Nirenberg kernel's lag form leaves the lag product as it is: its
-    one FFT, over y, gives rihaczek(u, v) within 1e-13 of the largest entry."""
+    one FFT, over y, gives the Rihaczek distribution per run within 1e-13 of the largest entry."""
     g, d = gd
     u, v = random_signal(g, rng), random_signal(g, rng)
     for a, b in [(u, u), (u, v)]:
-        got, want = cohen_transform(kn_kernel(d), a, b).scalar_table(), rihaczek(a, b).scalar_table()
+        got, want = cohen_transform(kn_kernel(d), a, b).scalar_table(), rihaczek_per_run(a, b).scalar_table()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -825,6 +829,25 @@ def test_wigner_refuses_a_permuted_dual(tmp_path, rng):
     swapped = on_file((0, 1, 5, 3, 4, 2, 6))
     with pytest.raises(ValueError, match="dual mismatch: kernel and signal"):
         wigner_odd_cyclic(swapped, swapped)
+
+
+def test_wigner_accepts_a_near_equal_file_dual(tmp_path, rng):
+    """A cyclic:7 file with the characters to 15 significant digits lists
+    cyclic:7's dual within ALG_TOL: the Wigner transform runs on its group."""
+    _, g = near_equal_cyclic7(tmp_path)
+    u = random_signal(build_cyclic(7)[0], rng)
+    on_file = Signal(g, u.values)
+    W, (want,) = wigner_odd_cyclic(on_file, on_file), wigner_odd_cyclic(u, u).runs
+    assert W.group is g and np.abs(W.runs[0] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_rihaczek_makes_no_dual_table(rng):
+    """On the FFT route the Rihaczek distribution, the Cohen transform of the
+    kn kernel, never makes the dual's table (64 MiB at cyclic:2048)."""
+    g, d = build_cyclic.__wrapped__(2048)
+    u = random_signal(g, rng)
+    R = rihaczek(u, u)
+    assert "table" not in vars(d) and R.runs[0].shape == (2048, 2048, 1, 1)
 
 
 def test_wigner_symmetry(rng):
