@@ -19,7 +19,9 @@ zero; the optional axis fix adds the frequency-flat term |u(x)|^2, the
 integer-side analogue of the margin-repair kernel, so that margins and total
 energy come out right.  It is on by default.  On an M-bin frequency grid the
 phase depends on y only through y mod M, so the sum over lags is a fold onto
-the M residues and one length-M FFT per time.
+the M residues and one length-M FFT per time.  The rows of window sums come,
+a few lags at a time, from the box sums the cyclic Born-Jordan and sampled
+kernels use for their lag forms (`transforms._box_sums`).
 """
 
 from __future__ import annotations
@@ -31,19 +33,14 @@ import numpy as np
 from .groups import build_cyclic
 from .harmonic import Signal
 from .tfplane import TimeLagKernel, timelag_to_ambiguity
-from .transforms import CohenKernel, born_jordan_cyclic_kernel, cohen_transform
+from .transforms import CohenKernel, _box_sums, born_jordan_cyclic_kernel, cohen_transform
 
-__all__ = [
-    "ZSignal",
-    "ZTFGrid",
-    "ComparisonReport",
-    "phi_DT",
-    "phi_DZ",
-    "varphi_DZ",
-    "q_z_distribution",
-    "sampled_z_kernel",
-    "cyclic_vs_z_comparison",
-]
+# lags per block of the nonperiodic sums: their products and cumulative sums take about what one
+# lag's temporaries took alone, so q_z_distribution still peaks at its grid, and stay in cache
+LAG_BLOCK = 3
+
+__all__ = ["ZSignal", "ZTFGrid", "ComparisonReport", "phi_DT", "phi_DZ", "varphi_DZ", "q_z_distribution",
+           "sampled_z_kernel", "cyclic_vs_z_comparison"]
 
 
 @dataclass
@@ -147,25 +144,33 @@ def varphi_DZ(x: int, y: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lag_rows(u: ZSignal, t_start: int, t_count: int):
-    """Each lag y != 0 of u, from -(L - 1) to L - 1, with its row of lag sums
-    h_y[i] = sum_t varphi_Z(x_i - t, y) u(t) u(t - y)^*,  x_i = t_start + i.
+def _lag_blocks(u: ZSignal, t_start: int, t_count: int):
+    """The lags y != 0 of u, from -(L - 1) to L - 1, in blocks of one sign, each with its
+    rows of lag sums h_y[i] = sum_t varphi_Z(x_i - t, y) u(t) u(t - y)^*,  x_i = t_start + i.
 
-    For y > 0 the window collapses to t = x .. x + y - 1; for y < 0 to
-    t = x - |y| .. x - 1.  Products u(t) u(t-y)^* are summed over the span
-    the windows read, from an exact +0 one before the support at the latest.
-    """
+    For y > 0 the window is t = x .. x + y - 1, for y < 0 it is t = x - |y| .. x - 1: box sums
+    of length and divisor |y|.  A block's products u(t) u(t-y)^* are formed over the span its
+    windows read, from an exact +0 one before the support at the latest, in one buffer: the
+    rows yielded are a view that the next block overwrites."""
     L = len(u)
-    lo = min(t_start, u.offset) - 2 * L  # padding keeps windows and shifts in bounds
-    hi = max(t_start + t_count, u.offset + L) + 2 * L
+    lo = min(t_start, u.offset) - L  # padding keeps windows and shifts in bounds
+    hi = max(t_start + t_count, u.offset + L) + L
     full = np.zeros(hi - lo, dtype=complex)
     full[u.offset - lo : u.offset - lo + L] = u.values
-    for y in (*range(-(L - 1), 0), *range(1, L)):
-        m, a0 = abs(y), t_start - lo - max(-y, 0)  # the first window starts at x or at x - |y|
-        s, e = min(a0, u.offset - lo + min(y, 0) - 1), a0 + t_count - 1 + m
-        c = np.concatenate([[0.0], np.cumsum(full[s:e] * np.conj(full[s - y : e - y]))])
-        a = np.arange(a0 - s, a0 - s + t_count)
-        yield y, (c[a + m] - c[a]) / m
+    first = min(t_start, u.offset - 1) - lo
+    buf = np.empty(LAG_BLOCK * (t_count + L + abs(t_start - u.offset) + 1), dtype=complex)
+    for a, b in ((1 - L, 0), (1, L)):
+        for y0 in range(a, b, LAG_BLOCK):
+            ys = np.arange(y0, min(y0 + LAG_BLOCK, b))
+            s = first + min(ys[0], 0)  # the block's largest |y| < 0 shifts its span back
+            n = t_start - lo + t_count - 1 + max(ys[-1], 0) - s
+            rows = buf[:len(ys) * n].reshape(len(ys), n)  # rows[j, t - s] = u(t) u(t - ys[j])^*, u first
+            np.conj(np.ndarray(rows.shape, complex, full, (s - y0) * full.itemsize, (-full.itemsize, full.itemsize)),
+                    out=rows)
+            np.multiply(full[s:s + n], rows, out=rows)
+            m = np.abs(ys)
+            sums = _box_sums(rows, t_start - lo - s - np.maximum(-ys, 0), m, count=t_count)[:, :t_count]
+            yield ys, np.divide(sums, m[:, None].astype(complex), out=sums)  # complex: no cast in the loop
 
 
 def q_z_distribution(
@@ -191,9 +196,14 @@ def q_z_distribution(
         t_start = u.offset
     if t_count is None:
         t_count = len(u)
+    if t_count < 0:
+        raise ValueError(f"t_count must be >= 0, not {t_count}")
     folded = np.zeros((M, t_count), dtype=complex)  # folded[r] = sum of h_y over y = r mod M
-    for y, row in _lag_rows(u, t_start, t_count):
-        folded[y % M] += row
+    for ys, rows in _lag_blocks(u, t_start, t_count):
+        while len(ys):  # residues r, r + 1, ... up to M - 1 at a time, as slices
+            r, k = ys[0] % M, min(len(ys), M - ys[0] % M)
+            folded[r:r + k] += rows[:k]
+            ys, rows = ys[k:], rows[k:]
     vals = np.fft.fft(folded, axis=0, out=folded)  # vals[k, i]
     if axis_fix:  # |u(x)|^2 at the window's times, zero off the support
         lo, hi = np.clip([u.offset - t_start, u.offset + len(u) - t_start], 0, t_count)
@@ -221,21 +231,24 @@ def sampled_z_kernel(N: int) -> CohenKernel:
     Lags shorter than N/2 are untouched by the lift bookkeeping, so cyclic
     transforms with this kernel reproduce `q_z_distribution` exactly for
     signals supported on less than a third of the period.
+
+    Its lag form keeps row 0 (the delta) and sums each window at weight 1/|y|
+    (`_box_sums`); its phi, made on first read, is the transform of the lag
+    form's action on N delta_0 in every row, the time-lag table.
     """
     group, dual = build_cyclic(N)
-    h = N // 2
-    rep = ((np.arange(N) + h) % N) - h  # minimal residues; -h stands for N/2 when N is even
-    x, y = rep[:, None], rep
-    window = ((-y < x) & (x <= 0)) | ((0 < x) & (x <= -y))  # varphi_DZ's, empty at y = 0
-    lag = np.where(window, 1.0 / np.maximum(np.abs(y), 1), 0.0)
-    if N % 2 == 0:
-        # lags -h and h at half weight: windows 0 < x <= h and -h < x <= 0 give each
-        # time, its lift h included, one term; no other lag meets that lift
-        lag[:, h] = 0.5 * (1.0 / h)
-    lag *= N
-    lag[0, 0] += N
-    phi = timelag_to_ambiguity(TimeLagKernel(group, lag.astype(complex)), dual)
-    return CohenKernel(f"sampled-z:{N}", phi)
+
+    def lag(w):
+        p, q = (N + 1) // 2, N // 2 + 1
+        near, far, one = np.arange(1, p), np.arange(q, N), np.array([N])
+        _box_sums(w[1:p], 0 * near, near, 1 / near)  # 0 < y < N/2: [x, x + y)
+        _box_sums(w[q:], far, N - far, 1 / (N - far))  # their negatives y - N: [x - |y - N|, x)
+        _box_sums(w[p:q], 0 * one, one, 1 / one)  # N/2 for even N, both windows at half weight: the circle at 1/N
+        return w
+
+    def phi():  # the time-lag table [x, y] is the lag form's action on N delta_0 in every row
+        return timelag_to_ambiguity(TimeLagKernel(group, lag(np.eye(1, N, dtype=complex).repeat(N, 0) * N).T), dual)
+    return CohenKernel(f"sampled-z:{N}", phi, lag, dual)
 
 
 @dataclass

@@ -37,18 +37,10 @@ import numpy as np
 from .groups import build_cyclic, group_inverse_fourier, require_same_dual
 from .harmonic import Signal, haar_inner, norm, require_single
 from .tfplane import TFFunction, tf_norm
-from .transforms import CohenKernel, born_jordan_cyclic_kernel, cohen_transform
+from .transforms import CohenKernel, _born_jordan_box, born_jordan_cyclic_kernel, cohen_transform
 
-__all__ = [
-    "MarginNegative",
-    "RoundtripReport",
-    "born_jordan_distribution",
-    "island_count",
-    "magnitudes_from_margins",
-    "phase_retrieve",
-    "retrieval_report",
-    "roundtrip_report",
-]
+__all__ = ["MarginNegative", "RoundtripReport", "born_jordan_distribution", "island_count", "magnitudes_from_margins",
+           "phase_retrieve", "retrieval_report", "roundtrip_report"]
 
 MARGIN_FLOOR = -1e-9
 
@@ -82,7 +74,7 @@ def _lag_table(Q: TFFunction, z: int, h: int) -> np.ndarray:
     t = group_inverse_fourier(Q.dual, Q.runs)[:h + 1].copy()  # t[y, x]; a copy frees the rest
     lags, j = np.arange(h + 1), np.arange(N)
     D = t[:, (j + 1) % N] - t
-    D *= (N / (2j * np.pi) * (1 - np.exp(-2j * np.pi * lags / N)))[:, None]  # / c(y), and 0 at lag 0
+    D *= _born_jordan_box(N)[:h + 1, None]  # / c(y), and 0 at lag 0
     total = t.sum(axis=1)
     del t
     # entry j of lag y's row is x = j y + j // m mod N, m = N / gcd(y, N): the

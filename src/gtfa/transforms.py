@@ -8,8 +8,10 @@ where FR(u, v) is the ambiguity transform of the Rihaczek (Kohn-Nirenberg)
 base transform and the product is the pointwise matrix product with the
 kernel on the left.  `cohen_transform` works in the time-lag domain: the lag
 product w[y, x] = u(x) v(x y^{-1})^*, the kernel's action on it, then one
-transform in y.  A kernel with a lag form (kn, anti-kn, margin-fix, wigner-odd)
-acts on w directly; any other takes phi between the transform in x and its
+transform in y.  A kernel with a lag form (kn, anti-kn, margin-fix, wigner-odd,
+born-jordan, and `limits.sampled_z_kernel`) acts on w directly: a shift, a mean
+or box sums of w along x (`_box_sums`); any other (spectrogram, commutator and
+kernels built from a table) takes phi between the transform in x and its
 inverse in xi, the three stages' middle.  The library provides:
 
 * kn / anti-kn          phi = I  /  phi(xi, y) = xi(y)
@@ -23,6 +25,7 @@ inverse in xi, the three stages' middle.  The library provides:
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -31,32 +34,13 @@ from numpy.lib.stride_tricks import as_strided
 from .groups import (FiniteGroup, UnitaryDual, _fft_shape, block_product, build_cyclic, cyclic_exponents, group_fourier,
                      group_inverse_fourier, is_cyclic, representation_runs, require_same_dual, require_same_group)
 from .harmonic import Signal, fourier, norm, require_pairable, require_single
-from .tfplane import (
-    AmbiguityFunction,
-    TFFunction,
-    TimeLagKernel,
-    ambiguity_to_timelag,
-    timelag_to_ambiguity,
-)
+from .tfplane import AmbiguityFunction, TFFunction, TimeLagKernel, ambiguity_to_timelag, timelag_to_ambiguity
 
-__all__ = [
-    "CohenKernel",
-    "rihaczek",
-    "ambiguity_transform",
-    "cohen_transform",
-    "conjugate_kernel",
-    "kn_kernel",
-    "anti_kn_kernel",
-    "born_jordan_cyclic_kernel",
-    "commutator_kernel",
-    "margin_fix_kernel",
-    "add_kernels",
-    "stft",
-    "spectrogram_kernel",
-    "wigner_kernel_odd_cyclic",
-    "wigner_odd_cyclic",
-    "gaussian_window",
-]
+__all__ = ["CohenKernel", "rihaczek", "ambiguity_transform", "cohen_transform", "conjugate_kernel", "kn_kernel",
+           "anti_kn_kernel", "born_jordan_cyclic_kernel", "commutator_kernel", "margin_fix_kernel", "add_kernels",
+           "stft", "spectrogram_kernel", "wigner_kernel_odd_cyclic", "wigner_odd_cyclic", "gaussian_window"]
+
+BOX_BYTES = 1 << 19  # the box sums' buffer: the cumulative sums of one block of lag rows
 
 
 class CohenKernel:
@@ -66,7 +50,8 @@ class CohenKernel:
     making it when first read, as `UnitaryDual.table` is made.  `lag`, if given,
     is its lag form: t = lag(w), the kernel's action on the lag product
     w[y, ..., x] (see `cohen_transform`), written into w where it can be; the
-    library's (kn, anti-kn, margin-fix, wigner-odd) make their phi when read.
+    library's (kn, anti-kn, margin-fix, wigner-odd, born-jordan and sampled-z)
+    make their phi when read.
     """
 
     def __init__(self, name: str, phi, lag=None, dual: UnitaryDual | None = None):
@@ -245,23 +230,66 @@ def margin_fix_kernel(dual: UnitaryDual) -> CohenKernel:
     return CohenKernel("margin-fix", phi, lag, dual)
 
 
+def _box_sums(w: np.ndarray, start, length, weight=None, total=None, count: int | None = None) -> np.ndarray:
+    """Box sums along the last axis of lag rows w[y, ..., x], written into w[..., :count]:
+    t[y, ..., i] = weight[y] sum_{s < length[y]} w[y, ..., (i + start[y] + s) mod n] + total[y] sum_x w[y, ..., x],
+    weight 1 and total 0 when not given.  Each window is the difference of two entries of its row's cumulative
+    sum, continued into the next period as far as windows read (0 <= start, windows end before 2n).  start and
+    length are affine in the lag, so a block of lags reads each end as one strided view of one reused buffer
+    of about BOX_BYTES."""
+    n, lead, count = w.shape[-1], w.shape[1:-1], w.shape[-1] if count is None else count
+    lo, hi = np.asarray(start), np.add(start, length)
+    width = n + 1 + max(int(hi.max(initial=0)) + count - 1 - n, 0)
+    step = max(1, BOX_BYTES // (16 * width * math.prod(lead)))
+    buf, col = np.zeros((min(step, len(w)), *lead, width), dtype=complex), (-1,) + (1,) * (w.ndim - 1)
+    for s in range(0, len(w), step):
+        rows, t = w[s:s + step], w[s:s + step, ..., :count]
+        c, ext = buf[:len(rows)], max(int(hi[s:s + step].max()) + count - 1 - n, 0)
+        rows.cumsum(axis=-1, out=c[..., 1:n + 1])
+        np.add(c[..., n:n + 1], c[..., 1:1 + ext], out=c[..., n + 1:n + 1 + ext])  # the next period
+        # row j reads c[j, ..., k[s + j] + i]: k is affine, so each end is one strided view of buf
+        a, b = (np.ndarray(t.shape, complex, buf, k[s] * buf.itemsize, (
+            buf.strides[0] + (k[s + (len(t) > 1)] - k[s]) * buf.itemsize, *buf.strides[1:])) for k in (hi, lo))
+        np.subtract(a, b, out=t)
+        if weight is not None:
+            t *= weight[s:s + step].reshape(col)
+        if total is not None:
+            t += total[s:s + step].reshape(col) * c[..., n:n + 1]
+    return w
+
+
+def _born_jordan_box(N: int) -> np.ndarray:
+    """1 / c(y) = N (1 - e^{-i 2 pi y / N}) / (2 pi i) on Z/NZ, 0 at y = 0: Born-Jordan's box sums are divided by it."""
+    return N / (2j * np.pi) * (1 - np.exp(-2j * np.pi * np.arange(N) / N))
+
+
 def born_jordan_cyclic_kernel(N: int) -> CohenKernel:
-    """Born-Jordan kernel on Z/NZ: commutator kernel plus margin fix, stored lag-major (the
-    transpose of a C-ordered table [y, xi] filled in blocks of rows, so phi^T reads in memory order)."""
+    """Born-Jordan kernel on Z/NZ: commutator kernel plus margin fix.  Its lag form keeps row 0
+    and is a box for y != 0: t[y, x] = c(y) sum_{s < y} w[y, x + s] + (1 - c(y) y) mean_x w[y, .],
+    c(y) = 1 / `_born_jordan_box`.  Its phi is made only when read, stored lag-major: the transpose
+    of a C-ordered table [y, xi] filled in blocks of rows, so phi^T reads in memory order."""
     group, dual = build_cyclic(N)
-    # 2 pi i (1 - chi_xi(y)) / (N (1 - chi_xi(1)) (1 - chi_y(1)^*)) off the axes, in blocks of 2^16 entries
-    # from the reduced phases; divided by the product of the factors (one after the other rounds otherwise)
-    a = 1.0 - np.exp(2j * np.pi * np.arange(N) / N)
-    num, b = np.multiply(2j * np.pi / N, a), a.conj()
-    a[0] = b[0] = 1.0  # zero on the axes, set below
-    table = np.empty((N, N), dtype=complex)  # [y, xi]
-    for s in range(0, N, step := -(-(1 << 16) // N)):
-        rows = table[s:s + step]
-        num.take(cyclic_exponents(N, slice(s, s + step)), out=rows, mode="clip")  # in range; "raise" buffers
-        np.divide(rows, a * b[s:s + step, None], out=rows)
-    table[0, :] = 1.0
-    table[:, 0] = 1.0
-    return CohenKernel(f"born-jordan:{N}", AmbiguityFunction(group, dual, [table.T[..., None, None]]))
+
+    def phi():
+        # 2 pi i (1 - chi_xi(y)) / (N (1 - chi_xi(1)) (1 - chi_y(1)^*)) off the axes, in blocks of 2^16 entries
+        # from the reduced phases; divided by the product of the factors (one after the other rounds otherwise)
+        a = 1.0 - np.exp(2j * np.pi * np.arange(N) / N)
+        num, b = np.multiply(2j * np.pi / N, a), a.conj()
+        a[0] = b[0] = 1.0  # zero on the axes, set below
+        table = np.empty((N, N), dtype=complex)  # [y, xi]
+        for s in range(0, N, step := -(-(1 << 16) // N)):
+            rows = table[s:s + step]
+            num.take(cyclic_exponents(N, slice(s, s + step)), out=rows, mode="clip")  # in range; "raise" buffers
+            np.divide(rows, a * b[s:s + step, None], out=rows)
+        table[0, :] = 1.0
+        table[:, 0] = 1.0
+        return AmbiguityFunction(group, dual, [table.T[..., None, None]])
+
+    def lag(w):
+        y, c = np.arange(1, N), 1 / _born_jordan_box(N)[1:]
+        _box_sums(w[1:], 0 * y, y, c, (1 - c * y) / N)
+        return w
+    return CohenKernel(f"born-jordan:{N}", phi, lag, dual)
 
 
 def commutator_kernel(f: Signal, g: Signal) -> CohenKernel:

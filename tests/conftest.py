@@ -53,6 +53,24 @@ def max_block_diff(a, b):
     return max(np.abs(x - y).max() for x, y in zip(a.blocks, b.blocks))
 
 
+def check_lag_form_against_phi(k, phi, rng):
+    """`cohen_transform` through kernel k's lag form against the product with the
+    ambiguity table phi (a kernel without a lag form), within 1e-12 of the largest
+    entry: u = v, u != v and a batch of the two pairs; k makes no phi of its own."""
+    from gtfa.harmonic import Signal, random_signal
+    from gtfa.transforms import CohenKernel, cohen_transform
+
+    assert k.lag is not None
+    g, dense = k.group, CohenKernel("dense", phi)
+    u, v = random_signal(g, rng), random_signal(g, rng)
+    pairs = [(u, u), (u, v), (Signal(g, np.stack([u.values, u.values])), Signal(g, np.stack([u.values, v.values])))]
+    for a, b in pairs:
+        got = cohen_transform(k, a, b).runs[0]
+        want = cohen_transform(dense, a, b).runs[0]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert "phi" not in vars(k)
+
+
 def group_file_text(group, dual, digits=17):
     """Serialize a group and dual to the Group Table Format (test oracle), each
     number to `digits` significant digits."""

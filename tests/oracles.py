@@ -22,7 +22,7 @@ from gtfa import groups
 from gtfa.groups import (INDEX_FIELD, VALUE_FIELD, FiniteGroup, GroupTableError, Irrep, UnitaryDual, build_cyclic,
                          representation_runs, require_same_dual, require_same_group)
 from gtfa.harmonic import Signal, fourier, haar_inner, norm, random_signal
-from gtfa.limits import ZSignal, ZTFGrid, _lag_rows, varphi_DZ
+from gtfa.limits import ZSignal, ZTFGrid, varphi_DZ
 from gtfa.properties import EXHAUSTIVE_TOL, ONB_TOL, SEED, PropertyReport
 from gtfa.signalio import CsvFormatError
 from gtfa.quantization import (GroupOperator, identity_operator, kn_operator, original_localization,
@@ -339,7 +339,7 @@ def q_z_distribution_dense(u: ZSignal, M: int, t_start: int | None = None, t_cou
         t_start = u.offset
     if t_count is None:
         t_count = len(u)
-    lags = list(_lag_rows(u, t_start, t_count))
+    lags = list(lag_rows_roll(u, t_start, t_count))
     ys = np.array([y for y, _ in lags], dtype=int)
     h = np.array([row for _, row in lags], dtype=complex).reshape(len(lags), t_count).T
     vals = (h @ np.exp(-2j * np.pi * np.outer(ys, np.arange(M)) / M)).T
@@ -371,8 +371,9 @@ def sampled_z_kernel_loop(N: int) -> CohenKernel:
 
 
 def lag_rows_roll(u: ZSignal, t_start: int, t_count: int):
-    """Reference for `limits._lag_rows`: per lag, the products u(t) u(t-y)^*
-    rolled, multiplied and cumulatively summed over the whole padded line."""
+    """Reference for the nonperiodic lag sums of `limits.q_z_distribution`: per lag y != 0,
+    from -(L - 1) to L - 1, the products u(t) u(t-y)^* rolled, multiplied and cumulatively
+    summed over the whole padded line, and each window's sum divided by |y|."""
     L = len(u)
     lo = min(t_start, u.offset) - 2 * L
     hi = max(t_start + t_count, u.offset + L) + 2 * L

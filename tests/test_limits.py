@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gtfa.limits import (
     ZSignal,
-    _lag_rows,
+    _lag_blocks,
     cyclic_vs_z_comparison,
     phi_DT,
     phi_DZ,
@@ -15,6 +15,7 @@ from gtfa.limits import (
     sampled_z_kernel,
     varphi_DZ,
 )
+from conftest import check_lag_form_against_phi
 from oracles import born_jordan_phi, lag_rows_roll, q_z_distribution_dense, sampled_z_kernel_loop
 
 
@@ -172,15 +173,21 @@ def test_qz_fold_matches_dense_oracle(rng, L, M, t_start, t_count, axis_fix):
     (2048, None, None),
 ])
 def test_lag_rows_match_the_rolled_products_bit_for_bit(rng, L, t_start, t_count):
-    """Products formed over the span the windows read give the lag sums of
-    the whole rolled line, bit for bit, signed zeros included (an integer
-    signal's products with zeros have imaginary parts -0 or +0)."""
+    """Box sums of products formed, block by block, over the span the windows
+    read give the lag sums of the whole rolled line, bit for bit, signed zeros
+    included (an integer signal's products with zeros have imaginary parts -0 or +0)."""
     t_start, t_count = (5, L) if t_start is None else (t_start, t_count)
     for values in (rng.standard_normal(L) + 1j * rng.standard_normal(L), -1.0 - np.arange(L) % 3):
         u = ZSignal(5, values)
-        got, want = list(_lag_rows(u, t_start, t_count)), list(lag_rows_roll(u, t_start, t_count))
+        got = [(y, row.copy()) for ys, rows in _lag_blocks(u, t_start, t_count) for y, row in zip(ys.tolist(), rows)]
+        want = list(lag_rows_roll(u, t_start, t_count))
         assert [y for y, _ in got] == [y for y, _ in want]
         assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+
+
+def test_qz_refuses_a_negative_time_count():
+    with pytest.raises(ValueError, match="t_count must be >= 0"):
+        q_z_distribution(ZSignal(0, [1, 2, 3]), 4, t_count=-1)
 
 
 @pytest.mark.parametrize("L,t_start,t_count", [
@@ -206,6 +213,12 @@ def test_qz_axis_term_is_the_window_energy_bit_for_bit(rng, L, t_start, t_count)
 def test_sampled_kernel_matches_the_entry_loop_bit_for_bit(N):
     got, want = sampled_z_kernel(N).phi.scalar_table(), sampled_z_kernel_loop(N).phi.scalar_table()
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N", [*range(1, 65), 127, 128, 512, 2048])
+def test_sampled_lag_form_matches_the_phi_route(N, rng):
+    """The box sums against the product with the phi of `oracles.sampled_z_kernel_loop`."""
+    check_lag_form_against_phi(sampled_z_kernel(N), sampled_z_kernel_loop(N).phi, rng)
 
 
 def test_sampled_kernel_margins():

@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from conftest import (fresh_python, group_file_text, max_block_diff, near_equal_cyclic7, relabelled_dihedral6,
-                      reordered_cyclic4)
+from conftest import (check_lag_form_against_phi, fresh_python, group_file_text, max_block_diff, near_equal_cyclic7,
+                      relabelled_dihedral6, reordered_cyclic4)
 from oracles import (born_jordan_phi, born_jordan_table_where, cohen_transform_direct,
                      commutator_kernel_closed_form, right_div, rihaczek_per_run, scalar_runs, stack_irreps, star,
                      wigner_odd_cyclic_direct)
@@ -294,11 +289,11 @@ def test_lag_forms_match_the_direct_sum(group, kernel, tmp_path, rng):
 @pytest.mark.parametrize("gd", [build_cyclic(128), build_cyclic(129), build_product(build_cyclic(8), build_cyclic(16))],
                          ids=lambda gd: gd[0].name)
 def test_lag_forms_skip_the_transforms_in_x(gd, monkeypatch, rng):
-    """On the FFT route a kernel with a lag form (kn, anti-kn, margin-fix, and
-    wigner-odd at odd order) makes one FFT, over y, for a signal and a batch
-    alike.  Kernels without one make the FFT in x, the inverse in xi and the
-    FFT in y: the lag window, constant in xi, and the same table with one
-    entry perturbed."""
+    """On the FFT route a kernel with a lag form (kn, anti-kn, margin-fix,
+    Born-Jordan on a cyclic group and wigner-odd at odd order) makes one FFT,
+    over y, for a signal and a batch alike.  Kernels without one make the FFT
+    in x, the inverse in xi and the FFT in y: the lag window, constant in xi,
+    and the same table with one entry perturbed."""
     g, d = gd
     window = lag_window_kernel(g, d)
     table = window.phi.scalar_table().copy()
@@ -316,6 +311,7 @@ def test_lag_forms_skip_the_transforms_in_x(gd, monkeypatch, rng):
     one, three = [("fftn", y_axes)], [("fftn", x_axes), ("ifftn", x_axes), ("fftn", y_axes)]
     kernels = [(make(d), one) for make in LAG_FORM_KERNELS.values()] + [(window, three), (perturbed, three)]
     kernels += [(wigner_odd_kernel(d), one)] if g.order % 2 else []
+    kernels += [(born_jordan_cyclic_kernel(g.order), one)] if len(d.cyclic_factors) == 1 else []
     for k, want in kernels:
         for a in (u, U):
             calls.clear()
@@ -337,23 +333,26 @@ def test_kn_transform_on_the_fft_route_is_rihaczek(gd, rng):
 
 def test_cohen_fft_route_skips_the_ambiguity_transform(monkeypatch, rng):
     """From order 128 a cyclic dual never reaches the three-stage path, with or
-    without a lag form; below, a kernel without one (Born-Jordan) takes it, for
-    its kernel product, and one with a lag form (kn) does not."""
+    without a lag form; below, a kernel without one (spectrogram) takes it, for
+    its kernel product, and kernels with one (kn, Born-Jordan) do not."""
     def refuse(*args):
         raise AssertionError("three-stage path taken")
 
+    # built first: a spectrogram kernel is the ambiguity transform of its window
+    spectrograms = {n: spectrogram_kernel(gaussian_window(build_cyclic(n)[0], 4.0)) for n in (127, 128, 512)}
     monkeypatch.setattr(transforms, "ambiguity_transform", refuse)
     monkeypatch.setattr(transforms, "block_product", refuse)
     for n in (128, 512):
         g, d = build_cyclic(n)
         u = random_signal(g, rng)
-        cohen_transform(kn_kernel(d), u, u)
-        cohen_transform(born_jordan_cyclic_kernel(n), u, u)
+        for k in (kn_kernel(d), born_jordan_cyclic_kernel(n), spectrograms[n]):
+            cohen_transform(k, u, u)
     g, d = build_cyclic(127)
     u = random_signal(g, rng)
     cohen_transform(kn_kernel(d), u, u)
+    cohen_transform(born_jordan_cyclic_kernel(127), u, u)
     with pytest.raises(AssertionError, match="three-stage"):
-        cohen_transform(born_jordan_cyclic_kernel(127), u, u)
+        cohen_transform(spectrograms[127], u, u)
 
 
 def test_cohen_fft_route_makes_no_group_table(monkeypatch, rng):
@@ -377,37 +376,36 @@ def test_cohen_fft_route_makes_no_group_table(monkeypatch, rng):
 
 def test_born_jordan_transform_at_2048_peaks_at_two_tables():
     """In a fresh process, building cyclic:2048, its Born-Jordan kernel and
-    one transform peaks at the kernel and the output, 64 MiB each, plus
-    small change (257 MiB while the group held its N^2 tables)."""
+    one transform stays within two 64 MiB tables plus small change, counted
+    from the start of the process (257 MiB while the group held its N^2
+    tables; the lag form now peaks at the output alone, about 66 MiB)."""
     code = ("import tracemalloc, numpy as np; tracemalloc.start()\n"
             "from gtfa.groups import build_cyclic; from gtfa.harmonic import Signal\n"
             "from gtfa.transforms import born_jordan_cyclic_kernel, cohen_transform\n"
             "g, d = build_cyclic(2048); k = born_jordan_cyclic_kernel(2048)\n"
             "u = Signal(g, np.random.default_rng(0).standard_normal(2048) + 0j); cohen_transform(k, u, u)\n"
             "print(tracemalloc.get_traced_memory()[1])")
-    path = [str(Path(transforms.__file__).parents[1])] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert int(out.stdout) <= 130 << 20
+    assert int(fresh_python(code)) <= 130 << 20
 
 
 def test_lag_form_transforms_at_2048_peak_at_one_table():
-    """In a fresh process, one cyclic:2048 transform with kn, anti-kn or
-    margin-fix, and one cyclic:2049 transform with wigner-odd, peaks at its
-    work array, 64 MiB, plus small change, and makes neither the kernel's phi
-    nor the dual's table (with dense kernels kn peaked at 128 MiB, anti-kn at
-    192 MiB and wigner-odd at 130 MiB)."""
+    """In a fresh process, one cyclic:2048 transform with kn, anti-kn,
+    margin-fix or Born-Jordan, and one cyclic:2049 transform with wigner-odd,
+    peaks at its work array, 64 MiB, plus small change, and makes neither the
+    kernel's phi nor the dual's table (with dense kernels kn peaked at 128 MiB,
+    anti-kn at 192 MiB, wigner-odd at 130 MiB and Born-Jordan at 129.6 MiB)."""
     code = ("import tracemalloc, numpy as np; tracemalloc.start()\n"
             "from gtfa.groups import build_cyclic; from gtfa.harmonic import Signal\n"
-            "from gtfa.transforms import anti_kn_kernel, cohen_transform, kn_kernel, margin_fix_kernel, "
-            "wigner_kernel_odd_cyclic\n"
+            "from gtfa.transforms import anti_kn_kernel, born_jordan_cyclic_kernel, cohen_transform, kn_kernel, "
+            "margin_fix_kernel, wigner_kernel_odd_cyclic\n"
             "d = build_cyclic(2048)[1]\n"
-            "for k in (kn_kernel(d), anti_kn_kernel(d), margin_fix_kernel(d), wigner_kernel_odd_cyclic(2049)):\n"
+            "for k in (kn_kernel(d), anti_kn_kernel(d), margin_fix_kernel(d), born_jordan_cyclic_kernel(2048), "
+            "wigner_kernel_odd_cyclic(2049)):\n"
             "    u = Signal(k.group, np.random.default_rng(0).standard_normal(k.group.order) + 0j)\n"
             "    tracemalloc.reset_peak(); cohen_transform(k, u, u)\n"
             "    print(k.name, tracemalloc.get_traced_memory()[1], 'phi' in vars(k), 'table' in vars(k.dual))")
     lines = fresh_python(code).splitlines()
-    assert [line.split()[0] for line in lines] == ["kn", "anti-kn", "margin-fix", "wigner-odd:2049"]
+    assert [line.split()[0] for line in lines] == ["kn", "anti-kn", "margin-fix", "born-jordan:2048", "wigner-odd:2049"]
     for line in lines:
         _, peak, phi, table = line.split()
         assert int(peak) <= 70 << 20 and phi == table == "False", line
@@ -431,6 +429,16 @@ def test_cohen_fft_route_keeps_the_refusals(rng):
 def test_born_jordan_table_bits_match_where_construction(N):
     table = born_jordan_cyclic_kernel(N).phi.scalar_table()
     assert table.tobytes() == born_jordan_table_where(N).tobytes()
+
+
+@pytest.mark.parametrize("N", [*range(1, 65), 127, 128, 512, 2048])
+def test_born_jordan_lag_form_matches_the_phi_route(N, rng):
+    """The box sums against the product with the closed-form table of
+    `oracles.born_jordan_table_where` (at 2048 with the phi of another kernel
+    object, which test_born_jordan_table_bits_match_where_construction holds to it)."""
+    k = born_jordan_cyclic_kernel(N)
+    table = born_jordan_table_where(N) if N <= 512 else born_jordan_cyclic_kernel(N).phi.scalar_table()
+    check_lag_form_against_phi(k, AmbiguityFunction(k.group, k.dual, scalar_runs(table)), rng)
 
 
 @pytest.mark.parametrize("N", [8, 89, 300, 512])
@@ -789,13 +797,14 @@ def test_wigner_kernel_bits_match_dual_table_columns(N):
 
 
 def test_wigner_kernel_makes_no_dual_table(monkeypatch, rng):
-    """Building the kernel and one transform on the FFT route leave the dual's
-    N^2 table unmade."""
+    """Building the kernel, one transform on the FFT route and reading the
+    kernel's phi leave the dual's N^2 table unmade."""
     monkeypatch.setattr(transforms, "build_cyclic", build_cyclic.__wrapped__)  # a dual of its own
     k = wigner_kernel_odd_cyclic(385)
     u = random_signal(k.group, rng)
     cohen_transform(k, u, u)
     assert groups._fft_shape(k.dual) == (385,) and "table" not in vars(k.dual)
+    assert k.phi.scalar_table().shape == (385, 385) and "table" not in vars(k.dual)
 
 
 def test_wigner_two_routes(rng):
