@@ -45,7 +45,7 @@ MUTANTS = [
            "    columns = group.cayley  # columns[s, x] = x s\n",
            (T + "test_lag_forms_match_the_direct_sum[dihedral:5-anti-kn]",)),
     Mutant("wigner-shift-by-minus-h", "transforms.py",
-           "_shift_lag(group, h), dual)\n", "_shift_lag(group, -h % N), dual)\n",
+           "_shift_lag(group, h), dual))\n", "_shift_lag(group, -h % N), dual))\n",
            (T + "test_lag_forms_match_the_direct_sum[cyclic:5-wigner-odd]",)),
     Mutant("wigner-phi-from-the-dual-table", "transforms.py",
            "np.exp(2j * np.pi * np.arange(N) / N)[cyclic_exponents(N, h)].T[..., None, None]]",
@@ -63,6 +63,28 @@ MUTANTS = [
            "        return AmbiguityFunction(group, dual, [table.T[..., None, None]])\n",
            "        return AmbiguityFunction(group, dual, [np.ascontiguousarray(table.T)[..., None, None]])\n",
            (T + "test_born_jordan_table_is_stored_lag_major[8]",)),
+    # the real route of D(u, u) for kernels flagged hermitian, and lag forms on a prefix of the lags
+    Mutant("kn-flagged-hermitian", "transforms.py",
+           "    return CohenKernel(\"kn\", lambda: AmbiguityFunction(dual.group, dual, [\n"
+           "        np.broadcast_to(np.eye(d, dtype=complex), (end - first, dual.group.order, d, d)).copy()\n"
+           "        for first, end, d, _ in dual.runs]), lambda w: w, dual)\n",
+           "    return _symmetric(CohenKernel(\"kn\", lambda: AmbiguityFunction(dual.group, dual, [\n"
+           "        np.broadcast_to(np.eye(d, dtype=complex), (end - first, dual.group.order, d, d)).copy()\n"
+           "        for first, end, d, _ in dual.runs]), lambda w: w, dual))\n",
+           (T + "test_kernels_not_proven_symmetric_are_not_flagged[cyclic:2]",)),
+    Mutant("real-route-drops-the-boundary-lag", "transforms.py",
+           "    rows = shape[0] // 2 + 1 if shape and u is v and k.hermitian else None\n",
+           "    rows = shape[0] // 2 if shape and u is v and k.hermitian else None\n",
+           (T + "test_hermitian_kernels_give_a_real_distribution[cyclic:128-born-jordan]",)),
+    Mutant("real-route-not-conjugated", "transforms.py",
+           "np.fft.irfftn(np.conjugate(first, out=first), ", "np.fft.irfftn(first, ",
+           (T + "test_hermitian_kernels_give_a_real_distribution[cyclic:257-spectrogram-random]",)),
+    Mutant("shift-lag-over-every-lag", "transforms.py",
+           "        for y, s in enumerate(shifts[:len(w)]):\n", "        for y, s in enumerate(shifts):\n",
+           (T + "test_lag_forms_act_on_a_prefix_of_lags[single-cyclic:12-anti-kn]",)),
+    Mutant("box-weights-by-block-not-rows", "transforms.py",
+           "            t *= weight[s:s + len(t)].reshape(col)\n", "            t *= weight[s:s + step].reshape(col)\n",
+           (T + "test_lag_forms_act_on_a_prefix_of_lags[single-cyclic:512-born-jordan]",)),
     # one draw per run_all_checks, checked constructors, near-equal file duals
     Mutant("sampled-pass-draws-its-own", "properties.py",
            "    W = _shared(k, _draw)\n", "    W = _draw(k)\n",
@@ -106,6 +128,10 @@ MUTANTS = [
     Mutant("negative-time-count-accepted", "limits.py",
            "    if t_count < 0:\n", "    if t_count < -1:\n",
            (L + "test_qz_refuses_a_negative_time_count",)),
+    Mutant("real-lag-table-not-conjugated", "reconstruct.py",
+           "        t = np.fft.rfft(Q.runs[0][..., 0, 0], axis=0)[:h + 1].conj()\n",
+           "        t = np.fft.rfft(Q.runs[0][..., 0, 0], axis=0)[:h + 1]\n",
+           ("tests/test_reconstruct.py::test_lag_table_is_exact_up_to_residue_constants[zero-free-384]",)),
     Mutant("retrieval-box-divisor-conjugated", "reconstruct.py",
            "    D *= _born_jordan_box(N)[:h + 1, None]", "    D *= _born_jordan_box(N).conj()[:h + 1, None]",
            ("tests/test_reconstruct.py::test_roundtrip_small_sweep",)),

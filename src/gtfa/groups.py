@@ -165,11 +165,11 @@ def representation_runs(dual: UnitaryDual) -> list[np.ndarray]:
 class DualFunction:
     """A function on the dual, over the further axes `lead` ((|G|,) on a plane),
     as its runs: run i of shape (end - first, *batch, *lead, d, d), the batch
-    axes the same in every run.  Each run is checked against `dual.runs` and
-    kept as np.asarray(run, complex), with no copy; `blocks` views them."""
+    axes the same in every run.  Each run is checked against `dual.runs` and kept with no copy,
+    float64 as it is (a real D(u, u)), else as np.asarray(run, complex); `blocks` views them."""
 
     def __init__(self, dual: UnitaryDual, runs, lead: tuple = ()):
-        runs = [np.asarray(run, dtype=complex) for run in runs]
+        runs = [run if getattr(run, "dtype", None) == np.float64 else np.asarray(run, dtype=complex) for run in runs]
         if len(runs) != len(dual.runs):
             raise ValueError(f"got {len(runs)} runs, the dual has {len(dual.runs)}")
         batch = runs[0].shape[1:runs[0].ndim - len(lead) - 2]

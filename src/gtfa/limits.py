@@ -33,7 +33,7 @@ import numpy as np
 from .groups import build_cyclic
 from .harmonic import Signal
 from .tfplane import TimeLagKernel, timelag_to_ambiguity
-from .transforms import CohenKernel, _box_sums, born_jordan_cyclic_kernel, cohen_transform
+from .transforms import CohenKernel, _box_sums, _symmetric, born_jordan_cyclic_kernel, cohen_transform
 
 # lags per block of the nonperiodic sums: their products and cumulative sums take about what one
 # lag's temporaries took alone, so q_z_distribution still peaks at its grid, and stay in cache
@@ -248,7 +248,7 @@ def sampled_z_kernel(N: int) -> CohenKernel:
 
     def phi():  # the time-lag table [x, y] is the lag form's action on N delta_0 in every row
         return timelag_to_ambiguity(TimeLagKernel(group, lag(np.eye(1, N, dtype=complex).repeat(N, 0) * N).T), dual)
-    return CohenKernel(f"sampled-z:{N}", phi, lag, dual)
+    return _symmetric(CohenKernel(f"sampled-z:{N}", phi, lag, dual))
 
 
 @dataclass

@@ -71,7 +71,10 @@ def _lag_table(Q: TFFunction, z: int, h: int) -> np.ndarray:
     from Q alone: no kernel and no symplectic transform."""
     N = Q.group.order
     require_same_dual(Q.dual, build_cyclic(N)[1], f"distribution and cyclic:{N}")
-    t = group_inverse_fourier(Q.dual, Q.runs)[:h + 1].copy()  # t[y, x]; a copy frees the rest
+    if Q.runs[0].dtype == np.float64:  # t[y] = sum_eta Q[eta] eta(y) = t[-y]^*: rows 0..N/2 from one real FFT
+        t = np.fft.rfft(Q.runs[0][..., 0, 0], axis=0)[:h + 1].conj()
+    else:  # t[y, x]; a copy frees the rest
+        t = group_inverse_fourier(Q.dual, Q.runs)[:h + 1].copy()
     lags, j = np.arange(h + 1), np.arange(N)
     D = t[:, (j + 1) % N] - t
     D *= _born_jordan_box(N)[:h + 1, None]  # / c(y), and 0 at lag 0
@@ -168,9 +171,8 @@ def retrieval_report(Q: TFFunction, tol_zero: float = 1e-9) -> RoundtripReport:
 
 
 def _retrieval_report(Q: TFFunction, rec: Signal, k: CohenKernel) -> RoundtripReport:
-    diff = cohen_transform(k, rec, rec)
-    for a, b in zip(diff.runs, Q.runs):
-        a -= b  # Q[rec] - Q in Q[rec]'s own table
+    # Q[rec] is real, where a Q read from a file is complex
+    diff = TFFunction(Q.group, Q.dual, [a - b for a, b in zip(cohen_transform(k, rec, rec).runs, Q.runs)])
     return RoundtripReport(
         order=Q.group.order,
         class_distance=None,

@@ -12,7 +12,9 @@ transform in y.  A kernel with a lag form (kn, anti-kn, margin-fix, wigner-odd,
 born-jordan, and `limits.sampled_z_kernel`) acts on w directly: a shift, a mean
 or box sums of w along x (`_box_sums`); any other (spectrogram, commutator and
 kernels built from a table) takes phi between the transform in x and its
-inverse in xi, the three stages' middle.  The library provides:
+inverse in xi, the three stages' middle.  On the FFT route D(u, u), u the same object as v,
+of a kernel proven symmetric (`CohenKernel.hermitian`) is real: float64 runs from the lags
+0..n_1/2 and one real inverse FFT.  Every other D is complex.  The library provides:
 
 * kn / anti-kn          phi = I  /  phi(xi, y) = xi(y)
 * born-jordan (Z/N)     the commutator kernel with the margin fix on the axes
@@ -53,6 +55,8 @@ class CohenKernel:
     library's (kn, anti-kn, margin-fix, wigner-odd, born-jordan and sampled-z)
     make their phi when read.
     """
+
+    hermitian = False  # D(u, u) is real: set by builders whose kernels pass an exhaustive check_symmetric
 
     def __init__(self, name: str, phi, lag=None, dual: UnitaryDual | None = None):
         self.name, self.lag, self._timelag = name, lag, None
@@ -123,32 +127,39 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
         Matrix-valued distribution over the time-frequency plane.  Bounded by
         ||phi||_Linf ||u|| ||v|| in the plane's L2 norm.  For batches its
         runs are (end - first, B, |G|, d, d), entry b being D(u[b], v[b]).
+        Its runs are float64 for D(u, u) of a `hermitian` kernel on the FFT
+        route (u the same object as v), and complex otherwise.
 
     One path on every dual: the lag product w[y, ..., x] = u(x) v(x y^{-1})^*
     (the batch axis, if any, between y and x), then the kernel's lag form
     (`CohenKernel.lag`) if it has one, else the product with phi between the
     transform in x and its inverse in xi, then the transform in y:
     `group_fourier`, or on a dual on the FFT route (`groups._fft_shape`) an
-    in-place FFT of w, whose only strided transform it is.
+    in-place FFT of w, whose only strided transform it is.  A real D(u, u) has Hermitian lag rows,
+    t[y^{-1}] = t[y]^*: only the prefix of w with y_1 <= n_1/2 is made, and one real inverse FFT.
     """
     require_same_group(k.group, u.group, "kernel and signal")
     require_same_dual(k.dual, u.group.dual, "kernel and signal")
     require_pairable(u, v)
     group, dual, shape = u.group, u.group.dual, _fft_shape(u.group.dual)
-    w = _lag_product(shape, u, v)
+    rows = shape[0] // 2 + 1 if shape and u is v and k.hermitian else None
+    w = _lag_product(shape, u, v, rows)
     t = k.lag(w) if k.lag else _phi_product(k.phi, dual, shape, w)
     if shape is None:
         return TFFunction(group, dual, group_fourier(dual, t))
     t = np.ascontiguousarray(t)  # in case a lag form returns t in another order than w
-    first = t.reshape(*shape, *t.shape[1:])
-    np.fft.fftn(first, axes=range(len(shape)), norm="forward", out=first)  # D[eta, ..., x]
-    return TFFunction(group, dual, [t[..., None, None]])
+    first = t.reshape(-1, *shape[1:], *t.shape[1:])
+    # D[eta, ..., x]; with rows, (1/n) sum_y t[y]^* eta(y), real: the conjugate's irfftn ("backward" scale)
+    D = (np.fft.irfftn(np.conjugate(first, out=first), s=(*shape[1:], shape[0]), axes=(*range(1, len(shape)), 0))
+         if rows else np.fft.fftn(first, axes=range(len(shape)), norm="forward", out=first))
+    return TFFunction(group, dual, [D.reshape(-1, *t.shape[1:])[..., None, None]])
 
 
-def _lag_product(shape: tuple[int, ...] | None, u: Signal, v: Signal) -> np.ndarray:
+def _lag_product(shape: tuple[int, ...] | None, u: Signal, v: Signal, rows: int | None = None) -> np.ndarray:
     """w[y, ..., x] = u(x) v(x y^{-1})^*: on the naive route a view of the x-major
     product that `ambiguity_transform` transforms; on the FFT route (factor orders
-    `shape`) C-ordered, read through a window view of v, not an index table."""
+    `shape`) C-ordered, read through a window view of v, not an index table: with
+    `rows` given, only the lags whose first factor is below it."""
     if shape is None:
         w = u.values[..., :, None] * v.values.conj().take(u.group.lag_index.T, axis=-1)  # w[..., x, y]
         return w.transpose(-1, *range(w.ndim - 1))
@@ -156,19 +167,19 @@ def _lag_product(shape: tuple[int, ...] | None, u: Signal, v: Signal) -> np.ndar
     # v^* doubled along each factor axis, from x_j = n_j on: x - y stays in it for 0 <= x, y < n
     vc = np.tile(v.values.conj().reshape(*lead, *shape), (2,) * r)[(..., *[slice(m, None) for m in shape])]
     view = as_strided(vc, (*shape, *vc.shape), (*(-s for s in vc.strides[-r:]), *vc.strides), writeable=False)
-    return np.multiply(view, u.values.reshape(*lead, *shape), order="C").reshape(n, *lead, n)
+    return np.multiply(view[:rows], u.values.reshape(*lead, *shape), order="C").reshape(-1, *lead, n)
 
 
 def _phi_product(phi: AmbiguityFunction, dual: UnitaryDual, shape, w: np.ndarray) -> np.ndarray:
     """t[y, ..., x] = F^{-1}_xi (phi . F_x w), for a kernel without a lag form.  On the
     FFT route in place on w along its last, contiguous axes, phi[xi, y] read as phi^T,
-    which the cyclic kernels store C-ordered."""
+    which the cyclic kernels store C-ordered, in the rows that w holds."""
     if shape is None:
         runs = phi.runs if w.ndim == 2 else [p[:, None] for p in phi.runs]  # a batch axis to broadcast over
         return group_inverse_fourier(dual, block_product(runs, group_fourier(dual, w.T))).T
     last, axes = w.reshape(*w.shape[:-1], *shape), range(-len(shape), 0)
     np.fft.fftn(last, axes=axes, norm="forward", out=last)  # FR(u, v)[xi, y]
-    w *= phi.scalar_table().T[:, None] if w.ndim == 3 else phi.scalar_table().T
+    w *= phi.scalar_table().T[:len(w), None] if w.ndim == 3 else phi.scalar_table().T[:len(w)]
     np.fft.ifftn(last, axes=axes, norm="forward", out=last)  # t[x, y]
     return w
 
@@ -176,6 +187,12 @@ def _phi_product(phi: AmbiguityFunction, dual: UnitaryDual, shape, w: np.ndarray
 # ---------------------------------------------------------------------------
 # Kernel library
 # ---------------------------------------------------------------------------
+
+
+def _symmetric(k: CohenKernel) -> CohenKernel:
+    """k flagged `hermitian`, by a builder whose kernels pass an exhaustive `check_symmetric`."""
+    k.hermitian = True
+    return k
 
 
 def kn_kernel(dual: UnitaryDual) -> CohenKernel:
@@ -186,12 +203,12 @@ def kn_kernel(dual: UnitaryDual) -> CohenKernel:
 
 
 def _shift_lag(group: FiniteGroup, shifts):
-    """The lag form of a kernel phi(xi, y) = xi(s(y)), s(y) = shifts[y]: as
-    xi(x) xi(s) = xi(x s), it is the gather t[y, x] = w[y, x s(y)], lag by lag in place."""
+    """The lag form of a kernel phi(xi, y) = xi(s(y)), s(y) = shifts[y]: as xi(x) xi(s) = xi(x s),
+    it is the gather t[y, x] = w[y, x s(y)], lag by lag in place, over the lags that w holds."""
     columns = group.cayley.T  # columns[s, x] = x s
 
     def lag(w):
-        for y, s in enumerate(shifts):
+        for y, s in enumerate(shifts[:len(w)]):
             w[y] = w[y][..., columns[s]]
         return w
     return lag
@@ -227,7 +244,7 @@ def margin_fix_kernel(dual: UnitaryDual) -> CohenKernel:
         mean = w.mean(axis=-1, keepdims=True)
         w[:e], w[e + 1:] = mean[:e], mean[e + 1:]
         return w
-    return CohenKernel("margin-fix", phi, lag, dual)
+    return _symmetric(CohenKernel("margin-fix", phi, lag, dual))
 
 
 def _box_sums(w: np.ndarray, start, length, weight=None, total=None, count: int | None = None) -> np.ndarray:
@@ -236,9 +253,9 @@ def _box_sums(w: np.ndarray, start, length, weight=None, total=None, count: int 
     weight 1 and total 0 when not given.  Each window is the difference of two entries of its row's cumulative
     sum, continued into the next period as far as windows read (0 <= start, windows end before 2n).  start and
     length are affine in the lag, so a block of lags reads each end as one strided view of one reused buffer
-    of about BOX_BYTES."""
+    of about BOX_BYTES.  The per-lag arguments may run past the rows of w, a prefix of their lags."""
     n, lead, count = w.shape[-1], w.shape[1:-1], w.shape[-1] if count is None else count
-    lo, hi = np.asarray(start), np.add(start, length)
+    lo, hi = np.asarray(start)[:len(w)], np.add(start, length)[:len(w)]
     width = n + 1 + max(int(hi.max(initial=0)) + count - 1 - n, 0)
     step = max(1, BOX_BYTES // (16 * width * math.prod(lead)))
     buf, col = np.zeros((min(step, len(w)), *lead, width), dtype=complex), (-1,) + (1,) * (w.ndim - 1)
@@ -252,9 +269,9 @@ def _box_sums(w: np.ndarray, start, length, weight=None, total=None, count: int 
             buf.strides[0] + (k[s + (len(t) > 1)] - k[s]) * buf.itemsize, *buf.strides[1:])) for k in (hi, lo))
         np.subtract(a, b, out=t)
         if weight is not None:
-            t *= weight[s:s + step].reshape(col)
+            t *= weight[s:s + len(t)].reshape(col)
         if total is not None:
-            t += total[s:s + step].reshape(col) * c[..., n:n + 1]
+            t += total[s:s + len(t)].reshape(col) * c[..., n:n + 1]
     return w
 
 
@@ -289,7 +306,7 @@ def born_jordan_cyclic_kernel(N: int) -> CohenKernel:
         y, c = np.arange(1, N), 1 / _born_jordan_box(N)[1:]
         _box_sums(w[1:], 0 * y, y, c, (1 - c * y) / N)
         return w
-    return CohenKernel(f"born-jordan:{N}", phi, lag, dual)
+    return _symmetric(CohenKernel(f"born-jordan:{N}", phi, lag, dual))
 
 
 def commutator_kernel(f: Signal, g: Signal) -> CohenKernel:
@@ -388,7 +405,7 @@ def spectrogram_kernel(w: Signal) -> CohenKernel:
         warnings.warn(f"spectrogram window is not unit-energy (||w|| = {norm(w):.6g}); "
                       "the transform will not be normalized")
     runs = [r.conj().swapaxes(-1, -2) for r in ambiguity_transform(w, w).runs]
-    return CohenKernel("spectrogram", AmbiguityFunction(w.group, w.group.dual, runs))
+    return _symmetric(CohenKernel("spectrogram", AmbiguityFunction(w.group, w.group.dual, runs)))
 
 
 def wigner_kernel_odd_cyclic(N: int) -> CohenKernel:
@@ -400,8 +417,8 @@ def wigner_kernel_odd_cyclic(N: int) -> CohenKernel:
     if N % 2 == 0:
         raise ValueError(f"the halving map y -> y/2 needs odd order, got N = {N}")
     (group, dual), h = build_cyclic(N), ((N + 1) // 2 * np.arange(N)) % N
-    return CohenKernel(f"wigner-odd:{N}", lambda: AmbiguityFunction(group, dual, [
-        np.exp(2j * np.pi * np.arange(N) / N)[cyclic_exponents(N, h)].T[..., None, None]]), _shift_lag(group, h), dual)
+    return _symmetric(CohenKernel(f"wigner-odd:{N}", lambda: AmbiguityFunction(group, dual, [
+        np.exp(2j * np.pi * np.arange(N) / N)[cyclic_exponents(N, h)].T[..., None, None]]), _shift_lag(group, h), dual))
 
 
 def wigner_odd_cyclic(u: Signal, v: Signal) -> TFFunction:

@@ -138,6 +138,20 @@ def test_tf_csv_roundtrip(tmp_path, rng):
     assert max(np.abs(a - b).max() for a, b in zip(D.blocks, back.blocks)) == 0.0
 
 
+def test_real_tf_csv_roundtrip(tmp_path, rng):
+    """A real distribution (float64 runs: Born-Jordan D(u, u) on the FFT route)
+    is written with an imaginary column of exact 0 and read back equal."""
+    g, _ = build_cyclic(128)
+    u = random_signal(g, rng)
+    D = cohen_transform(born_jordan_cyclic_kernel(128), u, u)
+    assert D.runs[0].dtype == np.float64
+    p = tmp_path / "d.csv"
+    write_tf_csv(p, D)
+    assert {line.rsplit(",", 1)[1] for line in p.read_text().splitlines()} == {"0"}
+    back = read_tf_csv(p, g)
+    assert all(np.array_equal(a, b) for a, b in zip(D.runs, back.runs))
+
+
 def test_operator_csv_roundtrip(tmp_path, rng):
     g, _ = build_cyclic(4)
     B = GroupOperator(g, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))

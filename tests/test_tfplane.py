@@ -239,15 +239,18 @@ def test_constructors_refuse_per_irrep_blocks(name, build):
 
 @pytest.mark.parametrize("name", CONTAINERS)
 def test_constructors_keep_complex_runs(name):
-    """Complex runs are kept as given, with no copy (a view stays a view);
-    others are converted to complex."""
+    """Complex and float64 runs (a real D(u, u)) are kept as given, with no
+    copy (a view stays a view); others are converted to complex."""
     g, d = build_dihedral(3)
     runs = _runs(g, d, name)
     runs[0] = runs[0][::-1]
     kept = CONTAINERS[name](g, d, runs).runs
     assert all(a is b for a, b in zip(kept, runs))
-    real = CONTAINERS[name](g, d, [r.real for r in runs]).runs
-    assert all(r.dtype == complex and np.array_equal(r, s) for r, s in zip(real, runs))
+    real = [r.real for r in runs]
+    assert all(a is b for a, b in zip(CONTAINERS[name](g, d, real).runs, real))
+    for other in ([r.real.astype(np.float32) for r in runs], [r.real.tolist() for r in runs]):
+        made = CONTAINERS[name](g, d, other).runs
+        assert all(r.dtype == complex and np.array_equal(r, s.real) for r, s in zip(made, runs))
 
 
 def test_tf_norm_of_a_batch_copies_no_run(rng):

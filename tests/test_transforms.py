@@ -18,6 +18,8 @@ from gtfa.harmonic import (
     norm,
     random_signal,
 )
+from gtfa.limits import sampled_z_kernel
+from gtfa.properties import check_symmetric
 from gtfa.tfplane import AmbiguityFunction, inverse_symplectic_fourier, symplectic_fourier, tf_norm
 from gtfa.transforms import (
     CohenKernel,
@@ -291,16 +293,17 @@ def test_lag_forms_match_the_direct_sum(group, kernel, tmp_path, rng):
 def test_lag_forms_skip_the_transforms_in_x(gd, monkeypatch, rng):
     """On the FFT route a kernel with a lag form (kn, anti-kn, margin-fix,
     Born-Jordan on a cyclic group and wigner-odd at odd order) makes one FFT,
-    over y, for a signal and a batch alike.  Kernels without one make the FFT
-    in x, the inverse in xi and the FFT in y: the lag window, constant in xi,
-    and the same table with one entry perturbed."""
+    over y, for a signal and a batch alike: for a `hermitian` kernel and u = v
+    the real inverse FFT, over the other factors, then the first.  Kernels
+    without one make the FFT in x, the inverse in xi and the FFT in y: the
+    lag window, constant in xi, and the same table with one entry perturbed."""
     g, d = gd
     window = lag_window_kernel(g, d)
     table = window.phi.scalar_table().copy()
     table[3, 5] += 1e-3
     perturbed = CohenKernel("perturbed", AmbiguityFunction(g, d, scalar_runs(table)))
     calls = []
-    for name in ("fftn", "ifftn"):
+    for name in ("fftn", "ifftn", "irfftn"):
         def counted(a, *args, _name=name, _fft=getattr(np.fft, name), **kwargs):
             calls.append((_name, tuple(kwargs["axes"])))
             return _fft(a, *args, **kwargs)
@@ -309,9 +312,11 @@ def test_lag_forms_skip_the_transforms_in_x(gd, monkeypatch, rng):
     x_axes, y_axes = tuple(range(-r, 0)), tuple(range(r))
     u, U = random_signal(g, rng), Signal(g, rng.standard_normal((3, g.order)) + 0j)
     one, three = [("fftn", y_axes)], [("fftn", x_axes), ("ifftn", x_axes), ("fftn", y_axes)]
-    kernels = [(make(d), one) for make in LAG_FORM_KERNELS.values()] + [(window, three), (perturbed, three)]
-    kernels += [(wigner_odd_kernel(d), one)] if g.order % 2 else []
-    kernels += [(born_jordan_cyclic_kernel(g.order), one)] if len(d.cyclic_factors) == 1 else []
+    real = [("irfftn", (*y_axes[1:], 0))]
+    kernels = [(make(d), real if make is margin_fix_kernel else one) for make in LAG_FORM_KERNELS.values()]
+    kernels += [(window, three), (perturbed, three)]
+    kernels += [(wigner_odd_kernel(d), real)] if g.order % 2 else []
+    kernels += [(born_jordan_cyclic_kernel(g.order), real)] if len(d.cyclic_factors) == 1 else []
     for k, want in kernels:
         for a in (u, U):
             calls.clear()
@@ -409,6 +414,112 @@ def test_lag_form_transforms_at_2048_peak_at_one_table():
     for line in lines:
         _, peak, phi, table = line.split()
         assert int(peak) <= 70 << 20 and phi == table == "False", line
+
+
+def random_window(g) -> Signal:
+    """A unit-energy complex window with no symmetry of its own."""
+    w = np.array([1, 1j]) @ np.random.default_rng(g.order + 1).standard_normal((2, g.order))
+    return Signal(g, w / norm(Signal(g, w)))
+
+
+# the builders that set CohenKernel.hermitian, and the groups each is defined on
+HERMITIAN_KERNELS = {
+    "born-jordan": (lambda d: born_jordan_cyclic_kernel(d.group.order), "cyclic"),
+    "sampled-z": (lambda d: sampled_z_kernel(d.group.order), "cyclic"),
+    "margin-fix": (margin_fix_kernel, "any"),
+    "wigner-odd": (wigner_odd_kernel, "odd"),
+    "spectrogram-gaussian": (lambda d: spectrogram_kernel(gaussian_window(d.group, 2.0)), "any"),
+    "spectrogram-random": (lambda d: spectrogram_kernel(random_window(d.group)), "any"),
+}
+
+
+def defined_on(where: str, d) -> bool:
+    """Whether a kernel builder for `where` ("any", "cyclic" or "odd" cyclic) takes dual d."""
+    cyclic = d.cyclic_factors is not None and len(d.cyclic_factors) == 1
+    return where == "any" or cyclic and (where == "cyclic" or d.group.order % 2 == 1)
+
+
+def hermitian_kernels(d):
+    """The flagged library kernels defined on dual d, by name."""
+    return {name: make(d) for name, (make, where) in HERMITIAN_KERNELS.items() if defined_on(where, d)}
+
+
+SYMMETRY_GROUPS = [*(lambda n=n: build_cyclic(n) for n in [*range(2, 65), 128, 257]),
+                   lambda: build_product(build_cyclic(2), build_cyclic(3)),
+                   lambda: build_product(build_cyclic(4), build_cyclic(6)),
+                   lambda: build_product(build_cyclic(8), build_cyclic(16))]
+
+
+@pytest.mark.parametrize("make", SYMMETRY_GROUPS, ids=lambda make: make()[0].name)
+def test_hermitian_flag_is_proven_by_check_symmetric(make):
+    """Every kernel a builder flags `hermitian` passes the exhaustive symmetry
+    check; kn, anti-kn, the commutator, sums, conjugates and kernels built from
+    a table are not flagged, whatever their symmetry."""
+    g, d = make()
+    flagged = hermitian_kernels(d)
+    assert flagged and all(k.hermitian for k in flagged.values())
+    for name, k in flagged.items():
+        assert check_symmetric(k, verify=False).holds, name
+
+
+@pytest.mark.parametrize("make", SYMMETRY_GROUPS[:63:8] + SYMMETRY_GROUPS[-3:], ids=lambda make: make()[0].name)
+def test_kernels_not_proven_symmetric_are_not_flagged(make):
+    g, d = make()
+    mf, spec = margin_fix_kernel(d), spectrogram_kernel(gaussian_window(g, 2.0))
+    kernels = [kn_kernel(d), anti_kn_kernel(d), add_kernels(mf, spec), conjugate_kernel(mf),
+               CohenKernel("table", mf.phi)]
+    if len(d.cyclic_factors) == 1:
+        kernels += [commutator_kernel(*bj_position_pair(g.order)), conjugate_kernel(born_jordan_cyclic_kernel(g.order))]
+    assert not any(k.hermitian for k in kernels)
+
+
+PREFIX_GROUPS = {"cyclic:12": build_cyclic(12), "cyclic:127": build_cyclic(127), "cyclic:128": build_cyclic(128),
+                 "cyclic:257": build_cyclic(257), "cyclic:512": build_cyclic(512),
+                 "product:cyclic:8xcyclic:16": build_product(build_cyclic(8), build_cyclic(16))}
+# every library lag form: kn, anti-kn, margin-fix, born-jordan, sampled-z and wigner-odd
+PREFIX_KERNELS = {**{name: (make, "any") for name, make in LAG_FORM_KERNELS.items()},
+                  **{name: HERMITIAN_KERNELS[name] for name in ("born-jordan", "sampled-z", "wigner-odd")}}
+PREFIX_CASES = [(group, name) for group, (g, d) in PREFIX_GROUPS.items()
+                for name, (_, where) in PREFIX_KERNELS.items() if defined_on(where, d)]
+
+
+@pytest.mark.parametrize("group,kernel", PREFIX_CASES, ids=[f"{g}-{k}" for g, k in PREFIX_CASES])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
+def test_lag_forms_act_on_a_prefix_of_lags(group, kernel, batch, rng):
+    """lag(w[:h]) is lag(w)[:h] bit for bit: the real route's rows, whose first
+    factor is 0..n_1/2, a single row, and all rows but the last."""
+    g, d = PREFIX_GROUPS[group]
+    k = PREFIX_KERNELS[kernel][0](d)
+    n, n1 = g.order, d.cyclic_factors[0]
+    w = rng.standard_normal((n, *batch, n)) + 1j * rng.standard_normal((n, *batch, n))
+    full = k.lag(w.copy())
+    for h in (n // n1 * (n1 // 2 + 1), 1, n - 1):
+        assert k.lag(w[:h].copy()).tobytes() == full[:h].tobytes(), h
+
+
+ROUTE_CASES = [(gd, name) for gd in FFT_COHEN_GROUPS for name in hermitian_kernels(gd[1])]
+
+
+@pytest.mark.parametrize("gd,kernel", ROUTE_CASES, ids=lambda p: p if isinstance(p, str) else p[0].name)
+def test_hermitian_kernels_give_a_real_distribution(gd, kernel, rng):
+    """D(u, u) and a batch D(U, U) of a flagged kernel on the FFT route have
+    float64, C-ordered runs, within 1e-12 of the largest entry of the complex
+    route, taken by passing v as another Signal object."""
+    g, d = gd
+    k = hermitian_kernels(d)[kernel]
+    for b in [(), (3,)]:
+        u = Signal(g, rng.standard_normal((*b, g.order)) + 1j * rng.standard_normal((*b, g.order)))
+        (got,), (want,) = cohen_transform(k, u, u).runs, cohen_transform(k, u, Signal(g, u.values)).runs
+        assert got.dtype == np.float64 and got.flags.c_contiguous and want.dtype == complex
+        assert got.shape == want.shape and np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_born_jordan_distribution_at_2048_is_one_real_table():
+    """The Born-Jordan D(u, u) at cyclic:2048 holds one float64 table, 32 MiB."""
+    g, _ = build_cyclic(2048)
+    u = Signal(g, np.random.default_rng(0).standard_normal(2048) + 0j)
+    D = cohen_transform(born_jordan_cyclic_kernel(2048), u, u)
+    assert D.runs[0].nbytes <= 33 << 20
 
 
 def test_cohen_fft_route_keeps_the_refusals(rng):
