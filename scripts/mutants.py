@@ -36,6 +36,16 @@ class Mutant:
 
 
 MUTANTS = [
+    # the Fourier route follows the dual's cyclic factors, not its size
+    Mutant("fourier-fft-route-from-order-128", "groups.py",
+           "    shape = dual.cyclic_factors\n    if shape is None:\n",
+           "    shape = dual.cyclic_factors if len(dual) >= 128 else None\n    if shape is None:\n",
+           ("tests/test_groups.py::test_cyclic_duals_take_the_fft_route_at_every_order[cyclic:7]",)),
+    Mutant("cohen-fft-route-from-order-128", "transforms.py",
+           "    group, dual, shape = u.group, u.group.dual, u.group.dual.cyclic_factors\n",
+           "    group, dual, shape = u.group, u.group.dual, (u.group.dual.cyclic_factors\n"
+           "                                                 if len(u.group.dual) >= 128 else None)\n",
+           ("tests/test_groups.py::test_cyclic_duals_take_the_fft_route_at_every_order[cyclic:7]",)),
     # the lag forms of kn, anti-kn, margin-fix and wigner-odd
     Mutant("margin-fix-lag-on-row-0", "transforms.py",
            "        w[:e], w[e + 1:] = mean[:e], mean[e + 1:]\n", "        w[1:] = mean[1:]\n",

@@ -30,11 +30,12 @@ the runs of a function given to it against the dual.
 The Fourier pair is defined by the naive O(|G|^2) sum, one dense product with
 the stacked table.  A dual whose builder made it the standard character table
 of cyclic factors (`UnitaryDual.cyclic_factors`: `build_cyclic` and products
-of such duals) takes an FFT route instead once |G| >= FFT_MIN_ORDER: the same
-sums as an n-dimensional DFT over the factor axes, in O(|G| log |G|) per
-column, with no |G| x |G| table (`cyclic:N` holds a window view as its Cayley
-table).  Dihedral duals, products with a dihedral factor and file-loaded
-duals always take the naive sum, which stays the oracle of the FFT route.
+of such duals) takes the FFT route at every order: the same sums as an
+n-dimensional DFT over the factor axes, in O(|G| log |G|) per column, with no
+|G| x |G| table (`cyclic:N` holds a window view as its Cayley table).  The
+route follows how a dual was built, not its size: dihedral duals, products
+with a dihedral factor and file-loaded duals take the naive sum, which stays
+the defining reference of the FFT route.
 """
 
 from __future__ import annotations
@@ -66,13 +67,6 @@ __all__ = [
 # accumulate over |G| terms only to STAT_TOL.
 ALG_TOL = 1e-10
 STAT_TOL = 1e-8
-
-# Order from which a dual with cyclic factors takes the FFT route.  Below it,
-# numpy's per-call FFT overhead costs more than the dense product it replaces:
-# a whole cohen_transform took 0.92x the naive time at cyclic:64, 1.14x at
-# cyclic:127 and 2.23x at cyclic:4 x cyclic:8, against 0.57x at cyclic:128
-# and 0.30x at cyclic:512 (one BLAS thread).
-FFT_MIN_ORDER = 128
 
 # Groups each cached builder keeps, least recently used first out.  A group
 # and its dual refer to each other, so an evicted pair is freed by the cyclic
@@ -109,7 +103,7 @@ class UnitaryDual:
     `cyclic_factors` is given only by the builders that know the table is
     the standard character table of Z/n_1 x ... x Z/n_r, elements and irreps
     both in C order over (n_1, ..., n_r); it selects the FFT route of the
-    Fourier pair.  None (the default) keeps the naive sum.
+    Fourier pair at every order.  None (the default) keeps the naive sum.
     """
 
     def __init__(self, table, dims, trivial_index: int = 0, cyclic_factors: tuple[int, ...] | None = None):
@@ -228,13 +222,6 @@ def as_value(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
-def _fft_shape(dual: UnitaryDual) -> tuple[int, ...] | None:
-    """The cyclic factor orders when the Fourier pair takes the FFT route."""
-    if dual.cyclic_factors is not None and len(dual.dims) >= FFT_MIN_ORDER:
-        return dual.cyclic_factors
-    return None
-
-
 def group_fourier(dual: UnitaryDual, w: np.ndarray) -> list[np.ndarray]:
     """block_k[..., :, :] = (1/|G|) sum_x w[x, ...] eta_k(x)^*, as runs.
 
@@ -243,13 +230,14 @@ def group_fourier(dual: UnitaryDual, w: np.ndarray) -> list[np.ndarray]:
     the FFT route one forward DFT over the cyclic factor axes, as
     chi_k(x)^* = prod_j exp(-2 pi i k_j x_j / n_j).
     """
-    shape = _fft_shape(dual)
+    shape = dual.cyclic_factors
     if shape is None:
         s = dual.table.conj() @ w.reshape(len(w), -1)
         s *= 1 / len(w)  # what `s / len(w)` computes, without numpy's complex division
         s = s.reshape(w.shape)
     else:
-        s = np.fft.fftn(w.reshape(*shape, *w.shape[1:]), axes=range(len(shape)), norm="forward")
+        # s given: without it numpy reads the sizes by np.take, about 6 us of a 13 us call at n = 8
+        s = np.fft.fftn(w.reshape(*shape, *w.shape[1:]), s=shape, axes=range(len(shape)), norm="forward")
         s = s.reshape(w.shape)
     return _table_runs(dual, s)
 
@@ -262,7 +250,7 @@ def group_inverse_fourier(dual: UnitaryDual, runs) -> np.ndarray:
     or on the FFT route one unscaled inverse DFT of those rows.  A dual of
     characters alone, as on the FFT route, has one run: its entries are the rows.
     """
-    shape = _fft_shape(dual)
+    shape = dual.cyclic_factors
     if dual.runs[0][1:3] == (len(dual), 1):  # one run, of dimension 1
         v = np.ascontiguousarray(runs[0][..., 0, 0], dtype=complex)
     else:
@@ -271,7 +259,7 @@ def group_inverse_fourier(dual: UnitaryDual, runs) -> np.ndarray:
             np.multiply(run, d, out=rows)
     if shape is None:
         return (dual.table.T @ v.reshape(len(v), -1)).reshape(v.shape)
-    t = np.fft.ifftn(v.reshape(*shape, *v.shape[1:]), axes=range(len(shape)), norm="forward")
+    t = np.fft.ifftn(v.reshape(*shape, *v.shape[1:]), s=shape, axes=range(len(shape)), norm="forward")
     return t.reshape(v.shape)
 
 

@@ -11,8 +11,8 @@ Conventions (fixed throughout the package):
   scalar or not, each is one dense matrix product with the dual's stacked
   representation table (`groups.group_fourier` and its inverse).  A
   built-in cyclic dual or product of cyclic duals takes an FFT route for the
-  same sums once |G| >= groups.FFT_MIN_ORDER (128); dihedral and
-  file-loaded duals stay on the naive sum, which is the FFT route's oracle.
+  same sums at every order; dihedral and file-loaded duals stay on the naive
+  sum, which is the FFT route's defining reference.
   The Plancherel-weighted sums (`nc_integral`, `plancherel_inner`) are
   `groups.plancherel_trace` and `groups.plancherel_pairing`.
 * `convolve`, the ambiguity and Cohen transforms and `kn_symbol` gather

@@ -222,7 +222,7 @@ def check_symmetric(k: CohenKernel, verify: bool = True) -> PropertyReport:
     """Condition (d): varphi(x, y)^* = varphi(y x, y^{-1}).
     Cross-check: D[u](e, eps) is real on 50 random signals."""
     g = k.group
-    lag = k.timelag().values
+    lag = k.timelag.values
     other = lag[g.cayley.T, g.inverse[None, :]]
     diff = np.abs(lag.conj() - other)
     cross = np.abs(_shared(k, _origin_values).imag).max() if verify else None

@@ -217,5 +217,5 @@ def original_localization(k: CohenKernel) -> GroupOperator:
     group, n = k.group, k.group.order
     # K(z, z w^{-1}) = conj(lag(z^{-1}, w)), scattered through the lag index
     K = np.empty((n, n), dtype=complex)
-    K[np.arange(n), group.lag_index] = k.timelag().values[group.inverse].T.conj()
+    K[np.arange(n), group.lag_index] = k.timelag.values[group.inverse].T.conj()
     return GroupOperator(group, K)

@@ -273,9 +273,11 @@ def read_tf_csv(path, group: FiniteGroup) -> TFFunction:
     """Symbol / distribution CSV: one row `x,eta_index,row,col,re,im` per entry.
 
     `_block_index` rows come in run order, so each run (end - first, |G|, d, d)
-    of the dual is a reshape of the values read."""
+    of the dual is a reshape of the values read: float64 when every imaginary
+    field is 0 or -0, as `write_tf_csv` writes a real distribution, else complex."""
     n, dual = group.order, group.dual
     flat = _read_table(path, _block_index(n, dual))
+    flat = flat if flat.imag.any() else flat.real.copy()
     runs = [flat[n * row:n * (row + (end - first) * d * d)].reshape(end - first, n, d, d)
             for first, end, d, row in dual.runs]
     return TFFunction(group, dual, runs)

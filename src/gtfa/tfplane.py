@@ -20,12 +20,11 @@ On an all-scalar dual the whole plane is one (|G|, |G|, 1, 1) array, and
 `scalar_table` is its reshape.  Each transform and conversion here is one or
 two dense products with the dual's stacked representation table
 (`groups.group_fourier` and its inverse), the same for scalar and matrix
-irreps, or on a built-in cyclic dual or product of cyclic duals of order
->= groups.FFT_MIN_ORDER (128) the FFT route of that pair; dihedral and
-file-loaded duals stay on the naive sum.  The pointwise product of
-`tf_convolve` and the pairing of `tf_inner`/`amb_inner` are
-`groups.block_product` and `groups.plancherel_pairing`: one array operation
-per run, not one per irrep.
+irreps, or on a built-in cyclic dual or product of cyclic duals, at every
+order, the FFT route of that pair; dihedral and file-loaded duals stay on the
+naive sum.  The pointwise product of `tf_convolve` and the pairing of
+`tf_inner`/`amb_inner` are `groups.block_product` and
+`groups.plancherel_pairing`: one array operation per run, not one per irrep.
 
 `transforms.cohen_transform` computes the same sums on the lag product
 u(x) v(x y^{-1})^* itself, with the Fourier pair or in-place FFTs.

@@ -31,9 +31,8 @@ import math
 import warnings
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .groups import (FiniteGroup, UnitaryDual, _fft_shape, block_product, build_cyclic, cyclic_exponents, group_fourier,
+from .groups import (FiniteGroup, UnitaryDual, block_product, build_cyclic, cyclic_exponents, group_fourier,
                      group_inverse_fourier, is_cyclic, representation_runs, require_same_dual, require_same_group)
 from .harmonic import Signal, fourier, norm, require_pairable, require_single
 from .tfplane import AmbiguityFunction, TFFunction, TimeLagKernel, ambiguity_to_timelag, timelag_to_ambiguity
@@ -59,7 +58,7 @@ class CohenKernel:
     hermitian = False  # D(u, u) is real: set by builders whose kernels pass an exhaustive check_symmetric
 
     def __init__(self, name: str, phi, lag=None, dual: UnitaryDual | None = None):
-        self.name, self.lag, self._timelag = name, lag, None
+        self.name, self.lag = name, lag
         if dual is None:
             self.phi, self.group, self.dual = phi, phi.group, phi.dual
         else:
@@ -69,10 +68,10 @@ class CohenKernel:
     def phi(self) -> AmbiguityFunction:
         return self._phi()
 
+    @functools.cached_property
     def timelag(self) -> TimeLagKernel:
-        """The scalar time-lag form of this kernel (cached)."""
-        self._timelag = self._timelag or ambiguity_to_timelag(self.phi)
-        return self._timelag
+        """The scalar time-lag form of this kernel, made on first read."""
+        return ambiguity_to_timelag(self.phi)
 
     def linf_norm(self) -> float:
         """max over (xi, y) of the spectral norm of phi(xi, y)."""
@@ -134,14 +133,14 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
     (the batch axis, if any, between y and x), then the kernel's lag form
     (`CohenKernel.lag`) if it has one, else the product with phi between the
     transform in x and its inverse in xi, then the transform in y:
-    `group_fourier`, or on a dual on the FFT route (`groups._fft_shape`) an
-    in-place FFT of w, whose only strided transform it is.  A real D(u, u) has Hermitian lag rows,
+    `group_fourier`, or on a dual with cyclic factors (`UnitaryDual.cyclic_factors`),
+    at every order, an in-place FFT of w, whose only strided transform it is.  A real D(u, u) has Hermitian lag rows,
     t[y^{-1}] = t[y]^*: only the prefix of w with y_1 <= n_1/2 is made, and one real inverse FFT.
     """
     require_same_group(k.group, u.group, "kernel and signal")
     require_same_dual(k.dual, u.group.dual, "kernel and signal")
     require_pairable(u, v)
-    group, dual, shape = u.group, u.group.dual, _fft_shape(u.group.dual)
+    group, dual, shape = u.group, u.group.dual, u.group.dual.cyclic_factors
     rows = shape[0] // 2 + 1 if shape and u is v and k.hermitian else None
     w = _lag_product(shape, u, v, rows)
     t = k.lag(w) if k.lag else _phi_product(k.phi, dual, shape, w)
@@ -151,7 +150,7 @@ def cohen_transform(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
     first = t.reshape(-1, *shape[1:], *t.shape[1:])
     # D[eta, ..., x]; with rows, (1/n) sum_y t[y]^* eta(y), real: the conjugate's irfftn ("backward" scale)
     D = (np.fft.irfftn(np.conjugate(first, out=first), s=(*shape[1:], shape[0]), axes=(*range(1, len(shape)), 0))
-         if rows else np.fft.fftn(first, axes=range(len(shape)), norm="forward", out=first))
+         if rows else np.fft.fftn(first, s=shape, axes=range(len(shape)), norm="forward", out=first))
     return TFFunction(group, dual, [D.reshape(-1, *t.shape[1:])[..., None, None]])
 
 
@@ -164,9 +163,11 @@ def _lag_product(shape: tuple[int, ...] | None, u: Signal, v: Signal, rows: int 
         w = u.values[..., :, None] * v.values.conj().take(u.group.lag_index.T, axis=-1)  # w[..., x, y]
         return w.transpose(-1, *range(w.ndim - 1))
     n, lead, r = u.values.shape[-1], u.values.shape[:-1], len(shape)
-    # v^* doubled along each factor axis, from x_j = n_j on: x - y stays in it for 0 <= x, y < n
-    vc = np.tile(v.values.conj().reshape(*lead, *shape), (2,) * r)[(..., *[slice(m, None) for m in shape])]
-    view = as_strided(vc, (*shape, *vc.shape), (*(-s for s in vc.strides[-r:]), *vc.strides), writeable=False)
+    # v^* doubled along each factor axis; view[y, ..., x] reads it at x_j - y_j + n_j, in 1..2 n_j - 1
+    vc = np.tile(v.values.conj().reshape(*lead, *shape), (2,) * r)
+    step = vc.strides[-r:]
+    view = np.ndarray((*shape, *lead, *shape), complex, vc, sum(m * s for m, s in zip(shape, step)),
+                      (*(-s for s in step), *vc.strides))
     return np.multiply(view[:rows], u.values.reshape(*lead, *shape), order="C").reshape(-1, *lead, n)
 
 
@@ -178,9 +179,9 @@ def _phi_product(phi: AmbiguityFunction, dual: UnitaryDual, shape, w: np.ndarray
         runs = phi.runs if w.ndim == 2 else [p[:, None] for p in phi.runs]  # a batch axis to broadcast over
         return group_inverse_fourier(dual, block_product(runs, group_fourier(dual, w.T))).T
     last, axes = w.reshape(*w.shape[:-1], *shape), range(-len(shape), 0)
-    np.fft.fftn(last, axes=axes, norm="forward", out=last)  # FR(u, v)[xi, y]
+    np.fft.fftn(last, s=shape, axes=axes, norm="forward", out=last)  # FR(u, v)[xi, y]
     w *= phi.scalar_table().T[:len(w), None] if w.ndim == 3 else phi.scalar_table().T[:len(w)]
-    np.fft.ifftn(last, axes=axes, norm="forward", out=last)  # t[x, y]
+    np.fft.ifftn(last, s=shape, axes=axes, norm="forward", out=last)  # t[x, y]
     return w
 
 
@@ -369,7 +370,7 @@ def conjugate_kernel(k: CohenKernel) -> CohenKernel:
     varphi_{D^*}(x, y) = varphi_D(y x, y^{-1})^*.
     """
     group = k.group
-    lag = k.timelag().values
+    lag = k.timelag.values
     cay, inv = group.cayley, group.inverse
     yx = cay.T  # yx[x, y] = y * x
     new = np.conj(lag[yx, inv[None, :]])  # new[x, y] = lag(y x, y^{-1})^*

@@ -11,6 +11,7 @@ their duals stacked from given Irreps (`stack_irreps`).
 No library code uses them, so they live beside the tests.
 """
 
+import functools
 import math
 import re
 from dataclasses import replace
@@ -42,7 +43,7 @@ def cohen_transform_direct(k: CohenKernel, u: Signal, v: Signal) -> TFFunction:
     require_same_group(k.group, u.group, "kernel and signal")
     group, dual = u.group, u.group.dual
     n = group.order
-    lag = k.timelag().values
+    lag = k.timelag.values
     inv = group.inverse
     cay = group.cayley
     # P[y, x] = sum_z varphi(z^{-1} x, y) u(z) v(z y^{-1})^*
@@ -206,7 +207,7 @@ def original_localization_left_div(k: CohenKernel) -> GroupOperator:
     """`quantization.original_localization` gathering K(z, y) =
     conj(lag(z^{-1}, y^{-1} z)) through ld."""
     group = k.group
-    return GroupOperator(group, np.conj(k.timelag().values[group.inverse[:, None], left_div(group)]))
+    return GroupOperator(group, np.conj(k.timelag.values[group.inverse[:, None], left_div(group)]))
 
 
 def check_l2_bound_serial(k: CohenKernel, samples: int = 100) -> PropertyReport:
@@ -522,13 +523,15 @@ def characters(eta: Irrep) -> np.ndarray:
     return np.trace(eta.matrices, axis1=1, axis2=2)
 
 
-def build_cyclic_per_irrep(N: int):
-    """Reference for `build_cyclic`: one Irrep per character, then stacked."""
+def build_cyclic_per_irrep(N: int, cyclic_factors: bool = True):
+    """Reference for `build_cyclic`: one Irrep per character, then stacked.
+    With cyclic_factors False the dual records none, so it takes the naive sums."""
     idx = np.arange(N)
     cayley = (idx[:, None] + idx[None, :]) % N
     inverse = (-idx) % N
     phases = np.exp(2j * np.pi * idx / N)[np.outer(idx, idx) % N]
-    dual = stack_irreps([Irrep(1, phases[k].reshape(N, 1, 1)) for k in range(N)], cyclic_factors=(N,))
+    dual = stack_irreps([Irrep(1, phases[k].reshape(N, 1, 1)) for k in range(N)],
+                        cyclic_factors=(N,) if cyclic_factors else None)
     group = FiniteGroup(N, cayley, 0, inverse, dual, name=f"cyclic:{N}")
     dual.group = group
     return group, dual
@@ -595,6 +598,12 @@ def build_product_per_irrep(a, b):
     group = FiniteGroup(order, cayley, int(identity), inverse, dual, name=f"product:{ga.name}x{gb.name}")
     dual.group = group
     return group, dual
+
+
+def build_naive_cyclic(factors):
+    """cyclic:n_1 x ... x cyclic:n_r with the built duals' characters, built one irrep at a time and
+    recording no cyclic factors: the naive sums over them are the FFT route's reference."""
+    return functools.reduce(build_product_per_irrep, [build_cyclic_per_irrep(n, False) for n in factors])
 
 
 def validate_per_irrep(group: FiniteGroup, dual: UnitaryDual) -> list[str]:

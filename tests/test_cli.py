@@ -11,10 +11,10 @@ import pytest
 import gtfa
 from conftest import corrupt_table, corruptions, near_equal_cyclic7
 from oracles import q_z_distribution_dense, scalar_runs
-from gtfa.cli import main, parse_group, ConfigError
+from gtfa.cli import main, parse_group, parse_kernel, ConfigError
 from gtfa.groups import build_cyclic
 from gtfa.harmonic import Signal, random_signal
-from gtfa.quantization import identity_operator
+from gtfa.quantization import identity_operator, quantize
 from gtfa.signalio import (
     ImageSpec,
     read_csv_signal,
@@ -199,6 +199,21 @@ def test_quantize_dequantize_roundtrip(tmp_path, rng):
     assert rc == 0
     b = read_tf_csv(back, g)
     assert max(np.abs(x - y).max() for x, y in zip(a.blocks, b.blocks)) < 1e-8
+
+
+@pytest.mark.parametrize("spec,kernel", [("cyclic:8", "born-jordan"), ("dihedral:4", "anti-kn")])
+def test_quantize_of_a_real_symbol_file_keeps_its_bytes(tmp_path, rng, spec, kernel):
+    """A symbol file with an imaginary column of 0 is read as float64 runs;
+    quantize writes the operator of the same symbol held complex, byte for byte."""
+    from test_signalio import real_symbol_file
+
+    g = parse_group(spec)
+    a = real_symbol_file(tmp_path / "a.csv", (g, g.dual), rng)
+    assert main(["quantize", "--group", spec, "--kernel", kernel, "--symbol", str(tmp_path / "a.csv"),
+                 "--out", str(tmp_path / "op.csv")]) == 0
+    held = TFFunction(g, g.dual, [r.astype(complex) for r in a.runs])
+    write_operator_csv(tmp_path / "want.csv", quantize(parse_kernel(kernel, g), held))
+    assert (tmp_path / "op.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_dequantize_composite_exit3(tmp_path, capsys):

@@ -21,6 +21,8 @@ from gtfa.groups import (
     load_group_file,
     validate,
 )
+from gtfa.harmonic import Signal
+from gtfa.transforms import cohen_transform, kn_kernel
 
 
 def _char_key(dual):
@@ -333,7 +335,7 @@ def test_primitives_match_naive_sums_on_unsorted_file_group(tmp_path, rng):
 
 
 # ---------------------------------------------------------------------------
-# The FFT route of the Fourier pair against the table product
+# The FFT route of the Fourier pair against the table product, at every order
 # ---------------------------------------------------------------------------
 
 FFT_GROUPS = [gd for gd in builtin_corpus() if gd[0].name.startswith("cyclic:")]
@@ -345,29 +347,41 @@ FFT_GROUPS += [build_product(build_cyclic(4), build_cyclic(8)),
 
 @pytest.mark.parametrize("route", ["naive", "fft"])
 @pytest.mark.parametrize("gd", FFT_GROUPS, ids=lambda gd: gd[0].name)
-def test_fourier_routes_match_table_product(gd, route, monkeypatch, rng):
-    """Both routes of both primitives, the threshold moved to force each."""
+def test_fourier_routes_match_table_product(gd, route, rng):
+    """Both primitives on the built dual (the FFT route) and on the same
+    characters built with no cyclic factors (the naive route), against the
+    table product of the latter."""
     g, d = gd
     n = g.order
     assert int(np.prod(d.cyclic_factors)) == n
-    monkeypatch.setattr(groups, "FFT_MIN_ORDER", 1 if route == "fft" else n + 1)
-    assert (groups._fft_shape(d) is not None) == (route == "fft")
+    _, naive = oracles.build_naive_cyclic(d.cyclic_factors)
+    assert naive.cyclic_factors is None
+    dual = d if route == "fft" else naive
     for shape in [(n,), (n, 5), (n, 3, 5)]:
         w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        expect = np.tensordot(d.table.conj(), w, 1) / n
-        (run,) = group_fourier(d, w)
+        expect = np.tensordot(naive.table.conj(), w, 1) / n
+        (run,) = group_fourier(dual, w)
         assert run.shape == (*shape, 1, 1)
         assert np.abs(run[..., 0, 0] - expect).max() <= 1e-12 * np.abs(expect).max()
-        expect = np.tensordot(d.table.T, w, 1)
-        got = group_inverse_fourier(d, [w[..., None, None]])
+        expect = np.tensordot(naive.table.T, w, 1)
+        got = group_inverse_fourier(dual, [w[..., None, None]])
         assert got.shape == shape
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
-def test_fft_route_from_order_128():
-    assert groups._fft_shape(build_cyclic(127)[1]) is None
-    assert groups._fft_shape(build_cyclic(128)[1]) == (128,)
-    assert groups._fft_shape(build_product(build_cyclic(16), build_cyclic(32))[1]) == (16, 32)
+@pytest.mark.parametrize("build", [lambda n=n: build_cyclic.__wrapped__(n) for n in (1, 2, 7, 127)]
+                         + [lambda: build_product(build_cyclic.__wrapped__(4), build_cyclic.__wrapped__(8))],
+                         ids=["cyclic:1", "cyclic:2", "cyclic:7", "cyclic:127", "product:cyclic:4xcyclic:8"])
+def test_cyclic_duals_take_the_fft_route_at_every_order(build, rng):
+    """A dual with cyclic factors takes the FFT route whatever its order: the
+    Fourier pair and a Cohen transform leave its table and the group's lag
+    index unmade."""
+    g, d = build()
+    w = rng.standard_normal((g.order, 3)) + 1j * rng.standard_normal((g.order, 3))
+    group_inverse_fourier(d, group_fourier(d, w))
+    u = Signal(g, w[:, 0])
+    cohen_transform(kn_kernel(d), u, u)
+    assert "table" not in vars(d) and "lag_index" not in vars(g)
 
 
 @pytest.mark.parametrize("gd", [build_cyclic(12), build_cyclic(128), build_product(build_cyclic(16), build_cyclic(8))],

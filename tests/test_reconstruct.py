@@ -327,12 +327,17 @@ def test_phase_retrieve_refuses_other_duals(tmp_path, rng):
     with pytest.raises(ValueError, match="dual mismatch"):
         phase_retrieve(TFFunction(g, g.dual, scalar_runs(Q[[0, 3, 2, 1, 4]])))
 
-@pytest.mark.parametrize("entry", [complex(0, np.nan), complex(np.inf, 0)], ids=["nan-imag", "inf"])
+@pytest.mark.parametrize("entry", [complex(0, np.nan), complex(np.inf, 0), np.nan],
+                         ids=["nan-imag", "inf", "nan-real"])
 def test_non_finite_distribution_is_refused(entry):
     """A NaN imaginary part leaves the margins finite, and an infinite entry
-    makes the retrieval non-finite: both are refused, not retrieved."""
+    makes the retrieval non-finite: both are refused, not retrieved, from a
+    complex Q (u and a copy of u), and a NaN from a float64 Q (u and u)."""
     g, _ = build_cyclic(8)
-    Q = born_jordan_distribution(constant_signal(g))
+    u = constant_signal(g)
+    real = isinstance(entry, float)
+    Q = cohen_transform(born_jordan_cyclic_kernel(8), u, u if real else Signal(g, u.values.copy()))
+    assert Q.runs[0].dtype == (np.float64 if real else complex)
     Q.runs[0][3, 5] = entry
     for call in (phase_retrieve, retrieval_report):
         with pytest.raises(ValueError, match="distribution has non-finite entries"):

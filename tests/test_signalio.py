@@ -149,7 +149,34 @@ def test_real_tf_csv_roundtrip(tmp_path, rng):
     write_tf_csv(p, D)
     assert {line.rsplit(",", 1)[1] for line in p.read_text().splitlines()} == {"0"}
     back = read_tf_csv(p, g)
-    assert all(np.array_equal(a, b) for a, b in zip(D.runs, back.runs))
+    assert all(b.dtype == np.float64 and np.array_equal(a, b) for a, b in zip(D.runs, back.runs))
+
+
+def real_symbol_file(path, gd, rng) -> TFFunction:
+    """A random TFFunction with float64 runs, written with an imaginary column of 0."""
+    g, d = gd
+    a = TFFunction(g, d, [rng.standard_normal((end - first, g.order, k, k)) for first, end, k, _ in d.runs])
+    write_tf_csv(path, a)
+    return a
+
+
+@pytest.mark.parametrize("gd", [build_cyclic(8), build_dihedral(4)], ids=lambda gd: gd[0].name)
+def test_tf_csv_reads_float64_when_every_imaginary_field_is_zero(tmp_path, rng, gd):
+    """Imaginary fields of 0 and -0 give float64 runs; one nonzero imaginary
+    field keeps the whole table complex, every value as written."""
+    p = tmp_path / "a.csv"
+    a = real_symbol_file(p, gd, rng)
+    lines = p.read_text().splitlines()
+    p.write_text("\n".join(line.rsplit(",", 1)[0] + ",-0" if i % 3 else line for i, line in enumerate(lines)))
+    back = read_tf_csv(p, gd[0])
+    assert all(y.dtype == np.float64 and np.array_equal(x, y) for x, y in zip(a.runs, back.runs))
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",1e-300"
+    p.write_text("\n".join(lines))
+    back = read_tf_csv(p, gd[0])
+    assert all(y.dtype == complex for y in back.runs)
+    flat = np.concatenate([r.ravel() for r in back.runs])
+    assert flat.imag[5] == 1e-300 and np.count_nonzero(flat.imag) == 1
+    assert np.array_equal(flat.real, np.concatenate([r.ravel() for r in a.runs]))
 
 
 def test_operator_csv_roundtrip(tmp_path, rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import (check_lag_form_against_phi, fresh_python, group_file_text, max_block_diff, near_equal_cyclic7,
                       relabelled_dihedral6, reordered_cyclic4)
 from oracles import (born_jordan_phi, born_jordan_table_where, cohen_transform_direct,
@@ -197,11 +198,12 @@ def test_batch_entries_match_single_calls(corpus_and_file_group, rng):
                          ids=["cyclic:128-fft", "dihedral:3xdihedral:4"])
 def test_batch_entries_match_single_calls_fft_and_4d_irreps(gd, rng):
     g, d = gd
-    assert groups._fft_shape(d) is not None or d.dims.max() == 4
+    assert d.cyclic_factors is not None or d.dims.max() == 4
     _check_batch_entries_match_single_calls(g, d, rng)
 
 
-FFT_COHEN_GROUPS = [build_cyclic(128), build_cyclic(257), build_cyclic(512),
+FFT_COHEN_GROUPS = [build_cyclic(1), build_cyclic(2), build_cyclic(7), build_cyclic(128), build_cyclic(257),
+                    build_cyclic(512), build_product(build_cyclic(4), build_cyclic(8)),
                     build_product(build_cyclic(8), build_cyclic(16)),
                     build_product(build_cyclic(16), build_cyclic(32))]
 
@@ -226,13 +228,14 @@ FFT_COHEN_KERNELS = {
     (gd, name) for gd in FFT_COHEN_GROUPS for name in FFT_COHEN_KERNELS
     if name != "born-jordan" or len(gd[1].cyclic_factors) == 1
 ], ids=lambda p: p if isinstance(p, str) else p[0].name)
-def test_cohen_fft_route_matches_three_stages(gd, kernel, monkeypatch, rng):
-    """The one-buffer FFT route against the three stages on the naive sums
-    (ambiguity transform, kernel product, inverse symplectic transform), for a
-    single signal, a batch, and u != v, within 1e-12 of the largest entry."""
+def test_cohen_fft_route_matches_three_stages(gd, kernel, rng):
+    """The one-buffer FFT route against the three stages (ambiguity transform,
+    kernel product, inverse symplectic transform) on the naive sums over the
+    same characters, built with no cyclic factors, for a single signal, a
+    batch, and u != v, within 1e-12 of the largest entry."""
     g, d = gd
-    assert groups._fft_shape(d) == d.cyclic_factors
     k = FFT_COHEN_KERNELS[kernel](g, d)
+    g0, d0 = oracles.build_naive_cyclic(d.cyclic_factors)
 
     def signal(*b):
         return Signal(g, rng.standard_normal((*b, g.order)) + 1j * rng.standard_normal((*b, g.order)))
@@ -240,10 +243,10 @@ def test_cohen_fft_route_matches_three_stages(gd, kernel, monkeypatch, rng):
     u, v, U, V = signal(), signal(), signal(3), signal(3)
     pairs = [(u, u), (u, v), (U, U), (U, V)]
     fast = [cohen_transform(k, a, b).runs for a, b in pairs]
-    monkeypatch.setattr(groups, "FFT_MIN_ORDER", g.order + 1)
     for (a, b), (got,) in zip(pairs, fast):
         phi = k.phi.runs if a.values.ndim == 1 else [p[:, None] for p in k.phi.runs]
-        amb = AmbiguityFunction(g, d, block_product(phi, ambiguity_transform(a, b).runs))
+        amb = AmbiguityFunction(g0, d0, block_product(phi, ambiguity_transform(Signal(g0, a.values),
+                                                                                Signal(g0, b.values)).runs))
         (want,) = inverse_symplectic_fourier(amb).runs
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -259,7 +262,7 @@ LAG_FORM_GROUPS = {
     "cyclic:12": lambda tmp: build_cyclic(12),
     **{gd[0].name: (lambda tmp, gd=gd: gd) for gd in FFT_COHEN_GROUPS},
 }
-# the Wigner kernel on odd cyclic groups only, on both sides of FFT_MIN_ORDER
+# the Wigner kernel on odd cyclic groups only
 ODD_CYCLIC_GROUPS = {f"cyclic:{n}": (lambda tmp, n=n: build_cyclic(n)) for n in (5, 127, 129, 257)}
 LAG_FORM_CASES = [(group, kernel) for group in LAG_FORM_GROUPS for kernel in LAG_FORM_KERNELS]
 LAG_FORM_CASES += [(group, "wigner-odd") for group in ODD_CYCLIC_GROUPS]
@@ -337,27 +340,21 @@ def test_kn_transform_on_the_fft_route_is_rihaczek(gd, rng):
 
 
 def test_cohen_fft_route_skips_the_ambiguity_transform(monkeypatch, rng):
-    """From order 128 a cyclic dual never reaches the three-stage path, with or
-    without a lag form; below, a kernel without one (spectrogram) takes it, for
-    its kernel product, and kernels with one (kn, Born-Jordan) do not."""
+    """A cyclic dual never reaches the three-stage path, with or without a lag
+    form (kn, Born-Jordan; spectrogram), at any order."""
     def refuse(*args):
         raise AssertionError("three-stage path taken")
 
     # built first: a spectrogram kernel is the ambiguity transform of its window
-    spectrograms = {n: spectrogram_kernel(gaussian_window(build_cyclic(n)[0], 4.0)) for n in (127, 128, 512)}
+    orders = (2, 127, 128, 512)
+    spectrograms = {n: spectrogram_kernel(gaussian_window(build_cyclic(n)[0], 4.0)) for n in orders}
     monkeypatch.setattr(transforms, "ambiguity_transform", refuse)
     monkeypatch.setattr(transforms, "block_product", refuse)
-    for n in (128, 512):
+    for n in orders:
         g, d = build_cyclic(n)
         u = random_signal(g, rng)
         for k in (kn_kernel(d), born_jordan_cyclic_kernel(n), spectrograms[n]):
             cohen_transform(k, u, u)
-    g, d = build_cyclic(127)
-    u = random_signal(g, rng)
-    cohen_transform(kn_kernel(d), u, u)
-    cohen_transform(born_jordan_cyclic_kernel(127), u, u)
-    with pytest.raises(AssertionError, match="three-stage"):
-        cohen_transform(spectrograms[127], u, u)
 
 
 def test_cohen_fft_route_makes_no_group_table(monkeypatch, rng):
@@ -914,7 +911,7 @@ def test_wigner_kernel_makes_no_dual_table(monkeypatch, rng):
     k = wigner_kernel_odd_cyclic(385)
     u = random_signal(k.group, rng)
     cohen_transform(k, u, u)
-    assert groups._fft_shape(k.dual) == (385,) and "table" not in vars(k.dual)
+    assert k.dual.cyclic_factors == (385,) and "table" not in vars(k.dual)
     assert k.phi.scalar_table().shape == (385, 385) and "table" not in vars(k.dual)
 
 
@@ -932,11 +929,13 @@ def test_wigner_two_routes(rng):
 
 def test_wigner_refuses_a_permuted_dual(tmp_path, rng):
     """cyclic:7 through a group file: with the characters in cyclic:7's order
-    the Wigner transform is the built group's, on the file's group; with
+    the Wigner transform is, bit for bit, the one on the naive route over the
+    same characters (which the file group takes too), on the file's group; with
     characters 2 and 5 swapped the group is cyclic:7's, its dual is not, and
     the transform, being the Cohen transform of cyclic:7's kernel, is refused."""
     g, d = build_cyclic(7)
     u = random_signal(g, rng)
+    naive = Signal(oracles.build_naive_cyclic((7,))[0], u.values)
 
     def on_file(order):
         path = tmp_path / "z7.grp"
@@ -945,7 +944,7 @@ def test_wigner_refuses_a_permuted_dual(tmp_path, rng):
 
     same = on_file(range(7))
     W = wigner_odd_cyclic(same, same)
-    assert W.group is same.group and W.runs[0].tobytes() == wigner_odd_cyclic(u, u).runs[0].tobytes()
+    assert W.group is same.group and W.runs[0].tobytes() == wigner_odd_cyclic(naive, naive).runs[0].tobytes()
     swapped = on_file((0, 1, 5, 3, 4, 2, 6))
     with pytest.raises(ValueError, match="dual mismatch: kernel and signal"):
         wigner_odd_cyclic(swapped, swapped)
